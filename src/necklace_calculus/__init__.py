@@ -18,7 +18,7 @@ from .cubes import (cube_hom, cube_of_pair, cube_of_necklace, pushforward, split
 from .scat import (SCat, Presheaf, NatTrans, EnrichedFunctor, suspension, sigma_m,
                    glue_end, ch_simplex, representable, terminal_presheaf,
                    enumerate_nat_trans, point_cat, directed_cat)
-from .categorify import Categorification, categorify, cfunctor, scat_functor
+from .categorify import Categorification, cfunctor, scat_functor
 from .nerves import Nerve, strict_nerve, hc_nerve, nerve_comparison, hc_functors
 from .kan import enriched_lan, lan_into_representable, LanResult
 from .straighten import (Cell, Straightener, StObject, st_over_map, cone, cone_hom,

@@ -17,6 +17,7 @@ from .bisset import BiMap, BiSSet, LevelSSet, bnd
 from .cubes import Chain, chain_act, chain_join, chains
 from .necklace import (RealizedNecklace, TndPoset, UnsupportedInput, necklace_joint_ids,
                        necklace_vertex_ids, sub_necklace)
+from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
 from .sset import NF, SSet, SSetError, materialize
 
@@ -54,6 +55,7 @@ class Categorification:
         self._posets: dict[tuple[int, str, str], TndPoset] = {}
         self._homs: dict[tuple[str, str], HomSpace] = {}
         self._act_cache: dict = {}
+        self._flat_cache: dict[tuple[tuple[str, ...], int], frozenset[int]] = {}
         self._beads: Optional[list[tuple[str, str, int]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
 
@@ -141,25 +143,37 @@ class Categorification:
                 raise SSetError("vertical transport degenerated a bead in a 1-ordered level")
             beads2.append(Ldst._id(binf.gen, binf.vword))
         ch2 = chain_act(ch, mu)
-        t2 = sub_necklace(Ldst, RealizedNecklace(tuple(beads2)), ch2[0], ch2[-1])
-        if t2 is None:
-            raise SSetError("saturation failed")
-        out = (t2.beads, ch2)
+        if mu[0] == 0 and mu[-1] == j:
+            # the chain keeps its ends, which saturate the transported beads
+            out = (tuple(beads2), ch2)
+        else:
+            t2 = sub_necklace(Ldst, RealizedNecklace(tuple(beads2)), ch2[0], ch2[-1])
+            if t2 is None:
+                raise SSetError("saturation failed")
+            out = (t2.beads, ch2)
         self._act_cache[key] = out
         return out
+
+    def _flat(self, beads: tuple[str, ...], j: int) -> frozenset[int]:
+        """Positions i < j where every bead's vertical epi identifies i and i+1."""
+        key = (beads, j)
+        hit = self._flat_cache.get(key)
+        if hit is None:
+            L = self.level(j)
+            epis = [delta.word_to_epi(L.origin[g].vword, j) for g in beads]
+            hit = frozenset(i for i in range(j) if all(epi[i] == epi[i + 1] for epi in epis))
+            self._flat_cache[key] = hit
+        return hit
 
     def _degen(self, e: HomElement, j: int, i: int):
         """Fast check that e = s_i(df); returns df or None."""
         beads, ch = e
-        if ch[i] != ch[i + 1]:
+        if ch[i] != ch[i + 1] or i not in self._flat(beads, j):
             return None
         Lsrc, Ldst = self.level(j), self.level(j - 1)
         new_beads = []
         for g in beads:
-            vw = Lsrc.origin[g].vword
-            epi = delta.word_to_epi(vw, j)
-            if epi[i] != epi[i + 1]:
-                return None
+            epi = delta.word_to_epi(Lsrc.origin[g].vword, j)
             word2, _ = delta.factor(delta.compose(epi, delta.coface(i, j)))
             new_beads.append(Ldst._id(Lsrc.origin[g].gen, word2))
         return (tuple(new_beads), ch[:i] + ch[i + 1:])
@@ -170,12 +184,17 @@ class Categorification:
             return self._homs[key]
 
         def levels(j: int) -> list:
+            """The non-degenerate j-simplices: (T, chain) with the chain
+            stepping at every position where all of T's beads are flat."""
             poset = self.poset(j, a, b)
             out = []
             for t in poset.objects:
                 J = necklace_joint_ids(poset.K, t)
                 V = necklace_vertex_ids(poset.K, t)
-                for ch in chains(J, V, j, saturated=True):
+                flat = self._flat(t.beads, j)
+                if len(set(V) - set(J)) < len(flat):
+                    continue
+                for ch in chains(J, V, j, saturated=True, steps=flat):
                     out.append((t.beads, ch))
             return sorted(out)
 
@@ -215,36 +234,32 @@ class Categorification:
         ids = {a: self.id_element(a) for a in self.objects}
         return SCat(self.objects, hom, self.comp_el, ids, hom_bound=self.bound)
 
+    def hom_report(self, a: str, b: str) -> dict:
+        """Generator counts of Hom(a, b) against the a-priori degree bound."""
+        counts = self.hom_sset(a, b).nd_counts()
+        return {
+            "nd_counts": counts,
+            "degree_bound": self.hom_bound(a, b),
+            "top_degree": max((d for d, c in enumerate(counts) if c), default=-1),
+            "complete": self.user_bound is None,
+        }
+
     def stabilization_report(self) -> dict:
-        """Per-hom generator counts against the a-priori degree bound."""
-        out = {}
-        for a, b in itertools.product(self.objects, repeat=2):
-            counts = self.hom_sset(a, b).nd_counts()
-            bound = self.hom_bound(a, b)
-            out[(a, b)] = {
-                "nd_counts": counts,
-                "degree_bound": bound,
-                "top_degree": max((d for d, c in enumerate(counts) if c), default=-1),
-                "complete": self.user_bound is None,
-            }
-        return out
-
-
-def check_levels_1_ordered(W: BiSSet, bound: int) -> None:
-    """Raise UnsupportedInput with a witness if some slice fails 1-orderedness."""
-    from .ops import is_1_ordered
-
-    for j in range(bound + 1):
-        ok, wit = is_1_ordered(LevelSSet(W, j))
-        if not ok:
-            raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
-                                   witness=(j, wit))
+        """hom_report for every pair of objects."""
+        return {(a, b): self.hom_report(a, b)
+                for a, b in itertools.product(self.objects, repeat=2)}
 
 
 def categorify(W: BiSSet, bound: Optional[int] = None, check: bool = True) -> Categorification:
+    """The categorification of W; with check, every level slice up to the
+    bound must be 1-ordered, else UnsupportedInput carries (level, witness)."""
     C = Categorification(W, bound=bound)
     if check:
-        check_levels_1_ordered(W, C.bound)
+        for j in range(C.bound + 1):
+            ok, wit = is_1_ordered(C.level(j))
+            if not ok:
+                raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
+                                       witness=(j, wit))
     return C
 
 

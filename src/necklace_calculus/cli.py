@@ -24,6 +24,10 @@ from .verify import SUITES, run_suite
 MAX_CELLS_DEFAULT = 2_000_000
 
 
+class UsageError(ValueError):
+    """Arguments missing or malformed in a way argparse cannot see (exit 2)."""
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -59,7 +63,7 @@ def cmd_hom(args) -> int:
     C = categorify(W, bound=args.degree)
     a, b = getattr(args, "from"), args.to
     H = C.hom_sset(a, b)
-    report = C.stabilization_report()[(a, b)]
+    report = C.hom_report(a, b)
     payload = {
         "hom": sset_dump(H),
         "report": run_report("hom", [bisset_dump(W)], [
@@ -69,7 +73,7 @@ def cmd_hom(args) -> int:
                         "complete": report["complete"]}}]),
     }
     if args.emit == "dot":
-        payload["dot"] = necklaces_dot(TndPoset(C.level(0), a, b), name="tnd_level0")
+        payload["dot"] = necklaces_dot(C.poset(0, a, b), name="tnd_level0")
     _emit(args, payload)
     return 0
 
@@ -155,10 +159,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    if args.pairs:
-        i, m = map(int, args.pairs.split(","))
+    if args.pairs is not None:
+        try:
+            i, m = map(int, args.pairs.split(","))
+        except ValueError:
+            raise UsageError(f"--pairs takes i,m; got {args.pairs!r}") from None
         print(necklaces_dot(PairPoset(i, m), name="pairs"))
         return 0
+    if args.sset is None or getattr(args, "from") is None or args.to is None:
+        raise UsageError("dot needs --pairs i,m, or --sset with --from and --to")
     X = sset_load(_load_json(args.sset))
     t = TndPoset(X, getattr(args, "from"), args.to)
     if args.emit == "json":
@@ -218,6 +227,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedInput as exc:
         print(f"unsupported input: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ S_0 <= ... <= S_j with J <= S_r <= V, non-degenerate iff strictly increasing.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import delta
@@ -18,20 +17,41 @@ from .sset import EMPTY, NF, SSet, SSetError, SSetMap, Materialized, materialize
 Chain = tuple[tuple, ...]  # weakly increasing tuple of sorted vertex tuples
 
 
-def chains(J, V, j: int, saturated: bool = False) -> list[Chain]:
-    """All chains S_0 <= ... <= S_j in the interval [J, V]."""
+def chains(J, V, j: int, saturated: bool = False, steps=()) -> list[Chain]:
+    """All chains S_0 <= ... <= S_j in the interval [J, V], sorted.
+
+    saturated keeps only chains from S_0 = J to S_j = V.  steps lists
+    positions i where S_i < S_{i+1} is required.  A chain is fixed by the
+    index at which each vertex of V outside J enters it, so the chains are
+    generated from those indices with the required steps built in.
+    """
     J, V = tuple(sorted(set(J))), tuple(sorted(set(V)))
     free = [v for v in V if v not in J]
+    lo, hi = (1, j) if saturated else (0, j + 1)
+    every = sorted(set(J) | set(V))
     out = []
-    times = range(1, j + 1) if saturated else range(0, j + 2)
-    for ts in itertools.product(times, repeat=len(free)):
-        chain = []
-        for r in range(j + 1):
-            chain.append(tuple(sorted(J + tuple(v for v, t in zip(free, ts) if t <= r))))
-        if saturated and chain[-1] != V:
-            continue
-        out.append(tuple(chain))
-    return sorted(set(out))
+    for ts in _entry_times(len(free), lo, hi, frozenset(i + 1 for i in steps)):
+        enter = dict(zip(free, ts))
+        verts = [(v, enter.get(v, 0)) for v in every]
+        out.append(tuple(tuple(v for v, t in verts if t <= r) for r in range(j + 1)))
+    return sorted(out)
+
+
+def _entry_times(n: int, lo: int, hi: int, need: frozenset) -> list[tuple[int, ...]]:
+    """All n-tuples over [lo, hi] whose values include every member of need."""
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], missing: frozenset) -> None:
+        if len(missing) > n - len(prefix):
+            return
+        if len(prefix) == n:
+            out.append(prefix)
+            return
+        for t in range(lo, hi + 1):
+            extend(prefix + (t,), missing - {t})
+
+    extend((), need)
+    return out
 
 
 def chain_act(chain: Chain, mu: delta.Monotone) -> Chain:

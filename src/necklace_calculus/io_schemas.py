@@ -16,6 +16,14 @@ class SchemaError(ValueError):
     pass
 
 
+def _check_schema(d, name: str, default: Optional[str] = None) -> None:
+    """d must be a JSON object whose "schema" (default: default) is name."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected a {name} object, got {type(d).__name__}")
+    if d.get("schema", default) != name:
+        raise SchemaError(f"expected {name}, got {d.get('schema')!r}")
+
+
 def _nf_json(nf: NF) -> dict:
     return {"word": list(nf.word), "target": nf.gen}
 
@@ -39,8 +47,7 @@ def sset_dump(X: SSet) -> dict:
 
 def sset_load(d: dict) -> SSet:
     try:
-        if d.get("schema", "sset.v1") != "sset.v1":
-            raise SchemaError(f"expected sset.v1, got {d.get('schema')!r}")
+        _check_schema(d, "sset.v1", default="sset.v1")
         gens = [(g["id"], g["dim"]) for g in d["generators"]]
         faces = {g["id"]: tuple(_nf_load(f) for f in g["faces"])
                  for g in d["generators"] if g["dim"] > 0}
@@ -73,8 +80,7 @@ def bisset_dump(W: BiSSet) -> dict:
 
 def bisset_load(d: dict) -> BiSSet:
     try:
-        if d.get("schema", "bisset.v1") != "bisset.v1":
-            raise SchemaError(f"expected bisset.v1, got {d.get('schema')!r}")
+        _check_schema(d, "bisset.v1", default="bisset.v1")
         gens = [(g["id"], tuple(g["bidegree"])) for g in d["generators"]]
         hfaces = {g["id"]: tuple(_binf_load(f) for f in g["hfaces"])
                   for g in d["generators"] if g["bidegree"][0] > 0}
@@ -111,8 +117,7 @@ def scat_dump(C: SCat) -> dict:
 
 def scat_load(d: dict) -> SCat:
     try:
-        if d.get("schema") != "scat.v1":
-            raise SchemaError(f"expected scat.v1, got {d.get('schema')!r}")
+        _check_schema(d, "scat.v1")
         objects = tuple(d["objects"])
         homs = {}
         for key, sub in d["homs"].items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Optional
 
-from .ops import is_1_ordered, vertex_order
+from .ops import is_1_ordered
 from .sset import SSet, SSetError, nd
 
 
@@ -69,7 +69,6 @@ class TndPoset:
         self.K = K
         self.a = a
         self.b = b
-        self.order = vertex_order(K)
         self.objects: tuple[RealizedNecklace, ...] = tuple(self._enumerate())
         self._index = {t: i for i, t in enumerate(self.objects)}
         self._verts = {t: self.vertex_ids(t) for t in self.objects}

@@ -273,7 +273,16 @@ class OrderWitness(NamedTuple):
 
 
 def is_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
-    """Antisymmetric edge order plus spine-injectivity of nd simplices."""
+    """Antisymmetric edge order plus spine-injectivity of nd simplices.
+
+    The verdict is memoized on X, which is immutable.
+    """
+    if X._order_check is None:
+        X._order_check = _check_1_ordered(X)
+    return X._order_check
+
+
+def _check_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
     arcs: dict[str, set[str]] = {}
     if X.dim_bound >= 1:
         for e in X.by_dim[1]:
@@ -313,33 +322,6 @@ def is_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
                 return False, OrderWitness("spine-injectivity", (seen[sp], g))
             seen[sp] = g
     return True, None
-
-
-def vertex_order(X: SSet) -> dict[str, int]:
-    """A topological order on vertices extending the edge relation."""
-    ok, wit = is_1_ordered(X)
-    if not ok:
-        raise SSetError(f"not 1-ordered: {wit}")
-    verts = list(X.by_dim[0]) if X.dim_bound >= 0 else []
-    arcs: dict[str, set[str]] = {v: set() for v in verts}
-    indeg = {v: 0 for v in verts}
-    if X.dim_bound >= 1:
-        for e in X.by_dim[1]:
-            vs = X.vertices(nd(e))
-            if vs[1] not in arcs[vs[0]]:
-                arcs[vs[0]].add(vs[1])
-                indeg[vs[1]] += 1
-    order: dict[str, int] = {}
-    ready = sorted(v for v in verts if indeg[v] == 0)
-    while ready:
-        v = ready.pop(0)
-        order[v] = len(order)
-        for w in sorted(arcs[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    return order
 
 
 # -- isomorphism search -------------------------------------------------------

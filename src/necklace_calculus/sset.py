@@ -51,6 +51,7 @@ class SSet:
         self.labels = dict(labels or {})
         self._act_cache: dict = {}
         self._vert_cache: dict = {}
+        self._order_check: Optional[tuple] = None  # memo of ops.is_1_ordered
         if validate:
             self._validate()
 
@@ -285,10 +286,15 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
                 degen: Optional[Callable[[object, int, int], object]] = None) -> Materialized:
     """Build an SSet in EZ normal form from an abstract element space.
 
-    levels(d) lists the d-simplices (canonically ordered, hashable); act is the
-    presheaf action.  Elements above max_dim are ignored, so the caller must
-    pick max_dim at least the top non-degenerate dimension.  degen, when given,
-    is a fast path: degen(e, d, i) returns df with s_i(df) == e, or None.
+    levels(d) lists d-simplices (canonically ordered, hashable); it must list
+    every non-degenerate one and may list only those.  act is the presheaf
+    action.  degen(e, d, i) returns df with s_i(df) == e, or None; without it,
+    the test is made through act.  Listed elements that degen strips are
+    degenerate, the rest become generators, numbered in listing order.  The
+    returned lookup gives the normal form of any element, listed or not
+    (faces, elements above max_dim), by stripping degeneracies with degen.
+    Elements above max_dim are never listed, so the caller must pick max_dim
+    at least the top non-degenerate dimension.
     """
     to_nf: dict[tuple[int, object], NF] = {}
     gens: list[tuple[str, int]] = []
@@ -301,47 +307,47 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
             if act(df, d - 1, delta.codegeneracy(i, d - 1)) == e:
                 return df
             return None
+
+    def strip(d: int, e) -> Optional[NF]:
+        """Normal form of e if degenerate, else None."""
+        for i in range(d - 1, -1, -1):
+            df = degen(e, d, i)
+            if df is not None:
+                base = lookup(d - 1, df)
+                return NF(delta.merge_words((i,), base.word, d - 1), base.gen)
+        return None
+
+    def lookup(d: int, e) -> NF:
+        """Normal form of any element."""
+        hit = to_nf.get((d, e))
+        if hit is not None:
+            return hit
+        out = strip(d, e)
+        if out is None:
+            raise SSetError(f"element at dim {d} has no recorded normal form")
+        to_nf[(d, e)] = out
+        return out
+
     for d in range(max_dim + 1):
         elems = levels(d)
         if len(set(elems)) != len(elems):
             raise SSetError("duplicate elements in a level")
-        fresh = []
+        fresh = 0
         for e in elems:
-            word_i = None
-            for i in range(d - 1, -1, -1):
-                df = degen(e, d, i)
-                if df is not None:
-                    word_i = (i, df)
-                    break
-            if word_i is None:
-                gid = f"{prefix}{d}_{len(fresh)}"
-                fresh.append(e)
+            out = strip(d, e)
+            if out is None:
+                gid = f"{prefix}{d}_{fresh}"
+                fresh += 1
                 gens.append((gid, d))
                 elem_of[gid] = e
-                to_nf[(d, e)] = nd(gid)
+                out = nd(gid)
                 if label is not None:
                     labels[gid] = label(e)
-            else:
-                i, df = word_i
-                base = to_nf[(d - 1, df)]
-                to_nf[(d, e)] = NF(delta.merge_words((i,), base.word, d - 1), base.gen)
+            to_nf[(d, e)] = out
     for gid, d in gens:
         if d == 0:
             continue
         e = elem_of[gid]
-        faces[gid] = tuple(to_nf[(d - 1, act(e, d, delta.coface(i, d)))] for i in range(d + 1))
+        faces[gid] = tuple(lookup(d - 1, act(e, d, delta.coface(i, d))) for i in range(d + 1))
     out = SSet(gens, faces, labels=labels, validate=False)
-
-    def lookup(d: int, e) -> NF:
-        """Normal form of any element; above max_dim, strips degeneracies first."""
-        hit = to_nf.get((d, e))
-        if hit is not None:
-            return hit
-        for i in range(d - 1, -1, -1):
-            df = act(e, d, delta.coface(i, d))
-            if act(df, d - 1, delta.codegeneracy(i, d - 1)) == e:
-                base = lookup(d - 1, df)
-                return NF(delta.merge_words((i,), base.word, d - 1), base.gen)
-        raise SSetError(f"element at dim {d} has no recorded normal form")
-
     return Materialized(out, lookup, elem_of)

@@ -70,3 +70,20 @@ def interval_nerve_counts(J, V):
     """nd chain counts of the subset-interval nerve, degree by degree."""
     free = len(V) - len(J)
     return tuple(chain_count(J, V, j, strict=True) for j in range(free + 1))
+
+
+def cube_chain_counts(k: int):
+    """Strict chains S_0 < ... < S_j in the poset {0,1}^k of subsets of a
+    k-set, counted by length j: the nd simplex counts of its nerve."""
+    subsets = range(1 << k)
+    counts = [0] * (k + 1)
+
+    def extend(top: int, length: int) -> None:
+        counts[length] += 1
+        for s in subsets:
+            if s != top and s & top == top:
+                extend(s, length + 1)
+
+    for s in subsets:
+        extend(s, 0)
+    return tuple(counts)

@@ -7,6 +7,8 @@ from necklace_calculus.necklace import UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
+from oracles import cube_chain_counts
+
 d = shapes.simplex
 
 
@@ -40,13 +42,23 @@ def test_category_laws():
 
 
 def test_categorify_rejects_loops():
-    from necklace_calculus.ops import pushout, SSetMap
+    from necklace_calculus.ops import OrderWitness, pushout, SSetMap
 
     b1, d1, d0 = shapes.boundary(1), d(1), d(0)
     circ = pushout(SSetMap(b1, d0, {"0": nd("0"), "1": nd("0")}),
                    shapes.sub_inclusion(b1, d1))
-    with pytest.raises(UnsupportedInput):
-        categorify(horizontal(circ.sset))
+    W = horizontal(circ.sset)
+    wit = OrderWitness("antisymmetry", ("q1_0",))
+    for _ in range(2):
+        with pytest.raises(UnsupportedInput) as exc:
+            categorify(W)
+        assert exc.value.witness == (0, wit)
+    # the level's verdict is memoized; a repeated query must raise the same way
+    C = categorify(W, check=False)
+    for _ in range(2):
+        with pytest.raises(UnsupportedInput) as exc:
+            C.poset(0, "q0_0", "q0_0")
+        assert exc.value.witness == wit
 
 
 def test_categorify_rejects_two_cycles():
@@ -87,3 +99,40 @@ def test_hom_bound_is_exact():
     for (a, b), info in rep.items():
         assert info["top_degree"] <= info["degree_bound"]
         assert info["complete"]
+
+
+def test_simplex_hom_is_cube_nerve():
+    # Hom_{C[Delta^{k+1}]}(0, k+1) is the nerve of the cube {0,1}^k
+    assert cube_chain_counts(5) == (32, 211, 570, 750, 480, 120)
+    for k in range(6):
+        C = categorify(horizontal(d(k + 1)))
+        assert C.hom_sset("0", str(k + 1)).nd_counts() == cube_chain_counts(k)
+
+
+def _hom_from_full_levels(C, a, b):
+    """Hom(a, b) materialized from every element, degenerate ones included."""
+    from necklace_calculus.cubes import chains
+    from necklace_calculus.necklace import necklace_joint_ids, necklace_vertex_ids
+    from necklace_calculus.sset import materialize
+
+    def levels(j):
+        poset = C.poset(j, a, b)
+        return sorted((t.beads, ch) for t in poset.objects
+                      for ch in chains(necklace_joint_ids(poset.K, t),
+                                       necklace_vertex_ids(poset.K, t), j, saturated=True))
+
+    return materialize(levels, C._act, C.hom_bound(a, b), prefix=f"h{a}.{b}_",
+                       degen=C._degen).sset
+
+
+@pytest.mark.parametrize("W", [horizontal(d(4)), lf(3, d(1)).W, lf(2, d(2)).W,
+                               lf(2, shapes.boundary(2)).W],
+                         ids=["delta4", "lf3_delta1", "lf2_delta2", "lf2_bd2"])
+def test_hom_matches_full_listing_route(W):
+    from necklace_calculus.io_schemas import canonical_json, sset_dump
+
+    C = categorify(W)
+    for a in C.objects:
+        for b in C.objects:
+            want = canonical_json(sset_dump(_hom_from_full_levels(C, a, b)))
+            assert canonical_json(sset_dump(C.hom_sset(a, b))) == want, (a, b)

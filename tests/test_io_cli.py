@@ -90,6 +90,18 @@ def test_cli_schema_error(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("args", [["dot"], ["dot", "--pairs", "x"],
+                                  ["hom", "--base", "{list}", "--from", "0", "--to", "1"]],
+                         ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base"])
+def test_cli_usage_errors_exit_2(tmp_path, args):
+    p = tmp_path / "list.json"
+    p.write_text("[1,2]")
+    res = _run_cli([a.format(list=p) for a in args], [p])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
 def test_cli_straighten(tmp_path):
     base = tmp_path / "pt.json"
     base.write_text(json.dumps(bisset_dump(horizontal(d(0)))))

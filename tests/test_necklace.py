@@ -36,8 +36,13 @@ def test_tnd_requires_1_ordered():
     b1, d1, d0 = shapes.boundary(1), d(1), d(0)
     circ = ops.pushout(SSetMap(b1, d0, {"0": nd("0"), "1": nd("0")}),
                        shapes.sub_inclusion(b1, d1))
-    with pytest.raises(UnsupportedInput):
-        TndPoset(circ.sset, circ.sset.by_dim[0][0], circ.sset.by_dim[0][0])
+    v = circ.sset.by_dim[0][0]
+    wit = ops.OrderWitness("antisymmetry", ("q1_0",))
+    for _ in range(2):  # the second call reuses the memoized verdict
+        with pytest.raises(UnsupportedInput) as exc:
+            TndPoset(circ.sset, v, v)
+        assert exc.value.witness == wit
+    assert ops.is_1_ordered(circ.sset) == (False, wit)
 
 
 @pytest.mark.parametrize("i,m", [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3)])
