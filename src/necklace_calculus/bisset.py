@@ -1,19 +1,23 @@
-"""Finite bisimplicial sets with EZ normal forms in both directions.
+"""Finite bisimplicial sets: the n = 2 case of the engine in `sset`.
 
-Generators carry a bidegree (m, k); the first (horizontal) direction is the
-categorical one, the second (vertical) direction is the space one.  A Segal
+Axis 0 is horizontal (the categorical direction), axis 1 vertical (the space
+direction).  Generators carry a bidegree (m, k), faces are stored per axis as
+`hfaces` and `vfaces`, and a normal form is (hword, vword, gen); operators,
+validation, maps, materialization, colimits, isomorphism search and map
+enumeration are the shared n-fold code of `sset` and `ops`.  A Segal
 precategory is a bisimplicial set whose row 0 is a discrete vertex set.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import delta
 from .delta import Monotone, Word
-from .sset import NF, SSet, SSetError, nd
+from .ops import Diagram, _colimit, _span, pi0
+from .shapes import simplex, simplex_operator
+from .sset import (NF, GradedSet, SSet, SSetError, SSetMap, _materialize, identity_map,
+                   materialize, nd)
 
 
 class BiNF(NamedTuple):
@@ -26,26 +30,27 @@ def bnd(gen: str) -> BiNF:
     return BiNF((), (), gen)
 
 
-class BiSSet:
+class BiMap(SSetMap):
+    """A bisimplicial map, stored on generators."""
+
+
+class BiSSet(GradedSet):
     """A finite bisimplicial set; immutable after construction."""
+
+    nf_type = BiNF
+    map_type = BiMap
 
     def __init__(self, gens: Iterable[tuple[str, tuple[int, int]]],
                  hfaces: Mapping[str, tuple[BiNF, ...]],
                  vfaces: Mapping[str, tuple[BiNF, ...]],
                  labels: Optional[Mapping[str, str]] = None, validate: bool = True):
-        self._deg: dict[str, tuple[int, int]] = {}
-        for g, mk in gens:
-            if g in self._deg:
-                raise SSetError(f"duplicate generator id {g!r}")
-            self._deg[g] = tuple(mk)
-        self.hfaces = {g: tuple(fs) for g, fs in hfaces.items()}
-        self.vfaces = {g: tuple(fs) for g, fs in vfaces.items()}
-        self.labels = dict(labels or {})
-        self.h_bound = max((mk[0] for mk in self._deg.values()), default=-1)
-        self.v_bound = max((mk[1] for mk in self._deg.values()), default=-1)
-        self._order = sorted(self._deg, key=lambda g: (self._deg[g], g))
-        if validate:
-            self._validate()
+        super().__init__(((g, tuple(mk)) for g, mk in gens), (hfaces, vfaces), labels, validate)
+
+    def _index(self) -> None:
+        self.hfaces, self.vfaces = self._faces
+        self.h_bound = max((mk[0] for mk in self._by_deg), default=-1)
+        self.v_bound = max((mk[1] for mk in self._by_deg), default=-1)
+        self._order = [g for mk in sorted(self._by_deg) for g in sorted(self._by_deg[mk])]
 
     def gens(self) -> list[str]:
         return list(self._order)
@@ -54,91 +59,22 @@ class BiSSet:
         return self._deg[g]
 
     def bidim(self, e: BiNF) -> tuple[int, int]:
-        m, k = self._deg[e.gen]
-        return (m + len(e.hword), k + len(e.vword))
+        return self.degree(e)
 
     def gens_at(self, m: int, k: int) -> list[str]:
-        return [g for g in self._order if self._deg[g] == (m, k)]
+        return sorted(self._by_deg.get((m, k), ()))
 
     def nd_counts(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for g in self._order:
-            out[self._deg[g]] = out.get(self._deg[g], 0) + 1
-        return out
-
-    def is_empty(self) -> bool:
-        return not self._deg
-
-    # -- operators -----------------------------------------------------------
+        return {mk: len(self._by_deg[mk]) for mk in sorted(self._by_deg)}
 
     def act(self, e: BiNF, mu_h: Optional[Monotone] = None,
             mu_v: Optional[Monotone] = None) -> BiNF:
-        m, k = self.bidim(e)
+        """e composed with mu_h horizontally, then with mu_v vertically (None: identity)."""
         if mu_h is not None:
-            e = self._act_h(e, mu_h)
+            e = self._act_axis(e, 0, mu_h)
         if mu_v is not None:
-            e = self._act_v(e, mu_v)
+            e = self._act_axis(e, 1, mu_v)
         return e
-
-    def _act_h(self, e: BiNF, mu: Monotone) -> BiNF:
-        m, _ = self.bidim(e)
-        epi = delta.word_to_epi(e.hword, m)
-        word, mono = delta.factor(delta.compose(epi, mu))
-        cur = BiNF((), e.vword, e.gen)
-        missing = sorted(set(range(self._deg[e.gen][0] + 1)) - set(mono), reverse=True)
-        for r in missing:
-            cur = self._hface_step(cur, r)
-        return BiNF(delta.merge_words(word, cur.hword, self.bidim(cur)[0]), cur.vword, cur.gen)
-
-    def _hface_step(self, e: BiNF, r: int) -> BiNF:
-        # e has empty outer hword except accumulated from lower steps
-        m, _ = self.bidim(e)
-        epi = delta.word_to_epi(e.hword, m)
-        word, mono = delta.factor(delta.compose(epi, delta.coface(r, m)))
-        gm, gk = self._deg[e.gen]
-        if len(mono) == gm + 1:
-            return BiNF(word, e.vword, e.gen)
-        (j,) = sorted(set(range(gm + 1)) - set(mono))
-        f = self.hfaces[e.gen][j]
-        hw = delta.merge_words(word, f.hword, gm - 1 + len(f.hword))
-        vw = delta.merge_words(e.vword, f.vword, self._deg[f.gen][1] + len(f.vword))
-        return BiNF(hw, vw, f.gen)
-
-    def _act_v(self, e: BiNF, mu: Monotone) -> BiNF:
-        _, k = self.bidim(e)
-        epi = delta.word_to_epi(e.vword, k)
-        word, mono = delta.factor(delta.compose(epi, mu))
-        cur = BiNF(e.hword, (), e.gen)
-        missing = sorted(set(range(self._deg[e.gen][1] + 1)) - set(mono), reverse=True)
-        for r in missing:
-            cur = self._vface_step(cur, r)
-        return BiNF(cur.hword, delta.merge_words(word, cur.vword, self.bidim(cur)[1]), cur.gen)
-
-    def _vface_step(self, e: BiNF, r: int) -> BiNF:
-        _, k = self.bidim(e)
-        epi = delta.word_to_epi(e.vword, k)
-        word, mono = delta.factor(delta.compose(epi, delta.coface(r, k)))
-        gm, gk = self._deg[e.gen]
-        if len(mono) == gk + 1:
-            return BiNF(e.hword, word, e.gen)
-        (j,) = sorted(set(range(gk + 1)) - set(mono))
-        f = self.vfaces[e.gen][j]
-        vw = delta.merge_words(word, f.vword, gk - 1 + len(f.vword))
-        hw = delta.merge_words(e.hword, f.hword, self._deg[f.gen][0] + len(f.hword))
-        return BiNF(hw, vw, f.gen)
-
-    def simplices(self, m: int, k: int) -> list[BiNF]:
-        """All (m, k)-bisimplices, canonically ordered."""
-        out = []
-        for g in self._order:
-            gm, gk = self._deg[g]
-            if gm > m or gk > k:
-                continue
-            for hw in delta.all_words(m - gm, m):
-                for vw in delta.all_words(k - gk, k):
-                    out.append(BiNF(hw, vw, g))
-        out.sort()
-        return out
 
     # -- derived structure -----------------------------------------------------
 
@@ -153,7 +89,7 @@ class BiSSet:
         return self.gens_at(0, 0)
 
     def row0_discrete(self) -> bool:
-        return all(self._deg[g][1] == 0 for g in self._order if self._deg[g][0] == 0)
+        return all(k == 0 for m, k in self._by_deg if m == 0)
 
     def column0(self) -> SSet:
         """The vertical simplicial set W_0 = W_{0,-} on its own generators."""
@@ -170,67 +106,12 @@ class BiSSet:
             faces[g] = tuple(fs)
         return SSet(gens, faces, validate=False)
 
-    # -- validation -------------------------------------------------------------
-
-    def _validate(self) -> None:
-        for g, (m, k) in self._deg.items():
-            if m > 0:
-                fs = self.hfaces.get(g)
-                if fs is None or len(fs) != m + 1:
-                    raise SSetError(f"{g!r} needs {m + 1} horizontal faces")
-                for f in fs:
-                    if self.bidim(f) != (m - 1, k):
-                        raise SSetError(f"horizontal face of {g!r} has wrong bidegree")
-            if k > 0:
-                fs = self.vfaces.get(g)
-                if fs is None or len(fs) != k + 1:
-                    raise SSetError(f"{g!r} needs {k + 1} vertical faces")
-                for f in fs:
-                    if self.bidim(f) != (m, k - 1):
-                        raise SSetError(f"vertical face of {g!r} has wrong bidegree")
-        for g, (m, k) in self._deg.items():
-            e = bnd(g)
-            if m >= 2:
-                for j in range(m + 1):
-                    for i in range(j):
-                        a = self.act(self.act(e, mu_h=delta.coface(j, m)),
-                                     mu_h=delta.coface(i, m - 1))
-                        b = self.act(self.act(e, mu_h=delta.coface(i, m)),
-                                     mu_h=delta.coface(j - 1, m - 1))
-                        if a != b:
-                            raise SSetError(f"horizontal d_{i} d_{j} fails on {g!r}")
-            if k >= 2:
-                for j in range(k + 1):
-                    for i in range(j):
-                        a = self.act(self.act(e, mu_v=delta.coface(j, k)),
-                                     mu_v=delta.coface(i, k - 1))
-                        b = self.act(self.act(e, mu_v=delta.coface(i, k)),
-                                     mu_v=delta.coface(j - 1, k - 1))
-                        if a != b:
-                            raise SSetError(f"vertical d_{i} d_{j} fails on {g!r}")
-            if m > 0 and k > 0:
-                for i in range(m + 1):
-                    for j in range(k + 1):
-                        a = self.act(self.act(e, mu_h=delta.coface(i, m)), mu_v=delta.coface(j, k))
-                        b = self.act(self.act(e, mu_v=delta.coface(j, k)), mu_h=delta.coface(i, m))
-                        if a != b:
-                            raise SSetError(f"mixed face identity fails on {g!r}")
-
-    def _key(self):
-        return (tuple(sorted(self._deg.items())), tuple(sorted(self.hfaces.items())),
-                tuple(sorted(self.vfaces.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, BiSSet) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"BiSSet(nd_counts={self.nd_counts()})"
 
 
 BI_EMPTY = BiSSet([], {}, {})
+bi_identity = identity_map
 
 
 class LevelSSet(SSet):
@@ -273,77 +154,6 @@ class LevelSSet(SSet):
             return g
         return g if not vword else g + "@" + ".".join(map(str, vword))
 
-    def to_binf(self, x: NF) -> BiNF:
-        e = self.origin[x.gen]
-        return BiNF(x.word, e.vword, e.gen)
-
-    def from_binf(self, e: BiNF) -> NF:
-        return NF(e.hword, self._id(e.gen, e.vword))
-
-
-def transport(W: BiSSet, src: LevelSSet, x: NF, mu_v: Monotone, dst: LevelSSet) -> NF:
-    """Move a level-k simplex along a vertical operator into level k'."""
-    e = W.act(src.to_binf(x), mu_v=mu_v)
-    return dst.from_binf(e)
-
-
-class BiMap:
-    """A bisimplicial map, stored on generators."""
-
-    def __init__(self, src: BiSSet, dst: BiSSet, assign: Mapping[str, BiNF],
-                 validate: bool = True):
-        self.src = src
-        self.dst = dst
-        self.assign = dict(assign)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        for g in self.src.gens():
-            if g not in self.assign:
-                raise SSetError(f"no assignment for {g!r}")
-            m, k = self.src.bidegree(g)
-            if self.dst.bidim(self.assign[g]) != (m, k):
-                raise SSetError(f"image of {g!r} has wrong bidegree")
-            for i in range(m + 1) if m else ():
-                if self.dst.act(self.assign[g], mu_h=delta.coface(i, m)) != self(
-                        self.src.act(bnd(g), mu_h=delta.coface(i, m))):
-                    raise SSetError(f"not bisimplicial at horizontal d_{i} of {g!r}")
-            for i in range(k + 1) if k else ():
-                if self.dst.act(self.assign[g], mu_v=delta.coface(i, k)) != self(
-                        self.src.act(bnd(g), mu_v=delta.coface(i, k))):
-                    raise SSetError(f"not bisimplicial at vertical d_{i} of {g!r}")
-
-    def __call__(self, e: BiNF) -> BiNF:
-        img = self.assign[e.gen]
-        m, k = self.dst.bidim(img)
-        return BiNF(delta.merge_words(e.hword, img.hword, m),
-                    delta.merge_words(e.vword, img.vword, k), img.gen)
-
-    def then(self, other: "BiMap") -> "BiMap":
-        return BiMap(self.src, other.dst, {g: other(self.assign[g]) for g in self.assign},
-                     validate=False)
-
-    def is_mono(self) -> bool:
-        seen = set()
-        for g in self.src.gens():
-            img = self.assign[g]
-            if img.hword or img.vword or img in seen:
-                return False
-            seen.add(img)
-        return True
-
-    def is_iso(self) -> bool:
-        return self.src.nd_counts() == self.dst.nd_counts() and self.is_mono()
-
-    def __eq__(self, other):
-        return (isinstance(other, BiMap) and self.src == other.src and self.dst == other.dst
-                and self.assign == other.assign)
-
-
-def bi_identity(W: BiSSet) -> BiMap:
-    return BiMap(W, W, {g: bnd(g) for g in W.gens()}, validate=False)
-
 
 # -- materialization and colimits ----------------------------------------------
 
@@ -358,70 +168,9 @@ def materialize_bi(levels: Callable[[int, int], list],
                    act: Callable[[object, tuple[int, int], Optional[Monotone], Optional[Monotone]], object],
                    h_bound: int, v_bound: int, prefix: str = "x",
                    label: Optional[Callable[[object], str]] = None) -> BiMaterialized:
-    """Bi-graded analogue of sset.materialize."""
-    to_nf: dict[tuple[int, int, object], BiNF] = {}
-    gens: list[tuple[str, tuple[int, int]]] = []
-    hfaces: dict[str, tuple[BiNF, ...]] = {}
-    vfaces: dict[str, tuple[BiNF, ...]] = {}
-    elem_of: dict[str, object] = {}
-    labels: dict[str, str] = {}
-    for m in range(h_bound + 1):
-        for k in range(v_bound + 1):
-            fresh = 0
-            for e in levels(m, k):
-                done = False
-                for i in range(m - 1, -1, -1):
-                    df = act(e, (m, k), delta.coface(i, m), None)
-                    if act(df, (m - 1, k), delta.codegeneracy(i, m - 1), None) == e:
-                        base = to_nf[(m - 1, k, df)]
-                        to_nf[(m, k, e)] = BiNF(
-                            delta.merge_words((i,), base.hword, m - 1), base.vword, base.gen)
-                        done = True
-                        break
-                if not done:
-                    for i in range(k - 1, -1, -1):
-                        df = act(e, (m, k), None, delta.coface(i, k))
-                        if act(df, (m, k - 1), None, delta.codegeneracy(i, k - 1)) == e:
-                            base = to_nf[(m, k - 1, df)]
-                            to_nf[(m, k, e)] = BiNF(
-                                base.hword, delta.merge_words((i,), base.vword, k - 1), base.gen)
-                            done = True
-                            break
-                if not done:
-                    gid = f"{prefix}{m}_{k}_{fresh}"
-                    fresh += 1
-                    gens.append((gid, (m, k)))
-                    elem_of[gid] = e
-                    to_nf[(m, k, e)] = bnd(gid)
-                    if label is not None:
-                        labels[gid] = label(e)
-    for gid, (m, k) in gens:
-        e = elem_of[gid]
-        if m > 0:
-            hfaces[gid] = tuple(to_nf[(m - 1, k, act(e, (m, k), delta.coface(i, m), None))]
-                                for i in range(m + 1))
-        if k > 0:
-            vfaces[gid] = tuple(to_nf[(m, k - 1, act(e, (m, k), None, delta.coface(i, k)))]
-                                for i in range(k + 1))
-    out = BiSSet(gens, hfaces, vfaces, labels=labels, validate=False)
-
-    def lookup(m: int, k: int, e) -> BiNF:
-        hit = to_nf.get((m, k, e))
-        if hit is not None:
-            return hit
-        for i in range(m - 1, -1, -1):
-            df = act(e, (m, k), delta.coface(i, m), None)
-            if act(df, (m - 1, k), delta.codegeneracy(i, m - 1), None) == e:
-                base = lookup(m - 1, k, df)
-                return BiNF(delta.merge_words((i,), base.hword, m - 1), base.vword, base.gen)
-        for i in range(k - 1, -1, -1):
-            df = act(e, (m, k), None, delta.coface(i, k))
-            if act(df, (m, k - 1), None, delta.codegeneracy(i, k - 1)) == e:
-                base = lookup(m, k - 1, df)
-                return BiNF(base.hword, delta.merge_words((i,), base.vword, k - 1), base.gen)
-        raise SSetError(f"element at ({m}, {k}) has no recorded normal form")
-
-    return BiMaterialized(out, lookup, elem_of)
+    """Bi-graded sset.materialize: levels(m, k), act(e, (m, k), mu_h, mu_v) with
+    one of the two operators None, and to_nf(m, k, e); ids are prefix + "m_k_n"."""
+    return BiMaterialized(*_materialize(BiSSet, levels, act, (h_bound, v_bound), prefix, label))
 
 
 def external(X: SSet, Y: SSet) -> BiSSet:
@@ -459,8 +208,6 @@ def vertical(Y: SSet) -> BiSSet:
 
 def diag(W: BiSSet) -> "Materialized":
     """The diagonal simplicial set, (diag W)_j = W_{j,j}."""
-    from .sset import materialize
-
     bound = W.h_bound + W.v_bound
 
     def levels(d):
@@ -473,15 +220,6 @@ def diag(W: BiSSet) -> "Materialized":
                        prefix="dg")
 
 
-@dataclass
-class BiDiagram:
-    objects: dict[str, BiSSet]
-    edges: list[tuple[str, str, str, BiMap]] = field(default_factory=list)
-
-    def add(self, name: str, src: str, dst: str, f: BiMap) -> None:
-        self.edges.append((name, src, dst, f))
-
-
 class BiColimit(NamedTuple):
     bisset: BiSSet
     cocone: dict[str, BiMap]
@@ -489,159 +227,19 @@ class BiColimit(NamedTuple):
     reps: dict[str, tuple[str, BiNF]]
 
 
-def bi_colimit(diag_: BiDiagram, h_bound: Optional[int] = None,
+def bi_colimit(diag_: Diagram, h_bound: Optional[int] = None,
                v_bound: Optional[int] = None) -> BiColimit:
-    from .ops import _UF
-
-    names = sorted(diag_.objects)
+    """Colimit of a diagram of bisimplicial sets, within the given bidegree bounds."""
+    objs = diag_.objects.values()
     if h_bound is None:
-        h_bound = max((diag_.objects[n].h_bound for n in names), default=-1)
+        h_bound = max((W.h_bound for W in objs), default=-1)
     if v_bound is None:
-        v_bound = max((diag_.objects[n].v_bound for n in names), default=-1)
-    if h_bound < 0 or v_bound < 0:
-        return BiColimit(BI_EMPTY, {n: BiMap(diag_.objects[n], BI_EMPTY, {}) for n in names},
-                         lambda o, x: (_ for _ in ()).throw(SSetError("empty colimit")), {})
-    uf = _UF()
-    grid_nodes: dict[tuple[int, int], list] = {}
-    for m in range(h_bound + 1):
-        for k in range(v_bound + 1):
-            nodes = [(n, x) for n in names for x in diag_.objects[n].simplices(m, k)]
-            grid_nodes[(m, k)] = nodes
-            for node in nodes:
-                uf.find(node)
-            for _, s, t, f in diag_.edges:
-                for x in diag_.objects[s].simplices(m, k):
-                    uf.union((s, x), (t, f(x)))
-    canon: dict[tuple[int, int], dict] = {}
-    for mk, nodes in grid_nodes.items():
-        by_root: dict = {}
-        for node in nodes:
-            by_root.setdefault(uf.find(node), []).append(node)
-        canon[mk] = {root: min(ms) for root, ms in by_root.items()}
-
-    def levels(m, k):
-        return sorted(canon[(m, k)].values())
-
-    def act(e, mk, mu_h, mu_v):
-        n, x = e
-        y = diag_.objects[n].act(x, mu_h=mu_h, mu_v=mu_v)
-        m2 = len(mu_h) - 1 if mu_h is not None else mk[0]
-        k2 = len(mu_v) - 1 if mu_v is not None else mk[1]
-        return canon[(m2, k2)][uf.find((n, y))]
-
-    mat = materialize_bi(levels, act, h_bound, v_bound, prefix="q")
-
-    def cls_gen(objname: str, g: str) -> BiNF:
-        m, k = diag_.objects[objname].bidegree(g)
-        return mat.to_nf(m, k, canon[(m, k)][uf.find((objname, bnd(g)))])
-
-    cocone = {n: BiMap(diag_.objects[n], mat.bisset,
-                       {g: cls_gen(n, g) for g in diag_.objects[n].gens()}, validate=False)
-              for n in names}
-
-    def cls(objname: str, x: BiNF) -> BiNF:
-        return cocone[objname](x)
-
-    reps = {g: mat.elem_of[g] for g in mat.bisset.gens()}
-    return BiColimit(mat.bisset, cocone, cls, reps)
+        v_bound = max((W.v_bound for W in objs), default=-1)
+    return BiColimit(*_colimit(diag_, (h_bound, v_bound), materialize_bi, BI_EMPTY))
 
 
 def bi_pushout(f: BiMap, g: BiMap, h_bound=None, v_bound=None) -> BiColimit:
-    d = BiDiagram({"A": f.src, "X": f.dst, "Y": g.dst})
-    d.add("f", "A", "X", f)
-    d.add("g", "A", "Y", g)
-    return bi_colimit(d, h_bound=h_bound, v_bound=v_bound)
-
-
-def enumerate_bimaps(A: BiSSet, B: BiSSet, over: Optional[tuple[BiMap, BiMap]] = None):
-    """All bisimplicial maps A -> B, optionally over a common base."""
-    order = sorted(A.gens(), key=lambda g: (A.bidegree(g), g))
-    assign: dict[str, BiNF] = {}
-
-    def images(e: BiNF) -> BiNF:
-        img = assign[e.gen]
-        m, k = B.bidim(img)
-        return BiNF(delta.merge_words(e.hword, img.hword, m),
-                    delta.merge_words(e.vword, img.vword, k), img.gen)
-
-    def extend(idx: int):
-        if idx == len(order):
-            yield dict(assign)
-            return
-        g = order[idx]
-        m, k = A.bidegree(g)
-        for cand in B.simplices(m, k):
-            if over is not None:
-                pA, pB = over
-                if pB(cand) != pA(bnd(g)):
-                    continue
-            ok = True
-            for i in range(m + 1) if m else ():
-                fa = A.hfaces[g][i]
-                if images(fa) != B.act(cand, mu_h=delta.coface(i, m)):
-                    ok = False
-                    break
-            if ok:
-                for i in range(k + 1) if k else ():
-                    fa = A.vfaces[g][i]
-                    if images(fa) != B.act(cand, mu_v=delta.coface(i, k)):
-                        ok = False
-                        break
-            if ok:
-                assign[g] = cand
-                yield from extend(idx + 1)
-                del assign[g]
-
-    for a in extend(0):
-        yield BiMap(A, B, a, validate=False)
-
-
-def find_bi_iso(A: BiSSet, B: BiSSet) -> Optional[BiMap]:
-    """Backtracking bisimplicial isomorphism search."""
-    if A.nd_counts() != B.nd_counts():
-        return None
-    order = sorted(A.gens(), key=lambda g: (A.bidegree(g), g))
-    by_deg: dict[tuple[int, int], list[str]] = {}
-    for h in B.gens():
-        by_deg.setdefault(B.bidegree(h), []).append(h)
-    assign: dict[str, BiNF] = {}
-    used: set[str] = set()
-
-    def faces_ok(g: str, h: str) -> bool:
-        m, k = A.bidegree(g)
-        for i in range(m + 1) if m else ():
-            fa = A.hfaces[g][i]
-            if fa.gen not in assign:
-                continue
-            if BiNF(fa.hword, fa.vword, assign[fa.gen].gen) != B.hfaces[h][i]:
-                return False
-        for i in range(k + 1) if k else ():
-            fa = A.vfaces[g][i]
-            if fa.gen not in assign:
-                continue
-            if BiNF(fa.hword, fa.vword, assign[fa.gen].gen) != B.vfaces[h][i]:
-                return False
-        return True
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        g = order[idx]
-        for h in by_deg.get(A.bidegree(g), ()):
-            if h in used or not faces_ok(g, h):
-                continue
-            assign[g] = bnd(h)
-            used.add(h)
-            if extend(idx + 1):
-                return True
-            del assign[g]
-            used.discard(h)
-        return False
-
-    if not extend(0):
-        return None
-    f = BiMap(A, B, assign)
-    return f if f.is_iso() else None
+    return bi_colimit(_span(f, g), h_bound=h_bound, v_bound=v_bound)
 
 
 def rename_gens(W: BiSSet, mapping: Mapping[str, str]) -> BiSSet:
@@ -670,11 +268,12 @@ def external_map(fX: "SSetMap", fY: "SSetMap", src: BiSSet, dst: BiSSet) -> BiMa
 # -- discretization (the left adjoint L) ---------------------------------------
 
 
+_PT = simplex(0)
+
+
 def discretize(A: BiSSet) -> BiColimit:
     """Collapse column 0 to its path components: the reflection into precategories."""
     col0 = A.column0()
-    from .ops import pi0
-
     comps, index = pi0(col0)
     c1 = external(_PT, col0)  # horizontally constant on W_0
     pi = SSet([(f"c{i}", 0) for i in range(len(comps))], {})
@@ -704,9 +303,6 @@ class LF(NamedTuple):
 
 def lf(m: int, X: "SSet") -> LF:
     """L F[m, X]: row 0 has (m+1) * |pi0 X| vertices named i or i.c."""
-    from .ops import pi0
-    from .shapes import simplex
-
     A = external(simplex(m), X)
     col = discretize(A)
     comps, index = pi0(X)
@@ -740,8 +336,6 @@ def _subset_id(vs) -> str:
 
 def lf_map(src: LF, dst: LF, mu, f: "SSetMap") -> BiMap:
     """L[mu, f]: L F[m, X] -> L F[m', Y] for mu: [m] -> [m'] and f: X -> Y."""
-    from .shapes import simplex_operator
-
     op = simplex_operator(mu, dst.m)
     pm = external_map(op, f, src.product, dst.product)
     return BiMap(src.W, dst.W, {g: dst.cls(pm(src.rep[g])) for g in src.W.gens()})
@@ -751,15 +345,3 @@ def lf_induced(src: LF, target: BiSSet, pm: BiMap) -> BiMap:
     """The map L F[m, X] -> target induced by a map on the underlying product."""
     return BiMap(src.W, target, {g: pm(src.rep[g]) for g in src.W.gens()})
 
-
-_PT = None
-
-
-def _init_pt():
-    global _PT
-    from .shapes import simplex
-
-    _PT = simplex(0)
-
-
-_init_pt()

@@ -1,7 +1,9 @@
-"""Command-line entry points: hom, straighten, verify.
+"""Command-line entry points: hom, straighten, verify, dot.
 
-Exit codes: 0 pass, 2 schema error, 3 unsupported input (with witness),
-4 check failure.
+Exit codes: 0 pass, 2 schema or usage error (a malformed or invalid input
+file, or arguments such as an endpoint that is not a vertex), 3 unsupported
+input (with witness), 4 check failure, 5 resource limit (an input whose cells
+exceed --max-cells).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from .bisset import BiMap, bnd
 from .categorify import categorify
@@ -26,6 +29,10 @@ MAX_CELLS_DEFAULT = 2_000_000
 
 class UsageError(ValueError):
     """Arguments missing or malformed in a way argparse cannot see (exit 2)."""
+
+
+class ResourceLimit(ValueError):
+    """An input larger than a resource guard allows (exit 5)."""
 
 
 def _load_json(path: str):
@@ -46,12 +53,25 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cell_guard(W, max_cells: int) -> None:
-    total = 0
-    for m in range(W.h_bound + 1):
-        for k in range(W.v_bound + 1):
-            total += len(W.simplices(m, k))
-            if total > max_cells:
-                raise SSetError(f"expanded cell count exceeds --max-cells={max_cells}")
+    """Refuse W if it has more than max_cells (m, k)-bisimplices up to its bounds.
+
+    A generator of bidegree (p, q) gives C(m, p) * C(k, q) of them, one per pair
+    of degeneracy words, so the cells are counted without being listed.
+    """
+    counts = W.nd_counts()
+    total = sum(n * comb(m, p) * comb(k, q) for (p, q), n in counts.items()
+                for m in range(W.h_bound + 1) for k in range(W.v_bound + 1))
+    if total > max_cells:
+        raise ResourceLimit(f"expanded cell count {total} exceeds --max-cells={max_cells}")
+
+
+def _endpoints(args, vertices) -> tuple[str, str]:
+    """--from and --to, which must name vertices."""
+    ends = getattr(args, "from"), args.to
+    for flag, v in zip(("--from", "--to"), ends):
+        if v not in vertices:
+            raise UsageError(f"{flag} {v!r} is not a vertex")
+    return ends
 
 
 def cmd_hom(args) -> int:
@@ -59,9 +79,9 @@ def cmd_hom(args) -> int:
     if not W.row0_discrete():
         print("error: row 0 is not discrete", file=sys.stderr)
         return 2
+    a, b = _endpoints(args, W.row0())
     _cell_guard(W, args.max_cells)
     C = categorify(W, bound=args.degree)
-    a, b = getattr(args, "from"), args.to
     H = C.hom_sset(a, b)
     report = C.hom_report(a, b)
     payload = {
@@ -90,6 +110,8 @@ def cmd_straighten(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     st = Straightener(W)
+    if args.at is not None and args.at not in st.CW.objects:
+        raise UsageError(f"--at {args.at!r} is not a vertex")
     ob = st.st_object(P, p)
     pre = ob.presheaf()
     objects = [args.at] if args.at is not None else list(st.CW.objects)
@@ -169,13 +191,12 @@ def cmd_dot(args) -> int:
     if args.sset is None or getattr(args, "from") is None or args.to is None:
         raise UsageError("dot needs --pairs i,m, or --sset with --from and --to")
     X = sset_load(_load_json(args.sset))
-    t = TndPoset(X, getattr(args, "from"), args.to)
+    a, b = _endpoints(args, X.by_dim[0] if X.dim_bound >= 0 else ())
+    t = TndPoset(X, a, b)
     if args.emit == "json":
         from .io_schemas import necklace_dump
 
-        entries = [necklace_dump(t.shape(o).bead_dims, o.beads,
-                                 (getattr(args, "from"), args.to))
-                   for o in t.objects]
+        entries = [necklace_dump(t.shape(o).bead_dims, o.beads, (a, b)) for o in t.objects]
         print(canonical_json({"schema": "necklace.v1", "necklaces": entries}))
         return 0
     print(necklaces_dot(t, name="tnd"))
@@ -239,6 +260,9 @@ def main(argv=None) -> int:
     except SSetError as exc:
         print(f"check failure: {exc}", file=sys.stderr)
         return 4
+    except ResourceLimit as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import delta
-from .necklace import Necklace, PairObject, PairPoset, plus_m
+from .necklace import PairObject, PairPoset, plus_m
 from .ops import product
 from .sset import EMPTY, NF, SSet, SSetError, SSetMap, Materialized, materialize, nd
 
@@ -93,10 +93,6 @@ def cube_hom(J, V) -> CubeHom:
         return NF(word, gen_of[strict])
 
     return CubeHom(J, V, to_nf, {g: ch for g, ch in mat.elem_of.items()}, mat.sset)
-
-
-def cube_of_necklace(T: Necklace) -> CubeHom:
-    return cube_hom(T.joints, range(T.n_vertices))
 
 
 def cube_of_pair(p: PairObject) -> CubeHom:

@@ -36,14 +36,6 @@ def vertex_map(v: int) -> Monotone:
     return (v,)
 
 
-def interval_map(vs) -> Monotone:
-    """The mono picking the listed vertices (must be strictly increasing)."""
-    vs = tuple(vs)
-    if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-        raise ValueError(f"not strictly increasing: {vs}")
-    return vs
-
-
 def compose(outer: Monotone, inner: Monotone) -> Monotone:
     """outer after inner."""
     return tuple(outer[v] for v in inner)
@@ -57,10 +49,6 @@ def is_monotone(mu: Monotone, target_dim: int) -> bool:
 
 def is_mono(mu: Monotone) -> bool:
     return all(mu[i] < mu[i + 1] for i in range(len(mu) - 1))
-
-
-def is_epi(mu: Monotone, target_dim: int) -> bool:
-    return set(mu) == set(range(target_dim + 1))
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,9 @@ import itertools
 from typing import NamedTuple, Optional
 
 from . import delta
-from .bisset import BiMap, BiNF, BiSSet, enumerate_bimaps, materialize_bi
+from .bisset import BiMap, BiNF, BiSSet, materialize_bi
 from .nerves import Nerve
-from .ops import product
+from .ops import enumerate_maps, product
 from .scat import NatTrans, Presheaf, representable
 from .sset import NF, SSet, SSetError, nd
 
@@ -218,7 +218,7 @@ def groth_right_adjoint(nerve: Nerve, P: BiSSet, p: BiMap, k_bound: int) -> Pres
         def levels(k: int):
             T, _, _, over = tensor(a, k)
             return sorted(tuple(sorted(f.assign.items()))
-                          for f in enumerate_bimaps(T, P, over=(over, p)))
+                          for f in enumerate_maps(T, P, over=(over, p)))
 
         return levels
 

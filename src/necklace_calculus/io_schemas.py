@@ -52,7 +52,7 @@ def sset_load(d: dict) -> SSet:
         faces = {g["id"]: tuple(_nf_load(f) for f in g["faces"])
                  for g in d["generators"] if g["dim"] > 0}
         return SSet(gens, faces, labels=d.get("labels"))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, SSetError) as exc:
         raise SchemaError(f"malformed sset.v1: {exc}") from exc
 
 
@@ -87,7 +87,7 @@ def bisset_load(d: dict) -> BiSSet:
         vfaces = {g["id"]: tuple(_binf_load(f) for f in g["vfaces"])
                   for g in d["generators"] if g["bidegree"][1] > 0}
         return BiSSet(gens, hfaces, vfaces, labels=d.get("labels"))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, SSetError) as exc:
         raise SchemaError(f"malformed bisset.v1: {exc}") from exc
 
 

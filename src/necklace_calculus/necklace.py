@@ -156,11 +156,6 @@ class TndPoset:
         return tuple(out)
 
 
-def enumerate_tnd(K: SSet, a: str, b: str) -> TndPoset:
-    """The poset of totally non-degenerate necklaces of K from a to b."""
-    return TndPoset(K, a, b)
-
-
 def necklace_vertex_ids(K: SSet, t: RealizedNecklace) -> tuple[str, ...]:
     out: list[str] = []
     for g in t.beads:

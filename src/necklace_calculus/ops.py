@@ -1,4 +1,8 @@
-"""Products, colimits, isomorphism search, and structural predicates."""
+"""Products, colimits, isomorphism search, and structural predicates.
+
+Colimits, isomorphism search and map enumeration are written once for the
+n-fold sets of `sset` and serve simplicial and bisimplicial sets alike.
+"""
 
 from __future__ import annotations
 
@@ -126,65 +130,86 @@ class _UF:
 
 def colimit(diag: Diagram, max_dim: Optional[int] = None) -> Colimit:
     """Levelwise union-find colimit, re-normalized to EZ form."""
-    diag.check_commutes()
-    names = sorted(diag.objects)
     if max_dim is None:
-        max_dim = max((diag.objects[n].dim_bound for n in names), default=-1)
-    if max_dim < 0:
-        return Colimit(EMPTY, {n: SSetMap(diag.objects[n], EMPTY, {}) for n in names},
-                       lambda o, x: (_ for _ in ()).throw(SSetError("empty colimit")), {})
+        max_dim = max((X.dim_bound for X in diag.objects.values()), default=-1)
+    return Colimit(*_colimit(diag, (max_dim,), materialize, EMPTY))
+
+
+def _colimit(diag: Diagram, bounds: tuple[int, ...], build: Callable, empty):
+    """The colimit of a diagram of n-fold sets within per-axis bounds.
+
+    build is the public materialize entry point of the grading, called as
+    build(levels, act, *bounds, prefix="q"); empty is its empty set.  Returns
+    (set, cocone, cls, reps): cls(name, x) is the class of x from the named
+    object, reps[g] the least (name, simplex) in the class of g.
+    """
+    diag.check_commutes()
+    objects = diag.objects
+    names = sorted(objects)
+    if min(bounds) < 0:
+        def no_cls(name, x):
+            raise SSetError("empty colimit")
+
+        return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, no_cls, {}
     uf = _UF()
-    level_nodes: list[list] = []
-    for d in range(max_dim + 1):
-        nodes = [(n, x) for n in names for x in diag.objects[n].simplices(d)]
-        level_nodes.append(nodes)
+    level_nodes: dict[tuple, list] = {}
+    for deg in itertools.product(*(range(b + 1) for b in bounds)):
+        nodes = [(n, x) for n in names for x in objects[n].simplices(*deg)]
+        level_nodes[deg] = nodes
         for node in nodes:
             uf.find(node)
         for _, s, t, f in diag.edges:
-            for x in diag.objects[s].simplices(d):
+            for x in objects[s].simplices(*deg):
                 uf.union((s, x), (t, f(x)))
-    classes: list[dict] = []  # per dim: root -> canonical key (min member)
-    members: dict = {}
-    for d in range(max_dim + 1):
+    classes: dict[tuple, dict] = {}  # per degree: root -> canonical key (min member)
+    for deg, nodes in level_nodes.items():
         by_root: dict = {}
-        for node in level_nodes[d]:
+        for node in nodes:
             by_root.setdefault(uf.find(node), []).append(node)
-        canon = {root: min(ms) for root, ms in by_root.items()}
-        classes.append(canon)
-        members.update({canon[root]: canon[root] for root in canon})
+        classes[deg] = {root: min(ms) for root, ms in by_root.items()}
 
-    def levels(d: int) -> list:
-        return sorted(classes[d].values())
+    def levels(*deg) -> list:
+        return sorted(classes[deg].values())
 
-    def act(e, d, mu):
+    def act(e, d, *mus):
         n, x = e
-        y = diag.objects[n].act(x, mu)
-        return classes[len(mu) - 1][uf.find((n, y))]
+        X = objects[n]
+        y = X.act(x, *mus)
+        return classes[X.degree(y)][uf.find((n, y))]
 
-    mat = materialize(levels, act, max_dim, prefix="q")
+    out, to_nf, elem_of = build(levels, act, *bounds, prefix="q")
 
-    def cls(objname: str, x: NF) -> NF:
-        d = diag.objects[objname].dim(x)
-        if d > max_dim:
+    def gen_class(n: str, g: str) -> tuple:
+        X = objects[n]
+        deg = X._deg[g]
+        if any(p > b for p, b in zip(deg, bounds)):
             raise SSetError("simplex above colimit bound")
-        return mat.to_nf(d, classes[d][uf.find((objname, x))])
+        return to_nf(*deg, classes[deg][uf.find((n, X._nd(g)))])
 
-    cocone = {}
-    for n in names:
-        X = diag.objects[n]
-        cocone[n] = SSetMap(X, mat.sset, {g: cls(n, nd(g)) for g in X.gens()}, validate=False)
-    reps = {g: mat.elem_of[g] for g in mat.sset.gens()}
-    return Colimit(mat.sset, cocone, cls, reps)
+    cocone = {n: objects[n].map_type(objects[n], out,
+                                     {g: gen_class(n, g) for g in objects[n].gens()},
+                                     validate=False)
+              for n in names}
+
+    def cls(name: str, x: tuple) -> tuple:
+        return cocone[name](x)
+
+    return out, cocone, cls, {g: elem_of[g] for g in out.gens()}
 
 
-def pushout(f: SSetMap, g: SSetMap, max_dim: Optional[int] = None) -> Colimit:
-    """Pushout of X <- A -> Y along f: A -> X and g: A -> Y."""
-    if f.src != g.src:
+def _span(f: SSetMap, g: SSetMap) -> Diagram:
+    """The diagram X <- A -> Y of f: A -> X and g: A -> Y."""
+    if f.src is not g.src and f.src != g.src:
         raise DiagramError("pushout legs must share a source")
     diag = Diagram({"A": f.src, "X": f.dst, "Y": g.dst})
     diag.add("f", "A", "X", f)
     diag.add("g", "A", "Y", g)
-    return colimit(diag, max_dim=max_dim)
+    return diag
+
+
+def pushout(f: SSetMap, g: SSetMap, max_dim: Optional[int] = None) -> Colimit:
+    """Pushout of X <- A -> Y along f: A -> X and g: A -> Y."""
+    return colimit(_span(f, g), max_dim=max_dim)
 
 
 def coequalizer(f: SSetMap, g: SSetMap, max_dim: Optional[int] = None) -> Colimit:
@@ -327,21 +352,21 @@ def _check_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
 # -- isomorphism search -------------------------------------------------------
 
 
-def _refine_colors(X: SSet) -> dict[str, tuple]:
-    color = {g: (X.gen_dim(g),) for g in X.gens()}
+def _refine_colors(X) -> dict[str, tuple]:
+    gens = X.gens()
+    color = {g: X._deg[g] for g in gens}
     groups = len(set(color.values()))
     for _ in range(len(color) + 1):
-        up: dict[str, list] = {g: [] for g in X.gens()}
-        for g in X.gens():
-            for i, nf in enumerate(X.faces.get(g, ())):
-                up[nf.gen].append((i, nf.word, color[g]))
-        new = {}
-        for g in X.gens():
-            fs = X.faces.get(g, ())
-            new[g] = (color[g], tuple((nf.word, color[nf.gen]) for nf in fs),
-                      tuple(sorted(up[g])))
+        up: dict[str, list] = {g: [] for g in gens}
+        down: dict[str, list] = {g: [] for g in gens}
+        for a, faces in enumerate(X._faces):
+            for g in gens:
+                for i, f in enumerate(faces.get(g, ())):
+                    up[f[-1]].append((a, i, f[:-1], color[g]))
+                    down[g].append((a, f[:-1], color[f[-1]]))
+        new = {g: (color[g], tuple(down[g]), tuple(sorted(up[g]))) for g in gens}
         ranks = {c: i for i, c in enumerate(sorted(set(new.values()), key=repr))}
-        relabeled = {g: (X.gen_dim(g), ranks[new[g]]) for g in X.gens()}
+        relabeled = {g: (X._deg[g], ranks[new[g]]) for g in gens}
         n2 = len(set(relabeled.values()))
         if relabeled == color or n2 == groups:
             break
@@ -350,102 +375,56 @@ def _refine_colors(X: SSet) -> dict[str, tuple]:
     return color
 
 
-def find_iso(A: SSet, B: SSet) -> Optional[SSetMap]:
-    """Backtracking isomorphism search on generators; None if not isomorphic."""
-    if A.nd_counts() != B.nd_counts():
-        return None
-    ca, cb = _refine_colors(A), _refine_colors(B)
-    if sorted(ca.values()) != sorted(cb.values()):
-        return None
-    order = sorted(A.gens(), key=lambda g: (A.gen_dim(g), g))
-    b_by_color: dict[tuple, list[str]] = {}
-    for h in B.gens():
-        b_by_color.setdefault(cb[h], []).append(h)
-    assign: dict[str, NF] = {}
-    used: set[str] = set()
-
-    def candidates(g: str):
-        d = A.gen_dim(g)
-        for h in b_by_color.get(ca[g], ()):
-            if h in used:
-                continue
-            if d == 0 or all(NF(fa.word, assign[fa.gen].gen) == B.faces[h][i]
-                             for i, fa in enumerate(A.faces[g])):
-                yield h
-
-    stack = [candidates(order[0])] if order else []
-    if not order:
-        return SSetMap(A, B, {}, validate=False)
-    while stack:
-        k = len(stack) - 1
-        g = order[k]
-        h = next(stack[-1], None)
-        if h is None:
-            stack.pop()
-            if k > 0:
-                prev = order[k - 1]
-                used.discard(assign[prev].gen)
-                del assign[prev]
-            continue
-        assign[g] = nd(h)
-        used.add(h)
-        if k + 1 == len(order):
-            f = SSetMap(A, B, assign)
-            return f if f.is_iso() else None
-        stack.append(candidates(order[k + 1]))
-    return None
+def find_iso(A, B) -> Optional[SSetMap]:
+    """The first isomorphism A -> B that find_isos yields; None if not isomorphic."""
+    return next(find_isos(A, B), None)
 
 
-def find_isos(A: SSet, B: SSet) -> Iterator[SSetMap]:
-    """All isomorphisms A -> B (refinement-pruned backtracking)."""
+def find_isos(A, B) -> Iterator[SSetMap]:
+    """All isomorphisms A -> B (refinement-pruned backtracking on generators).
+
+    Generators of A are assigned in (degree, id) order, candidates tried in
+    B.gens() order, so the first one yielded does not depend on the pruning.
+    """
     if A.nd_counts() != B.nd_counts():
         return
     ca, cb = _refine_colors(A), _refine_colors(B)
     if sorted(ca.values()) != sorted(cb.values()):
         return
-    order = sorted(A.gens(), key=lambda g: (A.gen_dim(g), g))
+    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
     if not order:
-        yield SSetMap(A, B, {}, validate=False)
+        yield A.map_type(A, B, {}, validate=False)
         return
     b_by_color: dict[tuple, list[str]] = {}
     for h in B.gens():
         b_by_color.setdefault(cb[h], []).append(h)
-    assign: dict[str, NF] = {}
+    assign: dict[str, str] = {}
     used: set[str] = set()
 
     def candidates(g: str):
-        d = A.gen_dim(g)
         for h in b_by_color.get(ca[g], ()):
-            if h in used:
-                continue
-            if d == 0 or all(NF(fa.word, assign[fa.gen].gen) == B.faces[h][i]
-                             for i, fa in enumerate(A.faces[g])):
+            if h not in used and all(fa[:-1] + (assign[fa[-1]],) == B._faces[a][h][i]
+                                     for a, faces in enumerate(A._faces)
+                                     for i, fa in enumerate(faces.get(g, ()))):
                 yield h
 
     stack = [candidates(order[0])]
     while stack:
         k = len(stack) - 1
         g = order[k]
+        if g in assign:
+            used.discard(assign.pop(g))
         h = next(stack[-1], None)
         if h is None:
             stack.pop()
-            if k > 0:
-                prev = order[k - 1]
-                used.discard(assign[prev].gen)
-                del assign[prev]
             continue
-        if g in assign:
-            used.discard(assign[g].gen)
-        assign[g] = nd(h)
+        assign[g] = h
         used.add(h)
-        if k + 1 == len(order):
-            f = SSetMap(A, B, dict(assign))
-            if f.is_iso():
-                yield f
-            used.discard(h)
-            del assign[g]
-            continue
-        stack.append(candidates(order[k + 1]))
+        if k + 1 < len(order):
+            stack.append(candidates(order[k + 1]))
+        else:
+            # a bijection on generators that matches every face is an isomorphism
+            yield A.map_type(A, B, {x: B._nd(assign[x]) for x in order}, validate=False)
 
 
 def find_arrow_iso(f: SSetMap, g: SSetMap,
@@ -465,34 +444,27 @@ def find_arrow_iso(f: SSetMap, g: SSetMap,
 # -- map enumeration ----------------------------------------------------------
 
 
-def enumerate_maps(A: SSet, B: SSet,
-                   forced: Optional[Mapping[str, NF]] = None) -> Iterator[SSetMap]:
-    """All simplicial maps A -> B, optionally with forced generator images."""
-    order = sorted(A.gens(), key=lambda g: (A.gen_dim(g), g))
-    assign: dict[str, NF] = {}
+def enumerate_maps(A, B, over: Optional[tuple[SSetMap, SSetMap]] = None) -> Iterator[SSetMap]:
+    """All maps A -> B; with over=(pA, pB), only those f with pB . f == pA."""
+    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
+    assign: dict[str, tuple] = {}
 
-    def candidates(g: str) -> list[NF]:
-        d = A.gen_dim(g)
-        if forced and g in forced:
-            return [forced[g]]
-        return B.simplices(d)
+    def fits(g: str, img: tuple) -> bool:
+        if over is not None and over[1](img) != over[0](A._nd(g)):
+            return False
+        return all(B._face(img, a, i) == B._degenerate(fa[:-1], assign[fa[-1]])
+                   for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ())))
 
-    def extend(k: int) -> Iterator[dict[str, NF]]:
+    def extend(k: int) -> Iterator[dict[str, tuple]]:
         if k == len(order):
             yield dict(assign)
             return
         g = order[k]
-        d = A.gen_dim(g)
-        for img in candidates(g):
-            if d > 0:
-                want = [NF(delta.merge_words(fa.word, assign[fa.gen].word,
-                                             B.dim(assign[fa.gen])), assign[fa.gen].gen)
-                        for fa in A.faces[g]]
-                if [B.face(img, i) for i in range(d + 1)] != want:
-                    continue
-            assign[g] = img
-            yield from extend(k + 1)
-            del assign[g]
+        for img in B.simplices(*A._deg[g]):
+            if fits(g, img):
+                assign[g] = img
+                yield from extend(k + 1)
+                del assign[g]
 
     for a in extend(0):
-        yield SSetMap(A, B, a, validate=False)
+        yield A.map_type(A, B, a, validate=False)

@@ -75,27 +75,3 @@ def simplex_operator(mu: delta.Monotone, n: int) -> SSetMap:
         vs = tuple(int(v) for v in g.split("."))
         assign[g] = dst.act(top, delta.compose(mu, vs))
     return SSetMap(src, dst, assign, validate=False)
-
-
-def vertex_inclusion(v: int, X: SSet, vertex_gen: str) -> SSetMap:
-    return SSetMap(simplex(0), X, {"0": nd(vertex_gen)})
-
-
-def standard_object(kind: str, *params):
-    """Named generators: simplex m, boundary m, horn k t, spine m,
-    externalproduct X Y, interval-point."""
-    from .bisset import external, horizontal
-
-    if kind == "simplex":
-        return simplex(*params)
-    if kind == "boundary":
-        return boundary(*params)
-    if kind == "horn":
-        return horn(*params)
-    if kind == "spine":
-        return spine(*params)
-    if kind == "externalproduct":
-        return external(*params)
-    if kind == "interval-point":
-        return horizontal(simplex(1))
-    raise SSetError(f"unknown object kind {kind!r}")

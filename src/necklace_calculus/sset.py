@@ -1,13 +1,20 @@
-"""Finite simplicial sets in Eilenberg-Zilber normal form.
+"""Finite n-fold simplicial sets in Eilenberg-Zilber normal form.
 
-A simplicial set is stored by its non-degenerate generators and, for each
-generator of dimension d, its d+1 faces as normal forms.  Every simplex of
-the set is a unique pair (degeneracy word, generator); the simplicial
-operators act through epi-mono factorization in the simplex category.
+One engine serves simplicial sets (n = 1, `SSet`) and bisimplicial sets
+(n = 2, `bisset.BiSSet`).  Each simplicial direction is an axis.  A set is
+stored by its non-degenerate generators, each with a degree tuple (one entry
+per axis), and, per axis a, the d[a] + 1 faces along a of every generator of
+degree d with d[a] > 0, as normal forms.  A normal form is a tuple
+(*words, gen): one degeneracy word per axis applied to a generator; every
+simplex is exactly one of them.  The operators of each axis act through
+epi-mono factorization in the simplex category; operators on different axes
+commute.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import add, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import delta
@@ -32,50 +39,268 @@ class SSetError(ValueError):
     pass
 
 
-class SSet:
-    """A finite simplicial set; immutable after construction."""
+_new = tuple.__new__  # _new(nf_type, items) builds a normal form without re-checking its length
+
+
+def _on_axis(n: int, a: int, mu: Monotone) -> tuple:
+    """The operators of act(e, *ops): mu along axis a, the identity (None) elsewhere."""
+    return (None,) * a + (mu,) + (None,) * (n - a - 1)
+
+
+class GradedSet:
+    """A finite n-fold simplicial set; immutable after construction.
+
+    A subclass fixes n by its normal-form type and implements act(e, *mus),
+    one monotone map (or None, for the identity) per axis.
+    """
+
+    nf_type: type = NF
+    map_type: type
+    n_axes: int = 1
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.n_axes = len(cls.nf_type._fields) - 1
+
+    def __init__(self, gens: Iterable[tuple[str, tuple[int, ...]]],
+                 faces: tuple[Mapping[str, tuple], ...],
+                 labels: Optional[Mapping[str, str]], validate: bool):
+        self._deg: dict[str, tuple[int, ...]] = {}
+        self._by_deg: dict[tuple[int, ...], list[str]] = {}
+        n = self.n_axes
+        for g, deg in gens:
+            if g in self._deg:
+                raise SSetError(f"duplicate generator id {g!r}")
+            if validate and (len(deg) != n or any(type(p) is not int or p < 0 for p in deg)):
+                raise SSetError(f"generator {g!r} has degree {list(deg)}; "
+                                f"need {n} non-negative integers")
+            level = self._by_deg.setdefault(deg, [])
+            if level:
+                deg = self._deg[level[0]]  # share one tuple per degree
+            self._deg[g] = deg
+            level.append(g)
+        self._faces = tuple({g: tuple(fs) for g, fs in f.items()} for f in faces)
+        self.labels = dict(labels or {})
+        self._face_cache: dict = {}
+        self._index()
+        if validate:
+            self._validate()
+
+    def _index(self) -> None:
+        """Subclass hook: derive the generator order and the named views."""
+
+    def gens(self) -> list[str]:
+        raise NotImplementedError
+
+    def is_empty(self) -> bool:
+        return not self._deg
+
+    def degree(self, e: tuple) -> tuple[int, ...]:
+        """Per-axis dimensions of a normal form."""
+        return tuple(map(add, self._deg[e[-1]], map(len, e)))
+
+    def _nd(self, g: str) -> tuple:
+        return _new(self.nf_type, ((),) * self.n_axes + (g,))
+
+    def simplices(self, *dims: int) -> list:
+        """All simplices of the given degree (degenerate ones included), canonically ordered."""
+        nf_type = self.nf_type
+        out = []
+        for deg, level in self._by_deg.items():
+            if all(p <= d for p, d in zip(deg, dims)):
+                for words in itertools.product(*map(delta.all_words, map(sub, dims, deg), dims)):
+                    out.extend(_new(nf_type, words + (g,)) for g in level)
+        out.sort()
+        return out
+
+    # -- the operators ------------------------------------------------------------
+
+    def _face(self, e: tuple, a: int, i: int) -> tuple:
+        """d_i along axis a, through the subclass's act."""
+        top = self._deg[e[-1]][a] + len(e[a])
+        return self.act(e, *_on_axis(self.n_axes, a, delta.coface(i, top)))
+
+    def _act_axis(self, e: tuple, a: int, mu: Monotone) -> tuple:
+        """The normal form of e composed with mu along axis a."""
+        g = e[-1]
+        top = self._deg[g][a] + len(e[a])
+        word, mono = delta.factor(delta.compose(delta.word_to_epi(e[a], top), mu))
+        return self._degenerate(e[:a] + (word,) + e[a + 1:-1], self._apply_mono(g, a, mono))
+
+    def _apply_mono(self, g: str, a: int, mono: Monotone) -> tuple:
+        """The face of generator g along axis a picked by a mono, memoized."""
+        key = (g, a, mono)
+        hit = self._face_cache.get(key)
+        if hit is None:
+            hit = self._nd(g)
+            for r in sorted(set(range(self._deg[g][a] + 1)).difference(mono), reverse=True):
+                hit = self._face_step(hit, a, r)
+            self._face_cache[key] = hit
+        return hit
+
+    def _face_step(self, e: tuple, a: int, r: int) -> tuple:
+        g = e[-1]
+        top = self._deg[g][a]
+        m = top + len(e[a])
+        word, mono = delta.factor(delta.compose(delta.word_to_epi(e[a], m), delta.coface(r, m)))
+        missing = set(range(top + 1)).difference(mono)  # at most one index
+        f = self._faces[a][g][missing.pop()] if missing else self._nd(g)
+        return self._degenerate(e[:a] + (word,) + e[a + 1:-1], f)
+
+    def _degenerate(self, words: tuple, f: tuple) -> tuple:
+        """The normal form of s_words f: words[a] acts along axis a, after f's own word."""
+        if not any(words):
+            return f
+        dims = map(add, self._deg[f[-1]], map(len, f))
+        return _new(self.nf_type, (*map(delta.merge_words, words, f, dims), f[-1]))
+
+    # -- validation ---------------------------------------------------------------
+
+    def _validate(self) -> None:
+        n = self.n_axes
+        for g, deg in self._deg.items():
+            for a, top in enumerate(deg):
+                fs = self._faces[a].get(g)
+                if top == 0:
+                    if fs:
+                        raise SSetError(f"generator {g!r} of degree {list(deg)} has faces "
+                                        f"along axis {a}")
+                    continue
+                if fs is None or len(fs) != top + 1:
+                    raise SSetError(f"generator {g!r} of degree {list(deg)} needs {top + 1} "
+                                    f"faces along axis {a}")
+                want = deg[:a] + (top - 1,) + deg[a + 1:]
+                for f in fs:
+                    if f[-1] not in self._deg:
+                        raise SSetError(f"face of {g!r} targets unknown {f[-1]!r}")
+                    if any(w[i] <= w[i + 1] for w in f[:-1] for i in range(len(w) - 1)):
+                        raise SSetError(f"face word of {g!r} not strictly decreasing")
+                    if self.degree(f) != want:
+                        raise SSetError(f"face of {g!r} has wrong degree")
+        for g, deg in self._deg.items():
+            e = self._nd(g)
+            for a, top in enumerate(deg):
+                for j in range(top + 1) if top >= 2 else ():
+                    for i in range(j):
+                        if (self._face(self._face(e, a, j), a, i)
+                                != self._face(self._face(e, a, i), a, j - 1)):
+                            raise SSetError(f"d_{i} d_{j} identity fails on {g!r} along axis {a}")
+                for b in range(a + 1, n):
+                    for i in range(top + 1) if top and deg[b] else ():
+                        for j in range(deg[b] + 1):
+                            if (self._face(self._face(e, a, i), b, j)
+                                    != self._face(self._face(e, b, j), a, i)):
+                                raise SSetError(f"mixed face identity fails on {g!r}")
+
+    # -- equality -------------------------------------------------------------------
+
+    def _key(self):
+        return (tuple((g, self._deg[g]) for g in self.gens()),
+                tuple(tuple(sorted(f.items())) for f in self._faces))
+
+    def __eq__(self, other):
+        return isinstance(other, GradedSet) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class SSetMap:
+    """A map of n-fold simplicial sets, stored on generators."""
+
+    def __init__(self, src: GradedSet, dst: GradedSet, assign: Mapping[str, tuple],
+                 validate: bool = True):
+        self.src = src
+        self.dst = dst
+        self.assign = dict(assign)
+        if validate:
+            self._validate()
+
+    def _validate(self) -> None:
+        for g in self.src.gens():
+            if g not in self.assign:
+                raise SSetError(f"no assignment for generator {g!r}")
+            img = self.assign[g]
+            deg = self.src._deg[g]
+            if self.dst.degree(img) != deg:
+                raise SSetError(f"image of {g!r} has wrong degree")
+            for a, top in enumerate(deg):
+                for i in range(top + 1) if top else ():
+                    if self.dst._face(img, a, i) != self(self.src._faces[a][g][i]):
+                        raise SSetError(f"map not simplicial at d_{i} along axis {a} of {g!r}")
+
+    def __call__(self, e: tuple) -> tuple:
+        return self.dst._degenerate(e[:-1], self.assign[e[-1]])
+
+    def then(self, other: "SSetMap") -> "SSetMap":
+        if other.src is not self.dst and other.src != self.dst:
+            raise SSetError("maps not composable")
+        return type(self)(self.src, other.dst,
+                          {g: other(self.assign[g]) for g in self.assign}, validate=False)
+
+    def is_mono(self) -> bool:
+        seen = set()
+        for g in self.src.gens():
+            img = self.assign[g]
+            if any(img[:-1]) or img in seen:
+                return False
+            seen.add(img)
+        return True
+
+    def is_iso(self) -> bool:
+        return self.src.nd_counts() == self.dst.nd_counts() and self.is_mono()
+
+    def inverse(self) -> "SSetMap":
+        if not self.is_iso():
+            raise SSetError("not an isomorphism")
+        inv = {self.assign[g][-1]: self.src._nd(g) for g in self.src.gens()}
+        return type(self)(self.dst, self.src, inv, validate=False)
+
+    def __eq__(self, other):
+        return (isinstance(other, SSetMap) and self.src == other.src
+                and self.dst == other.dst and self.assign == other.assign)
+
+    def __hash__(self):
+        return hash((self.src, self.dst, tuple(sorted(self.assign.items()))))
+
+
+class SSet(GradedSet):
+    """A finite simplicial set: the n = 1 case, with d-simplices for degree (d,)."""
+
+    nf_type = NF
+    map_type = SSetMap
 
     def __init__(self, gens: Iterable[tuple[str, int]], faces: Mapping[str, tuple[NF, ...]],
                  labels: Optional[Mapping[str, str]] = None, validate: bool = True):
-        self._dims: dict[str, int] = {}
-        by_dim: dict[int, list[str]] = {}
-        for g, d in gens:
-            if g in self._dims:
-                raise SSetError(f"duplicate generator id {g!r}")
-            self._dims[g] = d
-            by_dim.setdefault(d, []).append(g)
-        self.dim_bound = max(by_dim) if by_dim else -1
+        super().__init__(((g, (d,)) for g, d in gens), (faces,), labels, validate)
+
+    def _index(self) -> None:
+        self.faces = self._faces[0]
+        self.dim_bound = max(self._by_deg)[0] if self._by_deg else -1
         self.by_dim: tuple[tuple[str, ...], ...] = tuple(
-            tuple(by_dim.get(d, ())) for d in range(self.dim_bound + 1))
-        self.faces = {g: tuple(fs) for g, fs in faces.items()}
-        self.labels = dict(labels or {})
+            tuple(self._by_deg.get((d,), ())) for d in range(self.dim_bound + 1))
         self._act_cache: dict = {}
         self._vert_cache: dict = {}
         self._order_check: Optional[tuple] = None  # memo of ops.is_1_ordered
-        if validate:
-            self._validate()
 
     # -- structure ---------------------------------------------------------
 
     def gen_dim(self, g: str) -> int:
-        return self._dims[g]
+        return self._deg[g][0]
 
     def gens(self) -> list[str]:
         return [g for level in self.by_dim for g in level]
 
     def n_gens(self, d: Optional[int] = None) -> int:
         if d is None:
-            return len(self._dims)
+            return len(self._deg)
         return len(self.by_dim[d]) if 0 <= d <= self.dim_bound else 0
 
     def nd_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
 
     def dim(self, nf: NF) -> int:
-        return len(nf.word) + self._dims[nf.gen]
-
-    def is_empty(self) -> bool:
-        return not self._dims
+        return len(nf.word) + self._deg[nf.gen][0]
 
     # -- simplicial operators ----------------------------------------------
 
@@ -85,39 +310,10 @@ class SSet:
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        m = self.dim(nf)
-        if not delta.is_monotone(mu, m):
-            raise SSetError(f"{mu} is not monotone into [{m}]")
-        epi = delta.word_to_epi(nf.word, m)
-        word, mono = delta.factor(delta.compose(epi, mu))
-        base = self._apply_mono(nf.gen, mono)
-        out = NF(delta.merge_words(word, base.word, self.dim(base)), base.gen)
-        self._act_cache[key] = out
+        if not delta.is_monotone(mu, self.dim(nf)):
+            raise SSetError(f"{mu} is not monotone into [{self.dim(nf)}]")
+        out = self._act_cache[key] = self._act_axis(nf, 0, mu)
         return out
-
-    def _apply_mono(self, g: str, mono: Monotone) -> NF:
-        key = (g, mono)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        d = self._dims[g]
-        cur = nd(g)
-        missing = sorted(set(range(d + 1)) - set(mono), reverse=True)
-        for r in missing:
-            cur = self._face_step(cur, r)
-        self._act_cache[key] = cur
-        return cur
-
-    def _face_step(self, nf: NF, r: int) -> NF:
-        m = self.dim(nf)
-        epi = delta.word_to_epi(nf.word, m)
-        word, mono = delta.factor(delta.compose(epi, delta.coface(r, m)))
-        if len(mono) == self._dims[nf.gen] + 1:
-            return NF(word, nf.gen)
-        # mono skips exactly one index
-        (j,) = sorted(set(range(self._dims[nf.gen] + 1)) - set(mono))
-        fj = self.faces[nf.gen][j]
-        return NF(delta.merge_words(word, fj.word, self.dim(fj)), fj.gen)
 
     def face(self, nf: NF, i: int) -> NF:
         return self.act(nf, delta.coface(i, self.dim(nf)))
@@ -140,53 +336,6 @@ class SSet:
         self._vert_cache[nf] = out
         return out
 
-    def simplices(self, d: int) -> list[NF]:
-        """All d-simplices (degenerate ones included), canonically ordered."""
-        out = []
-        for p in range(min(d, self.dim_bound) + 1):
-            for w in delta.all_words(d - p, d):
-                for g in self.by_dim[p]:
-                    out.append(NF(w, g))
-        out.sort()
-        return out
-
-    # -- validation ----------------------------------------------------------
-
-    def _validate(self) -> None:
-        for g, d in self._dims.items():
-            if d == 0:
-                if g in self.faces and self.faces[g]:
-                    raise SSetError(f"vertex {g!r} with faces")
-                continue
-            fs = self.faces.get(g)
-            if fs is None or len(fs) != d + 1:
-                raise SSetError(f"generator {g!r} of dim {d} needs {d + 1} faces")
-            for nf in fs:
-                if nf.gen not in self._dims:
-                    raise SSetError(f"face of {g!r} targets unknown {nf.gen!r}")
-                if self.dim(nf) != d - 1:
-                    raise SSetError(f"face of {g!r} has wrong dimension")
-                if any(nf.word[i] <= nf.word[i + 1] for i in range(len(nf.word) - 1)):
-                    raise SSetError(f"face word of {g!r} not strictly decreasing")
-        for g, d in self._dims.items():
-            if d < 2:
-                continue
-            for j in range(d + 1):
-                for i in range(j):
-                    if self.face(self.face(nd(g), j), i) != self.face(self.face(nd(g), i), j - 1):
-                        raise SSetError(f"d_{i} d_{j} identity fails on {g!r}")
-
-    # -- equality -------------------------------------------------------------
-
-    def _key(self):
-        return (self.by_dim, tuple(sorted(self.faces.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, SSet) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return f"SSet(nd_counts={self.nd_counts()})"
 
@@ -194,72 +343,8 @@ class SSet:
 EMPTY = SSet([], {})
 
 
-class SSetMap:
-    """A simplicial map, stored on generators."""
-
-    def __init__(self, src: SSet, dst: SSet, assign: Mapping[str, NF], validate: bool = True):
-        self.src = src
-        self.dst = dst
-        self.assign = dict(assign)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        for g in self.src.gens():
-            if g not in self.assign:
-                raise SSetError(f"no assignment for generator {g!r}")
-            img = self.assign[g]
-            d = self.src.gen_dim(g)
-            if self.dst.dim(img) != d:
-                raise SSetError(f"image of {g!r} has wrong dimension")
-            for i in range(d + 1) if d else ():
-                if self.dst.face(img, i) != self(self.src.faces[g][i]):
-                    raise SSetError(f"map not simplicial at d_{i} of {g!r}")
-
-    def __call__(self, nf: NF) -> NF:
-        img = self.assign[nf.gen]
-        word = delta.merge_words(nf.word, img.word, self.dst.dim(img))
-        return NF(word, img.gen)
-
-    def then(self, other: "SSetMap") -> "SSetMap":
-        if other.src is not self.dst and other.src != self.dst:
-            raise SSetError("maps not composable")
-        return SSetMap(self.src, other.dst,
-                       {g: other(self.assign[g]) for g in self.assign}, validate=False)
-
-    def is_mono(self) -> bool:
-        seen: dict[int, set[NF]] = {}
-        for g in self.src.gens():
-            img = self.assign[g]
-            if img.degenerate():
-                return False
-            d = self.src.gen_dim(g)
-            if img in seen.setdefault(d, set()):
-                return False
-            seen[d].add(img)
-        return True
-
-    def is_iso(self) -> bool:
-        if self.src.nd_counts() != self.dst.nd_counts():
-            return False
-        return self.is_mono()
-
-    def inverse(self) -> "SSetMap":
-        if not self.is_iso():
-            raise SSetError("not an isomorphism")
-        inv = {self.assign[g].gen: nd(g) for g in self.src.gens()}
-        return SSetMap(self.dst, self.src, inv, validate=False)
-
-    def __eq__(self, other):
-        return (isinstance(other, SSetMap) and self.src == other.src
-                and self.dst == other.dst and self.assign == other.assign)
-
-    def __hash__(self):
-        return hash((self.src, self.dst, tuple(sorted(self.assign.items()))))
-
-
-def identity_map(X: SSet) -> SSetMap:
-    return SSetMap(X, X, {g: nd(g) for g in X.gens()}, validate=False)
+def identity_map(X: GradedSet) -> SSetMap:
+    return X.map_type(X, X, {g: X._nd(g) for g in X.gens()}, validate=False)
 
 
 def constant_map(X: SSet, Y: SSet, vertex: str) -> SSetMap:
@@ -296,58 +381,89 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
     Elements above max_dim are never listed, so the caller must pick max_dim
     at least the top non-degenerate dimension.
     """
-    to_nf: dict[tuple[int, object], NF] = {}
-    gens: list[tuple[str, int]] = []
-    faces: dict[str, tuple[NF, ...]] = {}
+    return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, label, degen))
+
+
+def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int, ...],
+                 prefix: str, label: Optional[Callable], degen: Optional[Callable] = None):
+    """The engine behind materialize and bisset.materialize_bi, for n = len(bounds) axes.
+
+    Callbacks see a degree as an int d for n = 1 and as a tuple otherwise:
+    levels(*deg), act(e, d, *mus) with one operator (or None) per axis, and
+    degen(e, d, i) for n = 1.  Degeneracies are stripped axis by axis, i
+    descending; generator ids are prefix, the degree joined by "_", and a
+    per-degree counter.  Returns (set of type kind, lookup, elem_of), where
+    lookup(*deg, e) is the memoized normal form of any element.
+    """
+    n = len(bounds)
+    nf_type = kind.nf_type
+    memo: dict[tuple, tuple] = {}
+    made: list[tuple[str, tuple[int, ...]]] = []
     elem_of: dict[str, object] = {}
     labels: dict[str, str] = {}
-    if degen is None:
-        def degen(e, d, i):
-            df = act(e, d, delta.coface(i, d))
-            if act(df, d - 1, delta.codegeneracy(i, d - 1)) == e:
+
+    def via_act(a: int) -> Callable:
+        def degen_a(e, dk, i):
+            top = dk if n == 1 else dk[a]
+            df = act(e, dk, *_on_axis(n, a, delta.coface(i, top)))
+            low = top - 1 if n == 1 else dk[:a] + (top - 1,) + dk[a + 1:]
+            if act(df, low, *_on_axis(n, a, delta.codegeneracy(i, top - 1))) == e:
                 return df
             return None
 
-    def strip(d: int, e) -> Optional[NF]:
+        return degen_a
+
+    degens = (degen,) if degen is not None else tuple(map(via_act, range(n)))
+
+    def strip(deg: tuple, e) -> Optional[tuple]:
         """Normal form of e if degenerate, else None."""
-        for i in range(d - 1, -1, -1):
-            df = degen(e, d, i)
-            if df is not None:
-                base = lookup(d - 1, df)
-                return NF(delta.merge_words((i,), base.word, d - 1), base.gen)
+        dk = deg[0] if n == 1 else deg
+        for a, degen_a in enumerate(degens):
+            top = deg[a]
+            for i in range(top - 1, -1, -1):
+                df = degen_a(e, dk, i)
+                if df is not None:
+                    base = lookup(*deg[:a], top - 1, *deg[a + 1:], df)
+                    word = delta.merge_words((i,), base[a], top - 1)
+                    return _new(nf_type, base[:a] + (word,) + base[a + 1:])
         return None
 
-    def lookup(d: int, e) -> NF:
-        """Normal form of any element."""
-        hit = to_nf.get((d, e))
-        if hit is not None:
-            return hit
-        out = strip(d, e)
-        if out is None:
-            raise SSetError(f"element at dim {d} has no recorded normal form")
-        to_nf[(d, e)] = out
-        return out
+    def lookup(*key) -> tuple:
+        """Normal form of any element: lookup(*deg, e)."""
+        hit = memo.get(key)
+        if hit is None:
+            hit = strip(key[:-1], key[-1])
+            if hit is None:
+                raise SSetError(f"element at degree {key[:-1]} has no recorded normal form")
+            memo[key] = hit
+        return hit
 
-    for d in range(max_dim + 1):
-        elems = levels(d)
+    for deg in itertools.product(*(range(b + 1) for b in bounds)):
+        elems = levels(*deg)
         if len(set(elems)) != len(elems):
             raise SSetError("duplicate elements in a level")
+        stem = prefix + "_".join(map(str, deg)) + "_"
         fresh = 0
         for e in elems:
-            out = strip(d, e)
+            out = strip(deg, e)
             if out is None:
-                gid = f"{prefix}{d}_{fresh}"
+                gid = stem + str(fresh)
                 fresh += 1
-                gens.append((gid, d))
+                made.append((gid, deg))
                 elem_of[gid] = e
-                out = nd(gid)
+                out = _new(nf_type, ((),) * n + (gid,))
                 if label is not None:
                     labels[gid] = label(e)
-            to_nf[(d, e)] = out
-    for gid, d in gens:
-        if d == 0:
-            continue
-        e = elem_of[gid]
-        faces[gid] = tuple(lookup(d - 1, act(e, d, delta.coface(i, d))) for i in range(d + 1))
-    out = SSet(gens, faces, labels=labels, validate=False)
-    return Materialized(out, lookup, elem_of)
+            memo[(*deg, e)] = out
+    faces = tuple({} for _ in range(n))
+    for gid, deg in made:
+        e, dk = elem_of[gid], deg[0] if n == 1 else deg
+        for a, top in enumerate(deg):
+            if top:
+                low = deg[:a] + (top - 1,) + deg[a + 1:]
+                faces[a][gid] = tuple(
+                    lookup(*low, act(e, dk, *_on_axis(n, a, delta.coface(i, top))))
+                    for i in range(top + 1))
+    out = kind([(gid, deg[0] if n == 1 else deg) for gid, deg in made], *faces, labels=labels,
+               validate=False)
+    return out, lookup, elem_of

@@ -495,17 +495,6 @@ def straighten_boundary_pp(m: int, f: SSetMap,
     return ob_pp, full, compare
 
 
-def straighten_special(kind: str, m: int, f_or_space, bound: Optional[int] = None):
-    """Closed-form straightenings: full(m, Y), last_vertex(m, X), boundary_pp(m, f)."""
-    if kind == "full":
-        return straighten_full(m, f_or_space, bound=bound)
-    if kind == "last_vertex":
-        return straighten_last_vertex(m, f_or_space, bound=bound)
-    if kind == "boundary_pp":
-        return straighten_boundary_pp(m, f_or_space, bound=bound)
-    raise SSetError(f"unknown special straightening {kind!r}")
-
-
 # -- unstraightening ---------------------------------------------------------------
 
 

@@ -7,8 +7,8 @@ import random
 from typing import Callable
 
 from . import delta
-from .bisset import (bi_identity, bi_pushout, bnd, diag, discretize, external,
-                     find_bi_iso, horizontal, lf, lf_map, vertical)
+from .bisset import (bi_identity, bi_pushout, bnd, diag, discretize, external, horizontal,
+                     lf, lf_map, vertical)
 from .categorify import categorify, cfunctor
 from .cubes import (chains, cube_hom, cube_of_pair, pushforward, split_iso,
                     weight_F, weight_G0, weight_constant, weighted_colim)
@@ -16,8 +16,8 @@ from .kan import enriched_lan, lan_into_representable
 from .necklace import PairObject, PairPoset, TndPoset, pair_poset_iso, plus_m
 from .nerves import hc_nerve, nerve_comparison, strict_nerve
 from .ops import (Diagram, coequalizer, colimit, component_maps, coproduct,
-                  find_iso, is_1_ordered, mediating_map, pairing, product, pushout,
-                  sub_sset)
+                  enumerate_maps, find_iso, is_1_ordered, mediating_map, pairing, product,
+                  pushout, sub_sset)
 from .groth import groth, groth_right_adjoint, rightfib_check, vtensor
 from .scat import (NatTrans, Presheaf, ch_simplex, enumerate_nat_trans, representable,
                    sigma_m, suspension, terminal_presheaf)
@@ -186,7 +186,7 @@ def check_discretize_idempotent(rng) -> str:
     for m, Y in [(1, simplex(0)), (1, boundary(1)), (2, simplex(1))]:
         L = lf(m, Y).W
         again = discretize(L)
-        assert find_bi_iso(L, again.bisset) is not None
+        assert find_iso(L, again.bisset) is not None
         assert len(L.gens_at(0, 0)) == (m + 1) * len(pi0_count(Y))
     return "L is idempotent; row-0 counts match"
 
@@ -641,7 +641,7 @@ def check_dual_path_randomized(rng) -> str:
 
 
 def check_tensor_compat(rng) -> str:
-    from .bisset import BiMap, bi_colimit, BiDiagram
+    from .bisset import BiMap, bi_colimit
 
     cases = 0
     for Wname, Wlf in [("pt", delta_precat(0)), ("D1", delta_precat(1))]:
@@ -651,7 +651,7 @@ def check_tensor_compat(rng) -> str:
         ps: list[tuple[str, object, object]] = [("id", W, bi_identity(W))]
         v0 = _vertex_map(pt_pre, W, "0")
         ps.append(("vertex", pt_pre, v0))
-        dj = bi_colimit(BiDiagram({"i0": W, "i1": pt_pre}))
+        dj = bi_colimit(Diagram({"i0": W, "i1": pt_pre}))
         from .straighten import pushout_induced
 
         ps.append(("sum", dj.bisset,
@@ -718,7 +718,7 @@ def check_cone_decomposition(rng) -> str:
             glue1 = _vertex_map(pt, lfm.W, str(m))
             glue2 = _vertex_map(pt, lf1.W, "0")
             po = bi_pushout(glue1, glue2)
-            assert find_bi_iso(cn.ext, po.bisset) is not None, (m,)
+            assert find_iso(cn.ext, po.bisset) is not None, (m,)
     return "Cone(<m>, id) decomposes as the endpoint gluing, m <= 2"
 
 
@@ -868,7 +868,7 @@ def check_groth_tensors(rng) -> str:
     for X in [simplex(1), boundary(2)]:
         GFX = groth(N, F.tensor(X))
         TX, _, _ = vtensor(G.bisset, X)
-        assert find_bi_iso(GFX.bisset, TX) is not None
+        assert find_iso(GFX.bisset, TX) is not None
     return "the total object preserves tensors on the catalog"
 
 
@@ -891,7 +891,7 @@ def check_groth_colimits(rng) -> str:
         po = bi_pushout(gm, bi_identity(GF.bisset))
         PO = Presheaf(arrow, values, lambda a, b, h, x: x)
         GPO = groth(N, _pushout_presheaf(arrow, F, T))
-        assert find_bi_iso(po.bisset, GPO.bisset) is not None
+        assert find_iso(po.bisset, GPO.bisset) is not None
     return "the total object preserves pushouts (2 random cases)"
 
 
@@ -926,12 +926,10 @@ def check_groth_adjunction(rng) -> str:
     N = strict_nerve(arrow)
     F = representable(arrow, "1")
     G = groth(N, F)
-    from .bisset import enumerate_bimaps
-
     for P, p in [(G.bisset, G.projection), (N.bisset, bi_identity(N.bisset))]:
         H = groth_right_adjoint(N, P, p, k_bound=1)
         H.verify(bound=1)
-        nmaps = len(list(enumerate_bimaps(G.bisset, P, over=(G.projection, p))))
+        nmaps = len(list(enumerate_maps(G.bisset, P, over=(G.projection, p))))
         nnats = len(list(enumerate_nat_trans(F, H)))
         assert nmaps == nnats, (nmaps, nnats)
     return "slice maps out of the total object biject with transformations"

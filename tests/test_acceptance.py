@@ -9,8 +9,7 @@ import time
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import (bi_identity, bnd, enumerate_bimaps, find_bi_iso,
-                                      horizontal, lf, lf_map, bi_pushout, vertical)
+from necklace_calculus.bisset import bnd, horizontal, lf, lf_map, bi_pushout, vertical
 from necklace_calculus.categorify import categorify, cfunctor
 from necklace_calculus.cubes import (weight_F, weight_G0, weighted_colim,
                                      weighted_colim_map, weight_inclusion_G0_F0)
@@ -149,7 +148,7 @@ def test_criterion_07_cone_decomposition_and_vertices():
 
             po = bi_pushout(_vertex_map(pt, lf(m, X).W, str(m)),
                             _vertex_map(pt, lf(1, X).W, "0"))
-            assert find_bi_iso(cn.ext, po.bisset) is not None
+            assert ops.find_iso(cn.ext, po.bisset) is not None
     for fname, f in _mono_catalog():
         if not ops.is_connected(f.src):
             continue
@@ -199,7 +198,7 @@ def test_criterion_09_grothendieck_structure():
     for X in [d(1), shapes.boundary(2)]:
         GFX = groth(N, F.tensor(X))
         TX, _, _ = vtensor(G.bisset, X)
-        assert find_bi_iso(GFX.bisset, TX) is not None
+        assert ops.find_iso(GFX.bisset, TX) is not None
     # the coherent variant: pullback levels and the fibration check again
     from necklace_calculus.nerves import hc_nerve
 

@@ -1,8 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import shapes, ops
-from necklace_calculus.bisset import (BiMap, bnd, diag, discretize, external, find_bi_iso,
-                                      horizontal, lf, lf_map, bi_pushout, vertical)
+from necklace_calculus.bisset import (BiMap, BiNF, bnd, diag, discretize, external,
+                                      horizontal, lf, lf_map, bi_pushout, rename_gens, vertical)
 from necklace_calculus.ops import pi0
 from necklace_calculus.sset import identity_map, nd
 
@@ -39,7 +42,7 @@ def test_discretize_point_target():
 def test_discretize_idempotent():
     L = lf(1, d(1)).W
     again = discretize(L)
-    assert find_bi_iso(L, again.bisset) is not None
+    assert ops.find_iso(L, again.bisset) is not None
 
 
 def test_levels_are_1_ordered():
@@ -57,10 +60,48 @@ def test_lf_map_and_cone_identity():
     assert face.is_mono()
     po = bi_pushout(face, BiMap(lf1.W, lf1.W, {g: bnd(g) for g in lf1.W.gens()},
                                 validate=False))
-    assert find_bi_iso(po.bisset, lf2.W) is not None
+    assert ops.find_iso(po.bisset, lf2.W) is not None
 
 
 def test_row0_discreteness_check():
     W = vertical(d(1))
     assert not W.row0_discrete()
     assert horizontal(d(1)).row0_discrete()
+
+
+FACTORS = [d(0), d(1), d(2), shapes.boundary(2), shapes.spine(2)]
+
+
+def _operator(data, top: int):
+    """None (the identity) or a monotone map into [top]."""
+    if data.draw(strat.booleans()):
+        return None
+    n = data.draw(strat.integers(0, top + 1))
+    return tuple(sorted(data.draw(
+        strat.lists(strat.integers(0, top), min_size=n + 1, max_size=n + 1))))
+
+
+@given(strat.data())
+@settings(max_examples=80, deadline=None)
+def test_external_action_is_factorwise(data):
+    X, Y = data.draw(strat.sampled_from(FACTORS)), data.draw(strat.sampled_from(FACTORS))
+    x = data.draw(strat.sampled_from(X.simplices(data.draw(strat.integers(0, 3)))))
+    y = data.draw(strat.sampled_from(Y.simplices(data.draw(strat.integers(0, 3)))))
+    mu_h, mu_v = _operator(data, X.dim(x)), _operator(data, Y.dim(y))
+    x2 = x if mu_h is None else X.act(x, mu_h)
+    y2 = y if mu_v is None else Y.act(y, mu_v)
+    got = external(X, Y).act(BiNF(x.word, y.word, f"{x.gen}|{y.gen}"), mu_h, mu_v)
+    assert got == BiNF(x2.word, y2.word, f"{x2.gen}|{y2.gen}")
+
+
+@pytest.mark.parametrize("W", [lf(2, d(1)).W, lf(1, shapes.boundary(2)).W,
+                               external(shapes.spine(2), d(1))],
+                         ids=["lf2_d1", "lf1_bd2", "spine2_box_d1"])
+def test_find_iso_on_permuted_ids(W):
+    gens = W.gens()
+    shuffled = list(gens)
+    random.Random(0).shuffle(shuffled)
+    R = rename_gens(W, dict(zip(gens, shuffled)))
+    iso = ops.find_iso(W, R)
+    assert iso is not None and iso.is_iso()
+    BiMap(W, R, iso.assign)  # validates bisimpliciality

@@ -1,0 +1,191 @@
+"""Golden corpus: sha256 of canonical outputs on a fixed set of inputs.
+
+The hashes pin byte-identical reports and dumps, generator ids and generator
+order included, so a refactor of the engine that changes any of them fails
+here.  They do not depend on PYTHONHASHSEED.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from necklace_calculus import cli, delta, ops, shapes
+from necklace_calculus.bisset import (BiMap, bnd, diag, discretize, external, horizontal, lf,
+                                      lf_map, bi_pushout, vertical)
+from necklace_calculus.groth import groth, vtensor
+from necklace_calculus.io_schemas import bisset_dump, canonical_json, sset_dump
+from necklace_calculus.nerves import hc_nerve, strict_nerve
+from necklace_calculus.scat import ch_simplex, representable, suspension, terminal_presheaf
+from necklace_calculus.sset import SSetMap, identity_map, nd
+from necklace_calculus.straighten import Straightener, delta_precat, unstraighten
+
+d = shapes.simplex
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _write(tmp_path, name: str, payload) -> str:
+    p = tmp_path / name
+    p.write_text(json.dumps(payload))
+    return str(p)
+
+
+def _cli(argv) -> str:
+    """Run neckcalc in-process; its stdout, which must end a zero exit."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(argv)
+    assert rc == 0
+    return buf.getvalue()
+
+
+def _cli_out(tmp_path, argv) -> str:
+    out = tmp_path / "out.json"
+    _cli(argv + ["--out", str(out)])
+    return out.read_text()
+
+
+# -- the command line ---------------------------------------------------------------
+
+
+def _hom_dot(tmp_path):
+    base = _write(tmp_path, "w.json", bisset_dump(lf(3, d(1)).W))
+    return _cli_out(tmp_path, ["hom", "--base", base, "--from", "0", "--to", "3",
+                               "--emit", "dot"])
+
+
+def _straighten_full(tmp_path):
+    W = delta_precat(2).W
+    base = _write(tmp_path, "w.json", bisset_dump(W))
+    ident = {g: {"hword": [], "vword": [], "target": g} for g in W.gens()}
+    mp = _write(tmp_path, "map.json", ident)
+    return _cli_out(tmp_path, ["straighten", "--base", base, "--total", base, "--map", mp,
+                               "--full"])
+
+
+def _straighten_certify(tmp_path):
+    base = _write(tmp_path, "pt.json", bisset_dump(horizontal(d(0))))
+    total = _write(tmp_path, "x.json", bisset_dump(vertical(shapes.boundary(2))))
+    return _cli_out(tmp_path, ["straighten", "--base", base, "--total", total, "--certify"])
+
+
+def _dot_pairs(tmp_path):
+    return _cli(["dot", "--pairs", "1,3"])
+
+
+def _dot_sset_json(tmp_path):
+    X = sset_dump(ops.pushout(shapes.sub_inclusion(shapes.spine(2), d(2)),
+                              shapes.sub_inclusion(shapes.spine(2), shapes.horn(2, 1))).sset)
+    p = _write(tmp_path, "k.json", X)
+    return _cli(["dot", "--sset", p, "--from", "q0_0", "--to", "q0_2", "--emit", "json"])
+
+
+# -- library dumps ------------------------------------------------------------------
+
+
+def _bi(W):
+    return canonical_json(bisset_dump(W))
+
+
+def _s(X):
+    return canonical_json(sset_dump(X))
+
+
+def _lf(tmp_path):
+    return _bi(lf(2, shapes.boundary(2)).W)
+
+
+def _discretize(tmp_path):
+    return _bi(discretize(external(d(1), shapes.spine(2))).bisset)
+
+
+def _strict_nerve(tmp_path):
+    return _bi(strict_nerve(ch_simplex(2), 2, 2).bisset)
+
+
+def _hc_nerve(tmp_path):
+    return _bi(hc_nerve(suspension(d(1)), 2, 1).bisset)
+
+
+def _vtensor(tmp_path):
+    return _bi(vtensor(lf(1, d(1)).W, shapes.boundary(1))[0])
+
+
+def _groth(tmp_path):
+    ch2 = ch_simplex(2)
+    return _bi(groth(strict_nerve(ch2, 2, 2), representable(ch2, "2")).bisset)
+
+
+def _unstraighten(tmp_path):
+    W = lf(1, d(1)).W
+    st = Straightener(W)
+    return _bi(unstraighten(st, terminal_presheaf(st.base_cat), W.h_bound, W.v_bound).bisset)
+
+
+def _bi_pushout(tmp_path):
+    lf1, lf2 = lf(1, d(1)), lf(2, d(1))
+    face = lf_map(lf1, lf2, delta.coface(2, 2), identity_map(d(1)))
+    back = BiMap(lf1.W, lf1.W, {g: bnd(g) for g in lf1.W.gens()}, validate=False)
+    return _bi(bi_pushout(face, back).bisset)
+
+
+def _product(tmp_path):
+    return _s(ops.product(d(1), shapes.boundary(2)).sset)
+
+
+def _colimit(tmp_path):
+    b1 = shapes.boundary(1)
+    circle = ops.pushout(SSetMap(b1, d(0), {"0": nd("0"), "1": nd("0")}),
+                         shapes.sub_inclusion(b1, d(1)))
+    return _s(ops.product(circle.sset, d(1)).sset) + _s(circle.sset)
+
+
+def _diag(tmp_path):
+    return _s(diag(external(d(1), shapes.spine(2))).sset)
+
+
+GOLDEN = {
+    "hom_emit_dot_lf3_d1": (_hom_dot,
+        "459b1e290c52106e60f1bb2fe4dc079c93cbce687bcc8d588ee6adb6da619691"),
+    "straighten_full_id_d2": (_straighten_full,
+        "f51c59701ae8762717e2574cc5b2fa17b5b720b8fe9287f6e4c6c191dfacf5ab"),
+    "straighten_certify_point": (_straighten_certify,
+        "2a566873c683906671f9702f2058098458440681dc1a862dd4f42a44f84088b5"),
+    "dot_pairs_1_3": (_dot_pairs,
+        "75f4a3424f42277be48a43539c0b6030fe026c01b36daa8b6f87608c9848be99"),
+    "dot_sset_json": (_dot_sset_json,
+        "612846b264d3aa794c80417fc99ee39b02707e513d491db4be533b97fe88515e"),
+    "lf": (_lf,
+        "65eccb2106fc79395cb7d269809db205e0cb023db796466fb8e3f0d4b4525df5"),
+    "discretize": (_discretize,
+        "8cb4bcfdaa32fe4c1a9459cb65e6785f74a09854ff36ec72573f821bb56fd436"),
+    "strict_nerve": (_strict_nerve,
+        "ff5a2de5dfaaf8fbbc934a4d1ee2a4fc5220cee94f7cbec505a8d519824336b3"),
+    "hc_nerve": (_hc_nerve,
+        "8826feb95970de12679158c5cbb7209cfdaf1c07a5f80bbf83b30d74907e5008"),
+    "vtensor": (_vtensor,
+        "1d7067416d9465af82bc9abb9fdf164d2f517f7d3b3ab37fb5158350533f0243"),
+    "groth": (_groth,
+        "64519cc44454557ded06e97051fa5dc2ca6320e5b8fd2b79ee20d4d39daccde9"),
+    "unstraighten": (_unstraighten,
+        "5bc9324bf609cfcbbae7bf4cce56a3f5055602e5005718464a7dba86b4587fa8"),
+    "bi_pushout": (_bi_pushout,
+        "98e12eae00cea4269533b7eb5344de1210a7308b1e0f264a399e105abe0f745f"),
+    "product": (_product,
+        "8380787b679b58a87cde767b22bffa114549bae1e2b113533afd8308b59021aa"),
+    "colimit": (_colimit,
+        "130605068262683406272b6f9e9741b98d3aef89b988c78dc3c3b09348f43610"),
+    "diag": (_diag,
+        "a87ef67090ef707f3a55890454ae228b404f0b46a23f850aeaeaf04f61afa642"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden(tmp_path, name):
+    make, want = GOLDEN[name]
+    assert _sha(make(tmp_path)) == want

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from necklace_calculus import shapes, ops
-from necklace_calculus.bisset import find_bi_iso, horizontal, lf, vertical
+from necklace_calculus import cli, shapes, ops
+from necklace_calculus.bisset import horizontal, lf, vertical
 from necklace_calculus.io_schemas import (SchemaError, bisset_dump, bisset_load,
                                           canonical_json, run_report, scat_dump,
                                           scat_load, sset_dump, sset_load,
@@ -90,16 +90,68 @@ def test_cli_schema_error(tmp_path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("args", [["dot"], ["dot", "--pairs", "x"],
-                                  ["hom", "--base", "{list}", "--from", "0", "--to", "1"]],
-                         ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base"])
+_EDGE_WITH_BAD_FACES = {"schema": "sset.v1", "generators": [
+    {"id": "a", "dim": 0, "faces": []},
+    {"id": "e", "dim": 1, "faces": [{"word": [], "target": "a"}]}]}
+
+BAD_FILES = {
+    "list": [1, 2],
+    "dim_minus_1": {"schema": "sset.v1", "generators": [{"id": "x", "dim": -1, "faces": []}]},
+    "bidegree_negative": {"schema": "bisset.v1", "generators": [
+        {"id": "x", "bidegree": [0, -1], "hfaces": [], "vfaces": []}]},
+    "bidegree_fraction": {"schema": "bisset.v1", "generators": [
+        {"id": "x", "bidegree": [0.5, 0], "hfaces": [], "vfaces": []}]},
+    "bad_faces": _EDGE_WITH_BAD_FACES,
+    "d1": sset_dump(d(1)),
+    "h_d0": bisset_dump(horizontal(d(0))),
+    "h_d1": bisset_dump(horizontal(d(1))),
+    "v_d1": bisset_dump(vertical(d(1))),
+}
+
+
+@pytest.mark.parametrize("args", [
+    ["dot"], ["dot", "--pairs", "x"],
+    ["hom", "--base", "{list}", "--from", "0", "--to", "1"],
+    ["dot", "--sset", "{dim_minus_1}", "--from", "x", "--to", "x"],
+    ["hom", "--base", "{bidegree_negative}", "--from", "x", "--to", "x"],
+    ["hom", "--base", "{bidegree_fraction}", "--from", "x", "--to", "x"],
+    ["dot", "--sset", "{bad_faces}", "--from", "a", "--to", "a"],
+    ["hom", "--base", "{h_d1}", "--from", "0", "--to", "zz"],
+    ["dot", "--sset", "{d1}", "--from", "0", "--to", "zz"],
+    ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--at", "zz"],
+], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
+        "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
+        "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
-    p = tmp_path / "list.json"
-    p.write_text("[1,2]")
-    res = _run_cli([a.format(list=p) for a in args], [p])
+    paths = {}
+    for name, payload in BAD_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    res = _run_cli([a.format(**paths) for a in args], [])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("W", [lf(3, d(1)).W, lf(2, shapes.boundary(2)).W, lf(2, d(2)).W],
+                         ids=["lf3_d1", "lf2_bd2", "lf2_d2"])
+def test_cell_guard_counts_every_bisimplex(W):
+    n = sum(len(W.simplices(m, k)) for m in range(W.h_bound + 1) for k in range(W.v_bound + 1))
+    cli._cell_guard(W, n)
+    with pytest.raises(cli.ResourceLimit):
+        cli._cell_guard(W, n - 1)
+
+
+def test_cli_max_cells_exits_5(tmp_path):
+    W = lf(1, d(1)).W
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(bisset_dump(W)))
+    n = sum(len(W.simplices(m, k)) for m in range(W.h_bound + 1) for k in range(W.v_bound + 1))
+    argv = ["hom", "--base", str(p), "--from", "0", "--to", "1"]
+    assert _run_cli(["--max-cells", str(n)] + argv, [p]).returncode == 0
+    res = _run_cli(["--max-cells", str(n - 1)] + argv, [p])
+    assert res.returncode == 5
+    assert "Traceback" not in res.stderr and "max-cells" in res.stderr
 
 
 def test_cli_straighten(tmp_path):

@@ -1,8 +1,7 @@
 import pytest
 
 from necklace_calculus import shapes, ops
-from necklace_calculus.bisset import (bi_identity, enumerate_bimaps, find_bi_iso,
-                                      horizontal)
+from necklace_calculus.bisset import bi_identity, horizontal
 from necklace_calculus.groth import (eta_compare, groth, groth_right_adjoint,
                                      rightfib_check, vtensor)
 from necklace_calculus.kan import enriched_lan, lan_into_representable
@@ -16,7 +15,7 @@ d = shapes.simplex
 
 def test_strict_nerve_of_arrow():
     N = strict_nerve(suspension(d(0)))
-    assert find_bi_iso(N.bisset, horizontal(d(1))) is not None
+    assert ops.find_iso(N.bisset, horizontal(d(1))) is not None
 
 
 def test_strict_nerve_of_suspension():
@@ -35,7 +34,7 @@ def test_hc_nerve_of_arrow_is_strict():
     arrow = suspension(d(0))
     HN = hc_nerve(arrow, 2, 2)
     N = strict_nerve(arrow, 2, 2)
-    assert find_bi_iso(HN.bisset, N.bisset) is not None
+    assert ops.find_iso(HN.bisset, N.bisset) is not None
     assert nerve_comparison(N, HN).is_iso()
 
 
@@ -133,7 +132,7 @@ def test_groth_terminal_is_nerve():
     C = suspension(d(1))
     N = strict_nerve(C)
     GT = groth(N, terminal_presheaf(C))
-    assert find_bi_iso(GT.bisset, N.bisset) is not None
+    assert ops.find_iso(GT.bisset, N.bisset) is not None
 
 
 def test_groth_d1_is_evaluation():
@@ -194,7 +193,7 @@ def test_groth_right_adjoint_values():
     G = groth(N, F)
     H2 = groth_right_adjoint(N, G.bisset, G.projection, k_bound=1)
     H2.verify(bound=1)
-    n_slice = len(list(enumerate_bimaps(G.bisset, G.bisset,
-                                        over=(G.projection, G.projection))))
+    n_slice = len(list(ops.enumerate_maps(G.bisset, G.bisset,
+                                            over=(G.projection, G.projection))))
     n_nat = len(list(enumerate_nat_trans(F, H2)))
     assert n_slice == n_nat == 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import delta, shapes, ops
+from necklace_calculus.bisset import horizontal, vertical
 from necklace_calculus.sset import NF, SSet, SSetMap, nd, identity_map
 
 from oracles import product_nd_counts
@@ -127,12 +128,17 @@ def test_pi0():
 
 
 def test_iso_search_distinguishes():
-    assert ops.find_iso(d(2), shapes.boundary(2)) is None
-    # the middle horn is the spine; the outer horn is not (out-degrees differ)
-    assert ops.find_iso(shapes.spine(2), shapes.horn(2, 1)) is not None
-    assert ops.find_iso(shapes.spine(2), shapes.horn(2, 0)) is None
-    got = ops.find_iso(shapes.horn(2, 1), shapes.horn(2, 1))
-    assert got is not None and got.is_iso()
+    # the same verdicts for the sets themselves and their bisimplicial embeddings
+    for embed in (lambda X: X, horizontal, vertical):
+        assert ops.find_iso(embed(d(2)), embed(shapes.boundary(2))) is None
+        # the middle horn is the spine; the outer horn is not (out-degrees differ)
+        assert ops.find_iso(embed(shapes.spine(2)), embed(shapes.horn(2, 1))) is not None
+        assert ops.find_iso(embed(shapes.spine(2)), embed(shapes.horn(2, 0))) is None
+        got = ops.find_iso(embed(shapes.horn(2, 1)), embed(shapes.horn(2, 1)))
+        assert got is not None and got.is_iso()
+        # colours cannot tell two disjoint edges apart; the face checks keep the 2 true swaps
+        two = embed(ops.coproduct([d(1), d(1)]).sset)
+        assert len(list(ops.find_isos(two, two))) == 2
 
 
 def test_mono_detection():

@@ -1,8 +1,7 @@
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import (BiMap, bi_identity, bnd, find_bi_iso, lf,
-                                      vertical)
+from necklace_calculus.bisset import BiMap, bi_identity, bnd, lf, vertical
 from necklace_calculus.categorify import categorify
 from necklace_calculus.scat import Presheaf, terminal_presheaf
 from necklace_calculus.sset import SSetMap, identity_map, nd
@@ -88,7 +87,7 @@ def test_cone_vertices_and_q():
 
 def test_cone_identity_case():
     cn = cone((0, 1), 1, identity_map(d(1)))
-    assert find_bi_iso(cn.ext, lf(2, d(1)).W) is not None
+    assert ops.find_iso(cn.ext, lf(2, d(1)).W) is not None
 
 
 def test_cone_q_reflects_nondegeneracy():
@@ -163,7 +162,7 @@ def test_unstraighten_terminal():
     W = delta_precat(1).W
     st = Straightener(W)
     un = unstraighten(st, terminal_presheaf(st.base_cat), 1, 1)
-    assert find_bi_iso(un.bisset, W) is not None
+    assert ops.find_iso(un.bisset, W) is not None
 
 
 def test_unstraighten_terminal_thick_base():
@@ -171,7 +170,7 @@ def test_unstraighten_terminal_thick_base():
     W = lf(1, d(1)).W
     st = Straightener(W)
     un = unstraighten(st, terminal_presheaf(st.base_cat), W.h_bound, W.v_bound)
-    assert find_bi_iso(un.bisset, W) is not None
+    assert ops.find_iso(un.bisset, W) is not None
 
 
 def test_unstraighten_fiberwise_counts():
