@@ -166,11 +166,10 @@ class BiMaterialized(NamedTuple):
 
 def materialize_bi(levels: Callable[[int, int], list],
                    act: Callable[[object, tuple[int, int], Optional[Monotone], Optional[Monotone]], object],
-                   h_bound: int, v_bound: int, prefix: str = "x",
-                   label: Optional[Callable[[object], str]] = None) -> BiMaterialized:
+                   h_bound: int, v_bound: int, prefix: str = "x") -> BiMaterialized:
     """Bi-graded sset.materialize: levels(m, k), act(e, (m, k), mu_h, mu_v) with
     one of the two operators None, and to_nf(m, k, e); ids are prefix + "m_k_n"."""
-    return BiMaterialized(*_materialize(BiSSet, levels, act, (h_bound, v_bound), prefix, label))
+    return BiMaterialized(*_materialize(BiSSet, levels, act, (h_bound, v_bound), prefix))
 
 
 def external(X: SSet, Y: SSet) -> BiSSet:
@@ -227,19 +226,13 @@ class BiColimit(NamedTuple):
     reps: dict[str, tuple[str, BiNF]]
 
 
-def bi_colimit(diag_: Diagram, h_bound: Optional[int] = None,
-               v_bound: Optional[int] = None) -> BiColimit:
-    """Colimit of a diagram of bisimplicial sets, within the given bidegree bounds."""
-    objs = diag_.objects.values()
-    if h_bound is None:
-        h_bound = max((W.h_bound for W in objs), default=-1)
-    if v_bound is None:
-        v_bound = max((W.v_bound for W in objs), default=-1)
-    return BiColimit(*_colimit(diag_, (h_bound, v_bound), materialize_bi, BI_EMPTY))
+def bi_colimit(diag_: Diagram) -> BiColimit:
+    """Colimit of a diagram of bisimplicial sets."""
+    return BiColimit(*_colimit(diag_, materialize_bi, BI_EMPTY))
 
 
-def bi_pushout(f: BiMap, g: BiMap, h_bound=None, v_bound=None) -> BiColimit:
-    return bi_colimit(_span(f, g), h_bound=h_bound, v_bound=v_bound)
+def bi_pushout(f: BiMap, g: BiMap) -> BiColimit:
+    return bi_colimit(_span(f, g))
 
 
 def rename_gens(W: BiSSet, mapping: Mapping[str, str]) -> BiSSet:

@@ -75,6 +75,8 @@ def _endpoints(args, vertices) -> tuple[str, str]:
 
 
 def cmd_hom(args) -> int:
+    if args.degree is not None and args.degree < 0:
+        raise UsageError(f"--degree must be at least 0; got {args.degree}")
     W = bisset_load(_load_json(args.base))
     if not W.row0_discrete():
         print("error: row 0 is not discrete", file=sys.stderr)

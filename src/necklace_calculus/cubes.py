@@ -7,7 +7,7 @@ S_0 <= ... <= S_j with J <= S_r <= V, non-degenerate iff strictly increasing.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple
 
 from . import delta
 from .necklace import PairObject, PairPoset, plus_m
@@ -196,7 +196,6 @@ class NProd:
 
     def __init__(self, factors: list[SSet]):
         from .shapes import point
-        from .sset import identity_map
 
         self.factors = tuple(factors)
         if len(factors) == 0:
@@ -273,15 +272,15 @@ def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int,
     return Weight(pp, values, arrow)
 
 
-def weight_G0(m: int, f: SSetMap, check: bool = True) -> Weight:
+def weight_G0(m: int, f: SSetMap) -> Weight:
     """The boundary pushout-product weight on pairs from 0 to m+1."""
     from .ops import is_connected
     from .sset import identity_map
 
     X, Y = f.src, f.dst
-    if check and not f.is_mono():
+    if not f.is_mono():
         raise SSetError("weight_G0 needs a monomorphism")
-    if check and not is_connected(Y):
+    if not is_connected(Y):
         from .necklace import UnsupportedInput
 
         raise UnsupportedInput("weight_G0 needs a connected target")
@@ -347,7 +346,7 @@ def weight_inclusion_G0_F0(m: int, f: SSetMap) -> tuple[Weight, Weight, dict[Pai
 # -- the weighted colimit -------------------------------------------------------
 
 
-def weighted_colim(weight: Weight, as_diag: bool = True) -> Materialized:
+def weighted_colim(weight: Weight) -> Materialized:
     """diag of the colimit of cube homs weighted by `weight`.
 
     Elements are canonical: the pair is saturated by its chain, so a class is
@@ -393,12 +392,9 @@ def weighted_colim(weight: Weight, as_diag: bool = True) -> Materialized:
 
 
 def weighted_colim_map(src: Weight, dst: Weight,
-                       components: Mapping[PairObject, SSetMap],
-                       mat_src: Optional[Materialized] = None,
-                       mat_dst: Optional[Materialized] = None) -> SSetMap:
+                       components: Mapping[PairObject, SSetMap]) -> SSetMap:
     """The map of weighted colimits induced by a weight transformation."""
-    ms = mat_src if mat_src is not None else weighted_colim(src)
-    md = mat_dst if mat_dst is not None else weighted_colim(dst)
+    ms, md = weighted_colim(src), weighted_colim(dst)
     assign = {}
     for g in ms.sset.gens():
         p, ch, x = ms.elem_of[g]

@@ -8,14 +8,14 @@ given by the evaluation of the presheaf action on the last edge.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import delta
 from .bisset import BiMap, BiNF, BiSSet, materialize_bi
 from .nerves import Nerve
-from .ops import enumerate_maps, product
+from .ops import enumerate_maps
 from .scat import NatTrans, Presheaf, representable
-from .sset import NF, SSet, SSetError, nd
+from .sset import NF, SSet, SSetError
 
 
 class GrothTotal(NamedTuple):
@@ -28,16 +28,12 @@ class GrothTotal(NamedTuple):
     act: object
 
 
-def groth(nerve: Nerve, F: Presheaf, m_bound: Optional[int] = None,
-          k_bound: Optional[int] = None) -> GrothTotal:
+def groth(nerve: Nerve, F: Presheaf) -> GrothTotal:
     """The total object of F over the given nerve."""
     C = nerve.cat
     NB = nerve.bisset
-    if m_bound is None:
-        m_bound = NB.h_bound
-    if k_bound is None:
-        k_bound = max(NB.v_bound, 0) + max((V.dim_bound for V in F.value.values()),
-                                           default=0)
+    m_bound = NB.h_bound
+    k_bound = max(NB.v_bound, 0) + max((V.dim_bound for V in F.value.values()), default=0)
 
     def last_object(ne, m, k) -> str:
         # both nerve flavors expose the object tuple first
@@ -132,16 +128,12 @@ class FibReport(NamedTuple):
     homotopy_conditions: str
 
 
-def rightfib_check(P: BiSSet, W: BiSSet, p: BiMap,
-                   m_bound: Optional[int] = None,
-                   k_bound: Optional[int] = None) -> FibReport:
+def rightfib_check(P: BiSSet, W: BiSSet, p: BiMap) -> FibReport:
     """Check P_m = W_m x_{W_0} P_0 along the last-vertex maps, levelwise."""
     if not W.row0_discrete():
         raise SSetError("rightfib_check needs a discrete row 0")
-    if m_bound is None:
-        m_bound = max(P.h_bound, W.h_bound, 0)
-    if k_bound is None:
-        k_bound = max(P.v_bound, W.v_bound, 0)
+    m_bound = max(P.h_bound, W.h_bound, 0)
+    k_bound = max(P.v_bound, W.v_bound, 0)
     per = {}
     for m in range(m_bound + 1):
         for k in range(k_bound + 1):
@@ -224,7 +216,7 @@ def groth_right_adjoint(nerve: Nerve, P: BiSSet, p: BiMap, k_bound: int) -> Pres
 
     def precompose(a: str, enc, k: int, mu: delta.Monotone):
         """The slice map at level len(mu)-1 obtained by id (x) mu."""
-        from .shapes import simplex_operator, subset_id
+        from .shapes import simplex_operator
 
         k2 = len(mu) - 1
         T, _, to_nf, _ = tensor(a, k)

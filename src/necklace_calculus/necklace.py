@@ -37,10 +37,6 @@ class Necklace(NamedTuple):
         return Necklace(dims)
 
     @property
-    def n_vertices(self) -> int:
-        return sum(self.bead_dims) + 1
-
-    @property
     def joints(self) -> tuple[int, ...]:
         out = [0]
         for d in self.bead_dims:
@@ -75,9 +71,6 @@ class TndPoset:
         self._joints = {t: self.joint_ids(t) for t in self.objects}
 
     # -- structure ----------------------------------------------------------
-
-    def bead_vertices(self, t: RealizedNecklace) -> tuple[tuple[str, ...], ...]:
-        return tuple(self.K.vertices(nd(g)) for g in t.beads)
 
     def vertex_ids(self, t: RealizedNecklace) -> tuple[str, ...]:
         return necklace_vertex_ids(self.K, t)

@@ -128,7 +128,7 @@ def exp_as_map(H: SSet, d: int, k: int, e: ExpEl) -> SSetMap:
 def exp_act(H: SSet, d: int, k: int, e: ExpEl, mu: delta.Monotone,
             nu: Optional[delta.Monotone] = None) -> ExpEl:
     """Pre-composition along mu x nu."""
-    from .shapes import simplex, simplex_operator
+    from .shapes import simplex_operator
 
     d2 = len(mu) - 1
     k2 = k if nu is None else len(nu) - 1

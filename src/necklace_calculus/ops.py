@@ -77,32 +77,9 @@ class DiagramError(ValueError):
 class Diagram:
     objects: dict[str, SSet]
     edges: list[tuple[str, str, str, SSetMap]] = field(default_factory=list)
-    relations: list[tuple[list[str], list[str]]] = field(default_factory=list)
 
     def add(self, name: str, src: str, dst: str, f: SSetMap) -> None:
         self.edges.append((name, src, dst, f))
-
-    def edge_map(self, name: str) -> tuple[str, str, SSetMap]:
-        for n, s, t, f in self.edges:
-            if n == name:
-                return s, t, f
-        raise DiagramError(f"no edge named {name!r}")
-
-    def compose_path(self, path: list[str]) -> tuple[str, str, SSetMap]:
-        s0, t, f = self.edge_map(path[0])
-        for name in path[1:]:
-            s, t2, g = self.edge_map(name)
-            if s != t:
-                raise DiagramError(f"path breaks at {name!r}")
-            f, t = f.then(g), t2
-        return s0, t, f
-
-    def check_commutes(self) -> None:
-        for p, q in self.relations:
-            sp, tp, fp = self.compose_path(p)
-            sq, tq, fq = self.compose_path(q)
-            if (sp, tp) != (sq, tq) or fp.assign != fq.assign:
-                raise DiagramError(f"diagram does not commute on {p} vs {q}")
 
 
 class Colimit(NamedTuple):
@@ -128,24 +105,23 @@ class _UF:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-def colimit(diag: Diagram, max_dim: Optional[int] = None) -> Colimit:
+def colimit(diag: Diagram) -> Colimit:
     """Levelwise union-find colimit, re-normalized to EZ form."""
-    if max_dim is None:
-        max_dim = max((X.dim_bound for X in diag.objects.values()), default=-1)
-    return Colimit(*_colimit(diag, (max_dim,), materialize, EMPTY))
+    return Colimit(*_colimit(diag, materialize, EMPTY))
 
 
-def _colimit(diag: Diagram, bounds: tuple[int, ...], build: Callable, empty):
-    """The colimit of a diagram of n-fold sets within per-axis bounds.
+def _colimit(diag: Diagram, build: Callable, empty):
+    """The colimit of a diagram of n-fold sets, up to the objects' top degree per axis.
 
     build is the public materialize entry point of the grading, called as
     build(levels, act, *bounds, prefix="q"); empty is its empty set.  Returns
     (set, cocone, cls, reps): cls(name, x) is the class of x from the named
     object, reps[g] the least (name, simplex) in the class of g.
     """
-    diag.check_commutes()
     objects = diag.objects
     names = sorted(objects)
+    bounds = tuple(max((deg[a] for X in objects.values() for deg in X._by_deg), default=-1)
+                   for a in range(empty.n_axes))
     if min(bounds) < 0:
         def no_cls(name, x):
             raise SSetError("empty colimit")
@@ -182,8 +158,6 @@ def _colimit(diag: Diagram, bounds: tuple[int, ...], build: Callable, empty):
     def gen_class(n: str, g: str) -> tuple:
         X = objects[n]
         deg = X._deg[g]
-        if any(p > b for p, b in zip(deg, bounds)):
-            raise SSetError("simplex above colimit bound")
         return to_nf(*deg, classes[deg][uf.find((n, X._nd(g)))])
 
     cocone = {n: objects[n].map_type(objects[n], out,
@@ -207,22 +181,22 @@ def _span(f: SSetMap, g: SSetMap) -> Diagram:
     return diag
 
 
-def pushout(f: SSetMap, g: SSetMap, max_dim: Optional[int] = None) -> Colimit:
+def pushout(f: SSetMap, g: SSetMap) -> Colimit:
     """Pushout of X <- A -> Y along f: A -> X and g: A -> Y."""
-    return colimit(_span(f, g), max_dim=max_dim)
+    return colimit(_span(f, g))
 
 
-def coequalizer(f: SSetMap, g: SSetMap, max_dim: Optional[int] = None) -> Colimit:
+def coequalizer(f: SSetMap, g: SSetMap) -> Colimit:
     if f.src != g.src or f.dst != g.dst:
         raise DiagramError("coequalizer needs parallel maps")
     diag = Diagram({"A": f.src, "X": f.dst})
     diag.add("f", "A", "X", f)
     diag.add("g", "A", "X", g)
-    return colimit(diag, max_dim=max_dim)
+    return colimit(diag)
 
 
-def coproduct(xs: list[SSet], max_dim: Optional[int] = None) -> Colimit:
-    return colimit(Diagram({f"i{k}": X for k, X in enumerate(xs)}), max_dim=max_dim)
+def coproduct(xs: list[SSet]) -> Colimit:
+    return colimit(Diagram({f"i{k}": X for k, X in enumerate(xs)}))
 
 
 def mediating_map(col: Colimit, objects: Mapping[str, SSet],
@@ -427,14 +401,17 @@ def find_isos(A, B) -> Iterator[SSetMap]:
             yield A.map_type(A, B, {x: B._nd(assign[x]) for x in order}, validate=False)
 
 
-def find_arrow_iso(f: SSetMap, g: SSetMap,
-                   max_tries: int = 2000) -> Optional[tuple[SSetMap, SSetMap]]:
-    """Isomorphisms (u, v) with v . f = g . u, identifying two maps as arrows."""
+_ARROW_ISO_TRIES = 2000
+
+
+def find_arrow_iso(f: SSetMap, g: SSetMap) -> Optional[tuple[SSetMap, SSetMap]]:
+    """Isomorphisms (u, v) with v . f = g . u, identifying two maps as arrows;
+    None also when the first 2000 pairs of isomorphisms fail."""
     tries = 0
     for u in find_isos(f.src, g.src):
         for v in find_isos(f.dst, g.dst):
             tries += 1
-            if tries > max_tries:
+            if tries > _ARROW_ISO_TRIES:
                 return None
             if all(v(f(nd(x))) == g(u(nd(x))) for x in f.src.gens()):
                 return (u, v)

@@ -367,20 +367,16 @@ class NatTrans(NamedTuple):
                             raise SSetError(f"naturality fails at {a},{b}")
 
 
-def enumerate_nat_trans(F: Presheaf, G: Presheaf,
-                        bound: Optional[int] = None) -> Iterator[NatTrans]:
+def enumerate_nat_trans(F: Presheaf, G: Presheaf) -> Iterator[NatTrans]:
     """All enriched natural transformations F -> G (exhaustive; small inputs)."""
     from .ops import enumerate_maps
 
-    base = F.base
-    if bound is None:
-        bound = base.hom_bound
-    obs = list(base.objects)
+    obs = list(F.base.objects)
     choices = [list(enumerate_maps(F.value[a], G.value[a])) for a in obs]
     for combo in itertools.product(*choices):
         eta = NatTrans(F, G, dict(zip(obs, combo)))
         try:
-            eta.verify(bound)
+            eta.verify()
         except SSetError:
             continue
         yield eta

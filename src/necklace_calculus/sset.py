@@ -250,12 +250,6 @@ class SSetMap:
     def is_iso(self) -> bool:
         return self.src.nd_counts() == self.dst.nd_counts() and self.is_mono()
 
-    def inverse(self) -> "SSetMap":
-        if not self.is_iso():
-            raise SSetError("not an isomorphism")
-        inv = {self.assign[g][-1]: self.src._nd(g) for g in self.src.gens()}
-        return type(self)(self.dst, self.src, inv, validate=False)
-
     def __eq__(self, other):
         return (isinstance(other, SSetMap) and self.src == other.src
                 and self.dst == other.dst and self.assign == other.assign)
@@ -291,10 +285,8 @@ class SSet(GradedSet):
     def gens(self) -> list[str]:
         return [g for level in self.by_dim for g in level]
 
-    def n_gens(self, d: Optional[int] = None) -> int:
-        if d is None:
-            return len(self._deg)
-        return len(self.by_dim[d]) if 0 <= d <= self.dim_bound else 0
+    def n_gens(self) -> int:
+        return len(self._deg)
 
     def nd_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)
@@ -367,7 +359,6 @@ class Materialized(NamedTuple):
 
 def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monotone], object],
                 max_dim: int, prefix: str = "x",
-                label: Optional[Callable[[object], str]] = None,
                 degen: Optional[Callable[[object, int, int], object]] = None) -> Materialized:
     """Build an SSet in EZ normal form from an abstract element space.
 
@@ -381,11 +372,11 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
     Elements above max_dim are never listed, so the caller must pick max_dim
     at least the top non-degenerate dimension.
     """
-    return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, label, degen))
+    return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, degen))
 
 
 def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int, ...],
-                 prefix: str, label: Optional[Callable], degen: Optional[Callable] = None):
+                 prefix: str, degen: Optional[Callable] = None):
     """The engine behind materialize and bisset.materialize_bi, for n = len(bounds) axes.
 
     Callbacks see a degree as an int d for n = 1 and as a tuple otherwise:
@@ -400,7 +391,6 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
     memo: dict[tuple, tuple] = {}
     made: list[tuple[str, tuple[int, ...]]] = []
     elem_of: dict[str, object] = {}
-    labels: dict[str, str] = {}
 
     def via_act(a: int) -> Callable:
         def degen_a(e, dk, i):
@@ -452,8 +442,6 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
                 made.append((gid, deg))
                 elem_of[gid] = e
                 out = _new(nf_type, ((),) * n + (gid,))
-                if label is not None:
-                    labels[gid] = label(e)
             memo[(*deg, e)] = out
     faces = tuple({} for _ in range(n))
     for gid, deg in made:
@@ -464,6 +452,5 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
                 faces[a][gid] = tuple(
                     lookup(*low, act(e, dk, *_on_axis(n, a, delta.coface(i, top))))
                     for i in range(top + 1))
-    out = kind([(gid, deg[0] if n == 1 else deg) for gid, deg in made], *faces, labels=labels,
-               validate=False)
+    out = kind([(gid, deg[0] if n == 1 else deg) for gid, deg in made], *faces, validate=False)
     return out, lookup, elem_of

@@ -5,24 +5,33 @@ case along its categorified classifying map; the classical route through the
 one-point extension W_sigma is kept (w_sigma) and cross-checked wherever its
 levels are 1-ordered.  General objects over W are straightened by gluing the
 cellwise results along the face relations of the total object.
+
+Each construction is built in one place:
+- extension(m, Y): LF[m, Y] -> LF[m+1, Y] along the last coface;
+- full_rep(m, Y, check): the full representable, values Hom_{c LF[m+1, Y]}(-, m+1),
+  behind Straightener.full and straighten_full;
+- glue_suspension(fr, Y): c LF[m, Y] glued at m to Sigma Y, behind
+  straighten_last_vertex and projection_pi;
+- one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
+  and cone;
+- bead(L, C, j, alpha, y): the bead of c L on a vertex subset of Delta[m].
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, NamedTuple, Optional
 
 from . import delta
 from .bisset import (BiColimit, BiMap, BiNF, BiSSet, LF, bi_pushout, bnd, external,
                      external_map, lf, lf_induced, lf_map, materialize_bi, rename_gens)
 from .categorify import Categorification, categorify, cfunctor
-from .cubes import weight_F, weight_G0, weighted_colim
+from .cubes import weight_F, weighted_colim
 from .kan import LanResult, enriched_lan
 from .necklace import UnsupportedInput
 from .ops import Colimit, Diagram, colimit, is_connected
 from .scat import (EnrichedFunctor, NatTrans, Presheaf, SCat, enumerate_nat_trans,
                    glue_end, suspension)
-from .shapes import point, simplex, simplex_operator
+from .shapes import point, simplex, simplex_operator, subset_id
 from .sset import NF, SSet, SSetError, SSetMap, constant_map, identity_map, nd
 
 
@@ -49,13 +58,37 @@ def delta_precat(n: int) -> LF:
     return lf(n, point())
 
 
+class Extension(NamedTuple):
+    """LF[m, Y] -> LF[m+1, Y] along the last coface d^{m+1}."""
+
+    lfm: LF
+    lfm1: LF
+    face: BiMap
+
+
+def extension(m: int, Y: SSet) -> Extension:
+    lfm, lfm1 = lf(m, Y), lf(m + 1, Y)
+    return Extension(lfm, lfm1, lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(Y)))
+
+
+def one_point_pushout(ext: Extension, right: BiMap) -> tuple[BiColimit, str]:
+    """LF[m+1, Y] <- LF[m, Y] -> Z along the last coface and right, with the
+    generator of the new vertex m+1 in the pushout."""
+    po = bi_pushout(ext.face, right)
+    return po, po.cocone["X"](bnd(str(ext.lfm.m + 1))).gen
+
+
+def bead(L: LF, C: Categorification, j: int, alpha, y: NF) -> str:
+    """The level-j bead of c L on the vertex subset alpha of Delta[m], labelled by y."""
+    cls = L.cls(BiNF((), y.word, f"{subset_id(alpha)}|{y.gen}"))
+    if cls.hword:
+        raise SSetError(f"bead on {tuple(alpha)} unexpectedly degenerate")
+    return C.level(j)._id(cls.gen, cls.vword)
+
+
 class WSigma(NamedTuple):
-    cell: Cell
-    lf_m: LF
-    lf_m1: LF
     ext: BiSSet
     iota: BiMap  # W -> W_sigma
-    sigma_prime: BiMap  # LF[m+1, k] -> W_sigma
     top: str
 
 
@@ -71,28 +104,45 @@ def cell_product_map(W: BiSSet, cell: Cell, lfm: LF) -> BiMap:
 
 
 def w_sigma(W: BiSSet, cell: Cell) -> WSigma:
-    m, k = cell.m, cell.k
-    lfm, lfm1 = lf(m, simplex(k)), lf(m + 1, simplex(k))
-    left = lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(simplex(k)))
-    right = lf_induced(lfm, W, cell_product_map(W, cell, lfm))
-    po = bi_pushout(left, right)
-    iota = po.cocone["Y"]
-    sigma_prime = po.cocone["X"]
-    top = sigma_prime(bnd(str(m + 1))).gen
-    return WSigma(cell, lfm, lfm1, po.bisset, iota, sigma_prime, top)
+    ext = extension(cell.m, simplex(cell.k))
+    po, top = one_point_pushout(ext, lf_induced(ext.lfm, W, cell_product_map(W, cell, ext.lfm)))
+    return WSigma(po.bisset, po.cocone["Y"], top)
 
 
 class FullRep(NamedTuple):
-    """St over LF[m, Delta[k]] of the identity: the universal representable case."""
+    """St of the identity of LF[m, Y]: values Hom_{c LF[m+1, Y]}(-, m+1)."""
 
     m: int
-    k: int
     lfm: LF
     lfm1: LF
+    face: BiMap  # the last coface LF[m, Y] -> LF[m+1, Y]
     C: Categorification
     C1: Categorification
+    iota: EnrichedFunctor  # c of the last coface
     base: SCat
     presheaf: Presheaf
+
+
+def full_rep(m: int, Y: SSet, check: bool) -> FullRep:
+    """The full representable; check is categorify's 1-orderedness check."""
+    ext = extension(m, Y)
+    C = categorify(ext.lfm.W, check=check)
+    C1 = categorify(ext.lfm1.W, check=check)
+    iota = cfunctor(ext.face, C, C1)
+    base = C.scat()
+    top = str(m + 1)
+    values = {a: C1.hom_sset(a, top) for a in C.objects}
+
+    def action(a, b, h, x):
+        return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
+
+    return FullRep(m, ext.lfm, ext.lfm1, ext.face, C, C1, iota, base,
+                   Presheaf(base, values, action))
+
+
+def glue_suspension(fr: FullRep, Y: SSet) -> SCat:
+    """c LF[m, Y] u_{[0]} Sigma Y: the suspension glued on at the vertex m."""
+    return glue_end(fr.base, suspension(Y), {"0": str(fr.m), "1": str(fr.m + 1)})
 
 
 class Straightener:
@@ -104,34 +154,20 @@ class Straightener:
     1-ordered levels and admits no finite necklace computation.
     """
 
-    def __init__(self, W: BiSSet, bound: Optional[int] = None, check: bool = True):
+    def __init__(self, W: BiSSet):
         self.W = W
-        self.CW = categorify(W, bound=bound, check=check)
+        self.CW = categorify(W)
         self.base_cat = self.CW.scat()
-        self.bound = self.CW.bound
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
         self._ops: dict[tuple, object] = {}
 
     def full(self, m: int, k: int) -> FullRep:
+        """The universal case over LF[m, Delta[k]], unchecked: its levels are 1-ordered."""
         key = (m, k)
         if key not in self._fulls:
-            lfm, lfm1 = lf(m, simplex(k)), lf(m + 1, simplex(k))
-            C = categorify(lfm.W, check=False)
-            C1 = categorify(lfm1.W, check=False)
-            iota = cfunctor(
-                lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(simplex(k))),
-                C, C1)
-            base = C.scat()
-            top = str(m + 1)
-            values = {a: C1.hom_sset(a, top) for a in C.objects}
-
-            def action(a, b, h, x, C1=C1, iota=iota, top=top):
-                return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
-
-            pre = Presheaf(base, values, action)
-            self._fulls[key] = FullRep(m, k, lfm, lfm1, C, C1, base, pre)
+            self._fulls[key] = full_rep(m, simplex(k), check=False)
         return self._fulls[key]
 
     def sigma_functor(self, cell: Cell):
@@ -151,9 +187,6 @@ class Straightener:
             self._lans[cell] = enriched_lan(fr.presheaf, self.sigma_functor(cell),
                                             self.base_cat)
         return self._lans[cell]
-
-    def cells(self, P: BiSSet, p: BiMap) -> list[tuple[str, Cell]]:
-        return [(g, Cell(*P.bidegree(g), p(bnd(g)))) for g in P.gens()]
 
     # -- representable straightening --------------------------------------------
 
@@ -302,13 +335,8 @@ def st_over_map(src: StObject, dst: StObject, g: BiMap, a: str) -> SSetMap:
 
 
 class Cone(NamedTuple):
-    mu: delta.Monotone
-    m: int
-    f: SSetMap
     ext: BiSSet  # vertices renamed 0..m+1
-    iota_f: BiMap  # LF[m, Y] -> Cone
     q: BiMap  # Cone -> Delta[m+1] as a precategory
-    lf_m: LF
 
 
 def cone(mu: delta.Monotone, m: int, f: SSetMap) -> Cone:
@@ -316,31 +344,21 @@ def cone(mu: delta.Monotone, m: int, f: SSetMap) -> Cone:
     X, Y = f.src, f.dst
     if not (is_connected(X) and is_connected(Y)):
         raise UnsupportedInput("cone needs connected inputs; decompose first")
-    ell = len(mu) - 1
-    lfl, lfl1, lfm = lf(ell, X), lf(ell + 1, X), lf(m, Y)
-    left = lf_map(lfl, lfl1, delta.coface(ell + 1, ell + 1), identity_map(X))
-    right = lf_map(lfl, lfm, mu, f)
-    po = bi_pushout(left, right)
-    ren = {}
-    for i in range(m + 1):
-        ren[po.cocone["Y"](bnd(str(i))).gen] = str(i)
-    ren[po.cocone["X"](bnd(str(ell + 1))).gen] = str(m + 1)
-    ext = rename_gens(po.bisset, ren)
-
-    def rn(e: BiNF) -> BiNF:
-        return BiNF(e.hword, e.vword, ren.get(e.gen, e.gen))
-
-    iota_f = BiMap(lfm.W, ext, {g: rn(po.cocone["Y"].assign[g]) for g in lfm.W.gens()},
-                   validate=False)
+    ext, lfm = extension(len(mu) - 1, X), lf(m, Y)
+    right = lf_map(ext.lfm, lfm, mu, f)
+    po, top = one_point_pushout(ext, right)
+    ren = {po.cocone["Y"](bnd(str(i))).gen: str(i) for i in range(m + 1)}
+    ren[top] = str(m + 1)
     dp = delta_precat(m + 1)
     legs = {
         "Y": lf_map(lfm, dp, delta.coface(m + 1, m + 1), constant_map(Y, point(), "0")),
-        "X": lf_map(lfl1, dp, tuple(mu) + (m + 1,), constant_map(X, point(), "0")),
+        "X": lf_map(ext.lfm1, dp, tuple(mu) + (m + 1,), constant_map(X, point(), "0")),
     }
     legs["A"] = right.then(legs["Y"])
     q_raw = pushout_induced(po, legs, dp.W, validate=False)
-    q = BiMap(ext, dp.W, {ren.get(g, g): q_raw.assign[g] for g in q_raw.assign})
-    return Cone(tuple(mu), m, f, ext, iota_f, q, lfm)
+    q = BiMap(rename_gens(po.bisset, ren), dp.W,
+              {ren.get(g, g): q_raw.assign[g] for g in q_raw.assign})
+    return Cone(q.src, q)
 
 
 def st_mono_formula(mu: delta.Monotone, m: int, f: SSetMap, i: int) -> SSet:
@@ -354,7 +372,7 @@ def st_mono_formula(mu: delta.Monotone, m: int, f: SSetMap, i: int) -> SSet:
 
 
 def cone_hom(mu: delta.Monotone, m: int, f: SSetMap, i: int,
-             bound: Optional[int] = None, cache: Optional[dict] = None) -> SSet:
+             cache: Optional[dict] = None) -> SSet:
     """Hom in the categorified Cone from i to m+1, decomposing the source."""
     from .ops import component_maps, coproduct
 
@@ -363,12 +381,11 @@ def cone_hom(mu: delta.Monotone, m: int, f: SSetMap, i: int,
         if cache is not None and key in cache:
             C = cache[key]
         else:
-            cn = cone(mu, m, f)
-            C = categorify(cn.ext, bound=bound)
+            C = categorify(cone(mu, m, f).ext)
             if cache is not None:
                 cache[key] = C
         return C.hom_sset(str(i), str(m + 1))
-    parts = [cone_hom(mu, m, fj, i, bound=bound) for fj in component_maps(f)]
+    parts = [cone_hom(mu, m, fj, i) for fj in component_maps(f)]
     return coproduct(parts).sset
 
 
@@ -381,56 +398,34 @@ class SpecialSt(NamedTuple):
     compare: Optional[dict[str, SSetMap]]  # components into the full straightening
 
 
-def straighten_full(m: int, Y: SSet, bound: Optional[int] = None) -> SpecialSt:
+def straighten_full(m: int, Y: SSet) -> SpecialSt:
     """St of [id, id_Y]: values Hom_{c LF[m+1, Y]}(i, m+1)."""
-    lfm, lfm1 = lf(m, Y), lf(m + 1, Y)
-    C = categorify(lfm.W, bound=bound)
-    C1 = categorify(lfm1.W, bound=bound)
-    F = cfunctor(lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(Y)), C, C1)
-    top = str(m + 1)
-    values = {a: C1.hom_sset(a, top) for a in C.objects}
-
-    def action(a, b, h, x):
-        return C1.comp_el(a, b, top, x, F.on_hom(a, b, h))
-
-    out = Presheaf(C.scat(), values, action)
-    return SpecialSt(out, C, None)
+    fr = full_rep(m, Y, check=True)
+    return SpecialSt(fr.presheaf, fr.C, None)
 
 
-def _edge_bead(lfm1: LF, C1: Categorification, mpos: int, y: NF, j: int):
-    """The single-bead necklace on the edge (mpos, mpos+1) labelled by y in Y_j."""
-    from .shapes import subset_id
-
-    prod_el = BiNF((), y.word, f"{subset_id([mpos, mpos + 1])}|{y.gen}")
-    cls = lfm1.cls(prod_el)
-    if cls.hword:
-        raise SSetError("edge bead unexpectedly degenerate")
-    Lj = C1.level(j)
-    bead = Lj._id(cls.gen, cls.vword)
-    seg = (str(mpos), str(mpos + 1))
-    chain = tuple(seg for _ in range(j + 1))
-    return ((bead,), chain)
+def _edge_bead(fr: FullRep, y: NF, j: int):
+    """The single-bead necklace of c LF[m+1, Y] on the edge (m, m+1) labelled by y in Y_j."""
+    m = fr.m
+    seg = (str(m), str(m + 1))
+    return ((bead(fr.lfm1, fr.C1, j, (m, m + 1), y),), (seg,) * (j + 1))
 
 
-def straighten_last_vertex(m: int, X: SSet, bound: Optional[int] = None) -> SpecialSt:
+def straighten_last_vertex(m: int, X: SSet) -> SpecialSt:
     """St of [<m>, id_X]: values over the pushout category of LF[m, X] with a cone."""
     if not is_connected(X):
         raise UnsupportedInput("last-vertex straightening needs a connected input")
-    lfm, lfm1 = lf(m, X), lf(m + 1, X)
-    C = categorify(lfm.W, bound=bound)
-    C1 = categorify(lfm1.W, bound=bound)
-    base_cat = C.scat()
-    glue = glue_end(base_cat, suspension(X), {"0": str(m), "1": str(m + 1)})
+    fr = full_rep(m, X, check=True)
+    C, C1, F = fr.C, fr.C1, fr.iota
+    glue = glue_suspension(fr, X)
     top = str(m + 1)
     values = {a: glue.hom[(a, top)] for a in C.objects}
 
     def action(a, b, h, x):
         return glue.comp(a, b, top, x, h)
 
-    pre = Presheaf(base_cat, values, action)
+    pre = Presheaf(fr.base, values, action)
     # the canonical comparison into the full straightening
-    full = straighten_full(m, X, bound=bound)
-    F = cfunctor(lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(X)), C, C1)
     compare = {}
     for a in C.objects:
         src = values[a]
@@ -438,22 +433,21 @@ def straighten_last_vertex(m: int, X: SSet, bound: Optional[int] = None) -> Spec
         for g in src.gens():
             d = src.gen_dim(g)
             if a == str(m):
-                y = nd(g)  # hom(m, m+1) = X itself
-                el = _edge_bead(lfm1, C1, m, y, d)
-                assign[g] = C1.hom(a, top).to_nf(d, el)
+                # hom(m, m+1) = X itself
+                assign[g] = C1.hom(a, top).to_nf(d, _edge_bead(fr, nd(g), d))
             else:
                 h1 = glue.cross[(a, top)].projections[0](nd(g))
                 y = glue.cross[(a, top)].projections[1](nd(g))
-                edge = C1.hom(str(m), top).to_nf(d, _edge_bead(lfm1, C1, m, y, d))
+                edge = C1.hom(str(m), top).to_nf(d, _edge_bead(fr, y, d))
                 assign[g] = C1.comp_el(a, str(m), top, edge, F.on_hom(a, str(m), h1))
-        compare[a] = SSetMap(src, full.presheaf.value[a], assign)
+        compare[a] = SSetMap(src, fr.presheaf.value[a], assign)
     return SpecialSt(pre, C, compare)
 
 
 def pushout_product_object(m: int, f: SSetMap) -> tuple[BiSSet, BiMap, BiMap, LF]:
     """The object bd F[m,Y] u_{bd F[m,X]} F[m,X] over LF[m,Y], with its inclusion
     into F[m,Y] -> LF[m,Y]."""
-    from .shapes import boundary, simplex, sub_inclusion
+    from .shapes import boundary, sub_inclusion
 
     X, Y = f.src, f.dst
     bd = boundary(m)
@@ -463,32 +457,21 @@ def pushout_product_object(m: int, f: SSetMap) -> tuple[BiSSet, BiMap, BiMap, LF
     right = external_map(inc, identity_map(X), A, external(simplex(m), X))
     po = bi_pushout(left, right)
     lfm = lf(m, Y)
-    legs = {
-        "A": external_map(inc, f, A, lfm.product).then(lfm.q),
-        "X": external_map(sub_inclusion(bd, simplex(m)), identity_map(Y),
-                          external(bd, Y), lfm.product).then(lfm.q),
-        "Y": external_map(identity_map(simplex(m)), f, external(simplex(m), X),
-                          lfm.product).then(lfm.q),
-    }
-    p = pushout_induced(po, legs, lfm.W)
     # the inclusion of the pushout product into F[m, Y] over LF[m, Y]
     j_legs = {
         "A": external_map(inc, f, A, lfm.product),
-        "X": external_map(sub_inclusion(bd, simplex(m)), identity_map(Y),
-                          external(bd, Y), lfm.product),
-        "Y": external_map(identity_map(simplex(m)), f, external(simplex(m), X),
-                          lfm.product),
+        "X": external_map(inc, identity_map(Y), left.dst, lfm.product),
+        "Y": external_map(identity_map(simplex(m)), f, right.dst, lfm.product),
     }
     j = pushout_induced(po, j_legs, lfm.product)
-    return po.bisset, p, j, lfm
+    return po.bisset, j.then(lfm.q), j, lfm
 
 
-def straighten_boundary_pp(m: int, f: SSetMap,
-                           bound: Optional[int] = None) -> tuple[StObject, StObject, dict]:
+def straighten_boundary_pp(m: int, f: SSetMap) -> tuple[StObject, StObject, dict]:
     """St of the pushout-product map, the full straightening of F[m,Y], and the
     comparison components, all over LF[m, Y] via the general engine."""
     P, p, j, lfm = pushout_product_object(m, f)
-    st = Straightener(lfm.W, bound=bound)
+    st = Straightener(lfm.W)
     ob_pp = st.st_object(P, p)
     full = st.st_object(lfm.product, lfm.q)
     compare = {a: st_over_map(ob_pp, full, j, a) for a in st.CW.objects}
@@ -561,36 +544,26 @@ class PiFunctor(NamedTuple):
     on_hom: Callable[[str, str, NF], NF]
     C1: Categorification
     C: Categorification
+    iota: EnrichedFunctor  # the face inclusion c LF[m, Y] -> c LF[m+1, Y]
 
 
-def projection_pi(m: int, Y: SSet, bound: Optional[int] = None) -> PiFunctor:
+def projection_pi(m: int, Y: SSet) -> PiFunctor:
     """The enriched functor c LF[m+1, Y] -> c LF[m, Y] u_{[0]} Sigma Y."""
     if not is_connected(Y):
         raise UnsupportedInput("projection needs a connected input")
-    lfm, lfm1 = lf(m, Y), lf(m + 1, Y)
-    C1 = categorify(lfm1.W, bound=bound)
-    C = categorify(lfm.W, bound=bound)
-    base = C.scat()
-    glue = glue_end(base, suspension(Y), {"0": str(m), "1": str(m + 1)})
-    iota = lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(Y))
-    inv_gen = {iota.assign[g].gen: g for g in lfm.W.gens()}
+    fr = full_rep(m, Y, check=True)
+    lfm1, C, C1 = fr.lfm1, fr.C, fr.C1
+    glue = glue_suspension(fr, Y)
+    inv_gen = {fr.face.assign[g].gen: g for g in fr.lfm.W.gens()}
 
-    def bead_data(j: int, bead: str):
+    def bead_data(j: int, g: str):
         """(vertex subset, Y label) of a level-j bead of LF[m+1, Y]."""
-        origin = C1.level(j).origin[bead]
+        origin = C1.level(j).origin[g]
         rep = lfm1.rep[origin.gen]
         s, yg = rep.gen.split("|")
         alpha = tuple(int(v) for v in s.split("."))
         yw = delta.merge_words(origin.vword, rep.vword, lfm1.X.gen_dim(yg) + len(rep.vword))
         return alpha, NF(yw, yg)
-
-    def build_bead(j: int, alpha, y: NF) -> str:
-        from .shapes import subset_id
-
-        cls = lfm.cls(BiNF((), y.word, f"{subset_id(alpha)}|{y.gen}"))
-        if cls.hword:
-            raise SSetError("prefix bead unexpectedly degenerate")
-        return C.level(j)._id(cls.gen, cls.vword)
 
     def down(j: int, beads) -> tuple[str, ...]:
         """Carry beads of the d^{m+1} face into LF[m, Y]."""
@@ -606,11 +579,8 @@ def projection_pi(m: int, Y: SSet, bound: Optional[int] = None) -> PiFunctor:
         j = hs.space.dim(x)
         beads, ch = hs.expand(x, j)
         if b != str(m + 1):
-            if C1._is_point(beads):
-                el = (beads, ch)
-            else:
-                el = (down(j, beads), ch)
-            return C.hom(a, b).to_nf(j, el) if b != a else C.hom(a, b).to_nf(j, el)
+            el = (beads, ch) if C1._is_point(beads) else (down(j, beads), ch)
+            return C.hom(a, b).to_nf(j, el)
         # target m+1: add the vertex m as a joint and split off the last edge
         if a == str(m + 1):
             return glue.id_el(a, j)
@@ -620,11 +590,7 @@ def projection_pi(m: int, Y: SSet, bound: Optional[int] = None) -> PiFunctor:
         joints = [int(v) for v in ch2[0]]
         if C1._is_point(beads):
             raise SSetError("no point necklaces with distinct endpoints")
-        tj = [0]
-        data = []
-        for g in beads:
-            alpha, y = bead_data(j, g)
-            data.append((alpha, y))
+        data = [bead_data(j, g) for g in beads]
         y_last = data[-1][1]
         prefix_joints = [v for v in joints if v <= m]
         prefix_beads = []
@@ -639,7 +605,7 @@ def projection_pi(m: int, Y: SSet, bound: Optional[int] = None) -> PiFunctor:
             if holder is None:
                 # the segment ending at m sits inside the last bead
                 holder = data[-1]
-            prefix_beads.append(build_bead(j, seg, holder[1]))
+            prefix_beads.append(bead(fr.lfm, C, j, seg, holder[1]))
         pre_ch = tuple(tuple(v for v in S if int(v) <= m) for S in ch2)
         if not prefix_beads:
             # a = m: the element is just the Y label
@@ -648,5 +614,4 @@ def projection_pi(m: int, Y: SSet, bound: Optional[int] = None) -> PiFunctor:
         return glue.cross[(a, str(m + 1))].to_nf(j, (pre_el, y_last))
 
     on_obj = {str(i): str(i) for i in range(m + 2)}
-    src_cat = C1.scat()
-    return PiFunctor(src_cat, glue, on_obj, on_hom, C1, C)
+    return PiFunctor(C1.scat(), glue, on_obj, on_hom, C1, C, fr.iota)

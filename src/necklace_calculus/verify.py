@@ -8,8 +8,8 @@ from typing import Callable
 
 from . import delta
 from .bisset import (bi_identity, bi_pushout, bnd, diag, discretize, external, horizontal,
-                     lf, lf_map, vertical)
-from .categorify import categorify, cfunctor
+                     lf, vertical)
+from .categorify import categorify
 from .cubes import (chains, cube_hom, cube_of_pair, pushforward, split_iso,
                     weight_F, weight_G0, weight_constant, weighted_colim)
 from .kan import enriched_lan, lan_into_representable
@@ -23,7 +23,7 @@ from .scat import (NatTrans, Presheaf, ch_simplex, enumerate_nat_trans, represen
                    sigma_m, suspension, terminal_presheaf)
 from .shapes import boundary, point, simplex, simplex_operator, spine, sub_inclusion
 from .sset import NF, SSet, SSetMap, identity_map, nd
-from .straighten import (Cell, Straightener, cone, cone_hom, delta_precat,
+from .straighten import (Cell, Straightener, bead, cone, cone_hom, delta_precat,
                          projection_pi, st_mono_formula, st_over_map,
                          straighten_boundary_pp, unstraighten, w_sigma)
 
@@ -89,7 +89,6 @@ def check_product_counts(rng) -> str:
 
 def check_boundary_coequalizer(rng) -> str:
     for m in range(1, 5):
-        legs = {}
         diag_ = Diagram({})
         for s in range(m + 1):
             diag_.objects[f"c{s}"] = simplex(m - 1)
@@ -100,29 +99,24 @@ def check_boundary_coequalizer(rng) -> str:
             pieces[f"c{s}"] = SSetMap(simplex(m - 1), bd,
                                       {g: NF(op.assign[g].word, op.assign[g].gen)
                                        for g in simplex(m - 1).gens()}, validate=False)
+        test = dict(pieces)
         if m >= 2:
             for s in range(m + 1):
                 for t in range(s + 1, m + 1):
                     name = f"r{s}.{t}"
                     diag_.objects[name] = simplex(m - 2)
-                    diag_.add(f"a{s}.{t}", name, f"c{s}",
-                              simplex_operator(delta.coface(t - 1, m - 1), m - 1))
+                    a = simplex_operator(delta.coface(t - 1, m - 1), m - 1)
+                    diag_.add(f"a{s}.{t}", name, f"c{s}", a)
                     diag_.add(f"b{s}.{t}", name, f"c{t}",
                               simplex_operator(delta.coface(s, m - 1), m - 1))
+                    test[name] = a.then(pieces[f"c{s}"])
         col = colimit(diag_)
-        test = {n: pieces[n] for n in pieces}
-        for name in diag_.objects:
-            if name.startswith("r"):
-                s, t = name[1:].split(".")
-                test[name] = diag_.compose_path([f"a{s}.{t}"])[2].then(pieces[f"c{s}"])
         u = mediating_map(col, diag_.objects, test)
         assert u.is_iso(), f"boundary {m} coequalizer mismatch"
     return "coequalizer presentation of boundaries, m <= 4"
 
 
 def check_colimit_universal(rng) -> str:
-    from .sset import constant_map
-
     cases = []
     b1, d1 = boundary(1), simplex(1)
     cases.append((pushout(SSetMap(b1, simplex(0), {"0": nd("0"), "1": nd("0")}),
@@ -564,14 +558,7 @@ def check_lan_sigma_m(rng) -> str:
                 return C.hom(a, b).to_nf(j, ((a,), ((a,),) * (j + 1)))
             parts = [x] if ib - ia == 1 else [
                 pr(x) for pr in S.cross[(a, b)].projections]
-            beads = []
-            Lj = C.level(j)
-            for r, y in enumerate(parts):
-                from .bisset import BiNF
-                from .shapes import subset_id
-
-                cls = L.cls(BiNF((), y.word, f"{subset_id([ia + r, ia + r + 1])}|{y.gen}"))
-                beads.append(Lj._id(cls.gen, cls.vword))
+            beads = [bead(L, C, j, (ia + r, ia + r + 1), y) for r, y in enumerate(parts)]
             verts = tuple(str(v) for v in range(ia, ib + 1))
             ch = (verts,) * (j + 1)
             return C.hom(a, b).to_nf(j, (tuple(beads), ch))
@@ -754,11 +741,14 @@ def check_stvssigma(rng) -> str:
     return "one-point extension route matches the Kan route on all cells of D2"
 
 
+# (n, presheaf names): the catalog presheaves over Delta[n] of check_adjunction
+ADJUNCTION_CASES = [(0, ("pt", "D1", "D2")), (1, ("terminal", "rep0", "rep1"))]
+
+
 def check_adjunction(rng) -> str:
     cases = 0
-    for Wlf, Fs in [(delta_precat(0), ["pt", "D1", "D2"]),
-                    (delta_precat(1), ["terminal", "rep0", "rep1"])]:
-        W = Wlf.W
+    for n, Fs in ADJUNCTION_CASES:
+        W = delta_precat(n).W
         st = Straightener(W)
         for fname in Fs:
             F = _catalog_presheaf(st, fname)
@@ -823,21 +813,15 @@ def check_boundary_pp(rng) -> str:
 
 
 def check_pi_projection(rng) -> str:
-    from .sset import nd as _nd
-
     for m in range(3):
         for Y in [simplex(0), simplex(1)]:
             pi = projection_pi(m, Y)
-            C1, CM = pi.C1, pi.C
-            iota = cfunctor(
-                lf_map(lf(m, Y), lf(m + 1, Y), delta.coface(m + 1, m + 1),
-                       identity_map(Y)), CM, C1)
             for i in range(m + 1):
                 for j in range(i, m + 1):
-                    H = CM.hom_sset(str(i), str(j))
+                    H = pi.C.hom_sset(str(i), str(j))
                     for g in H.gens():
-                        img = pi.on_hom(str(i), str(j), iota.on_hom(str(i), str(j), _nd(g)))
-                        assert img == _nd(g), (m, i, j, g)
+                        img = pi.on_hom(str(i), str(j), pi.iota.on_hom(str(i), str(j), nd(g)))
+                        assert img == nd(g), (m, i, j, g)
     return "Pi composed with the face inclusion is the coproduct inclusion, m <= 2"
 
 

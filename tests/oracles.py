@@ -5,7 +5,6 @@ own engines, so the values it produces can back the library's outputs.
 """
 
 import itertools
-from math import comb
 
 
 def shuffle_count(p: int, q: int, n: int) -> int:

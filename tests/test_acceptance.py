@@ -6,26 +6,21 @@ checks with explicit certificates (the witnessing maps).
 
 import time
 
-import pytest
-
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import bnd, horizontal, lf, lf_map, bi_pushout, vertical
-from necklace_calculus.categorify import categorify, cfunctor
-from necklace_calculus.cubes import (weight_F, weight_G0, weighted_colim,
-                                     weighted_colim_map, weight_inclusion_G0_F0)
-from necklace_calculus.groth import groth, rightfib_check, vtensor
-from necklace_calculus.kan import enriched_lan
-from necklace_calculus.necklace import pair_poset_iso
-from necklace_calculus.nerves import strict_nerve
-from necklace_calculus.scat import (enumerate_nat_trans, representable, suspension,
-                                    terminal_presheaf)
-from necklace_calculus.sset import SSetMap, identity_map, nd
-from necklace_calculus.straighten import (Cell, Straightener, cone, cone_hom,
-                                          delta_precat, projection_pi,
-                                          st_mono_formula, straighten_boundary_pp,
-                                          unstraighten, w_sigma)
-from necklace_calculus.verify import (_mono_catalog, _injections, check_Fcoeq,
-                                      check_pushout_law)
+from necklace_calculus.bisset import bnd, lf, vertical
+from necklace_calculus.categorify import categorify
+from necklace_calculus.cubes import (weight_F, weight_G0, weighted_colim_map,
+                                     weight_inclusion_G0_F0)
+from necklace_calculus.groth import groth, rightfib_check
+from necklace_calculus.scat import representable, suspension
+from necklace_calculus.sset import SSetMap, identity_map
+from necklace_calculus.straighten import Straightener, delta_precat, straighten_boundary_pp
+from necklace_calculus.verify import (ADJUNCTION_CASES, check_adjunction,
+                                      check_cone_decomposition, check_cone_vertices,
+                                      check_dual_path, check_Fcoeq, check_groth_levels,
+                                      check_groth_tensors, check_pair_counts_and_iso,
+                                      check_pi_projection, check_pushout_law,
+                                      check_stvssigma)
 
 d = shapes.simplex
 
@@ -38,17 +33,7 @@ def report(num, name, ok, elapsed=None):
 
 def test_criterion_01_dual_path_oracle():
     t0 = time.monotonic()
-    certificates = 0
-    for fname, f in _mono_catalog():
-        for m in range(3):
-            for mu in _injections(m):
-                cones = {}
-                for i in range(m + 1):
-                    lhs = st_mono_formula(mu, m, f, i)
-                    rhs = cone_hom(mu, m, f, i, cache=cones)
-                    cert = ops.find_iso(lhs, rhs)
-                    assert cert is not None, (fname, m, mu, i)
-                    certificates += 1
+    certificates = int(check_dual_path(None).split()[0])  # "N dual-route isomorphisms"
     elapsed = time.monotonic() - t0
     report(1, f"dual-path straightening oracle ({certificates} certificates)",
            elapsed < 60.0, elapsed)
@@ -79,12 +64,7 @@ def test_criterion_03_suspension_homs():
 
 def test_criterion_04_pair_poset_iso():
     t0 = time.monotonic()
-    for m in range(5):
-        for i in range(m + 1):
-            iso = pair_poset_iso(i, m)
-            assert len(iso.pairs.objects) == 3 ** (m - i)
-            tm = {(iso.fwd[u], iso.fwd[t]) for u, t in iso.tnd.morphisms()}
-            assert tm == set(iso.pairs.morphisms())
+    check_pair_counts_and_iso(None)
     elapsed = time.monotonic() - t0
     report(4, "pair posets match necklace posets arrow-by-arrow", elapsed < 5.0, elapsed)
 
@@ -94,7 +74,7 @@ def test_criterion_05_coequalizer_and_pushout_laws():
     check_Fcoeq(None)
     check_pushout_law(None)
     # the pushout law again at m = 3 for the catalog map
-    from necklace_calculus.verify import _f_boundary_weight, _im_induced_map
+    from necklace_calculus.verify import _f_boundary_weight
     from necklace_calculus.cubes import last_factor_postcompose
     from necklace_calculus.ops import Diagram, colimit, component_maps, find_iso
 
@@ -140,65 +120,23 @@ def test_criterion_06_boundary_pushout_product():
 
 def test_criterion_07_cone_decomposition_and_vertices():
     t0 = time.monotonic()
-    for m in range(3):
-        for X in [d(0), d(1)]:
-            cn = cone((m,), m, identity_map(X))
-            pt = delta_precat(0).W
-            from necklace_calculus.verify import _vertex_map
-
-            po = bi_pushout(_vertex_map(pt, lf(m, X).W, str(m)),
-                            _vertex_map(pt, lf(1, X).W, "0"))
-            assert ops.find_iso(cn.ext, po.bisset) is not None
-    for fname, f in _mono_catalog():
-        if not ops.is_connected(f.src):
-            continue
-        for m in range(3):
-            for mu in _injections(m):
-                cn = cone(mu, m, f)
-                assert sorted(cn.ext.gens_at(0, 0), key=int) == [
-                    str(i) for i in range(m + 2)]
+    check_cone_decomposition(None)
+    check_cone_vertices(None)
     report(7, "cone decompositions and vertex counts", True, time.monotonic() - t0)
 
 
 def test_criterion_08_pi_after_face_is_inclusion():
     t0 = time.monotonic()
-    for m in range(3):
-        for Y in [d(0), d(1)]:
-            pi = projection_pi(m, Y)
-            iota = cfunctor(lf_map(lf(m, Y), lf(m + 1, Y),
-                                   delta.coface(m + 1, m + 1), identity_map(Y)),
-                            pi.C, pi.C1)
-            for i in range(m + 1):
-                for j in range(i, m + 1):
-                    H = pi.C.hom_sset(str(i), str(j))
-                    for g in H.gens():
-                        img = pi.on_hom(str(i), str(j),
-                                        iota.on_hom(str(i), str(j), nd(g)))
-                        assert img == nd(g), (m, i, j, g)
+    check_pi_projection(None)
     report(8, "projection after the face inclusion is the identity inclusion",
            True, time.monotonic() - t0)
 
 
 def test_criterion_09_grothendieck_structure():
     t0 = time.monotonic()
-    cats = [suspension(d(0)), suspension(d(1))]
-    for C in cats:
-        N = strict_nerve(C)
-        for F in [terminal_presheaf(C), representable(C, "1")]:
-            G = groth(N, F)
-            assert rightfib_check(G.bisset, N.bisset, G.projection).passed
-            from necklace_calculus.bisset import BiSSet
-
-            BiSSet([(g, G.bisset.bidegree(g)) for g in G.bisset.gens()],
-                   G.bisset.hfaces, G.bisset.vfaces)  # simplicial identities
-    arrow = suspension(d(0))
-    N = strict_nerve(arrow)
-    F = representable(arrow, "1")
-    G = groth(N, F)
-    for X in [d(1), shapes.boundary(2)]:
-        GFX = groth(N, F.tensor(X))
-        TX, _, _ = vtensor(G.bisset, X)
-        assert ops.find_iso(GFX.bisset, TX) is not None
+    # strict nerves: levels, simplicial identities, fibration checks, tensors
+    check_groth_levels(None)
+    check_groth_tensors(None)
     # the coherent variant: pullback levels and the fibration check again
     from necklace_calculus.nerves import hc_nerve
 
@@ -212,42 +150,15 @@ def test_criterion_09_grothendieck_structure():
 
 def test_criterion_10_adjunction():
     t0 = time.monotonic()
-    cases = 0
-    for Wlf, Fs in [(delta_precat(0), ["pt", "D1", "D2"]),
-                    (delta_precat(1), ["terminal", "rep0", "rep1"])]:
-        W = Wlf.W
-        st = Straightener(W)
-        for fname in Fs:
-            from necklace_calculus.verify import _catalog_presheaf, \
-                _check_adjunction_naturality
-
-            F = _catalog_presheaf(st, fname)
-            un = unstraighten(st, F, W.h_bound, max(W.v_bound, 1))
-            for g in W.gens():
-                m, k = W.bidegree(g)
-                nats = list(enumerate_nat_trans(st.st_rep(Cell(m, k, bnd(g))), F))
-                over = [e for e in un.bisset.simplices(m, k)
-                        if un.projection(e) == bnd(g)]
-                assert len(nats) == len(over), (fname, g)
-            _check_adjunction_naturality(st, F, un)
-            cases += 1
+    check_adjunction(None)
+    cases = sum(len(presheaves) for _, presheaves in ADJUNCTION_CASES)
     report(10, f"straightening adjunction on {cases} cases, natural in the cell",
            cases == 6, time.monotonic() - t0)
 
 
 def test_criterion_11_kan_route_matches_extension_route():
     t0 = time.monotonic()
-    W = horizontal(d(2))
-    st = Straightener(W)
-    for g in W.gens():
-        m, k = W.bidegree(g)
-        cell = Cell(m, k, bnd(g))
-        ws = w_sigma(W, cell)
-        Cs = categorify(ws.ext)
-        for a in st.CW.objects:
-            ia = ws.iota(bnd(a)).gen
-            lhs = Cs.hom_sset(ia, ws.top)
-            assert ops.find_iso(lhs, st.value(cell, a)) is not None, (g, a)
+    check_stvssigma(None)
     report(11, "left Kan route equals the one-point extension route on the triangle",
            True, time.monotonic() - t0)
 

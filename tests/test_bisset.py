@@ -7,7 +7,7 @@ from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import (BiMap, BiNF, bnd, diag, discretize, external,
                                       horizontal, lf, lf_map, bi_pushout, rename_gens, vertical)
 from necklace_calculus.ops import pi0
-from necklace_calculus.sset import identity_map, nd
+from necklace_calculus.sset import identity_map
 
 d = shapes.simplex
 

@@ -2,7 +2,7 @@ import pytest
 
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import bnd, horizontal, lf, lf_map
-from necklace_calculus.categorify import Categorification, categorify, cfunctor, scat_functor
+from necklace_calculus.categorify import categorify, cfunctor, scat_functor
 from necklace_calculus.necklace import UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
@@ -62,7 +62,7 @@ def test_categorify_rejects_loops():
 
 
 def test_categorify_rejects_two_cycles():
-    from necklace_calculus.sset import SSet, NF
+    from necklace_calculus.sset import SSet
 
     K = SSet([("a", 0), ("b", 0), ("e", 1), ("f", 1)],
              {"e": (nd("b"), nd("a")), "f": (nd("a"), nd("b"))})

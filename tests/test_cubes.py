@@ -3,9 +3,9 @@ import pytest
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.cubes import (cube_hom, cube_of_pair, projection_phi, pushforward,
                                      split_iso, weight_F, weight_G0, weight_constant,
-                                     weighted_colim, weight_inclusion_G0_F0, chains)
+                                     weighted_colim, weight_inclusion_G0_F0)
 from necklace_calculus.necklace import PairObject, PairPoset, UnsupportedInput
-from necklace_calculus.sset import SSetMap, identity_map, nd
+from necklace_calculus.sset import SSetMap, identity_map
 
 from oracles import interval_nerve_counts
 

@@ -16,11 +16,14 @@ from necklace_calculus import cli, delta, ops, shapes
 from necklace_calculus.bisset import (BiMap, bnd, diag, discretize, external, horizontal, lf,
                                       lf_map, bi_pushout, vertical)
 from necklace_calculus.groth import groth, vtensor
-from necklace_calculus.io_schemas import bisset_dump, canonical_json, sset_dump
+from necklace_calculus.io_schemas import bisset_dump, canonical_json, presheaf_dump, sset_dump
 from necklace_calculus.nerves import hc_nerve, strict_nerve
 from necklace_calculus.scat import ch_simplex, representable, suspension, terminal_presheaf
 from necklace_calculus.sset import SSetMap, identity_map, nd
-from necklace_calculus.straighten import Straightener, delta_precat, unstraighten
+from necklace_calculus.straighten import (Cell, Straightener, cone, delta_precat,
+                                          projection_pi, straighten_boundary_pp,
+                                          straighten_full, straighten_last_vertex,
+                                          unstraighten, w_sigma)
 
 d = shapes.simplex
 
@@ -149,6 +152,80 @@ def _diag(tmp_path):
     return _s(diag(external(d(1), shapes.spine(2))).sset)
 
 
+# -- straightening constructions and closed forms -------------------------------------
+
+
+def _map(f):
+    """A map by its generator images, as canonical JSON."""
+    return canonical_json(f.assign)
+
+
+def _pre(F):
+    return canonical_json(presheaf_dump(F))
+
+
+def _full_closed_form(tmp_path):
+    return "".join(_pre(straighten_full(m, Y).presheaf)
+                   for m, Y in [(0, d(1)), (1, d(1)), (2, d(0)), (1, shapes.spine(2))])
+
+
+def _last_vertex(tmp_path):
+    out = []
+    for m, X in [(1, d(0)), (1, d(1)), (2, d(0))]:
+        lv = straighten_last_vertex(m, X)
+        out.append(_pre(lv.presheaf))
+        out.extend(_map(lv.compare[a]) for a in sorted(lv.compare))
+    return "".join(out)
+
+
+def _projection_pi(tmp_path):
+    out = []
+    for m, Y in [(0, d(1)), (1, d(0)), (1, d(1)), (2, d(0)), (2, d(1))]:
+        pi = projection_pi(m, Y)
+        table = []
+        for a in pi.C1.objects:
+            for b in pi.C1.objects:
+                H = pi.C1.hom_sset(a, b)
+                table.extend([a, b, g, pi.on_hom(a, b, nd(g))] for g in H.gens())
+        out.append(canonical_json(table))
+    return "".join(out)
+
+
+def _w_sigma(tmp_path):
+    W = horizontal(d(2))
+    out = []
+    for g in W.gens():
+        ws = w_sigma(W, Cell(*W.bidegree(g), bnd(g)))
+        out += [_bi(ws.ext), _map(ws.iota), ws.top]
+    return "".join(out)
+
+
+def _cone(tmp_path):
+    out = []
+    for mu, m, f in [((0,), 0, identity_map(d(0))), ((0, 1), 1, identity_map(d(1))),
+                     ((1,), 2, identity_map(d(1))),
+                     ((0, 2), 2, shapes.sub_inclusion(shapes.spine(2), d(2)))]:
+        cn = cone(mu, m, f)
+        out += [_bi(cn.ext), _map(cn.q)]
+    return "".join(out)
+
+
+def _boundary_pp(tmp_path):
+    f = shapes.sub_inclusion(shapes.boundary(1), d(1))
+    out = []
+    for m in (1, 2):
+        ob_pp, full, compare = straighten_boundary_pp(m, f)
+        for a in sorted(compare):
+            out += [_s(ob_pp.value(a)), _s(full.value(a)), _map(compare[a])]
+    return "".join(out)
+
+
+def _st_rep(tmp_path):
+    W = delta_precat(2).W
+    st = Straightener(W)
+    return "".join(_pre(st.st_rep(Cell(*W.bidegree(g), bnd(g)))) for g in W.gens())
+
+
 GOLDEN = {
     "hom_emit_dot_lf3_d1": (_hom_dot,
         "459b1e290c52106e60f1bb2fe4dc079c93cbce687bcc8d588ee6adb6da619691"),
@@ -182,6 +259,20 @@ GOLDEN = {
         "130605068262683406272b6f9e9741b98d3aef89b988c78dc3c3b09348f43610"),
     "diag": (_diag,
         "a87ef67090ef707f3a55890454ae228b404f0b46a23f850aeaeaf04f61afa642"),
+    "straighten_full_closed_form": (_full_closed_form,
+        "50b657b469c9ddf9d2926d018a11514d04c144508b65efa119f789c11079d9e0"),
+    "straighten_last_vertex": (_last_vertex,
+        "7e29e52bad4f328a9467ee3ed26be4632261db0ef82cada078fd37a19e1641a3"),
+    "projection_pi_on_hom": (_projection_pi,
+        "7471c19a03328f838a66516cb94396da7b8f1924ac0e49da937b8f07dd72577d"),
+    "w_sigma_d2": (_w_sigma,
+        "5ae56515000f9b641d9fa3855a578c7d88ee5d19af855be716c65287c597e634"),
+    "cone_ext_q": (_cone,
+        "eca445461bb6d3352344b20aa29d7ddceb770f1e3c4f695858c0061ceac2e3cc"),
+    "straighten_boundary_pp": (_boundary_pp,
+        "046813944d743f6741c75500792c03df4f4bd755c3f5041c537036d581ce920d"),
+    "st_rep_d2": (_st_rep,
+        "0a9b00cbdcd72c8f4665fce364674f0fd3606511c3a53f17d99170ae144a07bf"),
 }
 
 

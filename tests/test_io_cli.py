@@ -105,6 +105,7 @@ BAD_FILES = {
     "d1": sset_dump(d(1)),
     "h_d0": bisset_dump(horizontal(d(0))),
     "h_d1": bisset_dump(horizontal(d(1))),
+    "h_d2": bisset_dump(horizontal(d(2))),
     "v_d1": bisset_dump(vertical(d(1))),
 }
 
@@ -119,9 +120,11 @@ BAD_FILES = {
     ["hom", "--base", "{h_d1}", "--from", "0", "--to", "zz"],
     ["dot", "--sset", "{d1}", "--from", "0", "--to", "zz"],
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--at", "zz"],
+    ["hom", "--base", "{h_d2}", "--from", "0", "--to", "2", "--degree", "-1"],
 ], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
         "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
-        "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex"])
+        "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex",
+        "hom_negative_degree"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
     paths = {}
     for name, payload in BAD_FILES.items():

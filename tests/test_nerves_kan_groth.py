@@ -2,13 +2,11 @@ import pytest
 
 from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import bi_identity, horizontal
-from necklace_calculus.groth import (eta_compare, groth, groth_right_adjoint,
-                                     rightfib_check, vtensor)
+from necklace_calculus.groth import eta_compare, groth, groth_right_adjoint, rightfib_check
 from necklace_calculus.kan import enriched_lan, lan_into_representable
 from necklace_calculus.nerves import hc_functors, hc_nerve, nerve_comparison, strict_nerve
 from necklace_calculus.scat import (EnrichedFunctor, ch_simplex, enumerate_nat_trans,
                                     representable, suspension, terminal_presheaf)
-from necklace_calculus.sset import identity_map, nd
 
 d = shapes.simplex
 
@@ -141,8 +139,6 @@ def test_groth_d1_is_evaluation():
     F = representable(arrow, "1")
     G = groth(N, F)
     # the top face of the unique (1,0) cell lands in F(0) = Hom(0,1)
-    import necklace_calculus.delta as delta
-
     g = [x for x in G.bisset.gens() if G.bisset.bidegree(x) == (1, 0)][0]
     ne, x = G.elem_of[g]
     res = G.act((ne, x), (1, 0), (0,), None)

@@ -1,10 +1,8 @@
-import pytest
-
-from necklace_calculus import shapes, ops
+from necklace_calculus import shapes
 from necklace_calculus.scat import (ch_simplex, enumerate_nat_trans, glue_end,
                                     representable, sigma_m, suspension,
                                     terminal_presheaf)
-from necklace_calculus.sset import nd, identity_map
+from necklace_calculus.sset import nd
 
 d = shapes.simplex
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import horizontal, vertical
-from necklace_calculus.sset import NF, SSet, SSetMap, nd, identity_map
+from necklace_calculus.sset import SSetMap, nd
 
 from oracles import product_nd_counts
 
@@ -83,16 +83,6 @@ def test_colimit_wedge_and_circle():
     m2 = SSetMap(pt, cop.sset, {"0": cop.cocone["i1"](nd("0"))})
     wedge = ops.coequalizer(m1, m2)
     assert wedge.sset.nd_counts() == (3, 2)
-
-
-def test_colimit_rejects_noncommuting_diagram():
-    d1 = d(1)
-    diag = ops.Diagram({"a": shapes.point(), "x": d1})
-    diag.add("f", "a", "x", SSetMap(shapes.point(), d1, {"0": nd("0")}))
-    diag.add("g", "a", "x", SSetMap(shapes.point(), d1, {"0": nd("1")}))
-    diag.relations.append((["f"], ["g"]))
-    with pytest.raises(ops.DiagramError):
-        ops.colimit(diag)
 
 
 def test_mediating_map_uniqueness():

@@ -2,15 +2,13 @@ import pytest
 
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import BiMap, bi_identity, bnd, lf, vertical
-from necklace_calculus.categorify import categorify
 from necklace_calculus.scat import Presheaf, terminal_presheaf
 from necklace_calculus.sset import SSetMap, identity_map, nd
 from necklace_calculus.straighten import (Cell, Straightener, cone, cone_hom,
                                           delta_precat, projection_pi,
                                           st_mono_formula, st_over_map,
                                           straighten_boundary_pp, straighten_full,
-                                          straighten_last_vertex, unstraighten,
-                                          w_sigma)
+                                          straighten_last_vertex, unstraighten)
 
 d = shapes.simplex
 
