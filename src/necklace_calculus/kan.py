@@ -19,7 +19,13 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
     Pieces are indexed by objects a of the source; the relation pieces glue
-    (b, Gk.h, x) with (a, h, k.x) for k in hom(a, b).
+    (b, Gk.h, x) with (a, h, k.x) for k in hom(a, b).  The relation piece of
+    (a, b) is left out when hom(a, b) is empty, and when a == b and hom(a, a)
+    is the identity alone: the first piece is empty, and the second glues
+    (a, h, x) with itself.  Neither has a degree above the product pieces', so
+    the colimit's degree bounds stay; and every class holds a product piece,
+    whose names sort first ("p." < "r."), so the generators and their
+    representatives are those of the full coequalizer.
     """
     C = F.base
     colimits: dict[str, Colimit] = {}
@@ -32,12 +38,13 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat) -> LanResult:
             pr = product(D.hom[(d_obj, G.on_obj[a])], F.value[a])
             prods[a] = pr
             objects[f"p.{a}"] = pr.sset
-        rel_prods = {}
         diag = Diagram(dict(objects))
         for a in C.objects:
             for b in C.objects:
+                n_k = C.hom[(a, b)].n_gens()
+                if n_k == 0 or (a == b and n_k == 1):
+                    continue
                 pr3 = product(C.hom[(a, b)], D.hom[(d_obj, G.on_obj[a])], F.value[b])
-                rel_prods[(a, b)] = pr3
                 name = f"r.{a}.{b}"
                 diag.objects[name] = pr3.sset
                 k_pr, h_pr, x_pr = pr3.projections

@@ -7,9 +7,13 @@ levels are 1-ordered.  General objects over W are straightened by gluing the
 cellwise results along the face relations of the total object.
 
 Each construction is built in one place:
-- extension(m, Y): LF[m, Y] -> LF[m+1, Y] along the last coface;
-- full_rep(m, Y, check): the full representable, values Hom_{c LF[m+1, Y]}(-, m+1),
-  behind Straightener.full and straighten_full;
+- extension(m, Y): LF[m, Y] -> LF[m+1, Y] along the last coface (last_coface);
+- cat_lf(j, Y, check): LF[j, Y] with its categorification; a Straightener
+  builds each LF[j, Delta[k]] and its categorification once, so full(m, k)
+  and full(m+1, k) share LF[m+1, Delta[k]], its categorification and its homs;
+- full_rep(lo, hi): the full representable, values Hom_{c LF[m+1, Y]}(-, m+1),
+  from the categorified LF[m, Y] and LF[m+1, Y], behind Straightener.full and
+  checked_full_rep (straighten_full, straighten_last_vertex, projection_pi);
 - glue_suspension(fr, Y): c LF[m, Y] glued at m to Sigma Y, behind
   straighten_last_vertex and projection_pi;
 - one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
@@ -66,9 +70,15 @@ class Extension(NamedTuple):
     face: BiMap
 
 
+def last_coface(lfm: LF, lfm1: LF) -> BiMap:
+    """L[d^{m+1}, id]: LF[m, Y] -> LF[m+1, Y]."""
+    m = lfm.m
+    return lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(lfm.X))
+
+
 def extension(m: int, Y: SSet) -> Extension:
     lfm, lfm1 = lf(m, Y), lf(m + 1, Y)
-    return Extension(lfm, lfm1, lf_map(lfm, lfm1, delta.coface(m + 1, m + 1), identity_map(Y)))
+    return Extension(lfm, lfm1, last_coface(lfm, lfm1))
 
 
 def one_point_pushout(ext: Extension, right: BiMap) -> tuple[BiColimit, str]:
@@ -123,12 +133,25 @@ class FullRep(NamedTuple):
     presheaf: Presheaf
 
 
-def full_rep(m: int, Y: SSet, check: bool) -> FullRep:
-    """The full representable; check is categorify's 1-orderedness check."""
-    ext = extension(m, Y)
-    C = categorify(ext.lfm.W, check=check)
-    C1 = categorify(ext.lfm1.W, check=check)
-    iota = cfunctor(ext.face, C, C1)
+class CatLF(NamedTuple):
+    """LF[j, Y] with its categorification."""
+
+    L: LF
+    C: Categorification
+
+
+def cat_lf(j: int, Y: SSet, check: bool) -> CatLF:
+    """check is categorify's 1-orderedness check."""
+    L = lf(j, Y)
+    return CatLF(L, categorify(L.W, check=check))
+
+
+def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
+    """The full representable over LF[m, Y], from lo = LF[m, Y] and hi = LF[m+1, Y]."""
+    m = lo.L.m
+    face = last_coface(lo.L, hi.L)
+    C, C1 = lo.C, hi.C
+    iota = cfunctor(face, C, C1)
     base = C.scat()
     top = str(m + 1)
     values = {a: C1.hom_sset(a, top) for a in C.objects}
@@ -136,8 +159,12 @@ def full_rep(m: int, Y: SSet, check: bool) -> FullRep:
     def action(a, b, h, x):
         return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
 
-    return FullRep(m, ext.lfm, ext.lfm1, ext.face, C, C1, iota, base,
-                   Presheaf(base, values, action))
+    return FullRep(m, lo.L, hi.L, face, C, C1, iota, base, Presheaf(base, values, action))
+
+
+def checked_full_rep(m: int, Y: SSet) -> FullRep:
+    """full_rep with every level slice of both categorifications checked 1-ordered."""
+    return full_rep(cat_lf(m, Y, check=True), cat_lf(m + 1, Y, check=True))
 
 
 def glue_suspension(fr: FullRep, Y: SSet) -> SCat:
@@ -158,16 +185,25 @@ class Straightener:
         self.W = W
         self.CW = categorify(W)
         self.base_cat = self.CW.scat()
+        self._cat_lfs: dict[tuple[int, int], CatLF] = {}
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
         self._ops: dict[tuple, object] = {}
 
+    def cat_lf(self, j: int, k: int) -> CatLF:
+        """LF[j, Delta[k]] and its categorification, unchecked: its level slices
+        are 1-ordered."""
+        key = (j, k)
+        if key not in self._cat_lfs:
+            self._cat_lfs[key] = cat_lf(j, simplex(k), check=False)
+        return self._cat_lfs[key]
+
     def full(self, m: int, k: int) -> FullRep:
-        """The universal case over LF[m, Delta[k]], unchecked: its levels are 1-ordered."""
+        """The universal case over LF[m, Delta[k]]; full(m+1, k) shares its LF[m+1, Delta[k]]."""
         key = (m, k)
         if key not in self._fulls:
-            self._fulls[key] = full_rep(m, simplex(k), check=False)
+            self._fulls[key] = full_rep(self.cat_lf(m, k), self.cat_lf(m + 1, k))
         return self._fulls[key]
 
     def sigma_functor(self, cell: Cell):
@@ -241,8 +277,12 @@ class Straightener:
 class StObject:
     """St_W of a map p: P -> W, computed as a colimit of representable pieces.
 
-    One colimit piece per generator of P, plus one per (generator, face); the
-    face pieces glue each generator to the non-degenerate roots of its faces.
+    One colimit piece per generator of P, plus one per degenerate face of a
+    generator, which glues the generator to the non-degenerate root of that
+    face.  A non-degenerate face is a generator with a piece of its own, glued
+    to the generator by one edge; the face piece it would get is a copy of it,
+    and the class representatives are least by piece name ("c." < "f."), so
+    leaving it out changes no output.
     """
 
     def __init__(self, st: Straightener, P: BiSSet, p: BiMap):
@@ -263,6 +303,9 @@ class StObject:
                     mu_h = delta.coface(i, m) if direction == "h" else delta.identity(m)
                     mu_v = delta.coface(i, k) if direction == "v" else delta.identity(k)
                     e = P.act(bnd(g), mu_h=mu_h, mu_v=mu_v)
+                    if not (e.hword or e.vword):
+                        self._relations.append((f"c.{e.gen}", f"c.{g}", mu_h, mu_v))
+                        continue
                     name = f"f.{g}.{direction}{i}"
                     self._add_piece(name, e)
                     self._relations.append((name, f"c.{g}", mu_h, mu_v))
@@ -400,7 +443,7 @@ class SpecialSt(NamedTuple):
 
 def straighten_full(m: int, Y: SSet) -> SpecialSt:
     """St of [id, id_Y]: values Hom_{c LF[m+1, Y]}(i, m+1)."""
-    fr = full_rep(m, Y, check=True)
+    fr = checked_full_rep(m, Y)
     return SpecialSt(fr.presheaf, fr.C, None)
 
 
@@ -415,7 +458,7 @@ def straighten_last_vertex(m: int, X: SSet) -> SpecialSt:
     """St of [<m>, id_X]: values over the pushout category of LF[m, X] with a cone."""
     if not is_connected(X):
         raise UnsupportedInput("last-vertex straightening needs a connected input")
-    fr = full_rep(m, X, check=True)
+    fr = checked_full_rep(m, X)
     C, C1, F = fr.C, fr.C1, fr.iota
     glue = glue_suspension(fr, X)
     top = str(m + 1)
@@ -551,7 +594,7 @@ def projection_pi(m: int, Y: SSet) -> PiFunctor:
     """The enriched functor c LF[m+1, Y] -> c LF[m, Y] u_{[0]} Sigma Y."""
     if not is_connected(Y):
         raise UnsupportedInput("projection needs a connected input")
-    fr = full_rep(m, Y, check=True)
+    fr = checked_full_rep(m, Y)
     lfm1, C, C1 = fr.lfm1, fr.C, fr.C1
     glue = glue_suspension(fr, Y)
     inv_gen = {fr.face.assign[g].gen: g for g in fr.lfm.W.gens()}

@@ -1,10 +1,16 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here is computed by direct enumeration, never through the library's
-own engines, so the values it produces can back the library's outputs.
+Everything here but coend_all_relations is computed by direct enumeration,
+never through the library's own engines, so the values it produces can back
+the library's outputs.  coend_all_relations is the unpruned coend, built from
+the library's products and colimits, the reference for the pruned one in
+kan.enriched_lan.
 """
 
 import itertools
+
+from necklace_calculus.ops import Diagram, colimit, product
+from necklace_calculus.sset import SSetMap, nd
 
 
 def shuffle_count(p: int, q: int, n: int) -> int:
@@ -86,3 +92,29 @@ def cube_chain_counts(k: int):
     for s in subsets:
         extend(s, 0)
     return tuple(counts)
+
+
+def coend_all_relations(F, G, D, d):
+    """The colimit at d of the coend of F along G: D(d, Ga) x F(a) for every
+    object a, glued by the relation piece C(a, b) x D(d, Ga) x F(b) of every
+    pair (a, b), trivial ones included."""
+    C = F.base
+    prods = {a: product(D.hom[(d, G.on_obj[a])], F.value[a]) for a in C.objects}
+    diag = Diagram({f"p.{a}": prods[a].sset for a in C.objects})
+    for a in C.objects:
+        for b in C.objects:
+            pr3 = product(C.hom[(a, b)], D.hom[(d, G.on_obj[a])], F.value[b])
+            name = f"r.{a}.{b}"
+            diag.objects[name] = pr3.sset
+            k_pr, h_pr, x_pr = pr3.projections
+            to_b, to_a = {}, {}
+            for g in pr3.sset.gens():
+                dd = pr3.sset.gen_dim(g)
+                k_el, h_el, x_el = k_pr(nd(g)), h_pr(nd(g)), x_pr(nd(g))
+                gk = G.on_hom(a, b, k_el)
+                to_b[g] = prods[b].to_nf(
+                    dd, (D.comp(d, G.on_obj[a], G.on_obj[b], gk, h_el), x_el))
+                to_a[g] = prods[a].to_nf(dd, (h_el, F.action(a, b, k_el, x_el)))
+            diag.add(f"eb.{a}.{b}", name, f"p.{b}", SSetMap(pr3.sset, prods[b].sset, to_b))
+            diag.add(f"ea.{a}.{b}", name, f"p.{a}", SSetMap(pr3.sset, prods[a].sset, to_a))
+    return colimit(diag)

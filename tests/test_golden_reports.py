@@ -71,6 +71,28 @@ def _straighten_full(tmp_path):
                                "--full"])
 
 
+def _straighten_total(precat, X):
+    """straighten --full of id (x) X over the precategory precat(), the total object
+    built by vtensor; with X None, of the identity of precat()."""
+
+    def make(tmp_path):
+        W = precat()
+        if X is None:
+            T, assign = W, {g: bnd(g) for g in W.gens()}
+        else:
+            T, elem_of, _ = vtensor(W, X)
+            assign = {g: elem_of[g][0] for g in T.gens()}
+        base = _write(tmp_path, "w.json", bisset_dump(W))
+        total = _write(tmp_path, "t.json", bisset_dump(T))
+        mp = _write(tmp_path, "map.json",
+                    {g: {"hword": list(e.hword), "vword": list(e.vword), "target": e.gen}
+                     for g, e in assign.items()})
+        return _cli_out(tmp_path, ["straighten", "--base", base, "--total", total,
+                                   "--map", mp, "--full"])
+
+    return make
+
+
 def _straighten_certify(tmp_path):
     base = _write(tmp_path, "pt.json", bisset_dump(horizontal(d(0))))
     total = _write(tmp_path, "x.json", bisset_dump(vertical(shapes.boundary(2))))
@@ -231,6 +253,20 @@ GOLDEN = {
         "459b1e290c52106e60f1bb2fe4dc079c93cbce687bcc8d588ee6adb6da619691"),
     "straighten_full_id_d2": (_straighten_full,
         "f51c59701ae8762717e2574cc5b2fa17b5b720b8fe9287f6e4c6c191dfacf5ab"),
+    "straighten_full_id_d3": (_straighten_total(lambda: delta_precat(3).W, None),
+        "b384a87ad94e53165f6ceb1d3a0c6e7e9bb77456a4a76e49b0cb0f6a6bd436ba"),
+    "straighten_full_id_x_d1_over_d2": (_straighten_total(lambda: delta_precat(2).W, d(1)),
+        "4517e2461451b3224e4882e0d417e99cc5a4c4130f4c017670ad14a9d7272a2d"),
+    "straighten_full_id_x_bd2_over_d2": (
+        _straighten_total(lambda: delta_precat(2).W, shapes.boundary(2)),
+        "da743103b1e5bb3fa17c37d4e19cf42430a8f7d4c8df3124015bd63e547fcef7"),
+    "straighten_full_id_x_d2_over_d1": (_straighten_total(lambda: delta_precat(1).W, d(2)),
+        "1f45fd791b6871bbde850b925e76f1c5dbbb0d585d2ccabf848ab21e5670d7b3"),
+    # the identity of LF[m, Delta[k]] has degenerate faces, which keep face pieces
+    "straighten_full_id_lf2_d1": (_straighten_total(lambda: lf(2, d(1)).W, None),
+        "e6968db084f955ddd13f7c3975953724e4dfeb2cf99af2621edca1b10a350871"),
+    "straighten_full_id_lf1_d2": (_straighten_total(lambda: lf(1, d(2)).W, None),
+        "1a71272654a2e06375a08a1dcec841fa14745e4f583196ce123a9a4a557ec054"),
     "straighten_certify_point": (_straighten_certify,
         "2a566873c683906671f9702f2058098458440681dc1a862dd4f42a44f84088b5"),
     "dot_pairs_1_3": (_dot_pairs,

@@ -1,0 +1,80 @@
+"""The Straightener's shared universal levels, pruned coends and face pieces.
+
+Straightening a total object builds one categorification per LF[j, Delta[k]],
+left Kan extends along coends with their trivial relation pieces left out, and
+glues generators along their non-degenerate faces without copies.  These tests
+hold each of the three against the construction it replaces.
+"""
+
+import pytest
+
+from necklace_calculus import shapes
+from necklace_calculus.bisset import BiMap, bi_identity, lf
+from necklace_calculus.groth import vtensor
+from necklace_calculus.io_schemas import sset_dump
+from necklace_calculus.straighten import Straightener, delta_precat
+
+from oracles import coend_all_relations
+
+d = shapes.simplex
+
+TOTALS = {
+    # (base precategory, tensor factor X of the total object id (x) X, None for id)
+    "id_d3": (lambda: delta_precat(3).W, None),
+    "id_x_d1_over_d2": (lambda: delta_precat(2).W, d(1)),
+    "id_x_bd2_over_d2": (lambda: delta_precat(2).W, shapes.boundary(2)),
+    "id_x_d2_over_d1": (lambda: delta_precat(1).W, d(2)),
+    # the identity of LF[m, Delta[k]] has degenerate faces
+    "id_lf2_d1": (lambda: lf(2, d(1)).W, None),
+    "id_lf1_d2": (lambda: lf(1, d(2)).W, None),
+}
+
+
+def _straightened(precat, X):
+    """A Straightener over precat() that has straightened id (x) X (the identity
+    for X None) at every object, and the straightened object."""
+    W = precat()
+    if X is None:
+        P, p = W, bi_identity(W)
+    else:
+        P, elem_of, _ = vtensor(W, X)
+        p = BiMap(P, W, {g: elem_of[g][0] for g in P.gens()}, validate=False)
+    st = Straightener(W)
+    ob = st.st_object(P, p)
+    for a in st.CW.objects:
+        ob.value(a)
+    return st, ob
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_pruned_coend_matches_all_relations(name):
+    st, _ = _straightened(*TOTALS[name])
+    assert st._lans
+    for cell, lan in st._lans.items():
+        F = st.full(cell.m, cell.k).presheaf
+        G = st.sigma_functor(cell)
+        for a in st.base_cat.objects:
+            want = coend_all_relations(F, G, st.base_cat, a)
+            got = lan.colimits[a]
+            assert sset_dump(got.sset) == sset_dump(want.sset), (cell, a)
+            assert got.reps == want.reps, (cell, a)
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_face_pieces_only_for_degenerate_faces(name):
+    _, ob = _straightened(*TOTALS[name])
+    faces = [n for n in ob._obj_elem if n.startswith("f.")]
+    assert all(ob._obj_elem[n].hword or ob._obj_elem[n].vword for n in faces)
+    assert len(ob._obj_elem) == len(ob.P.gens()) + len(faces)
+    # a total built by vtensor over Delta[n] has no degenerate faces
+    assert bool(faces) == name.startswith("id_lf")
+
+
+def test_levels_are_shared():
+    st = Straightener(delta_precat(2).W)
+    for k in range(2):
+        for m in range(2):
+            lo, hi = st.full(m, k), st.full(m + 1, k)
+            assert lo.C1 is hi.C
+            assert lo.lfm1 is hi.lfm
+            assert st.full(m, k) is lo
