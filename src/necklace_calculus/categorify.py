@@ -3,8 +3,19 @@
 Hom(a, b) at simplicial level j is the set of canonical pairs (T, chain):
 T a totally non-degenerate necklace in the level-j slice from a to b, and a
 chain in the subset interval [J_T, V_T] whose endpoints saturate T (the chain
-starts at the joints and ends at the full vertex set).  Operators transport
-beads along the vertical structure and re-saturate; composition is the wedge.
+starts at the joints and ends at the full vertex set).  Composition is the
+wedge.
+
+Faces and other operators are read from tables, not recomputed:
+- each bead is moved along an operator by the vertical action of W once per
+  (bead, level, operator); the memo belongs to the Categorification;
+- re-saturation is `necklace.sub_necklace`, one pass over the beads' vertex
+  tuples that cuts them at the chain's end sets and reads each piece from the
+  level's face table; it is skipped when the operator keeps both chain ends;
+- a j-simplex is s_i of a face exactly when its chain repeats at i and i is
+  in every bead's vertical degeneracy word;
+- `categorify` checks each level slice with `ops.is_1_ordered`, which reads
+  vertices and spines from the level's face table.
 """
 
 from __future__ import annotations
@@ -15,8 +26,7 @@ from typing import Callable, NamedTuple, Optional
 from . import delta
 from .bisset import BiMap, BiSSet, LevelSSet, bnd
 from .cubes import Chain, chain_act, chain_join, chains
-from .necklace import (RealizedNecklace, TndPoset, UnsupportedInput, necklace_joint_ids,
-                       necklace_vertex_ids, sub_necklace)
+from .necklace import RealizedNecklace, TndPoset, UnsupportedInput, sub_necklace
 from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
 from .sset import NF, SSet, SSetError, materialize
@@ -55,7 +65,7 @@ class Categorification:
         self._posets: dict[tuple[int, str, str], TndPoset] = {}
         self._homs: dict[tuple[str, str], HomSpace] = {}
         self._act_cache: dict = {}
-        self._flat_cache: dict[tuple[tuple[str, ...], int], frozenset[int]] = {}
+        self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
         self._beads: Optional[list[tuple[str, str, int]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
 
@@ -128,26 +138,30 @@ class Categorification:
 
     # -- hom spaces ------------------------------------------------------------
 
+    def _transport(self, g: str, j: int, mu: delta.Monotone) -> str:
+        """Bead g of level j moved along mu vertically, memoized per (bead, level, mu)."""
+        key = (g, j, mu)
+        hit = self._bead_cache.get(key)
+        if hit is None:
+            binf = self.W.act(self.level(j).origin[g], mu_v=mu)
+            if binf.hword:
+                raise SSetError("vertical transport degenerated a bead in a 1-ordered level")
+            hit = self._bead_cache[key] = self.level(len(mu) - 1)._id(binf.gen, binf.vword)
+        return hit
+
     def _act(self, e: HomElement, j: int, mu: delta.Monotone) -> HomElement:
         key = (e, j, mu)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
         beads, ch = e
-        j2 = len(mu) - 1
-        Lsrc, Ldst = self.level(j), self.level(j2)
-        beads2 = []
-        for g in beads:
-            binf = self.W.act(Lsrc.origin[g], mu_v=mu)
-            if binf.hword:
-                raise SSetError("vertical transport degenerated a bead in a 1-ordered level")
-            beads2.append(Ldst._id(binf.gen, binf.vword))
+        beads2 = tuple(self._transport(g, j, mu) for g in beads)
         ch2 = chain_act(ch, mu)
         if mu[0] == 0 and mu[-1] == j:
             # the chain keeps its ends, which saturate the transported beads
-            out = (tuple(beads2), ch2)
+            out = (beads2, ch2)
         else:
-            t2 = sub_necklace(Ldst, RealizedNecklace(tuple(beads2)), ch2[0], ch2[-1])
+            t2 = sub_necklace(self.level(len(mu) - 1), RealizedNecklace(beads2), ch2[0], ch2[-1])
             if t2 is None:
                 raise SSetError("saturation failed")
             out = (t2.beads, ch2)
@@ -155,28 +169,19 @@ class Categorification:
         return out
 
     def _flat(self, beads: tuple[str, ...], j: int) -> frozenset[int]:
-        """Positions i < j where every bead's vertical epi identifies i and i+1."""
-        key = (beads, j)
-        hit = self._flat_cache.get(key)
-        if hit is None:
-            L = self.level(j)
-            epis = [delta.word_to_epi(L.origin[g].vword, j) for g in beads]
-            hit = frozenset(i for i in range(j) if all(epi[i] == epi[i + 1] for epi in epis))
-            self._flat_cache[key] = hit
-        return hit
+        """Positions i < j where every bead's vertical epi identifies i and i+1:
+        the positions in every bead's degeneracy word."""
+        origin = self.level(j).origin
+        return frozenset(origin[beads[0]].vword).intersection(
+            *(origin[g].vword for g in beads[1:]))
 
     def _degen(self, e: HomElement, j: int, i: int):
         """Fast check that e = s_i(df); returns df or None."""
         beads, ch = e
         if ch[i] != ch[i + 1] or i not in self._flat(beads, j):
             return None
-        Lsrc, Ldst = self.level(j), self.level(j - 1)
-        new_beads = []
-        for g in beads:
-            epi = delta.word_to_epi(Lsrc.origin[g].vword, j)
-            word2, _ = delta.factor(delta.compose(epi, delta.coface(i, j)))
-            new_beads.append(Ldst._id(Lsrc.origin[g].gen, word2))
-        return (tuple(new_beads), ch[:i] + ch[i + 1:])
+        mu = delta.coface(i, j)
+        return (tuple(self._transport(g, j, mu) for g in beads), ch[:i] + ch[i + 1:])
 
     def hom(self, a: str, b: str) -> HomSpace:
         key = (a, b)
@@ -189,8 +194,7 @@ class Categorification:
             poset = self.poset(j, a, b)
             out = []
             for t in poset.objects:
-                J = necklace_joint_ids(poset.K, t)
-                V = necklace_vertex_ids(poset.K, t)
+                J, V = poset._joints[t], poset._verts[t]
                 flat = self._flat(t.beads, j)
                 if len(set(V) - set(J)) < len(flat):
                     continue

@@ -172,7 +172,9 @@ def _over_terminal(P, W):
 def cmd_verify(args) -> int:
     t0 = time.time()
     checks = run_suite(args.suite, seed=args.seed)
-    timings = {"total_s": round(time.time() - t0, 3)} if args.timings else None
+    seconds = {c["name"]: round(c.pop("seconds"), 3) for c in checks}
+    timings = ({"total_s": round(time.time() - t0, 3), "checks_s": seconds}
+               if args.timings else None)
     payload = run_report(f"verify --suite {args.suite}", [{"seed": args.seed}],
                          checks, timings=timings)
     _emit(args, payload)

@@ -31,11 +31,6 @@ def codegeneracy(i: int, m: int) -> Monotone:
     return tuple(j if j <= i else j - 1 for j in range(m + 2))
 
 
-def vertex_map(v: int) -> Monotone:
-    """<v>: [0] -> [m]."""
-    return (v,)
-
-
 def compose(outer: Monotone, inner: Monotone) -> Monotone:
     """outer after inner."""
     return tuple(outer[v] for v in inner)

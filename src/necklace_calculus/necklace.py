@@ -66,7 +66,6 @@ class TndPoset:
         self.a = a
         self.b = b
         self.objects: tuple[RealizedNecklace, ...] = tuple(self._enumerate())
-        self._index = {t: i for i, t in enumerate(self.objects)}
         self._verts = {t: self.vertex_ids(t) for t in self.objects}
         self._joints = {t: self.joint_ids(t) for t in self.objects}
 
@@ -165,43 +164,40 @@ def necklace_joint_ids(K: SSet, t: RealizedNecklace) -> tuple[str, ...]:
 
 
 def sub_necklace(K: SSet, t: RealizedNecklace, joints, verts) -> Optional[RealizedNecklace]:
-    """The face of a realized necklace with the given joint and vertex sets."""
-    vt = necklace_vertex_ids(K, t)
-    pos = {v: i for i, v in enumerate(vt)}
-    if not set(verts) <= set(vt) or not set(joints) <= set(verts):
+    """The face of a realized necklace with the given joint and vertex sets.
+
+    K is 1-ordered (as TndPoset and categorify require), so the vertices of t
+    are distinct.  One pass over the beads' vertex tuples: each bead is cut
+    at the new joints it contains, and each piece is the face on the kept
+    vertices, read from K's face table.  None when the joints do not contain
+    t's joints, when the vertices do not contain the joints, when a vertex
+    lies off t, or when a piece is degenerate.
+    """
+    joints, verts = set(joints), set(verts)
+    if not joints <= verts:
         return None
-    tj = necklace_joint_ids(K, t)
-    if not set(tj) <= set(joints):
-        return None
-    joints = sorted(set(joints), key=pos.get)
-    verts = sorted(set(verts), key=pos.get)
-    if len(joints) == 1:
-        return RealizedNecklace((joints[0],))
     beads = []
-    for r in range(len(joints) - 1):
-        lo, hi = pos[joints[r]], pos[joints[r + 1]]
-        seg = [v for v in verts if lo <= pos[v] <= hi]
-        bead_idx = None
-        for bi in range(len(t.beads)):
-            blo, bhi = pos[tj[bi]], pos[tj[bi + 1]]
-            if blo <= lo and hi <= bhi:
-                bead_idx = bi
-                break
-        if bead_idx is None:
+    found = 0  # kept vertices met so far, each shared joint counted once
+    for bi, g in enumerate(t.beads):
+        vs = K.vertices(nd(g))
+        if vs[0] not in joints or vs[-1] not in joints:
             return None
-        g = t.beads[bead_idx]
-        bvs = K.vertices(nd(g))
-        bpos = {v: i for i, v in enumerate(bvs)}
-        if not all(v in bpos for v in seg):
-            return None
-        face = K.act(nd(g), tuple(bpos[v] for v in seg))
-        if face.word:
-            return None
-        beads.append(face.gen)
-    real = [g for g in beads if K.gen_dim(g) > 0]
-    if not real:
-        real = [beads[0]]
-    return RealizedNecklace(tuple(real))
+        piece: list[int] = []
+        for p, v in enumerate(vs):
+            if v not in verts:
+                continue
+            if p or not bi:
+                found += 1
+            piece.append(p)
+            if v in joints and len(piece) > 1:
+                face = K._apply_mono(g, 0, tuple(piece))
+                if face.word:
+                    return None
+                beads.append(face.gen)
+                piece = [p]
+    if found != len(verts):
+        return None
+    return RealizedNecklace(tuple(beads) if beads else (t.beads[0],))
 
 
 # -- pair posets ---------------------------------------------------------------

@@ -274,7 +274,10 @@ class OrderWitness(NamedTuple):
 def is_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
     """Antisymmetric edge order plus spine-injectivity of nd simplices.
 
-    The verdict is memoized on X, which is immutable.
+    Vertices and spines are read from the face tables (SSet.vertices; a
+    spine is the spine of the last face plus the last edge of the first
+    face), so the check makes no operator calls.  The verdict is memoized
+    on X, which is immutable.
     """
     if X._order_check is None:
         X._order_check = _check_1_ordered(X)
@@ -310,13 +313,16 @@ def _check_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
             cyc = dfs(v, [])
             if cyc is not None:
                 return False, OrderWitness("antisymmetry", tuple(cyc))
+    # the faces of a spine-mono simplex are non-degenerate
+    spine: dict[str, tuple[str, ...]] = {}
     for d in range(1, X.dim_bound + 1):
         seen: dict[tuple, str] = {}
         for g in X.by_dim[d]:
             vs = X.vertices(nd(g))
             if len(set(vs)) != d + 1:
                 return False, OrderWitness("spine-mono", (g,))
-            sp = tuple(X.act(nd(g), (i, i + 1)) for i in range(d))
+            fs = X.faces[g]
+            sp = spine[g] = (g,) if d == 1 else spine[fs[-1].gen] + spine[fs[0].gen][-1:]
             if sp in seen:
                 return False, OrderWitness("spine-injectivity", (seen[sp], g))
             seen[sp] = g

@@ -31,15 +31,15 @@ class NF(NamedTuple):
         return bool(self.word)
 
 
+_new = tuple.__new__  # _new(nf_type, items) builds a normal form without re-checking its length
+
+
 def nd(gen: str) -> NF:
-    return NF((), gen)
+    return _new(NF, ((), gen))
 
 
 class SSetError(ValueError):
     pass
-
-
-_new = tuple.__new__  # _new(nf_type, items) builds a normal form without re-checking its length
 
 
 def _on_axis(n: int, a: int, mu: Monotone) -> tuple:
@@ -314,17 +314,21 @@ class SSet(GradedSet):
         return self.act(nf, delta.codegeneracy(i, self.dim(nf)))
 
     def vertices(self, nf: NF) -> tuple[str, ...]:
-        """Ordered vertex generators of nf."""
+        """Ordered vertex generators of nf, read from the face table: a
+        generator's vertices are those of its last face, then the last vertex
+        of its first face."""
         hit = self._vert_cache.get(nf)
         if hit is not None:
             return hit
-        m = self.dim(nf)
+        g = nf.gen
         if nf.word:
-            epi = delta.word_to_epi(nf.word, m)
-            base = self.vertices(NF((), nf.gen))
-            out = tuple(base[epi[v]] for v in range(m + 1))
+            base = self.vertices(NF((), g))
+            out = tuple(base[v] for v in delta.word_to_epi(nf.word, self.dim(nf)))
+        elif self._deg[g][0] == 0:
+            out = (g,)
         else:
-            out = tuple(self.act(nf, delta.vertex_map(v)).gen for v in range(m + 1))
+            fs = self.faces[g]
+            out = self.vertices(fs[-1]) + self.vertices(fs[0])[-1:]
         self._vert_cache[nf] = out
         return out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from typing import Callable
 
 from . import delta
@@ -973,6 +974,10 @@ SUITES: dict[str, list[tuple[str, Check]]] = {
 
 
 def run_suite(name: str, seed: int = 0) -> list[dict]:
+    """Run one suite, or every suite for "all": one dict per check with its
+    name, status, detail or witness, and the wall-clock seconds it took.  The
+    seconds stay out of a check.v1 report's checks; `neckcalc verify
+    --timings` reports them under timings."""
     if name == "all":
         names = [n for n in SUITES]
     else:
@@ -983,14 +988,16 @@ def run_suite(name: str, seed: int = 0) -> list[dict]:
             raise KeyError(f"unknown suite {name!r}")
         for check_name, fn in SUITES[n]:
             rng = random.Random(seed)
+            t0 = time.perf_counter()
             try:
                 detail = fn(rng)
-                out.append({"name": f"{n}.{check_name}", "status": "pass",
-                            "detail": detail})
+                res = {"name": f"{n}.{check_name}", "status": "pass", "detail": detail}
             except AssertionError as exc:
-                out.append({"name": f"{n}.{check_name}", "status": "fail",
-                            "witness": str(exc) or "assertion failed"})
+                res = {"name": f"{n}.{check_name}", "status": "fail",
+                       "witness": str(exc) or "assertion failed"}
             except Exception as exc:  # pragma: no cover - defensive
-                out.append({"name": f"{n}.{check_name}", "status": "error",
-                            "witness": f"{type(exc).__name__}: {exc}"})
+                res = {"name": f"{n}.{check_name}", "status": "error",
+                       "witness": f"{type(exc).__name__}: {exc}"}
+            res["seconds"] = time.perf_counter() - t0
+            out.append(res)
     return out

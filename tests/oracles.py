@@ -1,15 +1,19 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here but coend_all_relations is computed by direct enumeration,
-never through the library's own engines, so the values it produces can back
-the library's outputs.  coend_all_relations is the unpruned coend, built from
-the library's products and colimits, the reference for the pruned one in
-kan.enriched_lan.
+The counts here are computed by direct enumeration, never through the
+library's own engines, so the values they produce can back the library's
+outputs.  coend_all_relations is the unpruned coend, built from the library's
+products and colimits, the reference for the pruned one in kan.enriched_lan.
+The act_* oracles read vertices, faces and bead transport through the generic
+operator action (SSet.act, BiSSet.act) only, never through the face-table
+routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
+and the bead memo of Categorification._act.
 """
 
 import itertools
 
-from necklace_calculus.ops import Diagram, colimit, product
+from necklace_calculus.necklace import RealizedNecklace
+from necklace_calculus.ops import Diagram, OrderWitness, colimit, product
 from necklace_calculus.sset import SSetMap, nd
 
 
@@ -118,3 +122,99 @@ def coend_all_relations(F, G, D, d):
             diag.add(f"eb.{a}.{b}", name, f"p.{b}", SSetMap(pr3.sset, prods[b].sset, to_b))
             diag.add(f"ea.{a}.{b}", name, f"p.{a}", SSetMap(pr3.sset, prods[a].sset, to_a))
     return colimit(diag)
+
+
+# -- the generic operator action ------------------------------------------------
+
+
+def act_vertices(X, x):
+    """The vertices of a simplex x of X, each picked by X.act."""
+    return tuple(X.act(x, (v,)).gen for v in range(X.dim(x) + 1))
+
+
+def act_sub_necklace(K, t, joints, verts):
+    """The face of the necklace t with the given joint and vertex sets: bead
+    vertices by act_vertices, each new bead picked by K.act on the vertex
+    positions of a segment between two consecutive new joints; None when the
+    sets do not give a face of t."""
+    bead_verts = [act_vertices(K, nd(g)) for g in t.beads]
+    vt = list(bead_verts[0]) + [v for vs in bead_verts[1:] for v in vs[1:]]
+    tj = [bead_verts[0][0]] + [vs[-1] for vs in bead_verts]
+    pos = {v: i for i, v in enumerate(vt)}
+    if not set(verts) <= set(vt) or not set(joints) <= set(verts) or not set(tj) <= set(joints):
+        return None
+    joints = sorted(set(joints), key=pos.get)
+    verts = sorted(set(verts), key=pos.get)
+    if len(joints) == 1:
+        return RealizedNecklace((joints[0],))
+    beads = []
+    for lo, hi in zip(joints, joints[1:]):
+        seg = [v for v in verts if pos[lo] <= pos[v] <= pos[hi]]
+        bi = next((b for b in range(len(t.beads))
+                   if pos[tj[b]] <= pos[lo] and pos[hi] <= pos[tj[b + 1]]), None)
+        if bi is None or not set(seg) <= set(bead_verts[bi]):
+            return None
+        face = K.act(nd(t.beads[bi]), tuple(bead_verts[bi].index(v) for v in seg))
+        if face.word:
+            return None
+        beads.append(face.gen)
+    return RealizedNecklace(tuple(beads))
+
+
+def act_hom_action(C, e, j, mu):
+    """A hom element (beads, chain) of the categorification C at level j moved
+    along mu: every bead by the vertical W.act, the chain by mu, and the
+    necklace always re-saturated by act_sub_necklace."""
+    beads, ch = e
+    L = C.level(len(mu) - 1)
+    moved = []
+    for g in beads:
+        b = C.W.act(C.level(j).origin[g], mu_v=mu)
+        assert not b.hword
+        moved.append(L._id(b.gen, b.vword))
+    ch2 = tuple(ch[r] for r in mu)
+    t2 = act_sub_necklace(L, RealizedNecklace(tuple(moved)), ch2[0], ch2[-1])
+    assert t2 is not None
+    return t2.beads, ch2
+
+
+def act_is_1_ordered(X):
+    """Verdict and witness of ops.is_1_ordered, with every vertex and every
+    spine edge picked by X.act, checked in the same order."""
+    arcs = {}
+    for e in X.by_dim[1] if X.dim_bound >= 1 else ():
+        vs = act_vertices(X, nd(e))
+        if vs[0] == vs[1]:
+            return False, OrderWitness("antisymmetry", (e,))
+        arcs.setdefault(vs[0], set()).add(vs[1])
+    state = {}
+
+    def dfs(v, stack):
+        state[v] = 1
+        stack.append(v)
+        for w in sorted(arcs.get(v, ())):
+            if state.get(w) == 1:
+                return stack[stack.index(w):]
+            if state.get(w, 0) == 0:
+                cyc = dfs(w, stack)
+                if cyc is not None:
+                    return cyc
+        stack.pop()
+        state[v] = 2
+        return None
+
+    for v in X.by_dim[0] if X.dim_bound >= 0 else ():
+        if state.get(v, 0) == 0:
+            cyc = dfs(v, [])
+            if cyc is not None:
+                return False, OrderWitness("antisymmetry", tuple(cyc))
+    for d in range(1, X.dim_bound + 1):
+        seen = {}
+        for g in X.by_dim[d]:
+            if len(set(act_vertices(X, nd(g)))) != d + 1:
+                return False, OrderWitness("spine-mono", (g,))
+            sp = tuple(X.act(nd(g), (i, i + 1)) for i in range(d))
+            if sp in seen:
+                return False, OrderWitness("spine-injectivity", (seen[sp], g))
+            seen[sp] = g
+    return True, None

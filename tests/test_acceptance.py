@@ -6,6 +6,8 @@ checks with explicit certificates (the witnessing maps).
 
 import time
 
+import pytest
+
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import bnd, lf, vertical
 from necklace_calculus.categorify import categorify
@@ -17,10 +19,9 @@ from necklace_calculus.sset import SSetMap, identity_map
 from necklace_calculus.straighten import Straightener, delta_precat, straighten_boundary_pp
 from necklace_calculus.verify import (ADJUNCTION_CASES, check_adjunction,
                                       check_cone_decomposition, check_cone_vertices,
-                                      check_dual_path, check_Fcoeq, check_groth_levels,
-                                      check_groth_tensors, check_pair_counts_and_iso,
-                                      check_pi_projection, check_pushout_law,
-                                      check_stvssigma)
+                                      check_groth_levels, check_groth_tensors,
+                                      check_pair_counts_and_iso, check_pi_projection,
+                                      check_stvssigma, run_suite)
 
 d = shapes.simplex
 
@@ -31,10 +32,26 @@ def report(num, name, ok, elapsed=None):
     assert ok, f"criterion {num} ({name}) failed"
 
 
-def test_criterion_01_dual_path_oracle():
+@pytest.fixture(scope="session")
+def suite_all():
+    """verify --suite all, run once for every criterion that reads it:
+    its checks by name and its total seconds."""
     t0 = time.monotonic()
-    certificates = int(check_dual_path(None).split()[0])  # "N dual-route isomorphisms"
-    elapsed = time.monotonic() - t0
+    checks = run_suite("all", seed=0)
+    return {c["name"]: c for c in checks}, time.monotonic() - t0
+
+
+def passed(checks, name):
+    """The check's result, which must be a pass."""
+    c = checks[name]
+    assert c["status"] == "pass", f"{name}: {c.get('witness')}"
+    return c
+
+
+def test_criterion_01_dual_path_oracle(suite_all):
+    dual = passed(suite_all[0], "straighten.dual_path")
+    certificates = int(dual["detail"].split()[0])  # "N dual-route isomorphisms"
+    elapsed = dual["seconds"]
     report(1, f"dual-path straightening oracle ({certificates} certificates)",
            elapsed < 60.0, elapsed)
 
@@ -69,10 +86,10 @@ def test_criterion_04_pair_poset_iso():
     report(4, "pair posets match necklace posets arrow-by-arrow", elapsed < 5.0, elapsed)
 
 
-def test_criterion_05_coequalizer_and_pushout_laws():
+def test_criterion_05_coequalizer_and_pushout_laws(suite_all):
+    laws = [passed(suite_all[0], name) for name in ("dshom.coequalizer_law",
+                                                   "dshom.pushout_law")]
     t0 = time.monotonic()
-    check_Fcoeq(None)
-    check_pushout_law(None)
     # the pushout law again at m = 3 for the catalog map
     from necklace_calculus.verify import _f_boundary_weight
     from necklace_calculus.cubes import last_factor_postcompose
@@ -99,7 +116,9 @@ def test_criterion_05_coequalizer_and_pushout_laws():
             diag_.add(f"fa{jx}", f"a{jx}", "y", to_y)
             diag_.add(f"ga{jx}", f"a{jx}", f"x{jx}", to_x)
         assert find_iso(colimit(diag_).sset, g0.value[T]) is not None, (m, T)
-    report(5, "coequalizer and pushout weight laws", True, time.monotonic() - t0)
+    # the elapsed time counts the two laws' run in the suite
+    report(5, "coequalizer and pushout weight laws", True,
+           sum(c["seconds"] for c in laws) + time.monotonic() - t0)
 
 
 def test_criterion_06_boundary_pushout_product():
@@ -178,12 +197,8 @@ def test_criterion_12_infrastructure():
     report(12, "infrastructure round trips and counts", True, time.monotonic() - t0)
 
 
-def test_criterion_12b_verify_all_under_budget():
-    t0 = time.monotonic()
-    from necklace_calculus.verify import run_suite
-
-    checks = run_suite("all", seed=0)
-    elapsed = time.monotonic() - t0
-    bad = [c for c in checks if c["status"] != "pass"]
+def test_criterion_12b_verify_all_under_budget(suite_all):
+    checks, elapsed = suite_all
+    bad = [c for c in checks.values() if c["status"] != "pass"]
     report(12, f"verify --suite all ({len(checks)} checks, {len(bad)} failing)",
            not bad and elapsed < 600.0, elapsed)

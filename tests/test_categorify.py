@@ -7,9 +7,12 @@ from necklace_calculus.necklace import UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
-from oracles import cube_chain_counts
+from oracles import act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts
 
 d = shapes.simplex
+
+FOUR_BASES = [horizontal(d(4)), lf(3, d(1)).W, lf(2, d(2)).W, lf(2, shapes.boundary(2)).W]
+FOUR_IDS = ["delta4", "lf3_delta1", "lf2_delta2", "lf2_bd2"]
 
 
 def test_categorify_simplex_matches_coherent():
@@ -125,9 +128,7 @@ def _hom_from_full_levels(C, a, b):
                        degen=C._degen).sset
 
 
-@pytest.mark.parametrize("W", [horizontal(d(4)), lf(3, d(1)).W, lf(2, d(2)).W,
-                               lf(2, shapes.boundary(2)).W],
-                         ids=["delta4", "lf3_delta1", "lf2_delta2", "lf2_bd2"])
+@pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
 def test_hom_matches_full_listing_route(W):
     from necklace_calculus.io_schemas import canonical_json, sset_dump
 
@@ -136,3 +137,32 @@ def test_hom_matches_full_listing_route(W):
         for b in C.objects:
             want = canonical_json(sset_dump(_hom_from_full_levels(C, a, b)))
             assert canonical_json(sset_dump(C.hom_sset(a, b))) == want, (a, b)
+
+
+@pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
+def test_face_tables_match_act_oracle(W):
+    # both sides of each face are read as elements through the generic action,
+    # so neither the hom's face table nor its degeneracy stripping is trusted
+    C = categorify(W)
+    for a in C.objects:
+        for b in C.objects:
+            hs = C.hom(a, b)
+            X = hs.space
+            for x in X.gens():
+                j = X.gen_dim(x)
+                for i, f in enumerate(X.faces.get(x, ())):
+                    want = act_hom_action(C, hs.elem_of[x], j, delta.coface(i, j))
+                    got = act_hom_action(C, hs.elem_of[f.gen], X.gen_dim(f.gen),
+                                         delta.word_to_epi(f.word, j - 1))
+                    assert got == want, (a, b, x, i)
+
+
+@pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
+def test_levels_match_act_oracle(W):
+    # table-derived vertices and 1-orderedness on every level slice of the base
+    C = categorify(W, check=False)
+    for j in range(C.bound + 1):
+        L = C.level(j)
+        for g in L.gens():
+            assert L.vertices(nd(g)) == act_vertices(L, nd(g)), (j, g)
+        assert ops.is_1_ordered(L) == act_is_1_ordered(L), j

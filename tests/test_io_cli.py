@@ -175,6 +175,20 @@ def test_cli_verify_deterministic(tmp_path):
     assert a.returncode == 0 and a.stdout == b.stdout
 
 
+def test_cli_verify_timings_per_check():
+    plain = _run_cli(["verify", "--suite", "necklace"], [])
+    timed = _run_cli(["verify", "--suite", "necklace", "--timings"], [])
+    assert plain.returncode == 0 and timed.returncode == 0
+    r_plain, r_timed = json.loads(plain.stdout), json.loads(timed.stdout)
+    assert r_plain["timings"] is None
+    names = [c["name"] for c in r_plain["checks"]]
+    assert sorted(r_timed["timings"]) == ["checks_s", "total_s"]
+    assert sorted(r_timed["timings"]["checks_s"]) == sorted(names)
+    assert all(s >= 0 for s in r_timed["timings"]["checks_s"].values())
+    # the seconds stay out of the checks themselves
+    assert r_timed["checks"] == r_plain["checks"]
+
+
 def test_cli_dot():
     res = _run_cli(["dot", "--pairs", "0,2"], [])
     assert res.returncode == 0

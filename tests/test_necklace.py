@@ -1,12 +1,18 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import shapes, ops
+from necklace_calculus.bisset import horizontal, lf
+from necklace_calculus.categorify import categorify
 from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPoset,
-                                        UnsupportedInput, pair_poset_iso, plus_m,
-                                        necklaces_dot)
+                                        UnsupportedInput, necklace_joint_ids,
+                                        necklace_vertex_ids, pair_poset_iso, plus_m,
+                                        necklaces_dot, sub_necklace)
 from necklace_calculus.sset import SSetMap, nd
 
-from oracles import pair_objects
+from oracles import act_sub_necklace, pair_objects
 
 d = shapes.simplex
 
@@ -96,3 +102,32 @@ def test_dot_export():
     out = necklaces_dot(PairPoset(0, 1))
     assert out.startswith("digraph") and "->" in out
     assert "0.1.2|0.1.2" in out
+
+
+@functools.lru_cache(maxsize=None)
+def _level_necklaces(base: str):
+    """(level slice, necklace) for every tnd necklace of every level slice of
+    the base's categorification, up to its degree bound."""
+    W = {"delta4": lambda: horizontal(d(4)), "lf2_delta2": lambda: lf(2, d(2)).W,
+         "lf2_bd2": lambda: lf(2, shapes.boundary(2)).W}[base]()
+    C = categorify(W)
+    return tuple((C.level(j), t) for j in range(C.bound + 1)
+                 for a in C.objects for b in C.objects for t in C.poset(j, a, b).objects)
+
+
+@given(strat.data())
+@settings(max_examples=300, deadline=None)
+def test_sub_necklace_matches_act_oracle(data):
+    base = data.draw(strat.sampled_from(["delta4", "lf2_delta2", "lf2_bd2"]))
+    slices = _level_necklaces(base)
+    K, t = slices[data.draw(strat.integers(0, len(slices) - 1))]  # an SSet hashes slowly
+    vt, tj = necklace_vertex_ids(K, t), necklace_joint_ids(K, t)
+    flip = strat.lists(strat.sampled_from(K.by_dim[0]), max_size=2)
+    # mostly a face of t: its joints, some vertices, some of them new joints;
+    # the flips add vertices off t and drop joints, which gives no face
+    V = set(tj) | {v for v in vt if data.draw(strat.booleans())}
+    J = set(tj) | {v for v in V if data.draw(strat.booleans())}
+    V ^= set(data.draw(flip))
+    J ^= set(data.draw(flip))
+    J, V = tuple(sorted(J)), tuple(sorted(V))
+    assert sub_necklace(K, t, J, V) == act_sub_necklace(K, t, J, V)

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import horizontal, vertical
-from necklace_calculus.sset import SSetMap, nd
+from necklace_calculus.sset import NF, SSet, SSetMap, nd
 
-from oracles import product_nd_counts
+from oracles import act_is_1_ordered, act_vertices, product_nd_counts
 
 d = shapes.simplex
 
@@ -54,6 +54,15 @@ def test_action_is_functorial(m, data):
     lhs = X.act(X.act(x, mu), nu)
     rhs = X.act(x, delta.compose(mu, nu))
     assert lhs == rhs
+
+
+@given(strat.integers(0, 3), strat.data())
+@settings(max_examples=40, deadline=None)
+def test_vertices_match_act_oracle(m, data):
+    X = d(m)
+    dim = data.draw(strat.integers(0, m + 2))
+    x = data.draw(strat.sampled_from(X.simplices(dim)))
+    assert X.vertices(x) == act_vertices(X, x)
 
 
 def test_product_counts_match_shuffle_oracle():
@@ -109,6 +118,51 @@ def test_is_1_ordered():
         SSetMap(pt, cop.sset, {"0": cop.cocone["i0"](nd("1"))}),
         SSetMap(pt, cop.sset, {"0": cop.cocone["i1"](nd("0"))}))
     assert ops.is_1_ordered(wedge.sset)[0]
+
+
+def _circle():
+    b1, d1, d0 = shapes.boundary(1), d(1), d(0)
+    return ops.pushout(SSetMap(b1, d0, {"0": nd("0"), "1": nd("0")}),
+                       shapes.sub_inclusion(b1, d1)).sset
+
+
+def _two_cycle():
+    return SSet([("a", 0), ("b", 0), ("e", 1), ("f", 1)],
+                {"e": (nd("b"), nd("a")), "f": (nd("a"), nd("b"))})
+
+
+def _pinched_triangle():
+    # vertices a, a, b: the last face is the degenerate edge at a
+    return SSet([("a", 0), ("b", 0), ("e", 1), ("t", 2)],
+                {"e": (nd("b"), nd("a")), "t": (nd("e"), nd("e"), NF((0,), "a"))})
+
+
+def _two_triangles_one_spine():
+    X = d(2)
+    faces = {g: X.faces[g] for g in X.gens() if X.gen_dim(g)}
+    faces["t"] = faces["0.1.2"]
+    return SSet([(g, X.gen_dim(g)) for g in X.gens()] + [("t", 2)], faces)
+
+
+def _two_tetrahedra_on_a_face():
+    # they share all spine edges but the first, so a spine that drops it collides
+    face = shapes.simplex_operator(delta.coface(0, 3), 3)
+    return ops.pushout(face, face).sset
+
+
+@pytest.mark.parametrize("make,condition", [
+    (lambda: d(4), None), (_two_tetrahedra_on_a_face, None), (_circle, "antisymmetry"),
+    (_two_cycle, "antisymmetry"), (_pinched_triangle, "spine-mono"),
+    (_two_triangles_one_spine, "spine-injectivity")],
+    ids=["delta4", "two_tetrahedra_on_a_face", "circle", "two_cycle", "pinched_triangle",
+         "two_triangles_one_spine"])
+def test_is_1_ordered_matches_act_oracle(make, condition):
+    X = make()
+    want = act_is_1_ordered(X)
+    assert (want[1].condition if want[1] else None) == condition
+    assert ops.is_1_ordered(X) == want
+    for g in X.gens():
+        assert X.vertices(nd(g)) == act_vertices(X, nd(g))
 
 
 def test_pi0():
