@@ -141,12 +141,10 @@ class LevelSSet(SSet):
         for gid, gm in gens:
             if gm == 0:
                 continue
+            # horizontal and vertical operators commute: d_i s_vw g = s_vw d_i g
             e = origin[gid]
-            fs = []
-            for i in range(gm + 1):
-                f = W.act(e, mu_h=delta.coface(i, gm))
-                fs.append(NF(f.hword, self._id(f.gen, f.vword)))
-            faces[gid] = tuple(fs)
+            fs = (W._degenerate(((), e.vword), f) for f in W.hfaces[e.gen])
+            faces[gid] = tuple(NF(f.hword, self._id(f.gen, f.vword)) for f in fs)
         super().__init__(gens, faces, validate=False)
 
     def _id(self, g: str, vword: Word) -> str:
@@ -228,7 +226,7 @@ class BiColimit(NamedTuple):
 
 def bi_colimit(diag_: Diagram) -> BiColimit:
     """Colimit of a diagram of bisimplicial sets."""
-    return BiColimit(*_colimit(diag_, materialize_bi, BI_EMPTY))
+    return BiColimit(*_colimit(diag_, BI_EMPTY))
 
 
 def bi_pushout(f: BiMap, g: BiMap) -> BiColimit:

@@ -66,21 +66,25 @@ class Categorification:
         self._homs: dict[tuple[str, str], HomSpace] = {}
         self._act_cache: dict = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
-        self._beads: Optional[list[tuple[str, str, int]]] = None
+        self._arcs: Optional[dict[str, dict[str, int]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
 
-    def _bead_arcs(self) -> list[tuple[str, str, int]]:
-        if self._beads is None:
-            arcs = []
+    def _bead_arcs(self) -> dict[str, dict[str, int]]:
+        """First vertex -> last vertex -> the largest (m - 1) + k of a bead of
+        bidegree (m, k) between them, over the beads that are not loops."""
+        if self._arcs is None:
+            arcs: dict[str, dict[str, int]] = {}
             for g in self.W.gens():
                 m, k = self.W.bidegree(g)
                 if m == 0:
                     continue
                 u = self.W.act(bnd(g), mu_h=(0,)).gen
                 w = self.W.act(bnd(g), mu_h=(m,)).gen
-                arcs.append((u, w, (m - 1) + k))
-            self._beads = arcs
-        return self._beads
+                if u != w:
+                    cur = arcs.setdefault(u, {})
+                    cur[w] = max(cur.get(w, -1), (m - 1) + k)
+            self._arcs = arcs
+        return self._arcs
 
     def hom_bound(self, a: str, b: str) -> int:
         """Max possible non-degenerate degree of Hom(a, b)."""
@@ -89,12 +93,7 @@ class Categorification:
         key = (a, b)
         if key in self._bound_cache:
             return self._bound_cache[key]
-        arcs = self._bead_arcs()
-        out: dict[str, dict[str, int]] = {}
-        for u, w, c in arcs:
-            if u != w:
-                cur = out.setdefault(u, {})
-                cur[w] = max(cur.get(w, -1), c)
+        out = self._bead_arcs()
         best: dict[str, int] = {}
         state: dict[str, int] = {}
 

@@ -2,6 +2,10 @@
 
 Colimits, isomorphism search and map enumeration are written once for the
 n-fold sets of `sset` and serve simplicial and bisimplicial sets alike.
+Products and colimits are built from non-degenerate simplices only: by the
+Eilenberg-Zilber lemma every simplex of the result has one normal form, which
+they give in closed form, so neither lists a degenerate simplex nor tests one
+through the operator action.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
-from .sset import EMPTY, NF, SSet, SSetError, SSetMap, materialize, nd
+from .sset import EMPTY, NF, SSet, SSetError, SSetMap, _new, nd
 
 
 # -- products -----------------------------------------------------------------
@@ -24,7 +28,18 @@ class Product(NamedTuple):
 
 
 def product(*factors: SSet) -> Product:
-    """Finite product with projections; generators are the shuffle pairs."""
+    """Finite product with projections; generators are the shuffles.
+
+    A d-simplex of the product is a tuple of d-simplices, one per factor; it
+    is non-degenerate exactly when the factors' degeneracy words have no
+    index in common (Eilenberg-Zilber), so only those tuples are listed,
+    sorted, and numbered p{d}_{i}.  Their faces are read from the factors'
+    face tables.  to_nf(d, e) gives any tuple's normal form in closed form,
+    above the top dimension too: the common indices C of the words, applied
+    to the tuple pulled back along a section of the epi that collapses C.  It
+    raises SSetError on a tuple that reduces to no listed shuffle, which is
+    then no d-simplex of the product.
+    """
     if not factors:
         pt = SSet([("*", 0)], {})
         return Product(pt, (), lambda d, e: NF(tuple(range(d - 1, -1, -1)), "*"))
@@ -32,28 +47,55 @@ def product(*factors: SSet) -> Product:
         return Product(EMPTY, tuple(SSetMap(EMPTY, X, {}) for X in factors),
                        lambda d, e: (_ for _ in ()).throw(SSetError("empty product")))
     max_dim = sum(X.dim_bound for X in factors)
+    memo: dict[tuple, NF] = {}  # tuple -> normal form; each shuffle entered as it is listed
 
-    def levels(d: int) -> list:
-        return sorted(itertools.product(*(X.simplices(d) for X in factors)))
+    def to_nf(d: int, e: tuple) -> NF:
+        hit = memo.get(e)
+        if hit is None:
+            common = set(e[0].word).intersection(*(x.word for x in e[1:]))
+            base = None
+            if common:
+                # the first index of every fiber of the epi that collapses common
+                sec = tuple(j for j in range(d + 1) if j - 1 not in common)
+                y = tuple(NF(delta.epi_to_word(delta.compose(delta.word_to_epi(x.word, d), sec)),
+                             x.gen) for x in e)
+                base = memo.get(y)
+            if base is None or base.word:
+                raise SSetError(f"no generator of the product below a {d}-simplex; "
+                                f"the product's top dimension is {max_dim}")
+            hit = memo[e] = NF(tuple(sorted(common, reverse=True)), base.gen)
+        return hit
 
-    def act(e, d, mu):
-        return tuple(X.act(x, mu) for X, x in zip(factors, e))
-
-    def degen(e, d, i):
-        out = []
-        for X, x in zip(factors, e):
-            epi = delta.word_to_epi(x.word, d)
-            if epi[i] != epi[i + 1]:
-                return None
-            word2, _ = delta.factor(delta.compose(epi, delta.coface(i, d)))
-            out.append(NF(word2, x.gen))
-        return tuple(out)
-
-    mat = materialize(levels, act, max_dim, prefix="p", degen=degen)
-    projs = tuple(
-        SSetMap(mat.sset, X, {g: mat.elem_of[g][i] for g in mat.sset.gens()}, validate=False)
-        for i, X in enumerate(factors))
-    return Product(mat.sset, projs, mat.to_nf)
+    gens: list[tuple[str, int]] = []
+    faces: dict[str, tuple[NF, ...]] = {}
+    elem_of: dict[str, tuple] = {}
+    for d in range(max_dim + 1):
+        # per factor: (bit mask of a word, the d-simplices with that word)
+        by_word = [[(sum(1 << i for i in w), [NF(w, g) for g in X._by_deg[(d - q,)]])
+                    for q in range(d + 1) if (d - q,) in X._by_deg
+                    for w in delta.all_words(q, d)]
+                   for X in factors]
+        level: list[tuple] = []
+        for words in itertools.product(*by_word):
+            common = (1 << d) - 1
+            for mask, _ in words:
+                common &= mask
+            if not common:
+                level.extend(itertools.product(*(xs for _, xs in words)))
+        level.sort()
+        for i, e in enumerate(level):
+            gid = f"p{d}_{i}"
+            gens.append((gid, d))
+            elem_of[gid] = e
+            memo[e] = nd(gid)
+        for e in level if d else ():
+            faces[memo[e].gen] = tuple(
+                to_nf(d - 1, tuple(X._face_step(x, 0, i) for X, x in zip(factors, e)))
+                for i in range(d + 1))
+    out = SSet(gens, faces, validate=False)
+    projs = tuple(SSetMap(out, X, {g: elem_of[g][k] for g in out.gens()}, validate=False)
+                  for k, X in enumerate(factors))
+    return Product(out, projs, to_nf)
 
 
 def pairing(prod: Product, maps: list[SSetMap]) -> SSetMap:
@@ -106,69 +148,95 @@ class _UF:
 
 
 def colimit(diag: Diagram) -> Colimit:
-    """Levelwise union-find colimit, re-normalized to EZ form."""
-    return Colimit(*_colimit(diag, materialize, EMPTY))
+    """Levelwise union-find colimit of non-degenerate simplices, in EZ form."""
+    return Colimit(*_colimit(diag, EMPTY))
 
 
-def _colimit(diag: Diagram, build: Callable, empty):
-    """The colimit of a diagram of n-fold sets, up to the objects' top degree per axis.
+def _colimit(diag: Diagram, empty):
+    """The colimit of a diagram of n-fold sets; empty is the empty set of the grading.
 
-    build is the public materialize entry point of the grading, called as
-    build(levels, act, *bounds, prefix="q"); empty is its empty set.  Returns
-    (set, cocone, cls, reps): cls(name, x) is the class of x from the named
-    object, reps[g] the least (name, simplex) in the class of g.
+    Degrees are taken in ascending order.  At each degree the non-degenerate
+    generators of all objects are union-found along every edge whose image of
+    a generator is non-degenerate.  An image s_w z instead marks the
+    generator's class as the degenerate simplex s_w cls(z), where cls(z) is
+    already known because z lies at a lower degree.  By Eilenberg-Zilber
+    uniqueness, a class with no mark is a non-degenerate simplex of the
+    colimit and has only non-degenerate members, and every relation between
+    degenerate simplices follows from one at a lower degree; two marks on one
+    class that disagree mean a map of the diagram is not simplicial
+    (SSetError).  The unmarked classes become generators q{deg}_{i}, numbered
+    in the order of their least member (name, generator), whose face table
+    gives theirs.
+
+    Returns (set, cocone, cls, reps): cls(name, x) is the class of x from the
+    named object, reps[g] the least (name, simplex) in the class of g.
     """
     objects = diag.objects
     names = sorted(objects)
-    bounds = tuple(max((deg[a] for X in objects.values() for deg in X._by_deg), default=-1)
-                   for a in range(empty.n_axes))
-    if min(bounds) < 0:
+    degrees = sorted({deg for X in objects.values() for deg in X._by_deg})
+    if not degrees:
         def no_cls(name, x):
             raise SSetError("empty colimit")
 
         return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, no_cls, {}
+    nf_type = empty.nf_type
+    n_axes = empty.n_axes
     uf = _UF()
-    level_nodes: dict[tuple, list] = {}
-    for deg in itertools.product(*(range(b + 1) for b in bounds)):
-        nodes = [(n, x) for n in names for x in objects[n].simplices(*deg)]
-        level_nodes[deg] = nodes
-        for node in nodes:
-            uf.find(node)
+    image: dict[str, dict[str, tuple]] = {n: {} for n in names}  # the cocone, as it is found
+    gens: list[tuple[str, tuple[int, ...]]] = []
+    faces: tuple[dict, ...] = tuple({} for _ in range(n_axes))
+    reps: dict[str, tuple] = {}
+
+    def push(name: str, f: tuple) -> tuple:
+        """The class of the normal form f of the named object, f's generator already placed."""
+        c = image[name][f[-1]]
+        if not any(f[:-1]):
+            return c
+        dims = objects[name]._deg[f[-1]]
+        return _new(nf_type, (*map(delta.merge_words, f[:-1], c, dims), c[-1]))
+
+    for deg in degrees:
+        nodes = [(n, g) for n in names for g in objects[n]._by_deg.get(deg, ())]
+        marked = []
         for _, s, t, f in diag.edges:
-            for x in objects[s].simplices(*deg):
-                uf.union((s, x), (t, f(x)))
-    classes: dict[tuple, dict] = {}  # per degree: root -> canonical key (min member)
-    for deg, nodes in level_nodes.items():
-        by_root: dict = {}
+            for g in objects[s]._by_deg.get(deg, ()):
+                img = f.assign[g]
+                if any(img[:-1]):
+                    marked.append(((s, g), push(t, img)))
+                else:
+                    uf.union((s, g), (t, img[-1]))
+        nf_of: dict = {}  # class root -> the class's normal form
+        for node, m in marked:
+            if nf_of.setdefault(uf.find(node), m) != m:
+                raise SSetError(f"a colimit class at degree {list(deg)} has two normal forms, "
+                                f"{tuple(m)} and {tuple(nf_of[uf.find(node)])}")
+        least: dict = {}
         for node in nodes:
-            by_root.setdefault(uf.find(node), []).append(node)
-        classes[deg] = {root: min(ms) for root, ms in by_root.items()}
-
-    def levels(*deg) -> list:
-        return sorted(classes[deg].values())
-
-    def act(e, d, *mus):
-        n, x = e
-        X = objects[n]
-        y = X.act(x, *mus)
-        return classes[X.degree(y)][uf.find((n, y))]
-
-    out, to_nf, elem_of = build(levels, act, *bounds, prefix="q")
-
-    def gen_class(n: str, g: str) -> tuple:
-        X = objects[n]
-        deg = X._deg[g]
-        return to_nf(*deg, classes[deg][uf.find((n, X._nd(g)))])
-
-    cocone = {n: objects[n].map_type(objects[n], out,
-                                     {g: gen_class(n, g) for g in objects[n].gens()},
+            root = uf.find(node)
+            if root not in nf_of and (root not in least or node < least[root]):
+                least[root] = node
+        made = [("q" + "_".join(map(str, deg)) + f"_{i}", n, g)
+                for i, (n, g) in enumerate(sorted(least.values()))]
+        for gid, n, g in made:
+            nf_of[uf.find((n, g))] = _new(nf_type, ((),) * n_axes + (gid,))
+        for n, g in nodes:
+            image[n][g] = nf_of[uf.find((n, g))]
+        for gid, n, g in made:
+            gens.append((gid, deg))
+            reps[gid] = (n, objects[n]._nd(g))
+            for a, fs in enumerate(objects[n]._faces):
+                if deg[a]:
+                    faces[a][gid] = tuple(push(n, f) for f in fs[g])
+    out = type(empty)([(g, deg[0] if n_axes == 1 else deg) for g, deg in gens], *faces,
+                      validate=False)
+    cocone = {n: objects[n].map_type(objects[n], out, {g: image[n][g] for g in objects[n].gens()},
                                      validate=False)
               for n in names}
 
     def cls(name: str, x: tuple) -> tuple:
         return cocone[name](x)
 
-    return out, cocone, cls, {g: elem_of[g] for g in out.gens()}
+    return out, cocone, cls, reps
 
 
 def _span(f: SSetMap, g: SSetMap) -> Diagram:

@@ -139,6 +139,7 @@ class GradedSet:
         return hit
 
     def _face_step(self, e: tuple, a: int, r: int) -> tuple:
+        """d_r along axis a of the normal form e, read from the face table."""
         g = e[-1]
         top = self._deg[g][a]
         m = top + len(e[a])

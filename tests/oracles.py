@@ -4,6 +4,10 @@ The counts here are computed by direct enumeration, never through the
 library's own engines, so the values they produce can back the library's
 outputs.  coend_all_relations is the unpruned coend, built from the library's
 products and colimits, the reference for the pruned one in kan.enriched_lan.
+colimit_all_simplices and product_all_tuples list every simplex, degenerate
+ones included, and strip degeneracies through the generic operator action in
+the materialize engine: the references for ops.colimit, bisset.bi_colimit and
+ops.product, which list non-degenerate simplices only.
 The act_* oracles read vertices, faces and bead transport through the generic
 operator action (SSet.act, BiSSet.act) only, never through the face-table
 routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
@@ -12,9 +16,10 @@ and the bead memo of Categorification._act.
 
 import itertools
 
+from necklace_calculus import delta
 from necklace_calculus.necklace import RealizedNecklace
 from necklace_calculus.ops import Diagram, OrderWitness, colimit, product
-from necklace_calculus.sset import SSetMap, nd
+from necklace_calculus.sset import EMPTY, NF, SSetMap, materialize, nd
 
 
 def shuffle_count(p: int, q: int, n: int) -> int:
@@ -218,3 +223,90 @@ def act_is_1_ordered(X):
                 return False, OrderWitness("spine-injectivity", (seen[sp], g))
             seen[sp] = g
     return True, None
+
+
+# -- colimits and products over every simplex -----------------------------------
+
+
+def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
+    """(set, cocone, cls, reps) of the colimit of a diagram of n-fold sets:
+    every simplex of every object, degenerate ones included, union-found along
+    every edge, and each class materialized by build (materialize, or
+    bisset.materialize_bi with empty BI_EMPTY) from its least member, which
+    tests degeneracy through two calls of the objects' act per index."""
+    objects = diag.objects
+    names = sorted(objects)
+    bounds = tuple(max((deg[a] for X in objects.values() for deg in X._by_deg), default=-1)
+                   for a in range(empty.n_axes))
+    if min(bounds) < 0:
+        return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, None, {}
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    level_nodes = {}
+    for deg in itertools.product(*(range(b + 1) for b in bounds)):
+        nodes = [(n, x) for n in names for x in objects[n].simplices(*deg)]
+        level_nodes[deg] = nodes
+        for _, s, t, f in diag.edges:
+            for x in objects[s].simplices(*deg):
+                rx, ry = find((s, x)), find((t, f(x)))
+                parent[max(rx, ry)] = min(rx, ry)
+    classes = {}  # per degree: root -> least member
+    for deg, nodes in level_nodes.items():
+        by_root = {}
+        for node in nodes:
+            by_root.setdefault(find(node), []).append(node)
+        classes[deg] = {root: min(ms) for root, ms in by_root.items()}
+
+    def levels(*deg):
+        return sorted(classes[deg].values())
+
+    def act(e, d, *mus):
+        n, x = e
+        X = objects[n]
+        y = X.act(x, *mus)
+        return classes[X.degree(y)][find((n, y))]
+
+    out, to_nf, elem_of = build(levels, act, *bounds, prefix="q")
+    cocone = {}
+    for n in names:
+        X = objects[n]
+        assign = {g: to_nf(*X._deg[g], classes[X._deg[g]][find((n, X._nd(g)))])
+                  for g in X.gens()}
+        cocone[n] = X.map_type(X, out, assign, validate=False)
+    return out, cocone, (lambda name, x: cocone[name](x)), {g: elem_of[g] for g in out.gens()}
+
+
+def product_all_tuples(*factors):
+    """(set, projections, to_nf) of the product of simplicial sets: every
+    tuple of d-simplices listed, the degenerate ones stripped one index at a
+    time by the factors' own degeneracy words, faces taken through act."""
+    if not factors or any(X.is_empty() for X in factors):
+        raise ValueError("the oracle takes non-empty factors only")
+    max_dim = sum(X.dim_bound for X in factors)
+
+    def levels(d):
+        return sorted(itertools.product(*(X.simplices(d) for X in factors)))
+
+    def act(e, d, mu):
+        return tuple(X.act(x, mu) for X, x in zip(factors, e))
+
+    def degen(e, d, i):
+        out = []
+        for x in e:
+            epi = delta.word_to_epi(x.word, d)
+            if epi[i] != epi[i + 1]:
+                return None
+            word2, _ = delta.factor(delta.compose(epi, delta.coface(i, d)))
+            out.append(NF(word2, x.gen))
+        return tuple(out)
+
+    mat = materialize(levels, act, max_dim, prefix="p", degen=degen)
+    projs = tuple(SSetMap(mat.sset, X, {g: mat.elem_of[g][i] for g in mat.sset.gens()},
+                          validate=False)
+                  for i, X in enumerate(factors))
+    return mat.sset, projs, mat.to_nf

@@ -159,10 +159,14 @@ def test_face_tables_match_act_oracle(W):
 
 @pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
 def test_levels_match_act_oracle(W):
-    # table-derived vertices and 1-orderedness on every level slice of the base
+    # table-derived faces, vertices and 1-orderedness on every level slice of the base
     C = categorify(W, check=False)
     for j in range(C.bound + 1):
         L = C.level(j)
         for g in L.gens():
+            m = L.gen_dim(g)
+            for i, f in enumerate(L.faces.get(g, ())):
+                want = W.act(L.origin[g], mu_h=delta.coface(i, m))
+                assert f == (want.hword, L._id(want.gen, want.vword)), (j, g, i)
             assert L.vertices(nd(g)) == act_vertices(L, nd(g)), (j, g)
         assert ops.is_1_ordered(L) == act_is_1_ordered(L), j

@@ -1,0 +1,232 @@
+"""Colimits and products built from non-degenerate simplices only.
+
+ops.colimit (and bisset.bi_colimit) union-find generators and read each
+degenerate image as a normal form; ops.product lists the shuffles and gives
+normal forms in closed form.  These tests hold both against the oracles in
+tests/oracles.py that list every simplex and strip degeneracies through the
+operator action: the same generators, faces, representatives and cocones.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as strat
+
+from necklace_calculus import bisset, kan, ops, shapes
+from necklace_calculus.bisset import BI_EMPTY, lf, materialize_bi
+from necklace_calculus.io_schemas import bisset_dump, sset_dump
+from necklace_calculus.sset import NF, SSetError, SSetMap, nd
+from necklace_calculus.straighten import Straightener, delta_precat
+
+from oracles import (colimit_all_simplices, product_all_tuples, product_nd_counts,
+                     shuffle_count)
+
+d = shapes.simplex
+
+
+def _assert_same_colimit(got, diag, bi=False):
+    want = (colimit_all_simplices(diag, materialize_bi, BI_EMPTY) if bi
+            else colimit_all_simplices(diag))
+    dump = bisset_dump if bi else sset_dump
+    assert dump(got[0]) == dump(want[0])
+    assert got.reps == want[3]
+    assert sorted(got.cocone) == sorted(want[1])
+    for name, leg in got.cocone.items():
+        assert leg.assign == want[1][name].assign, name
+        assert list(leg.assign) == list(want[1][name].assign), name
+
+
+def _span_diagram(f, g):
+    diag = ops.Diagram({"A": f.src, "X": f.dst, "Y": g.dst})
+    diag.add("f", "A", "X", f)
+    diag.add("g", "A", "Y", g)
+    return diag
+
+
+def test_edge_collapsed_onto_a_degenerate_edge():
+    # Delta[2] with its edge 01 collapsed to a point: the edge's class is s_0 of a vertex
+    edge = shapes.simplex_operator((0, 1), 2)
+    to_pt = SSetMap(d(1), d(0), {"0": nd("0"), "1": nd("0"), "0.1": NF((0,), "0")})
+    diag = _span_diagram(edge, to_pt)
+    got = ops.colimit(diag)
+    assert got.sset.nd_counts() == (2, 2, 1)
+    assert got.cls("X", nd("0.1")).word == (0,)
+    _assert_same_colimit(got, diag)
+
+
+def test_coequalizer_with_a_degenerate_leg():
+    # edge 01 of Delta[2] identified with s_0 of vertex 0: the vertices merge one degree below
+    f = shapes.simplex_operator((0, 1), 2)
+    g = shapes.simplex_operator((0, 0), 2)
+    diag = ops.Diagram({"A": d(1), "X": d(2)})
+    diag.add("f", "A", "X", f)
+    diag.add("g", "A", "X", g)
+    got = ops.coequalizer(f, g)
+    assert got.sset.nd_counts() == (2, 2, 1)
+    _assert_same_colimit(got, diag)
+
+
+def test_coequalizer_of_the_two_endpoints():
+    b0, b1 = (shapes.simplex_operator((v,), 1) for v in (0, 1))
+    diag = ops.Diagram({"A": d(0), "X": d(1)})
+    diag.add("f", "A", "X", b0)
+    diag.add("g", "A", "X", b1)
+    got = ops.coequalizer(b0, b1)
+    assert got.sset.nd_counts() == (1, 1)
+    _assert_same_colimit(got, diag)
+
+
+def test_disagreeing_marks_raise():
+    # g is not simplicial: it sends the edge to s_0 of vertex 1 but both ends to vertex 0
+    f = SSetMap(d(1), d(1), {"0": nd("0"), "1": nd("0"), "0.1": NF((0,), "0")})
+    g = SSetMap(d(1), d(1), {"0": nd("0"), "1": nd("0"), "0.1": NF((0,), "1")},
+                validate=False)
+    diag = ops.Diagram({"A": d(1), "X": d(1)})
+    diag.add("f", "A", "X", f)
+    diag.add("g", "A", "X", g)
+    with pytest.raises(SSetError):
+        ops.colimit(diag)
+
+
+def _recording(monkeypatch, module, name):
+    """Replace module.name (a colimit function) by one that records (diagram, result)."""
+    seen = []
+    orig = getattr(module, name)
+
+    def rec(diag):
+        out = orig(diag)
+        seen.append((diag, out))
+        return out
+
+    monkeypatch.setattr(module, name, rec)
+    return seen
+
+
+@pytest.mark.parametrize("m,X", [(1, d(1)), (2, d(1)), (1, d(2)), (2, shapes.boundary(1)),
+                                 (1, shapes.horn(2, 1))],
+                         ids=["lf1_d1", "lf2_d1", "lf1_d2", "lf2_bd1", "lf1_horn21"])
+def test_discretize_pushouts_match_oracle(monkeypatch, m, X):
+    seen = _recording(monkeypatch, bisset, "bi_colimit")
+    lf(m, X)
+    assert len(seen) == 1
+    for diag, got in seen:
+        _assert_same_colimit(got, diag, bi=True)
+
+
+def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
+    seen = _recording(monkeypatch, kan, "colimit")
+    W = delta_precat(2).W
+    st = Straightener(W)
+    ob = st.st_object(W, bisset.bi_identity(W))
+    for a in st.CW.objects:
+        ob.value(a)
+    assert seen
+    assert any(any(f.assign[g][:-1] for _, _, _, f in diag.edges for g in f.assign)
+               for diag, _ in seen), "no lan colimit has a degenerate image"
+    for diag, got in seen:
+        _assert_same_colimit(got, diag)
+
+
+_TARGETS = {"d0": lambda: d(0), "d1": lambda: d(1), "d2": lambda: d(2),
+            "bd2": lambda: shapes.boundary(2), "horn21": lambda: shapes.horn(2, 1),
+            "horn20": lambda: shapes.horn(2, 0), "spine2": lambda: shapes.spine(2)}
+_SOURCES = {"d0": lambda: d(0), "bd1": lambda: shapes.boundary(1), "d1": lambda: d(1),
+            "spine2": lambda: shapes.spine(2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(strat.data())
+def test_random_spans_match_oracle(data):
+    A = _SOURCES[data.draw(strat.sampled_from(sorted(_SOURCES)))]()
+    X = _TARGETS[data.draw(strat.sampled_from(sorted(_TARGETS)))]()
+    Y = _TARGETS[data.draw(strat.sampled_from(sorted(_TARGETS)))]()
+    maps_x = list(ops.enumerate_maps(A, X))
+    maps_y = list(ops.enumerate_maps(A, Y))
+    f = maps_x[data.draw(strat.integers(0, len(maps_x) - 1))]
+    g = maps_y[data.draw(strat.integers(0, len(maps_y) - 1))]
+    diag = _span_diagram(f, g)
+    _assert_same_colimit(ops.colimit(diag), diag)
+
+
+# -- products -----------------------------------------------------------------------
+
+PRODUCTS = {
+    "d1xd1": lambda: (d(1), d(1)),
+    "d2xd1": lambda: (d(2), d(1)),
+    "bd2xd1": lambda: (shapes.boundary(2), d(1)),
+    "horn21xd2": lambda: (shapes.horn(2, 1), d(2)),
+    "d1xptxd1": lambda: (d(1), d(0), d(1)),
+    "d1xd1xd1": lambda: (d(1), d(1), d(1)),
+    "spine2xbd1xd1": lambda: (shapes.spine(2), shapes.boundary(1), d(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_matches_every_tuple_oracle(name):
+    factors = PRODUCTS[name]()
+    got = ops.product(*factors)
+    want, want_projs, want_nf = product_all_tuples(*factors)
+    assert sset_dump(got.sset) == sset_dump(want)
+    for pr, want_pr in zip(got.projections, want_projs):
+        assert pr.assign == want_pr.assign
+    top = sum(X.dim_bound for X in factors)
+    for dd in range(top + 2):  # one degree above the top: every tuple there is degenerate
+        for e in itertools.product(*(X.simplices(dd) for X in factors)):
+            assert got.to_nf(dd, e) == want_nf(dd, e), (dd, e)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_nd_counts_match_shuffle_oracle(name):
+    factors = PRODUCTS[name]()
+    want = factors[0].nd_counts()
+    for X in factors[1:]:
+        want = product_nd_counts(want, X.nd_counts())
+    assert ops.product(*factors).sset.nd_counts() == want
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+def test_product_top_cells_are_the_shuffles(p, q):
+    prod = ops.product(d(p), d(q))
+    tops = (shapes.subset_id(range(p + 1)), shapes.subset_id(range(q + 1)))
+    px, py = prod.projections
+    for n in range(max(p, q), p + q + 1):
+        over_tops = [g for g in prod.sset.by_dim[n]
+                     if (px.assign[g].gen, py.assign[g].gen) == tops]
+        assert len(over_tops) == shuffle_count(p, q, n)
+
+
+def test_product_to_nf_rejects_what_is_not_a_simplex():
+    prod = ops.product(d(1), d(1))
+    with pytest.raises(SSetError):
+        prod.to_nf(1, (nd("0.1"), nd("0")))  # a 1-simplex with a 0-simplex
+    with pytest.raises(SSetError):
+        prod.to_nf(3, (NF((2, 1), "0.1"), NF((2, 0), "x")))  # no generator "x"
+
+
+def test_no_operator_action_and_no_materialize(monkeypatch):
+    # every input is built first; then the operator actions and the engine must go unused
+    from necklace_calculus import sset
+
+    spans = [_span_diagram(shapes.simplex_operator((0, 1), 2),
+                           SSetMap(d(1), d(0), {"0": nd("0"), "1": nd("0"),
+                                                "0.1": NF((0,), "0")}))]
+    bi_seen = _recording(monkeypatch, bisset, "bi_colimit")
+    lf(2, d(1))
+    factors = [PRODUCTS[name]() for name in sorted(PRODUCTS)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for holder, name in [(sset.SSet, "act"), (bisset.BiSSet, "act"), (sset, "materialize"),
+                         (sset, "_materialize"), (bisset, "materialize_bi"),
+                         (bisset, "_materialize")]:
+        monkeypatch.setattr(holder, name, refuse)
+    for diag in spans:
+        ops.colimit(diag)
+    for diag, _ in bi_seen:
+        ops._colimit(diag, BI_EMPTY)
+    for fs in factors:
+        prod = ops.product(*fs)
+        for g in prod.sset.gens():
+            e = tuple(pr.assign[g] for pr in prod.projections)
+            assert not set(e[0].word).intersection(*(x.word for x in e[1:])), (g, e)
