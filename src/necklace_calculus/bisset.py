@@ -309,14 +309,15 @@ def lf(m: int, X: "SSet") -> LF:
         return BiNF(out.hword, out.vword, ren.get(out.gen, out.gen))
 
     q = BiMap(A, W, {g: cls(bnd(g)) for g in A.gens()}, validate=False)
+    # the least product generator sent to each generator of W: q keeps
+    # degeneracy, so no degenerate simplex is sent to a generator
     rep = {}
+    for x in A.gens():
+        img = q.assign[x]
+        if not img.hword and not img.vword:
+            rep.setdefault(img.gen, bnd(x))
     for g in W.gens():
-        mk = W.bidegree(g)
-        for e in A.simplices(*mk):
-            if cls(e) == bnd(g):
-                rep[g] = e
-                break
-        else:
+        if g not in rep:
             raise SSetError(f"no product representative for {g!r}")
     return LF(m, X, A, W, q, cls, rep)
 

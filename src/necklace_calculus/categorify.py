@@ -6,6 +6,20 @@ chain in the subset interval [J_T, V_T] whose endpoints saturate T (the chain
 starts at the joints and ends at the full vertex set).  Composition is the
 wedge.
 
+The necklaces are listed from bead paths, not from a necklace poset of each
+level slice.  Row 0 is discrete, so a necklace of the level-j slice is a path
+of W generators of horizontal degree >= 1 (beads) from a to b with one
+vertical degeneracy word per bead, and its joints and vertices are those of
+the path, the same at every level:
+- the bead table lists each bead's vertical degree and row-0 vertices, once
+  per Categorification; `hom_bound` reads it too;
+- the paths from a to b are walked once per hom space, after every level
+  slice up to the bound is checked with `ops.is_1_ordered`;
+- at level j, a path with all vertical degrees <= j gives one necklace per
+  tuple of words, skipped when its flat positions (the words' intersection)
+  outnumber its free vertices, before any generator id is built.
+`poset` and `necklace.TndPoset` serve DOT output and the verify checks.
+
 Faces and other operators are read from tables, not recomputed:
 - each bead is moved along an operator by the vertical action of W once per
   (bead, level, operator); the memo belongs to the Categorification;
@@ -20,11 +34,12 @@ Faces and other operators are read from tables, not recomputed:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple, Optional
 
 from . import delta
-from .bisset import BiMap, BiSSet, LevelSSet, bnd
+from .bisset import BiMap, BiNF, BiSSet, LevelSSet
 from .cubes import Chain, chain_act, chain_join, chains
 from .necklace import RealizedNecklace, TndPoset, UnsupportedInput, sub_necklace
 from .ops import is_1_ordered
@@ -32,6 +47,24 @@ from .scat import EnrichedFunctor, SCat
 from .sset import NF, SSet, SSetError, materialize
 
 HomElement = tuple[tuple[str, ...], Chain]  # (bead generators in the level slice, chain)
+
+
+class Bead(NamedTuple):
+    """A W generator of horizontal degree m >= 1: vertical degree k, row-0 vertices."""
+
+    gen: str
+    k: int
+    verts: tuple[str, ...]
+
+
+class BeadPath(NamedTuple):
+    """A path of beads: W generators, vertical degrees, joints J, vertices V, |V - J|."""
+
+    beads: tuple[str, ...]
+    ks: tuple[int, ...]
+    joints: tuple[str, ...]
+    verts: tuple[str, ...]
+    free: int
 
 
 class HomSpace(NamedTuple):
@@ -66,34 +99,45 @@ class Categorification:
         self._homs: dict[tuple[str, str], HomSpace] = {}
         self._act_cache: dict = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
-        self._arcs: Optional[dict[str, dict[str, int]]] = None
+        self._table: Optional[dict[str, list[Bead]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
 
-    def _bead_arcs(self) -> dict[str, dict[str, int]]:
-        """First vertex -> last vertex -> the largest (m - 1) + k of a bead of
-        bidegree (m, k) between them, over the beads that are not loops."""
-        if self._arcs is None:
-            arcs: dict[str, dict[str, int]] = {}
+    def _beads(self) -> dict[str, list[Bead]]:
+        """The bead table: the W generators of horizontal degree m >= 1, with
+        their vertical degree and row-0 vertex tuple, by first vertex.
+
+        Vertices are read from the horizontal face table, as SSet.vertices
+        reads them: those of the last face, then the last of the first face.
+        W.gens() ascends in bidegree, so a bead's faces are read before it.
+        """
+        if self._table is None:
+            verts: dict[str, tuple[str, ...]] = {}
+
+            def of(f: BiNF) -> tuple[str, ...]:
+                vs = verts.get(f.gen, (f.gen,))  # a row-0 vertex is its own vertex
+                if not f.hword:
+                    return vs
+                return tuple(vs[v] for v in delta.word_to_epi(f.hword, len(vs) - 1 + len(f.hword)))
+
+            table: dict[str, list[Bead]] = {}
             for g in self.W.gens():
                 m, k = self.W.bidegree(g)
-                if m == 0:
-                    continue
-                u = self.W.act(bnd(g), mu_h=(0,)).gen
-                w = self.W.act(bnd(g), mu_h=(m,)).gen
-                if u != w:
-                    cur = arcs.setdefault(u, {})
-                    cur[w] = max(cur.get(w, -1), (m - 1) + k)
-            self._arcs = arcs
-        return self._arcs
+                if m:
+                    fs = self.W.hfaces[g]
+                    vs = verts[g] = of(fs[-1]) + of(fs[0])[-1:]
+                    table.setdefault(vs[0], []).append(Bead(g, k, vs))
+            self._table = table
+        return self._table
 
     def hom_bound(self, a: str, b: str) -> int:
-        """Max possible non-degenerate degree of Hom(a, b)."""
+        """Max possible non-degenerate degree of Hom(a, b): the largest sum of
+        (m - 1) + k over a path of beads of bidegree (m, k) from a to b."""
         if self.user_bound is not None:
             return self.user_bound
         key = (a, b)
         if key in self._bound_cache:
             return self._bound_cache[key]
-        out = self._bead_arcs()
+        table = self._beads()
         best: dict[str, int] = {}
         state: dict[str, int] = {}
 
@@ -105,10 +149,13 @@ class Categorification:
                 return best[v]
             state[v] = 1
             score = 0 if v == b else -(10 ** 9)
-            for w, c in out.get(v, {}).items():
+            for g, k, verts in table.get(v, ()):
+                w = verts[-1]
+                if w == v:
+                    continue  # a loop; the level check rejects it
                 sub = dfs(w)
                 if sub > -(10 ** 9):
-                    score = max(score, c + sub)
+                    score = max(score, len(verts) - 2 + k + sub)
             state[v] = 2
             best[v] = score
             return score
@@ -182,25 +229,65 @@ class Categorification:
         mu = delta.coface(i, j)
         return (tuple(self._transport(g, j, mu) for g in beads), ch[:i] + ch[i + 1:])
 
+    def _paths(self, a: str, b: str) -> list[BeadPath]:
+        """The bead paths from a to b with vertical degrees up to hom_bound(a, b),
+        walked depth-first.
+
+        Each level slice up to that bound is checked to be 1-ordered first, in
+        ascending order, raising what the slice's TndPoset raises; so the beads
+        walked have no directed cycle, and the walk ends.
+        """
+        cap = self.hom_bound(a, b)
+        for j in range(cap + 1):
+            ok, wit = is_1_ordered(self.level(j))
+            if not ok:
+                raise UnsupportedInput(f"K is not 1-ordered ({wit.condition})", witness=wit)
+        if a not in self.objects or b not in self.objects:
+            raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
+        table = self._beads()
+        tails: dict[str, list[tuple]] = {}
+
+        def walk(v: str) -> list[tuple]:
+            if v not in tails:
+                out = []
+                for g, k, verts in table.get(v, ()):
+                    if k > cap:
+                        continue
+                    w = verts[-1]
+                    if w == b:
+                        out.append(((g,), (k,), (v, w), verts))
+                    out.extend(((g,) + gs, (k,) + ks, (v,) + J, verts[:-1] + V)
+                               for gs, ks, J, V in walk(w))
+                tails[v] = out
+            return tails[v]
+
+        return [BeadPath(gs, ks, J, V, len(set(V) - set(J))) for gs, ks, J, V in walk(a)]
+
+    def _hom_level(self, a: str, b: str, paths: list[BeadPath], j: int) -> list[HomElement]:
+        """The non-degenerate j-simplices of Hom(a, b), sorted, from its bead
+        paths: (T, chain) for each necklace T of the level-j slice, a path
+        with one vertical degeneracy word per bead, and each chain stepping at
+        every position where all of T's beads are flat (in every bead's word)."""
+        if a == b:
+            return [((a,), ((a,),))] if j == 0 else []
+        name = self.level(j)._id
+        out = []
+        for beads, ks, J, V, free in paths:
+            if max(ks) > j:
+                continue
+            for words in itertools.product(*(delta.all_words(j - k, j) for k in ks)):
+                flat = set(words[0]).intersection(*words[1:])
+                if free < len(flat):
+                    continue
+                t = tuple(map(name, beads, words))
+                out.extend((t, ch) for ch in chains(J, V, j, saturated=True, steps=flat))
+        return sorted(out)
+
     def hom(self, a: str, b: str) -> HomSpace:
         key = (a, b)
         if key in self._homs:
             return self._homs[key]
-
-        def levels(j: int) -> list:
-            """The non-degenerate j-simplices: (T, chain) with the chain
-            stepping at every position where all of T's beads are flat."""
-            poset = self.poset(j, a, b)
-            out = []
-            for t in poset.objects:
-                J, V = poset._joints[t], poset._verts[t]
-                flat = self._flat(t.beads, j)
-                if len(set(V) - set(J)) < len(flat):
-                    continue
-                for ch in chains(J, V, j, saturated=True, steps=flat):
-                    out.append((t.beads, ch))
-            return sorted(out)
-
+        levels = functools.partial(self._hom_level, a, b, self._paths(a, b))
         mat = materialize(levels, self._act, self.hom_bound(a, b), prefix=f"h{a}.{b}_",
                           degen=self._degen)
         hs = HomSpace(mat.sset, mat.to_nf, mat.elem_of, self._act)

@@ -90,7 +90,7 @@ def product(*factors: SSet) -> Product:
             memo[e] = nd(gid)
         for e in level if d else ():
             faces[memo[e].gen] = tuple(
-                to_nf(d - 1, tuple(X._face_step(x, 0, i) for X, x in zip(factors, e)))
+                to_nf(d - 1, tuple(X._face(x, 0, i) for X, x in zip(factors, e)))
                 for i in range(d + 1))
     out = SSet(gens, faces, validate=False)
     projs = tuple(SSetMap(out, X, {g: elem_of[g][k] for g in out.gens()}, validate=False)

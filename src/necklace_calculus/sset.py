@@ -115,11 +115,6 @@ class GradedSet:
 
     # -- the operators ------------------------------------------------------------
 
-    def _face(self, e: tuple, a: int, i: int) -> tuple:
-        """d_i along axis a, through the subclass's act."""
-        top = self._deg[e[-1]][a] + len(e[a])
-        return self.act(e, *_on_axis(self.n_axes, a, delta.coface(i, top)))
-
     def _act_axis(self, e: tuple, a: int, mu: Monotone) -> tuple:
         """The normal form of e composed with mu along axis a."""
         g = e[-1]
@@ -134,11 +129,11 @@ class GradedSet:
         if hit is None:
             hit = self._nd(g)
             for r in sorted(set(range(self._deg[g][a] + 1)).difference(mono), reverse=True):
-                hit = self._face_step(hit, a, r)
+                hit = self._face(hit, a, r)
             self._face_cache[key] = hit
         return hit
 
-    def _face_step(self, e: tuple, a: int, r: int) -> tuple:
+    def _face(self, e: tuple, a: int, r: int) -> tuple:
         """d_r along axis a of the normal form e, read from the face table."""
         g = e[-1]
         top = self._deg[g][a]

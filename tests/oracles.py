@@ -12,6 +12,10 @@ The act_* oracles read vertices, faces and bead transport through the generic
 operator action (SSet.act, BiSSet.act) only, never through the face-table
 routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
 and the bead memo of Categorification._act.
+hom_levels_from_posets lists hom generators from each level slice's necklace
+poset, the reference for the bead paths of Categorification.hom;
+lf_rep_by_listing finds the product representatives of bisset.lf by listing
+every simplex, the reference for its one pass over generators.
 """
 
 import itertools
@@ -310,3 +314,37 @@ def product_all_tuples(*factors):
                           validate=False)
                   for i, X in enumerate(factors))
     return mat.sset, projs, mat.to_nf
+
+
+# -- hom generators and LF representatives by listing ----------------------------
+
+
+def hom_levels_from_posets(C, a, b, j):
+    """The non-degenerate j-simplices of Hom(a, b) of the categorification C,
+    sorted: for each necklace T of the level-j slice's TndPoset, with joints and
+    vertices from the poset, the saturated chains stepping where every bead of
+    T is flat, skipping T when it has fewer free vertices than flat positions."""
+    from necklace_calculus.cubes import chains
+
+    poset = C.poset(j, a, b)
+    origin = C.level(j).origin
+    out = []
+    for t in poset.objects:
+        J, V = poset._joints[t], poset._verts[t]
+        flat = set(origin[t.beads[0]].vword).intersection(*(origin[g].vword for g in t.beads[1:]))
+        if len(set(V) - set(J)) < len(flat):
+            continue
+        out.extend((t.beads, ch) for ch in chains(J, V, j, saturated=True, steps=flat))
+    return sorted(out)
+
+
+def lf_rep_by_listing(L):
+    """For each generator g of L.W, the first simplex of the external product
+    at g's bidegree, degenerate ones included, that the quotient sends to g."""
+    from necklace_calculus.bisset import bnd
+
+    rep = {}
+    for g in L.W.gens():
+        rep[g] = next(e for e in L.product.simplices(*L.W.bidegree(g))
+                      if L.cls(e) == bnd(g))
+    return rep

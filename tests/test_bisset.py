@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as strat
 
-from necklace_calculus import shapes, ops
+from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import (BiMap, BiNF, bnd, diag, discretize, external,
                                       horizontal, lf, lf_map, bi_pushout, rename_gens, vertical)
 from necklace_calculus.ops import pi0
 from necklace_calculus.sset import identity_map
+
+from oracles import lf_rep_by_listing
 
 d = shapes.simplex
 
@@ -54,13 +56,23 @@ def test_levels_are_1_ordered():
 
 def test_lf_map_and_cone_identity():
     lf1, lf2 = lf(1, d(1)), lf(2, d(1))
-    from necklace_calculus import delta
-
     face = lf_map(lf1, lf2, delta.coface(2, 2), identity_map(d(1)))
     assert face.is_mono()
     po = bi_pushout(face, BiMap(lf1.W, lf1.W, {g: bnd(g) for g in lf1.W.gens()},
                                 validate=False))
     assert ops.find_iso(po.bisset, lf2.W) is not None
+
+
+def _two_points():
+    return ops.coproduct([d(0), d(0)]).sset
+
+
+@pytest.mark.parametrize("X", [d(0), d(1), d(2), shapes.boundary(2), _two_points()],
+                         ids=["point", "d1", "d2", "bd2", "two_points"])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_lf_reps_match_listing_oracle(m, X):
+    L = lf(m, X)
+    assert L.rep == lf_rep_by_listing(L)
 
 
 def test_row0_discreteness_check():
@@ -92,6 +104,20 @@ def test_external_action_is_factorwise(data):
     y2 = y if mu_v is None else Y.act(y, mu_v)
     got = external(X, Y).act(BiNF(x.word, y.word, f"{x.gen}|{y.gen}"), mu_h, mu_v)
     assert got == BiNF(x2.word, y2.word, f"{x2.gen}|{y2.gen}")
+
+
+@given(strat.data())
+@settings(max_examples=80, deadline=None)
+def test_face_table_matches_act(data):
+    X, Y = data.draw(strat.sampled_from(FACTORS)), data.draw(strat.sampled_from(FACTORS))
+    W = external(X, Y)
+    a = data.draw(strat.integers(0, 1))
+    dims = [data.draw(strat.integers(0, 3)) for _ in range(2)]
+    dims[a] = max(dims[a], 1)
+    e = data.draw(strat.sampled_from(W.simplices(*dims)))
+    i = data.draw(strat.integers(0, dims[a]))
+    mu = delta.coface(i, dims[a])
+    assert W._face(e, a, i) == (W.act(e, mu_h=mu) if a == 0 else W.act(e, mu_v=mu))
 
 
 @pytest.mark.parametrize("W", [lf(2, d(1)).W, lf(1, shapes.boundary(2)).W,

@@ -7,7 +7,8 @@ from necklace_calculus.necklace import UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
-from oracles import act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts
+from oracles import (act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts,
+                     hom_levels_from_posets)
 
 d = shapes.simplex
 
@@ -56,12 +57,30 @@ def test_categorify_rejects_loops():
         with pytest.raises(UnsupportedInput) as exc:
             categorify(W)
         assert exc.value.witness == (0, wit)
-    # the level's verdict is memoized; a repeated query must raise the same way
+    # the level's verdict is memoized; a repeated query must raise the same way,
+    # and a hom build raises what the level's necklace poset raises
     C = categorify(W, check=False)
-    for _ in range(2):
-        with pytest.raises(UnsupportedInput) as exc:
-            C.poset(0, "q0_0", "q0_0")
-        assert exc.value.witness == wit
+    for build in (lambda: C.poset(0, "q0_0", "q0_0"), lambda: C.hom("q0_0", "q0_0")):
+        for _ in range(2):
+            with pytest.raises(UnsupportedInput) as exc:
+                build()
+            assert exc.value.witness == wit
+            assert str(exc.value) == "K is not 1-ordered (antisymmetry)"
+
+
+def test_vertical_loop_above_the_bound():
+    # a (1, 1) loop at a, with horizontally degenerate vertical faces: level 0
+    # is a point and level 1 is not 1-ordered, so the bead walk must stop at
+    # the bound
+    from necklace_calculus.bisset import BiNF, BiSSet
+
+    W = BiSSet([("a", (0, 0)), ("g", (1, 1))],
+               {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
+    assert categorify(W).hom_sset("a", "a").nd_counts() == (1,)
+    C = categorify(W, bound=1, check=False)
+    with pytest.raises(UnsupportedInput) as exc:
+        C.hom("a", "a")
+    assert exc.value.witness == ops.OrderWitness("antisymmetry", ("g",))
 
 
 def test_categorify_rejects_two_cycles():
@@ -159,8 +178,15 @@ def test_face_tables_match_act_oracle(W):
 
 @pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
 def test_levels_match_act_oracle(W):
-    # table-derived faces, vertices and 1-orderedness on every level slice of the base
+    # table-derived faces, vertices and 1-orderedness on every level slice of
+    # the base, and the bead table's row-0 vertices
     C = categorify(W, check=False)
+    beads = [b for bs in C._beads().values() for b in bs]
+    assert sorted(b.gen for b in beads) == sorted(g for g in W.gens() if W.bidegree(g)[0])
+    for g, k, verts in beads:
+        m = W.bidegree(g)[0]
+        assert (k, verts) == (W.bidegree(g)[1],
+                              tuple(W.act(bnd(g), mu_h=(i,)).gen for i in range(m + 1))), g
     for j in range(C.bound + 1):
         L = C.level(j)
         for g in L.gens():
@@ -170,3 +196,39 @@ def test_levels_match_act_oracle(W):
                 assert f == (want.hword, L._id(want.gen, want.vword)), (j, g, i)
             assert L.vertices(nd(g)) == act_vertices(L, nd(g)), (j, g)
         assert ops.is_1_ordered(L) == act_is_1_ordered(L), j
+
+
+def _straightening_categorifications(n, X):
+    """Every categorification built by straightening id (x) X over Delta[n]."""
+    from necklace_calculus.bisset import BiMap
+    from necklace_calculus.groth import vtensor
+    from necklace_calculus.straighten import Straightener, delta_precat
+
+    W = delta_precat(n).W
+    P, elem_of, _ = vtensor(W, X)
+    st = Straightener(W)
+    ob = st.st_object(P, BiMap(P, W, {g: elem_of[g][0] for g in P.gens()}, validate=False))
+    for a in st.CW.objects:
+        ob.value(a)
+    return [st.CW] + [c.C for c in st._cat_lfs.values()]
+
+
+HOM_LEVEL_CASES = {
+    **{name: (lambda W=W: [categorify(W)]) for name, W in zip(FOUR_IDS, FOUR_BASES)},
+    "id_x_bd2_over_d2": lambda: _straightening_categorifications(2, shapes.boundary(2)),
+    "id_x_d2_over_d1": lambda: _straightening_categorifications(1, d(2)),
+    "lf2_delta2_bound2": lambda: [categorify(lf(2, d(2)).W, bound=2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_LEVEL_CASES))
+def test_hom_levels_match_poset_oracle(name):
+    # bead paths give the same generators, in the same order, as the level
+    # slices' necklace posets, at every level up to each pair's bound
+    for C in HOM_LEVEL_CASES[name]():
+        for a in C.objects:
+            for b in C.objects:
+                paths = C._paths(a, b)
+                for j in range(C.hom_bound(a, b) + 1):
+                    got = C._hom_level(a, b, paths, j)
+                    assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import horizontal, vertical
-from necklace_calculus.sset import NF, SSet, SSetMap, nd
+from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, nd
 
 from oracles import act_is_1_ordered, act_vertices, product_nd_counts
 
@@ -63,6 +63,25 @@ def test_vertices_match_act_oracle(m, data):
     dim = data.draw(strat.integers(0, m + 2))
     x = data.draw(strat.sampled_from(X.simplices(dim)))
     assert X.vertices(x) == act_vertices(X, x)
+
+
+@given(strat.integers(0, 3), strat.data())
+@settings(max_examples=40, deadline=None)
+def test_face_table_matches_act(m, data):
+    X = d(m)
+    dim = data.draw(strat.integers(1, m + 2))
+    x = data.draw(strat.sampled_from(X.simplices(dim)))
+    i = data.draw(strat.integers(0, dim))
+    assert X._face(x, 0, i) == X.act(x, delta.coface(i, dim))
+
+
+def test_map_validation_makes_no_act_call():
+    # faces of images are read from the target's face table
+    inc = shapes.sub_inclusion(shapes.boundary(2), d(2))
+    SSetMap(inc.src, inc.dst, inc.assign)
+    assert not inc.dst._act_cache
+    with pytest.raises(SSetError):
+        SSetMap(inc.src, inc.dst, {**inc.assign, "0.1": nd("0.2")})
 
 
 def test_product_counts_match_shuffle_oracle():
