@@ -17,8 +17,19 @@ the path, the same at every level:
   slice up to the bound is checked with `ops.is_1_ordered`;
 - at level j, a path with all vertical degrees <= j gives one necklace per
   tuple of words, skipped when its flat positions (the words' intersection)
-  outnumber its free vertices, before any generator id is built.
+  outnumber its free vertices, before any generator id is built; the chains
+  of a path depend only on its flat set, so one `_hom_level` call lists them
+  once per (path, flat set).
 `poset` and `necklace.TndPoset` serve DOT output and the verify checks.
+
+Enriched functors and composition are read from tables:
+- a functor from `cfunctor` is simplicial, so by Eilenberg-Zilber it is fixed
+  by its values on generators: it computes the image of a source hom
+  generator once, in a table its closure owns, and maps s_w x to s_w of x's
+  image;
+- `comp_el` memoizes each composite per (a, b, c, g, f), in a table the
+  Categorification owns;
+- faces of normal forms go through `delta.face_of_word`, a bounded lookup.
 
 Faces and other operators are read from tables, not recomputed:
 - each bead is moved along an operator by the vertical action of W once per
@@ -98,6 +109,7 @@ class Categorification:
         self._posets: dict[tuple[int, str, str], TndPoset] = {}
         self._homs: dict[tuple[str, str], HomSpace] = {}
         self._act_cache: dict = {}
+        self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
@@ -275,12 +287,16 @@ class Categorification:
         for beads, ks, J, V, free in paths:
             if max(ks) > j:
                 continue
+            by_flat: dict[frozenset[int], list[Chain]] = {}  # the path's chains, per flat set
             for words in itertools.product(*(delta.all_words(j - k, j) for k in ks)):
-                flat = set(words[0]).intersection(*words[1:])
+                flat = frozenset(words[0]).intersection(*words[1:])
                 if free < len(flat):
                     continue
+                chs = by_flat.get(flat)
+                if chs is None:
+                    chs = by_flat[flat] = chains(J, V, j, saturated=True, steps=flat)
                 t = tuple(map(name, beads, words))
-                out.extend((t, ch) for ch in chains(J, V, j, saturated=True, steps=flat))
+                out.extend((t, ch) for ch in chs)
         return sorted(out)
 
     def hom(self, a: str, b: str) -> HomSpace:
@@ -302,7 +318,14 @@ class Categorification:
         return hs.to_nf(0, ((a,), ((a,),))).gen
 
     def comp_el(self, a: str, b: str, c: str, g: NF, f: NF) -> NF:
-        hg, hf, hgf = self.hom(b, c), self.hom(a, b), self.hom(a, c)
+        """The composite of f in Hom(a, b) and g in Hom(b, c), at g's level:
+        the wedge of their necklaces and the join of their chains.  Memoized
+        per (a, b, c, g, f) in a table the Categorification owns."""
+        key = (a, b, c, g, f)
+        hit = self._comp_cache.get(key)
+        if hit is not None:
+            return hit
+        hg, hf = self.hom(b, c), self.hom(a, b)
         j = hg.space.dim(g)
         tg, chg = hg.expand(g, j)
         tf, chf = hf.expand(f, j)
@@ -312,7 +335,8 @@ class Categorification:
             beads = tf
         else:
             beads = tf + tg
-        return hgf.to_nf(j, (beads, chain_join(chf, chg)))
+        hit = self._comp_cache[key] = self.hom(a, c).to_nf(j, (beads, chain_join(chf, chg)))
+        return hit
 
     def _is_point(self, beads: tuple[str, ...]) -> bool:
         # vertex beads carry the row-0 name at every level
@@ -354,31 +378,45 @@ def categorify(W: BiSSet, bound: Optional[int] = None, check: bool = True) -> Ca
 
 
 def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> EnrichedFunctor:
-    """The enriched functor between categorifications induced by a precategory map."""
+    """The enriched functor between categorifications induced by a precategory map.
+
+    on_hom is simplicial, so it is fixed by its values on generators: the
+    image of a generator is computed once, in a table that this functor's
+    closure owns and fills on first use, and a degenerate s_w x maps to
+    s_w of the image of x, through the target hom space's `_degenerate`.
+    """
     on_obj = {a: f(Csrc.level(0).origin[a]).gen for a in Csrc.objects}
+    table: dict[tuple[str, str, str], tuple[NF, SSet]] = {}
 
-    def vmap(v: str) -> str:
-        return on_obj[v]
-
-    def on_hom(a: str, b: str, x: NF) -> NF:
+    def on_gen(a: str, b: str, g: str) -> NF:
+        """The image of generator g of Hom(a, b): its beads through f, its
+        chain through f on vertices, re-saturated in the target level."""
         hs = Csrc.hom(a, b)
-        j = hs.space.dim(x)
-        beads, ch = hs.expand(x, j)
+        j = hs.space.gen_dim(g)
+        beads, ch = hs.elem_of[g]
         Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
         new_beads = []
-        for g in beads:
-            binf = f(Lsrc.origin[g])
+        for bg in beads:
+            binf = f(Lsrc.origin[bg])
             root = binf.gen
             if Ldst.W.bidegree(root)[0] > 0:
                 new_beads.append(Ldst._id(root, binf.vword))
-        ch2 = tuple(tuple(sorted({vmap(v) for v in S})) for S in ch)
+        ch2 = tuple(tuple(sorted({on_obj[v] for v in S})) for S in ch)
         if not new_beads:
-            t2 = RealizedNecklace((vmap(ch[0][0] if ch[0] else a),))
+            t2 = RealizedNecklace((on_obj[ch[0][0] if ch[0] else a],))
         else:
             t2 = sub_necklace(Ldst, RealizedNecklace(tuple(new_beads)), ch2[0], ch2[-1])
             if t2 is None:
                 raise SSetError("image necklace failed to saturate")
         return Cdst.hom(on_obj[a], on_obj[b]).to_nf(j, (t2.beads, ch2))
+
+    def on_hom(a: str, b: str, x: NF) -> NF:
+        key = (a, b, x.gen)
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = (on_gen(a, b, x.gen), Cdst.hom_sset(on_obj[a], on_obj[b]))
+        img, dst = hit
+        return dst._degenerate((x.word,), img) if x.word else img
 
     return EnrichedFunctor(None, None, on_obj, on_hom)
 

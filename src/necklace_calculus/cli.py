@@ -16,8 +16,8 @@ from math import comb
 
 from .bisset import BiMap, bnd
 from .categorify import categorify
-from .io_schemas import (SchemaError, bisset_dump, bisset_load, canonical_json,
-                         presheaf_dump, run_report, sset_dump, sset_load)
+from .io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load,
+                         canonical_json, presheaf_dump, run_report, sset_dump, sset_load)
 from .necklace import PairPoset, TndPoset, UnsupportedInput, necklaces_dot
 from .ops import find_iso
 from .sset import SSetError
@@ -106,7 +106,7 @@ def cmd_straighten(args) -> int:
     _cell_guard(W, args.max_cells)
     _cell_guard(P, args.max_cells)
     try:
-        p = BiMap(P, W, {g: _parse_binf(e) for g, e in _load_json(args.map).items()}
+        p = BiMap(P, W, bimap_load(_load_json(args.map), W)
                   if args.map else _over_terminal(P, W))
     except SSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -150,12 +150,6 @@ def _closed_form_certificates(st, P, pre, objects) -> list:
     return checks
 
 
-def _parse_binf(e):
-    from .bisset import BiNF
-
-    return BiNF(tuple(e["hword"]), tuple(e["vword"]), e["target"])
-
-
 def _over_terminal(P, W):
     """Default structure map for a total object over a point."""
     if len(W.gens_at(0, 0)) != 1 or len(W.gens()) != 1:
@@ -190,6 +184,8 @@ def cmd_dot(args) -> int:
             i, m = map(int, args.pairs.split(","))
         except ValueError:
             raise UsageError(f"--pairs takes i,m; got {args.pairs!r}") from None
+        if not 0 <= i <= m:
+            raise UsageError(f"--pairs i,m needs 0 <= i <= m; got {args.pairs!r}")
         print(necklaces_dot(PairPoset(i, m), name="pairs"))
         return 0
     if args.sset is None or getattr(args, "from") is None or args.to is None:
@@ -249,6 +245,8 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if args.max_cells < 0:
+            raise UsageError(f"--max-cells must be at least 0; got {args.max_cells}")
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from typing import Optional
 
 Monotone = tuple[int, ...]
 Word = tuple[int, ...]
@@ -69,6 +70,25 @@ def factor(mu: Monotone) -> tuple[Word, Monotone]:
     rank = {v: r for r, v in enumerate(image)}
     epi = tuple(rank[v] for v in mu)
     return epi_to_word(epi), tuple(image)
+
+
+@lru_cache(maxsize=1 << 14)
+def face_of_word(word: Word, m: int, r: int) -> tuple[Word, Optional[int]]:
+    """d_r of s_word x, for x of dimension m - len(word), as s_word' d_i x.
+
+    Returns (word', i), with i None when d_r cancels a degeneracy of the word
+    (r or r - 1 in it) and the face is s_word' x.  By the simplicial
+    identities: indices below r stay, those above r drop by one, and i is r
+    less the indices below it.  The cache is bounded; a miss costs one pass
+    over the word.
+    """
+    lo = tuple(w for w in word if w < r)
+    hi = tuple(w - 1 for w in word if w > r)
+    if r in word:
+        return hi + lo, None
+    if r - 1 in word:
+        return hi + lo[1:], None  # lo descends from r - 1
+    return hi + lo, r - len(lo)
 
 
 @lru_cache(maxsize=None)

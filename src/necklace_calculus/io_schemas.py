@@ -64,6 +64,35 @@ def _binf_load(d) -> BiNF:
     return BiNF(tuple(d["hword"]), tuple(d["vword"]), d["target"])
 
 
+def bimap_load(d, W: BiSSet) -> dict[str, BiNF]:
+    """Generator images of a map into W, from a JSON object mapping generator
+    ids of the source to {"hword", "vword", "target"}.
+
+    The target must be a generator of W, and each word a strictly decreasing
+    list of integers in [0, d) for the image's dimension d along its axis.
+    Whether the images form a simplicial map is BiMap's check.
+    """
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected a JSON object of generator images, got {type(d).__name__}")
+    gens = set(W.gens())
+    out = {}
+    for g, e in d.items():
+        try:
+            img = _binf_load(e)
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"malformed image of {g!r}: {exc!r}") from exc
+        if not isinstance(img.gen, str) or img.gen not in gens:
+            raise SchemaError(f"image of {g!r} targets {img.gen!r}, not a generator of the base")
+        for word, low in zip(img[:2], W.bidegree(img.gen)):
+            top = low + len(word)
+            if (any(type(i) is not int for i in word) or any(map(int.__le__, word, word[1:]))
+                    or (word and not (0 <= word[-1] and word[0] < top))):
+                raise SchemaError(f"image of {g!r} has word {list(word)}; need a strictly "
+                                  f"decreasing list of integers in [0, {top})")
+        out[g] = img
+    return out
+
+
 def bisset_dump(W: BiSSet) -> dict:
     return {
         "schema": "bisset.v1",

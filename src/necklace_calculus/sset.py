@@ -134,13 +134,11 @@ class GradedSet:
         return hit
 
     def _face(self, e: tuple, a: int, r: int) -> tuple:
-        """d_r along axis a of the normal form e, read from the face table."""
+        """d_r along axis a of the normal form e, read from the face table and
+        delta's bounded face lookup."""
         g = e[-1]
-        top = self._deg[g][a]
-        m = top + len(e[a])
-        word, mono = delta.factor(delta.compose(delta.word_to_epi(e[a], m), delta.coface(r, m)))
-        missing = set(range(top + 1)).difference(mono)  # at most one index
-        f = self._faces[a][g][missing.pop()] if missing else self._nd(g)
+        word, i = delta.face_of_word(e[a], self._deg[g][a] + len(e[a]), r)
+        f = self._nd(g) if i is None else self._faces[a][g][i]
         return self._degenerate(e[:a] + (word,) + e[a + 1:-1], f)
 
     def _degenerate(self, words: tuple, f: tuple) -> tuple:

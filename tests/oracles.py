@@ -16,6 +16,10 @@ hom_levels_from_posets lists hom generators from each level slice's necklace
 poset, the reference for the bead paths of Categorification.hom;
 lf_rep_by_listing finds the product representatives of bisset.lf by listing
 every simplex, the reference for its one pass over generators.
+cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
+an enriched functor's image, a composite and a face element by element, with
+no table: the references for cfunctor's generator table, the comp_el memo and
+delta.face_of_word behind GradedSet._face.
 """
 
 import itertools
@@ -348,3 +352,72 @@ def lf_rep_by_listing(L):
         rep[g] = next(e for e in L.product.simplices(*L.W.bidegree(g))
                       if L.cls(e) == bnd(g))
     return rep
+
+
+# -- enriched functors, composition and faces element by element -----------------
+
+
+def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):
+    """The image of any simplex x of Hom(a, b) under the functor that the
+    precategory map f induces: x expanded to its element at its own level,
+    every bead through f, the chain through f on vertices, and the necklace
+    re-saturated by sub_necklace in the target level; no table."""
+    from necklace_calculus.necklace import sub_necklace
+
+    on_obj = {v: f(Csrc.level(0).origin[v]).gen for v in Csrc.objects}
+    hs = Csrc.hom(a, b)
+    j = hs.space.dim(x)
+    beads, ch = hs.expand(x, j)
+    Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
+    new_beads = []
+    for g in beads:
+        binf = f(Lsrc.origin[g])
+        if Ldst.W.bidegree(binf.gen)[0] > 0:
+            new_beads.append(Ldst._id(binf.gen, binf.vword))
+    ch2 = tuple(tuple(sorted({on_obj[v] for v in S})) for S in ch)
+    if not new_beads:
+        t2 = RealizedNecklace((on_obj[ch[0][0] if ch[0] else a],))
+    else:
+        t2 = sub_necklace(Ldst, RealizedNecklace(tuple(new_beads)), ch2[0], ch2[-1])
+        assert t2 is not None
+    return Cdst.hom(on_obj[a], on_obj[b]).to_nf(j, (t2.beads, ch2))
+
+
+def comp_el_by_element(C, a, b, c, g, f):
+    """The composite of f in Hom(a, b) and g in Hom(b, c) of the
+    categorification C, from both elements expanded at g's level; no memo."""
+    from necklace_calculus.cubes import chain_join
+
+    hg, hf = C.hom(b, c), C.hom(a, b)
+    j = hg.space.dim(g)
+    tg, chg = hg.expand(g, j)
+    tf, chf = hf.expand(f, j)
+    if C._is_point(tf):
+        beads = tg
+    elif C._is_point(tg):
+        beads = tf
+    else:
+        beads = tf + tg
+    return C.hom(a, c).to_nf(j, (beads, chain_join(chf, chg)))
+
+
+def face_by_composing(X, e, a, r):
+    """d_r along axis a of the normal form e of X: the epi of e's word composed
+    with the coface, factored epi-mono, and the missing index read from X's
+    face table."""
+    g = e[-1]
+    top = X._deg[g][a]
+    m = top + len(e[a])
+    word, mono = delta.factor(delta.compose(delta.word_to_epi(e[a], m), delta.coface(r, m)))
+    missing = set(range(top + 1)).difference(mono)
+    f = X._faces[a][g][missing.pop()] if missing else X._nd(g)
+    return X._degenerate(e[:a] + (word,) + e[a + 1:-1], f)
+
+
+def face_of_word_by_composing(word, m, r):
+    """(word', i) with d_r s_word = s_word' d_i on a simplex of dimension
+    m - len(word), i None when no face of the simplex is taken; by composing
+    and factoring monotone maps."""
+    word2, mono = delta.factor(delta.compose(delta.word_to_epi(word, m), delta.coface(r, m)))
+    missing = set(range(m - len(word) + 1)).difference(mono)
+    return word2, (missing.pop() if missing else None)

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as strat
 
 from necklace_calculus import cli, shapes, ops
 from necklace_calculus.bisset import horizontal, lf, vertical
-from necklace_calculus.io_schemas import (SchemaError, bisset_dump, bisset_load,
+from necklace_calculus.io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load,
                                           canonical_json, run_report, scat_dump,
                                           scat_load, sset_dump, sset_load,
                                           presheaf_dump)
@@ -107,6 +110,8 @@ BAD_FILES = {
     "h_d1": bisset_dump(horizontal(d(1))),
     "h_d2": bisset_dump(horizontal(d(2))),
     "v_d1": bisset_dump(vertical(d(1))),
+    "map_no_target": {"0": {"hword": [], "vword": []}},
+    "map_bad_target": {"0": {"hword": [], "vword": [], "target": "zz"}},
 }
 
 
@@ -121,10 +126,17 @@ BAD_FILES = {
     ["dot", "--sset", "{d1}", "--from", "0", "--to", "zz"],
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--at", "zz"],
     ["hom", "--base", "{h_d2}", "--from", "0", "--to", "2", "--degree", "-1"],
+    ["dot", "--pairs", "3,1"], ["dot", "--pairs", "0,-1"],
+    ["--max-cells", "-1", "hom", "--base", "{h_d1}", "--from", "0", "--to", "1"],
+    ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_no_target}"],
+    ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{list}"],
+    ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_bad_target}"],
 ], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
         "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
         "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex",
-        "hom_negative_degree"])
+        "hom_negative_degree", "dot_pairs_i_above_m", "dot_pairs_negative_m",
+        "negative_max_cells", "map_entry_without_target", "map_not_an_object",
+        "map_target_not_a_base_generator"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
     paths = {}
     for name, payload in BAD_FILES.items():
@@ -134,6 +146,99 @@ def test_cli_usage_errors_exit_2(tmp_path, args):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def arrow_files(tmp_path_factory):
+    """The arrow Delta[1] as a precategory, as base and as total object."""
+    p = tmp_path_factory.mktemp("arrow") / "h_d1.json"
+    p.write_text(json.dumps(bisset_dump(horizontal(d(1)))))
+    return p
+
+
+_TARGETS = strat.sampled_from(["0", "1", "0.1", "zz"])
+_WORD = strat.lists(strat.integers(-1, 2), max_size=2)
+_JUNK = strat.one_of(strat.none(), strat.booleans(), strat.integers(-2, 2),
+                     strat.text(max_size=2), strat.lists(strat.integers(0, 1), max_size=2))
+_IMAGE = strat.one_of(
+    strat.fixed_dictionaries({"hword": _WORD, "vword": _WORD, "target": _TARGETS}),
+    strat.fixed_dictionaries({"hword": _WORD | _JUNK, "vword": _WORD | _JUNK,
+                              "target": _TARGETS | _JUNK}),
+    strat.dictionaries(strat.sampled_from(["hword", "vword", "target"]), _JUNK | _WORD),
+    _JUNK)
+_VERTEX_IMAGES = [{"hword": [], "vword": [], "target": v} for v in ("0", "1")]
+_EDGE_IMAGES = [{"hword": [], "vword": [], "target": "0.1"},
+                {"hword": [0], "vword": [], "target": "0"},
+                {"hword": [0], "vword": [], "target": "1"}]
+
+
+_SHORT_WORD = strat.lists(strat.integers(-1, 2) | strat.sampled_from(["0", True]), max_size=1)
+_NEAR_IMAGE = strat.fixed_dictionaries({"hword": _SHORT_WORD, "vword": _SHORT_WORD,
+                                        "target": strat.sampled_from(["0", "1", "0.1"])})
+
+
+@strat.composite
+def _maps_into_the_arrow(draw):
+    """Maps from the arrow to itself, simplicial or not, with at most one
+    image replaced by a near miss or by junk."""
+    out = {"0": draw(strat.sampled_from(_VERTEX_IMAGES)),
+           "1": draw(strat.sampled_from(_VERTEX_IMAGES)),
+           "0.1": draw(strat.sampled_from(_EDGE_IMAGES))}
+    g = draw(strat.sampled_from(["0", "1", "0.1", None]))
+    if g is not None:
+        out[g] = draw(_NEAR_IMAGE | _IMAGE)
+    return out
+
+
+_MAP = strat.one_of(
+    _maps_into_the_arrow(),
+    strat.dictionaries(strat.sampled_from(["0", "1", "0.1", "zz"]), _IMAGE, max_size=4),
+    _JUNK)
+
+
+def _arrow_map(**images):
+    return {"0": _VERTEX_IMAGES[0], "1": _VERTEX_IMAGES[0], "0.1": _EDGE_IMAGES[1], **images}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_MAP)
+@example([1, 2])
+@example(_arrow_map(**{"0": {"hword": [], "vword": []}}))
+@example(_arrow_map(**{"0": {"hword": [], "vword": [], "target": "zz"}}))
+@example(_arrow_map(**{"0.1": {"hword": [1], "vword": [], "target": "0"}}))
+@example(_arrow_map(**{"0.1": {"hword": [-1], "vword": [], "target": "0"}}))
+@example(_arrow_map(**{"0.1": {"hword": "0", "vword": [], "target": "0"}}))
+def test_cli_straighten_map_payloads(arrow_files, payload):
+    """Any --map payload gives a documented exit code, one line on a usage or
+    schema error, and no traceback."""
+    p = arrow_files.with_name("map.json")
+    p.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["straighten", "--base", str(arrow_files), "--total", str(arrow_files),
+                         "--map", str(p)])
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("word", [[0, 0], [0, 1], [2, 1], [1, -1], [1.0], [False]])
+def test_bimap_load_rejects_malformed_words(word):
+    W = horizontal(d(2))
+    with pytest.raises(SchemaError):
+        bimap_load({"x": {"hword": word, "vword": [], "target": "0"}}, W)
+    assert bimap_load({"x": {"hword": [1, 0], "vword": [], "target": "0"}}, W)["x"].hword == (1, 0)
+
+
+def test_cli_straighten_identity_map(arrow_files):
+    """The identity of the arrow as a --map payload straightens."""
+    p = arrow_files.with_name("id_map.json")
+    p.write_text(json.dumps({g: {"hword": [], "vword": [], "target": g}
+                             for g in ["0", "1", "0.1"]}))
+    res = _run_cli(["straighten", "--base", str(arrow_files), "--total", str(arrow_files),
+                    "--map", str(p)], [])
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("W", [lf(3, d(1)).W, lf(2, shapes.boundary(2)).W, lf(2, d(2)).W],
