@@ -26,6 +26,6 @@ from .straighten import (Cell, Straightener, StObject, st_over_map, cone, cone_h
                          straighten_boundary_pp, unstraighten,
                          projection_pi, w_sigma, delta_precat, pushout_product_object)
 from .groth import (groth, groth_map, eta_compare, rightfib_check, groth_right_adjoint,
-                    vtensor, groth_expand)
+                    vtensor)
 
 __version__ = "0.1.0"

@@ -160,13 +160,15 @@ class BiMaterialized(NamedTuple):
     bisset: BiSSet
     to_nf: Callable[[int, int, object], BiNF]
     elem_of: dict[str, object]
+    expand: Callable[[BiNF], object]
 
 
 def materialize_bi(levels: Callable[[int, int], list],
                    act: Callable[[object, tuple[int, int], Optional[Monotone], Optional[Monotone]], object],
                    h_bound: int, v_bound: int, prefix: str = "x") -> BiMaterialized:
     """Bi-graded sset.materialize: levels(m, k), act(e, (m, k), mu_h, mu_v) with
-    one of the two operators None, and to_nf(m, k, e); ids are prefix + "m_k_n"."""
+    one of the two operators None, to_nf(m, k, e) and its inverse expand(e);
+    ids are prefix + "m_k_n"."""
     return BiMaterialized(*_materialize(BiSSet, levels, act, (h_bound, v_bound), prefix))
 
 

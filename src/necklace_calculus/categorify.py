@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import delta
 from .bisset import BiMap, BiNF, BiSSet, LevelSSet
@@ -55,7 +55,7 @@ from .cubes import Chain, chain_act, chain_join, chains
 from .necklace import RealizedNecklace, TndPoset, UnsupportedInput, sub_necklace
 from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
-from .sset import NF, SSet, SSetError, materialize
+from .sset import NF, Materialized, SSet, SSetError, materialize
 
 HomElement = tuple[tuple[str, ...], Chain]  # (bead generators in the level slice, chain)
 
@@ -78,19 +78,6 @@ class BeadPath(NamedTuple):
     free: int
 
 
-class HomSpace(NamedTuple):
-    space: SSet
-    to_nf: Callable[[int, HomElement], NF]
-    elem_of: dict[str, HomElement]
-    act: Callable[[HomElement, int, delta.Monotone], HomElement]
-
-    def expand(self, x: NF, j: int) -> HomElement:
-        e = self.elem_of[x.gen]
-        if not x.word:
-            return e
-        return self.act(e, j - len(x.word), delta.word_to_epi(x.word, j))
-
-
 class Categorification:
     """The simplicial category of a precategory, computed degree by degree.
 
@@ -107,8 +94,7 @@ class Categorification:
         self.objects = tuple(sorted(W.row0()))
         self._levels: dict[int, LevelSSet] = {}
         self._posets: dict[tuple[int, str, str], TndPoset] = {}
-        self._homs: dict[tuple[str, str], HomSpace] = {}
-        self._act_cache: dict = {}
+        self._homs: dict[tuple[str, str], Materialized] = {}
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
@@ -208,23 +194,16 @@ class Categorification:
         return hit
 
     def _act(self, e: HomElement, j: int, mu: delta.Monotone) -> HomElement:
-        key = (e, j, mu)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         beads, ch = e
         beads2 = tuple(self._transport(g, j, mu) for g in beads)
         ch2 = chain_act(ch, mu)
         if mu[0] == 0 and mu[-1] == j:
             # the chain keeps its ends, which saturate the transported beads
-            out = (beads2, ch2)
-        else:
-            t2 = sub_necklace(self.level(len(mu) - 1), RealizedNecklace(beads2), ch2[0], ch2[-1])
-            if t2 is None:
-                raise SSetError("saturation failed")
-            out = (t2.beads, ch2)
-        self._act_cache[key] = out
-        return out
+            return (beads2, ch2)
+        t2 = sub_necklace(self.level(len(mu) - 1), RealizedNecklace(beads2), ch2[0], ch2[-1])
+        if t2 is None:
+            raise SSetError("saturation failed")
+        return (t2.beads, ch2)
 
     def _flat(self, beads: tuple[str, ...], j: int) -> frozenset[int]:
         """Positions i < j where every bead's vertical epi identifies i and i+1:
@@ -299,19 +278,16 @@ class Categorification:
                 out.extend((t, ch) for ch in chs)
         return sorted(out)
 
-    def hom(self, a: str, b: str) -> HomSpace:
+    def hom(self, a: str, b: str) -> Materialized:
         key = (a, b)
-        if key in self._homs:
-            return self._homs[key]
-        levels = functools.partial(self._hom_level, a, b, self._paths(a, b))
-        mat = materialize(levels, self._act, self.hom_bound(a, b), prefix=f"h{a}.{b}_",
-                          degen=self._degen)
-        hs = HomSpace(mat.sset, mat.to_nf, mat.elem_of, self._act)
-        self._homs[key] = hs
-        return hs
+        if key not in self._homs:
+            levels = functools.partial(self._hom_level, a, b, self._paths(a, b))
+            self._homs[key] = materialize(levels, self._act, self.hom_bound(a, b),
+                                          prefix=f"h{a}.{b}_", degen=self._degen)
+        return self._homs[key]
 
     def hom_sset(self, a: str, b: str) -> SSet:
-        return self.hom(a, b).space
+        return self.hom(a, b).sset
 
     def id_element(self, a: str) -> str:
         hs = self.hom(a, a)
@@ -325,10 +301,9 @@ class Categorification:
         hit = self._comp_cache.get(key)
         if hit is not None:
             return hit
-        hg, hf = self.hom(b, c), self.hom(a, b)
-        j = hg.space.dim(g)
-        tg, chg = hg.expand(g, j)
-        tf, chf = hf.expand(f, j)
+        j = self.hom_sset(b, c).dim(g)
+        tg, chg = self.hom(b, c).expand(g)
+        tf, chf = self.hom(a, b).expand(f)
         if self._is_point(tf):
             beads = tg
         elif self._is_point(tg):
@@ -392,7 +367,7 @@ def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> Enrich
         """The image of generator g of Hom(a, b): its beads through f, its
         chain through f on vertices, re-saturated in the target level."""
         hs = Csrc.hom(a, b)
-        j = hs.space.gen_dim(g)
+        j = hs.sset.gen_dim(g)
         beads, ch = hs.elem_of[g]
         Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
         new_beads = []

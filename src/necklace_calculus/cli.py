@@ -3,7 +3,7 @@
 Exit codes: 0 pass, 2 schema or usage error (a malformed or invalid input
 file, or arguments such as an endpoint that is not a vertex), 3 unsupported
 input (with witness), 4 check failure, 5 resource limit (an input whose cells
-exceed --max-cells).
+exceed --max-cells, or a DOT export whose squared object count does).
 """
 
 from __future__ import annotations
@@ -65,6 +65,14 @@ def _cell_guard(W, max_cells: int) -> None:
         raise ResourceLimit(f"expanded cell count {total} exceeds --max-cells={max_cells}")
 
 
+def _dot_guard(n_objects: int, max_cells: int) -> None:
+    """Refuse a DOT export of n_objects: it compares every pair of them and
+    tests each comparable pair against every third object."""
+    if n_objects ** 2 > max_cells:
+        raise ResourceLimit(f"dot of {n_objects} objects compares {n_objects ** 2} pairs, "
+                            f"more than --max-cells={max_cells}")
+
+
 def _endpoints(args, vertices) -> tuple[str, str]:
     """--from and --to, which must name vertices."""
     ends = getattr(args, "from"), args.to
@@ -95,7 +103,9 @@ def cmd_hom(args) -> int:
                         "complete": report["complete"]}}]),
     }
     if args.emit == "dot":
-        payload["dot"] = necklaces_dot(C.poset(0, a, b), name="tnd_level0")
+        poset = C.poset(0, a, b)
+        _dot_guard(len(poset.objects), args.max_cells)
+        payload["dot"] = necklaces_dot(poset, name="tnd_level0")
     _emit(args, payload)
     return 0
 
@@ -186,6 +196,7 @@ def cmd_dot(args) -> int:
             raise UsageError(f"--pairs takes i,m; got {args.pairs!r}") from None
         if not 0 <= i <= m:
             raise UsageError(f"--pairs i,m needs 0 <= i <= m; got {args.pairs!r}")
+        _dot_guard(3 ** (m - i), args.max_cells)  # the pairs (J, V): 3 choices per inner vertex
         print(necklaces_dot(PairPoset(i, m), name="pairs"))
         return 0
     if args.sset is None or getattr(args, "from") is None or args.to is None:
@@ -199,6 +210,7 @@ def cmd_dot(args) -> int:
         entries = [necklace_dump(t.shape(o).bead_dims, o.beads, (a, b)) for o in t.objects]
         print(canonical_json({"schema": "necklace.v1", "necklaces": entries}))
         return 0
+    _dot_guard(len(t.objects), args.max_cells)
     print(necklaces_dot(t, name="tnd"))
     return 0
 

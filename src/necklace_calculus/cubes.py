@@ -70,6 +70,7 @@ class CubeHom(NamedTuple):
     to_nf: Callable[[int, Chain], NF]
     chain_of: Mapping[str, Chain]
     space: SSet
+    expand: Callable[[NF], Chain]
 
 
 def cube_hom(J, V) -> CubeHom:
@@ -92,7 +93,7 @@ def cube_hom(J, V) -> CubeHom:
         strict = tuple(S for r, S in enumerate(chain) if r == 0 or S != chain[r - 1])
         return NF(word, gen_of[strict])
 
-    return CubeHom(J, V, to_nf, {g: ch for g, ch in mat.elem_of.items()}, mat.sset)
+    return CubeHom(J, V, to_nf, mat.elem_of, mat.sset, mat.expand)
 
 
 def cube_of_pair(p: PairObject) -> CubeHom:
@@ -355,7 +356,10 @@ def weighted_colim(weight: Weight) -> Materialized:
     pp = weight.poset
     live = [p for p in pp.objects if not weight.value[p].is_empty()]
     if not live:
-        return Materialized(EMPTY, lambda d, e: (_ for _ in ()).throw(SSetError("empty")), {})
+        def empty(*args):
+            raise SSetError("empty")
+
+        return Materialized(EMPTY, empty, {}, empty)
     max_dim = max(len(p.V) - len(p.J) + max(weight.value[p].dim_bound, 0) for p in live)
 
     def levels(j):

@@ -7,6 +7,7 @@ given by the evaluation of the presheaf action on the last edge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ class GrothTotal(NamedTuple):
     projection: BiMap
     to_nf: object
     elem_of: dict
+    expand: object
     act: object
 
 
@@ -41,7 +43,7 @@ def groth(nerve: Nerve, F: Presheaf) -> GrothTotal:
 
     def levels(m, k):
         out = []
-        for ne in _nerve_elements(nerve, m, k):
+        for ne in sorted(set(map(nerve.expand, NB.simplices(m, k)))):
             b = last_object(ne, m, k)
             for x in F.value[b].simplices(k):
                 out.append((ne, x))
@@ -72,22 +74,7 @@ def groth(nerve: Nerve, F: Presheaf) -> GrothTotal:
     proj = BiMap(mat.bisset, NB,
                  {g: nerve.to_nf(*mat.bisset.bidegree(g), mat.elem_of[g][0])
                   for g in mat.bisset.gens()}, validate=False)
-    return GrothTotal(nerve, F, mat.bisset, proj, mat.to_nf, mat.elem_of, act)
-
-
-def _nerve_elements(nerve: Nerve, m: int, k: int) -> list:
-    out = []
-    for e in nerve.bisset.simplices(m, k):
-        base = nerve.elem_of[e.gen]
-        mm, kk = nerve.bisset.bidegree(e.gen)
-        cur = base
-        if e.hword:
-            cur = nerve.act(cur, (mm, kk), delta.word_to_epi(e.hword, m), None)
-            mm = m
-        if e.vword:
-            cur = nerve.act(cur, (mm, kk), None, delta.word_to_epi(e.vword, k))
-        out.append(cur)
-    return sorted(set(out))
+    return GrothTotal(nerve, F, mat.bisset, proj, mat.to_nf, mat.elem_of, mat.expand, act)
 
 
 def groth_map(G1: GrothTotal, G2: GrothTotal, eta: NatTrans) -> BiMap:
@@ -108,14 +95,7 @@ def eta_compare(Gn: GrothTotal, Gh: GrothTotal, phi: BiMap) -> BiMap:
         m, k = Gn.bisset.bidegree(g)
         ne, x = Gn.elem_of[g]
         img = phi(Gn.nerve.to_nf(m, k, ne))
-        hm, hk = Gh.nerve.bisset.bidegree(img.gen)
-        cur = Gh.nerve.elem_of[img.gen]
-        if img.hword:
-            cur = Gh.nerve.act(cur, (hm, hk), delta.word_to_epi(img.hword, m), None)
-            hm = m
-        if img.vword:
-            cur = Gh.nerve.act(cur, (hm, hk), None, delta.word_to_epi(img.vword, k))
-        assign[g] = Gh.to_nf(m, k, (cur, x))
+        assign[g] = Gh.to_nf(m, k, (Gh.nerve.expand(img), x))
     return BiMap(Gn.bisset, Gh.bisset, assign)
 
 
@@ -175,18 +155,6 @@ def vtensor(A: BiSSet, X: SSet) -> tuple[BiSSet, dict, object]:
     return mat.bisset, mat.elem_of, mat.to_nf
 
 
-def groth_expand(G: GrothTotal, e: BiNF):
-    """The raw (nerve element, value simplex) pair underlying a total-object simplex."""
-    raw = G.elem_of[e.gen]
-    m, k = G.bisset.bidegree(e.gen)
-    if e.hword:
-        raw = G.act(raw, (m, k), delta.word_to_epi(e.hword, m + len(e.hword)), None)
-        m += len(e.hword)
-    if e.vword:
-        raw = G.act(raw, (m, k), None, delta.word_to_epi(e.vword, k + len(e.vword)))
-    return raw
-
-
 def groth_right_adjoint(nerve: Nerve, P: BiSSet, p: BiMap, k_bound: int) -> Presheaf:
     """The presheaf of slice maps over the nerve out of tensored representables."""
     from .shapes import simplex
@@ -229,33 +197,21 @@ def groth_right_adjoint(nerve: Nerve, P: BiSSet, p: BiMap, k_bound: int) -> Pres
             out[g] = phi(to_nf(*T2.bidegree(g), (ge, op(t))))
         return tuple(sorted(out.items()))
 
-    def act_for(a: str):
-        def act(enc, k, mu):
-            return precompose(a, enc, k, mu)
-
-        return act
-
-    values = {}
-    data = {}
-    for a in C.objects:
-        mat = materialize(levels_for(a), act_for(a), k_bound, prefix=f"H{a}_")
-        values[a] = mat.sset
-        data[a] = mat
+    data = {a: materialize(levels_for(a), functools.partial(precompose, a), k_bound,
+                           prefix=f"H{a}_") for a in C.objects}
+    values = {a: mat.sset for a, mat in data.items()}
 
     def action(a1: str, a2: str, h: NF, z: NF) -> NF:
         k = values[a2].dim(z)
-        enc = data[a2].elem_of[z.gen]
-        if z.word:
-            enc = precompose(a2, enc, k - len(z.word), delta.word_to_epi(z.word, k))
         T2 = tensor(a2, k)
-        phi = BiMap(T2[0], P, dict(enc), validate=False)
+        phi = BiMap(T2[0], P, dict(data[a2].expand(z)), validate=False)
         T1, elem1, _, _ = tensor(a1, k)
         dk = simplex(k)
         out = {}
         for g in T1.gens():
             a_binf, t = elem1[g]
             m, kk = T1.bidegree(g)
-            ne, y = groth_expand(reps[a1], a_binf)
+            ne, y = reps[a1].expand(a_binf)
             last = nerve.act(ne, (m, kk), (m,), None)[0][0]
             tmono = tuple(int(v) for v in dk.vertices(t))
             h_moved = C.hom[(a1, a2)].act(h, tmono)

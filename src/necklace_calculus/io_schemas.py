@@ -108,9 +108,14 @@ def bisset_dump(W: BiSSet) -> dict:
 
 
 def bisset_load(d: dict) -> BiSSet:
+    """A bisset.v1 object.  Generator ids may not contain "@": a level slice of
+    the categorification names the vertical degeneracy s_w g as g@w."""
     try:
         _check_schema(d, "bisset.v1", default="bisset.v1")
         gens = [(g["id"], tuple(g["bidegree"])) for g in d["generators"]]
+        bad = next((g for g, _ in gens if isinstance(g, str) and "@" in g), None)
+        if bad is not None:
+            raise SchemaError(f"generator id {bad!r} contains '@', which level-slice ids reserve")
         hfaces = {g["id"]: tuple(_binf_load(f) for f in g["hfaces"])
                   for g in d["generators"] if g["bidegree"][0] > 0}
         vfaces = {g["id"]: tuple(_binf_load(f) for f in g["vfaces"])

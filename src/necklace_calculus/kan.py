@@ -66,18 +66,14 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat) -> LanResult:
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}
 
     def action(d1: str, d2: str, h: NF, z: NF) -> NF:
-        from . import delta
-
-        col2, col1 = colimits[d2], colimits[d1]
-        name, rep = col2.reps[z.gen]  # always a product piece: "p." sorts first
+        name, rep = colimits[d2].reps[z.gen]  # always a product piece: "p." sorts first
         a = name.split(".", 1)[1]
-        dd = values[d2].dim(z)
-        if z.word:
-            rep = products[d2][a].sset.act(rep, delta.word_to_epi(z.word, dd))
+        rep = NF(z.word, rep.gen)  # reps are generators: s_w rep lies in the class s_w z
         pr = products[d2][a]
         h_el, x_el = pr.projections[0](rep), pr.projections[1](rep)
         moved = D.comp(d1, d2, G.on_obj[a], h_el, h)
-        return col1.cocone[f"p.{a}"](products[d1][a].to_nf(dd, (moved, x_el)))
+        return colimits[d1].cocone[f"p.{a}"](
+            products[d1][a].to_nf(values[d2].dim(z), (moved, x_el)))
 
     pre = Presheaf(D, values, action)
     return LanResult(pre, colimits, products)

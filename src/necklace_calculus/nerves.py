@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import delta
 from .bisset import BiMap, BiSSet, materialize_bi
@@ -24,6 +24,7 @@ class Nerve(NamedTuple):
     bisset: BiSSet
     to_nf: object
     elem_of: dict
+    expand: object
     act: object
     edge_hom: object  # element at (1, k) -> (a, b, hom element at level k)
     kind: str
@@ -99,7 +100,7 @@ def strict_nerve(C: SCat, m_bound: Optional[int] = None,
         objs, fs = e
         return objs[0], objs[1], fs[0]
 
-    return Nerve(C, mat.bisset, mat.to_nf, mat.elem_of, act, edge_hom, "strict")
+    return Nerve(C, mat.bisset, mat.to_nf, mat.elem_of, mat.expand, act, edge_hom, "strict")
 
 
 # -- exponentials H^{Delta[k]} ---------------------------------------------------
@@ -189,25 +190,32 @@ def _cube_cells(i: int, j: int):
     return c, cells
 
 
+def _pairs(m: int) -> list[tuple[int, int]]:
+    """The pairs i < j of [m], by gap, then by i: the order of a functor's maps."""
+    return [(i, i + gap) for gap in range(1, m + 1) for i in range(m + 1 - gap)]
+
+
+def _at_chain(C: SCat, objs: tuple[str, ...], k: int, vals: Optional[Mapping[str, ExpEl]],
+              i: int, j: int, ch: Chain) -> ExpEl:
+    """The value at the chain ch of cube(i, j) of a component that vals gives on
+    the cube's generators: the identity of objs[i] when i == j, else the value
+    at the generator of ch's normal form, precomposed with its degeneracy."""
+    d = len(ch) - 1
+    if i == j:
+        return exp_of_element(C.hom[(objs[i],) * 2], d, k, C.id_el(objs[i], k))
+    x = _cube_cells(i, j)[0].to_nf(d, ch)
+    if not x.word:
+        return vals[x.gen]
+    return exp_act(C.hom[(objs[i], objs[j])], d - len(x.word), k, vals[x.gen],
+                   delta.word_to_epi(x.word, d))
+
+
 def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
     """All enriched functors c^h Delta[m] -> C^{Delta[k]}."""
     out = []
-    pairs = [(i, j) for gap in range(1, m + 1) for i in range(m + 1 - gap)
-             for j in [i + gap]]
+    pairs = _pairs(m)
     for objs in itertools.product(C.objects, repeat=m + 1):
         partial: dict[tuple[int, int], dict[str, ExpEl]] = {}
-
-        def lookup(i: int, j: int, ch: Chain, d: int) -> ExpEl:
-            if i == j:
-                return exp_of_element(C.hom[(objs[i],) * 2], d, k, C.id_el(objs[i], k))
-            cube, _ = _cube_cells(i, j)
-            word = tuple(sorted((r for r in range(d) if ch[r] == ch[r + 1]), reverse=True))
-            strict = tuple(S for r, S in enumerate(ch) if r == 0 or S != ch[r - 1])
-            base = partial[(i, j)][cube.to_nf(len(strict) - 1, strict).gen]
-            if not word:
-                return base
-            H = C.hom[(objs[i], objs[j])]
-            return exp_act(H, len(strict) - 1, k, base, delta.word_to_epi(word, d))
 
         def extend(idx: int):
             if idx == len(pairs):
@@ -227,7 +235,8 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
                     left = tuple(tuple(v for v in S if v <= p) for S in ch)
                     right = tuple(tuple(v for v in S if v >= p) for S in ch)
                     forced[g] = exp_comp(C, objs[i], objs[p], objs[j], k, d,
-                                         lookup(p, j, right, d), lookup(i, p, left, d))
+                                         _at_chain(C, objs, k, partial[(p, j)], p, j, right),
+                                         _at_chain(C, objs, k, partial[(i, p)], i, p, left))
             assigns: dict[str, ExpEl] = {}
 
             def fill(cells_left) -> None:
@@ -243,21 +252,10 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
                 else:
                     cands = exp_elements(H, d, k)
                 for e in cands:
-                    ok = True
-                    for r in range(d + 1) if d else ():
-                        fchain = chain_act(ch, delta.coface(r, d))
-                        word = tuple(sorted((s for s in range(d - 1)
-                                             if fchain[s] == fchain[s + 1]), reverse=True))
-                        strict = tuple(S for s, S in enumerate(fchain)
-                                       if s == 0 or S != fchain[s - 1])
-                        want = assigns[cube.to_nf(len(strict) - 1, strict).gen]
-                        if word:
-                            want = exp_act(H, len(strict) - 1, k, want,
-                                           delta.word_to_epi(word, d - 1))
-                        if exp_act(H, d, k, e, delta.coface(r, d)) != want:
-                            ok = False
-                            break
-                    if ok:
+                    if all(exp_act(H, d, k, e, delta.coface(r, d))
+                           == _at_chain(C, objs, k, assigns, i, j,
+                                        chain_act(ch, delta.coface(r, d)))
+                           for r in (range(d + 1) if d else ())):
                         assigns[g] = e
                         fill(cells_left[1:])
                         del assigns[g]
@@ -284,42 +282,24 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> N
     def act(e, mk, mu_h, mu_v):
         m, k = mk
         objs, maps = e
-        pairs = [(i, j) for gap in range(1, m + 1) for i in range(m + 1 - gap)
-                 for j in [i + gap]]
         table = {p: dict(zip((g for g, _ in _cube_cells(*p)[1]), ms))
-                 for p, ms in zip(pairs, maps)}
-
-        def component(i, j, ch, d):
-            if i == j:
-                return exp_of_element(C.hom[(objs[i],) * 2], d, k, C.id_el(objs[i], k))
-            cube, _ = _cube_cells(i, j)
-            word = tuple(sorted((r for r in range(d) if ch[r] == ch[r + 1]), reverse=True))
-            strict = tuple(S for r, S in enumerate(ch) if r == 0 or S != ch[r - 1])
-            base = table[(i, j)][cube.to_nf(len(strict) - 1, strict).gen]
-            H = C.hom[(objs[i], objs[j])]
-            if word:
-                base = exp_act(H, len(strict) - 1, k, base, delta.word_to_epi(word, d))
-            return base
-
+                 for p, ms in zip(_pairs(m), maps)}
         m2 = m if mu_h is None else len(mu_h) - 1
-        k2 = k if mu_v is None else len(mu_v) - 1
         mu = delta.identity(m) if mu_h is None else mu_h
         objs2 = tuple(objs[v] for v in mu)
         new_maps = []
-        for gap in range(1, m2 + 1):
-            for i in range(m2 + 1 - gap):
-                j = i + gap
-                cube, cells = _cube_cells(i, j)
-                H2 = C.hom[(objs2[i], objs2[j])]
-                comp_maps = []
-                for g, ch in cells:
-                    d = cube.space.gen_dim(g)
-                    big = tuple(tuple(sorted({mu[v] for v in S})) for S in ch)
-                    val = component(mu[i], mu[j], big, d)
-                    if mu_v is not None:
-                        val = exp_act(H2, d, k, val, delta.identity(d), mu_v)
-                    comp_maps.append(val)
-                new_maps.append(tuple(comp_maps))
+        for i, j in _pairs(m2):
+            cube, cells = _cube_cells(i, j)
+            H2 = C.hom[(objs2[i], objs2[j])]
+            comp_maps = []
+            for g, ch in cells:
+                d = cube.space.gen_dim(g)
+                big = tuple(tuple(sorted({mu[v] for v in S})) for S in ch)
+                val = _at_chain(C, objs, k, table.get((mu[i], mu[j])), mu[i], mu[j], big)
+                if mu_v is not None:
+                    val = exp_act(H2, d, k, val, delta.identity(d), mu_v)
+                comp_maps.append(val)
+            new_maps.append(tuple(comp_maps))
         return CoherentFunctor(objs2, tuple(new_maps))
 
     mat = materialize_bi(levels, act, m_bound, k_bound, prefix="hn")
@@ -336,7 +316,7 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> N
                             nd(subset_id(range(k + 1)))))
         return objs[0], objs[1], f(full)
 
-    return Nerve(C, mat.bisset, mat.to_nf, mat.elem_of, act, edge_hom, "hc")
+    return Nerve(C, mat.bisset, mat.to_nf, mat.elem_of, mat.expand, act, edge_hom, "hc")
 
 
 def nerve_comparison(N: Nerve, HN: Nerve) -> BiMap:
@@ -346,10 +326,8 @@ def nerve_comparison(N: Nerve, HN: Nerve) -> BiMap:
     for g in N.bisset.gens():
         m, k = N.bisset.bidegree(g)
         objs, fs = N.elem_of[g]
-        pairs = [(i, j) for gap in range(1, m + 1) for i in range(m + 1 - gap)
-                 for j in [i + gap]]
         maps = []
-        for (i, j) in pairs:
+        for i, j in _pairs(m):
             acc = fs[i]
             for s in range(i + 1, j):
                 acc = C.comp(objs[i], objs[s], objs[s + 1], fs[s], acc)

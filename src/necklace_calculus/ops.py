@@ -169,7 +169,8 @@ def _colimit(diag: Diagram, empty):
     gives theirs.
 
     Returns (set, cocone, cls, reps): cls(name, x) is the class of x from the
-    named object, reps[g] the least (name, simplex) in the class of g.
+    named object, reps[g] the least (name, generator) in the class of g, the
+    generator as a normal form with empty words.
     """
     objects = diag.objects
     names = sorted(objects)

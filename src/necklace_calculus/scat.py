@@ -11,7 +11,7 @@ import itertools
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
-from .cubes import Chain, chain_act, chain_join, cube_hom, CubeHom
+from .cubes import chain_join, cube_hom, CubeHom
 from .sset import EMPTY, NF, SSet, SSetError, SSetMap
 
 
@@ -255,13 +255,9 @@ def ch_simplex(m: int) -> SCat:
             cubes[(str(i), str(j))] = c
             homs[(str(i), str(j))] = c.space
 
-    def expand(c: CubeHom, x: NF, d: int) -> Chain:
-        return chain_act(c.chain_of[x.gen], delta.word_to_epi(x.word, d))
-
     def comp(a, b, c, g, f):
         ca, cb, cc = cubes[(a, b)], cubes[(b, c)], cubes[(a, c)]
-        d = ca.space.dim(f)
-        return cc.to_nf(d, chain_join(expand(ca, f, d), expand(cb, g, d)))
+        return cc.to_nf(ca.space.dim(f), chain_join(ca.expand(f), cb.expand(g)))
 
     cat = directed_cat(tuple(str(i) for i in range(m + 1)),
                        {k: H for k, H in homs.items() if k[0] != k[1]}, comp,

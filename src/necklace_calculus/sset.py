@@ -353,6 +353,7 @@ class Materialized(NamedTuple):
     sset: SSet
     to_nf: Callable[[int, object], NF]
     elem_of: dict[str, object]
+    expand: Callable[[NF], object]
 
 
 def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monotone], object],
@@ -368,7 +369,8 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
     returned lookup gives the normal form of any element, listed or not
     (faces, elements above max_dim), by stripping degeneracies with degen.
     Elements above max_dim are never listed, so the caller must pick max_dim
-    at least the top non-degenerate dimension.
+    at least the top non-degenerate dimension.  expand is lookup's inverse:
+    the element that a normal form names, built through act.
     """
     return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, degen))
 
@@ -381,8 +383,10 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
     levels(*deg), act(e, d, *mus) with one operator (or None) per axis, and
     degen(e, d, i) for n = 1.  Degeneracies are stripped axis by axis, i
     descending; generator ids are prefix, the degree joined by "_", and a
-    per-degree counter.  Returns (set of type kind, lookup, elem_of), where
-    lookup(*deg, e) is the memoized normal form of any element.
+    per-degree counter.  Returns (set of type kind, lookup, elem_of, expand),
+    where lookup(*deg, e) is the memoized normal form of any element and
+    expand(x) the element named by the normal form x: its generator's element
+    moved by act along the epi of each axis's word, one axis after another.
     """
     n = len(bounds)
     nf_type = kind.nf_type
@@ -451,4 +455,15 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
                     lookup(*low, act(e, dk, *_on_axis(n, a, delta.coface(i, top))))
                     for i in range(top + 1))
     out = kind([(gid, deg[0] if n == 1 else deg) for gid, deg in made], *faces, validate=False)
-    return out, lookup, elem_of
+
+    def expand(x: tuple):
+        e, deg = elem_of[x[-1]], out._deg[x[-1]]
+        for a, word in enumerate(x[:-1]):
+            if word:
+                top = deg[a] + len(word)
+                e = act(e, deg[0] if n == 1 else deg,
+                        *_on_axis(n, a, delta.word_to_epi(word, top)))
+                deg = deg[:a] + (top,) + deg[a + 1:]
+        return e
+
+    return out, lookup, elem_of, expand

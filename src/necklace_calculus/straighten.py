@@ -353,12 +353,9 @@ class StObject:
                 self._presheaves[name] = st.st_rep(cell)
 
         def action(a, b, h, x):
-            col_b = self.colim(b)
-            name, y0 = col_b.reps[x.gen]
-            d = values[b].dim(x)
-            piece_val = st.value(self._obj_cells[name], b)
-            y = y0 if not x.word else piece_val.act(y0, delta.word_to_epi(x.word, d))
-            z = self._presheaves[name].action(a, b, h, y)
+            # the class reps are generators, so s_w of the rep lies in the class s_w x
+            name, y0 = self.colim(b).reps[x.gen]
+            z = self._presheaves[name].action(a, b, h, NF(x.word, y0.gen))
             return self.colim(a).cocone[name](z)
 
         return Presheaf(st.base_cat, values, action)
@@ -618,9 +615,8 @@ def projection_pi(m: int, Y: SSet) -> PiFunctor:
         return tuple(out)
 
     def on_hom(a: str, b: str, x: NF) -> NF:
-        hs = C1.hom(a, b)
-        j = hs.space.dim(x)
-        beads, ch = hs.expand(x, j)
+        j = C1.hom_sset(a, b).dim(x)
+        beads, ch = C1.hom(a, b).expand(x)
         if b != str(m + 1):
             el = (beads, ch) if C1._is_point(beads) else (down(j, beads), ch)
             return C.hom(a, b).to_nf(j, el)

@@ -889,9 +889,7 @@ def _pushout_presheaf(C, F, T):
 
     def action(a, b, h, x):
         name, rep = cocones[b].reps[x.gen]
-        d = values[b].dim(x)
-        src = {"A": F.value[b], "X": F.value[b], "Y": point()}[name]
-        y = src.act(rep, delta.word_to_epi(x.word, d)) if x.word else rep
+        y = NF(x.word, rep.gen)  # reps are generators: s_w rep lies in the class s_w x
         if name == "Y":
             return cocones[a].cocone["Y"](y)
         return cocones[a].cocone[name](F.action(a, b, h, y))

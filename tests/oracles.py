@@ -279,7 +279,7 @@ def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
         y = X.act(x, *mus)
         return classes[X.degree(y)][find((n, y))]
 
-    out, to_nf, elem_of = build(levels, act, *bounds, prefix="q")
+    out, to_nf, elem_of, _ = build(levels, act, *bounds, prefix="q")
     cocone = {}
     for n in names:
         X = objects[n]
@@ -366,8 +366,8 @@ def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):
 
     on_obj = {v: f(Csrc.level(0).origin[v]).gen for v in Csrc.objects}
     hs = Csrc.hom(a, b)
-    j = hs.space.dim(x)
-    beads, ch = hs.expand(x, j)
+    j = hs.sset.dim(x)
+    beads, ch = hs.expand(x)
     Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
     new_beads = []
     for g in beads:
@@ -389,9 +389,9 @@ def comp_el_by_element(C, a, b, c, g, f):
     from necklace_calculus.cubes import chain_join
 
     hg, hf = C.hom(b, c), C.hom(a, b)
-    j = hg.space.dim(g)
-    tg, chg = hg.expand(g, j)
-    tf, chf = hf.expand(f, j)
+    j = hg.sset.dim(g)
+    tg, chg = hg.expand(g)
+    tf, chf = hf.expand(f)
     if C._is_point(tf):
         beads = tg
     elif C._is_point(tg):

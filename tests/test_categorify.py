@@ -166,7 +166,7 @@ def test_face_tables_match_act_oracle(W):
     for a in C.objects:
         for b in C.objects:
             hs = C.hom(a, b)
-            X = hs.space
+            X = hs.sset
             for x in X.gens():
                 j = X.gen_dim(x)
                 for i, f in enumerate(X.faces.get(x, ())):

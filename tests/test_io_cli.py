@@ -3,18 +3,19 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as strat
 
 from necklace_calculus import cli, shapes, ops
-from necklace_calculus.bisset import horizontal, lf, vertical
+from necklace_calculus.bisset import horizontal, lf, rename_gens, vertical
 from necklace_calculus.io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load,
                                           canonical_json, run_report, scat_dump,
                                           scat_load, sset_dump, sset_load,
                                           presheaf_dump)
 from necklace_calculus.scat import ch_simplex
-from necklace_calculus.sset import SSetMap, nd
+from necklace_calculus.sset import SSet, SSetMap, nd
 
 d = shapes.simplex
 
@@ -260,6 +261,59 @@ def test_cli_max_cells_exits_5(tmp_path):
     res = _run_cli(["--max-cells", str(n - 1)] + argv, [p])
     assert res.returncode == 5
     assert "Traceback" not in res.stderr and "max-cells" in res.stderr
+
+
+@pytest.mark.parametrize("top", ["e@0", "g"])
+def test_cli_hom_rejects_level_slice_ids(tmp_path, top):
+    # level 1 names s_0 of the (1, 0) generator e as e@0, so a (1, 1) generator
+    # called e@0 would collide with it
+    W = lf(1, d(1)).W
+    W = rename_gens(W, {W.gens_at(1, 0)[0]: "e", W.gens_at(1, 1)[0]: top})
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(bisset_dump(W)))
+    res = _run_cli(["hom", "--base", str(p), "--from", "0", "--to", "1"], [p])
+    if top == "e@0":
+        assert res.returncode == 2
+        assert res.stderr.strip().splitlines() == [
+            "schema error: generator id 'e@0' contains '@', which level-slice ids reserve"]
+    else:
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["report"]["checks"][0]["detail"]["nd_counts"] == [2, 1]
+
+
+def _dot_exit(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def _parallel_edges(n: int) -> SSet:
+    """Vertices 0, 1, 2 with n edges 0 -> 1 and n edges 1 -> 2: n * n necklaces from 0 to 2."""
+    gens = [(v, 0) for v in "012"] + [(f"{e}{i}", 1) for e in "ab" for i in range(n)]
+    faces = {f"{e}{i}": (nd(t), nd(s)) for e, s, t in (("a", "0", "1"), ("b", "1", "2"))
+             for i in range(n)}
+    return SSet(gens, faces)
+
+
+def test_cli_dot_guard_exits_5(tmp_path):
+    # --pairs 0,3 lists 3^3 = 27 pairs (J, V); DOT compares 27^2 = 729 of them
+    assert _dot_exit(["--max-cells", "729", "dot", "--pairs", "0,3"]) == 0
+    assert _dot_exit(["--max-cells", "728", "dot", "--pairs", "0,3"]) == 5
+    # 3^7 pairs: refused before any is listed, where the export took minutes
+    t0 = time.perf_counter()
+    assert _dot_exit(["dot", "--pairs", "0,7"]) == 5
+    assert time.perf_counter() - t0 < 1.0
+    # 25 necklaces from 0 to 2, in the simplicial set and in level 0 of its
+    # horizontal precategory, which has only 16 cells
+    X = _parallel_edges(5)
+    sp, bp = tmp_path / "x.json", tmp_path / "w.json"
+    sp.write_text(json.dumps(sset_dump(X)))
+    bp.write_text(json.dumps(bisset_dump(horizontal(X))))
+    dot = ["dot", "--sset", str(sp), "--from", "0", "--to", "2"]
+    hom = ["hom", "--base", str(bp), "--from", "0", "--to", "2", "--emit", "dot"]
+    for argv in (dot, hom):
+        assert _dot_exit(["--max-cells", "625"] + argv) == 0
+        assert _dot_exit(["--max-cells", "624"] + argv) == 5
+    assert _dot_exit(["--max-cells", "624"] + hom[:-2]) == 0
 
 
 def test_cli_straighten(tmp_path):
