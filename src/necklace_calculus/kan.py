@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .ops import Colimit, Diagram, colimit, product
+from .ops import BarePiece, Colimit, Diagram, Product, colimit, product, shuffles
 from .scat import EnrichedFunctor, Presheaf, SCat
-from .sset import NF, SSetError, SSetMap, nd
+from .sset import NF, SSetError, SSetMap
 
 
 class LanResult(NamedTuple):
@@ -15,53 +15,72 @@ class LanResult(NamedTuple):
     products: dict
 
 
+def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat,
+                  d: str) -> tuple[Diagram, dict[str, Product]]:
+    """The coend coequalizer diagram at the object d of D, and its product pieces.
+
+    The piece p.a is the product D(d, Ga) x F(a), one per object a of the
+    source C.  The relation piece r.a.b of C(a, b) x D(d, Ga) x F(b) glues
+    (b, Gk.h, x) with (a, h, k.x) for k in C(a, b), through its legs eb.a.b
+    to p.b and ea.a.b to p.a.  It is left out when C(a, b) is empty, and when
+    a == b and C(a, a) is the identity alone: the first piece is empty, and
+    the second glues (a, h, x) with itself.
+
+    A relation piece is a BarePiece: its generators are the shuffles of the
+    three factors, listed by ops.shuffles under the ids p{d}_{i} that
+    ops.product would give them, and both legs are read off each shuffle
+    (k, h, x) directly.  It has no face table and no projections, and its
+    legs are not checked for simpliciality (tests/test_straighten_shared.py
+    checks them against the full product).  The colimit never reads its
+    faces: every class holds a product piece, whose names sort first
+    ("p." < "r."), so each class's least member has a face table.
+    """
+    C = F.base
+    prods = {a: product(D.hom[(d, G.on_obj[a])], F.value[a]) for a in C.objects}
+    diag = Diagram({f"p.{a}": pr.sset for a, pr in prods.items()})
+    for a in C.objects:
+        Ga = G.on_obj[a]
+        for b in C.objects:
+            K = C.hom[(a, b)]
+            n_k = K.n_gens()
+            if n_k == 0 or (a == b and n_k == 1):
+                continue
+            Gb = G.on_obj[b]
+            by_deg: dict[tuple[int], list[str]] = {}
+            to_b: dict[str, NF] = {}
+            to_a: dict[str, NF] = {}
+            for dd, level in enumerate(shuffles((K, D.hom[(d, Ga)], F.value[b]))):
+                ids = [f"p{dd}_{i}" for i in range(len(level))]
+                if ids:
+                    by_deg[(dd,)] = ids
+                for g, (k, h, x) in zip(ids, level):
+                    to_b[g] = prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
+                    to_a[g] = prods[a].to_nf(dd, (h, F.action(a, b, k, x)))
+            name = f"r.{a}.{b}"
+            piece = diag.objects[name] = BarePiece(by_deg)
+            diag.add(f"eb.{a}.{b}", name, f"p.{b}",
+                     SSetMap(piece, prods[b].sset, to_b, validate=False))
+            diag.add(f"ea.{a}.{b}", name, f"p.{a}",
+                     SSetMap(piece, prods[a].sset, to_a, validate=False))
+    return diag, prods
+
+
 def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
-    Pieces are indexed by objects a of the source; the relation pieces glue
-    (b, Gk.h, x) with (a, h, k.x) for k in hom(a, b).  The relation piece of
-    (a, b) is left out when hom(a, b) is empty, and when a == b and hom(a, a)
-    is the identity alone: the first piece is empty, and the second glues
-    (a, h, x) with itself.  Neither has a degree above the product pieces', so
-    the colimit's degree bounds stay; and every class holds a product piece,
-    whose names sort first ("p." < "r."), so the generators and their
-    representatives are those of the full coequalizer.
+    The colimit at d is that of coend_diagram(F, G, D, d), whose relation
+    pieces are bare generator lists (see there); with the trivial relation
+    pieces left out, no degree rises above the product pieces', so the
+    colimit's degree bounds stay, and the generators and their
+    representatives are those of the full coequalizer.  The result keeps the
+    product pieces, which the action and lan_into_representable read, and no
+    relation piece.
     """
-    C = F.base
     colimits: dict[str, Colimit] = {}
     products: dict = {}
-
     for d_obj in D.objects:
-        objects = {}
-        prods = {}
-        for a in C.objects:
-            pr = product(D.hom[(d_obj, G.on_obj[a])], F.value[a])
-            prods[a] = pr
-            objects[f"p.{a}"] = pr.sset
-        diag = Diagram(dict(objects))
-        for a in C.objects:
-            for b in C.objects:
-                n_k = C.hom[(a, b)].n_gens()
-                if n_k == 0 or (a == b and n_k == 1):
-                    continue
-                pr3 = product(C.hom[(a, b)], D.hom[(d_obj, G.on_obj[a])], F.value[b])
-                name = f"r.{a}.{b}"
-                diag.objects[name] = pr3.sset
-                k_pr, h_pr, x_pr = pr3.projections
-                # to the b piece: compose Gk with h
-                to_b = {}
-                to_a = {}
-                for g in pr3.sset.gens():
-                    dd = pr3.sset.gen_dim(g)
-                    k_el, h_el, x_el = k_pr(nd(g)), h_pr(nd(g)), x_pr(nd(g))
-                    gk = G.on_hom(a, b, k_el)
-                    to_b[g] = prods[b].to_nf(
-                        dd, (D.comp(d_obj, G.on_obj[a], G.on_obj[b], gk, h_el), x_el))
-                    to_a[g] = prods[a].to_nf(dd, (h_el, F.action(a, b, k_el, x_el)))
-                diag.add(f"eb.{a}.{b}", name, f"p.{b}", SSetMap(pr3.sset, objects[f"p.{b}"], to_b))
-                diag.add(f"ea.{a}.{b}", name, f"p.{a}", SSetMap(pr3.sset, objects[f"p.{a}"], to_a))
+        diag, products[d_obj] = coend_diagram(F, G, D, d_obj)
         colimits[d_obj] = colimit(diag)
-        products[d_obj] = prods
 
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}
 

@@ -185,6 +185,8 @@ class CoherentFunctor(NamedTuple):
 
 
 def _cube_cells(i: int, j: int):
+    """The cube hom of (i, j) and its cells; each nerve build memoizes it in a
+    table of its own."""
     c = cube_hom((i, j), range(i, j + 1))
     cells = sorted(c.chain_of.items())
     return c, cells
@@ -196,14 +198,15 @@ def _pairs(m: int) -> list[tuple[int, int]]:
 
 
 def _at_chain(C: SCat, objs: tuple[str, ...], k: int, vals: Optional[Mapping[str, ExpEl]],
-              i: int, j: int, ch: Chain) -> ExpEl:
+              i: int, j: int, ch: Chain, cube_cells) -> ExpEl:
     """The value at the chain ch of cube(i, j) of a component that vals gives on
     the cube's generators: the identity of objs[i] when i == j, else the value
-    at the generator of ch's normal form, precomposed with its degeneracy."""
+    at the generator of ch's normal form, precomposed with its degeneracy.
+    cube_cells is the caller's table of _cube_cells."""
     d = len(ch) - 1
     if i == j:
         return exp_of_element(C.hom[(objs[i],) * 2], d, k, C.id_el(objs[i], k))
-    x = _cube_cells(i, j)[0].to_nf(d, ch)
+    x = cube_cells(i, j)[0].to_nf(d, ch)
     if not x.word:
         return vals[x.gen]
     return exp_act(C.hom[(objs[i], objs[j])], d - len(x.word), k, vals[x.gen],
@@ -212,6 +215,10 @@ def _at_chain(C: SCat, objs: tuple[str, ...], k: int, vals: Optional[Mapping[str
 
 def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
     """All enriched functors c^h Delta[m] -> C^{Delta[k]}."""
+    return _hc_functors(C, m, k, lru_cache(maxsize=None)(_cube_cells))
+
+
+def _hc_functors(C: SCat, m: int, k: int, cube_cells) -> list[CoherentFunctor]:
     out = []
     pairs = _pairs(m)
     for objs in itertools.product(C.objects, repeat=m + 1):
@@ -220,12 +227,12 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
         def extend(idx: int):
             if idx == len(pairs):
                 out.append(CoherentFunctor(
-                    objs, tuple(tuple(partial[p][g] for g, _ in _cube_cells(*p)[1])
+                    objs, tuple(tuple(partial[p][g] for g, _ in cube_cells(*p)[1])
                                 for p in pairs)))
                 return
             i, j = pairs[idx]
             H = C.hom[(objs[i], objs[j])]
-            cube, cells = _cube_cells(i, j)
+            cube, cells = cube_cells(i, j)
             forced: dict[str, ExpEl] = {}
             for g, ch in cells:
                 d = cube.space.gen_dim(g)
@@ -235,8 +242,10 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
                     left = tuple(tuple(v for v in S if v <= p) for S in ch)
                     right = tuple(tuple(v for v in S if v >= p) for S in ch)
                     forced[g] = exp_comp(C, objs[i], objs[p], objs[j], k, d,
-                                         _at_chain(C, objs, k, partial[(p, j)], p, j, right),
-                                         _at_chain(C, objs, k, partial[(i, p)], i, p, left))
+                                         _at_chain(C, objs, k, partial[(p, j)], p, j, right,
+                                                   cube_cells),
+                                         _at_chain(C, objs, k, partial[(i, p)], i, p, left,
+                                                   cube_cells))
             assigns: dict[str, ExpEl] = {}
 
             def fill(cells_left) -> None:
@@ -254,7 +263,7 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
                 for e in cands:
                     if all(exp_act(H, d, k, e, delta.coface(r, d))
                            == _at_chain(C, objs, k, assigns, i, j,
-                                        chain_act(ch, delta.coface(r, d)))
+                                        chain_act(ch, delta.coface(r, d)), cube_cells)
                            for r in (range(d + 1) if d else ())):
                         assigns[g] = e
                         fill(cells_left[1:])
@@ -270,10 +279,11 @@ def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
 def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> Nerve:
     """The truncated homotopy coherent nerve."""
     budget = 0
+    cube_cells = lru_cache(maxsize=None)(_cube_cells)
 
     def levels(m, k):
         nonlocal budget
-        fs = hc_functors(C, m, k)
+        fs = _hc_functors(C, m, k, cube_cells)
         budget += len(fs)
         if budget > cell_guard:
             raise SSetError("coherent nerve exceeds the cell guard")
@@ -282,20 +292,21 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> N
     def act(e, mk, mu_h, mu_v):
         m, k = mk
         objs, maps = e
-        table = {p: dict(zip((g for g, _ in _cube_cells(*p)[1]), ms))
+        table = {p: dict(zip((g for g, _ in cube_cells(*p)[1]), ms))
                  for p, ms in zip(_pairs(m), maps)}
         m2 = m if mu_h is None else len(mu_h) - 1
         mu = delta.identity(m) if mu_h is None else mu_h
         objs2 = tuple(objs[v] for v in mu)
         new_maps = []
         for i, j in _pairs(m2):
-            cube, cells = _cube_cells(i, j)
+            cube, cells = cube_cells(i, j)
             H2 = C.hom[(objs2[i], objs2[j])]
             comp_maps = []
             for g, ch in cells:
                 d = cube.space.gen_dim(g)
                 big = tuple(tuple(sorted({mu[v] for v in S})) for S in ch)
-                val = _at_chain(C, objs, k, table.get((mu[i], mu[j])), mu[i], mu[j], big)
+                val = _at_chain(C, objs, k, table.get((mu[i], mu[j])), mu[i], mu[j], big,
+                                cube_cells)
                 if mu_v is not None:
                     val = exp_act(H2, d, k, val, delta.identity(d), mu_v)
                 comp_maps.append(val)
@@ -322,6 +333,7 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> N
 def nerve_comparison(N: Nerve, HN: Nerve) -> BiMap:
     """The canonical map from the strict to the coherent nerve."""
     C = N.cat
+    cube_cells = lru_cache(maxsize=None)(_cube_cells)
     assign = {}
     for g in N.bisset.gens():
         m, k = N.bisset.bidegree(g)
@@ -331,7 +343,7 @@ def nerve_comparison(N: Nerve, HN: Nerve) -> BiMap:
             acc = fs[i]
             for s in range(i + 1, j):
                 acc = C.comp(objs[i], objs[s], objs[s + 1], fs[s], acc)
-            cube, cells = _cube_cells(i, j)
+            cube, cells = cube_cells(i, j)
             H = C.hom[(objs[i], objs[j])]
             comp_maps = []
             for gg, ch in cells:

@@ -27,18 +27,47 @@ class Product(NamedTuple):
     to_nf: Callable[[int, tuple], NF]
 
 
-def product(*factors: SSet) -> Product:
-    """Finite product with projections; generators are the shuffles.
+def shuffles(factors: tuple[SSet, ...]) -> Iterator[list[tuple]]:
+    """The non-degenerate simplices of the product of factors, one sorted list
+    per degree d from 0 to the sum of the factors' top dimensions.
 
     A d-simplex of the product is a tuple of d-simplices, one per factor; it
     is non-degenerate exactly when the factors' degeneracy words have no
-    index in common (Eilenberg-Zilber), so only those tuples are listed,
-    sorted, and numbered p{d}_{i}.  Their faces are read from the factors'
-    face tables.  to_nf(d, e) gives any tuple's normal form in closed form,
-    above the top dimension too: the common indices C of the words, applied
-    to the tuple pulled back along a section of the epi that collapses C.  It
-    raises SSetError on a tuple that reduces to no listed shuffle, which is
-    then no d-simplex of the product.
+    index in common (Eilenberg-Zilber), so only those tuples are listed.
+    product numbers the list at degree d p{d}_0, p{d}_1, ...; a caller that
+    needs the generators but not their faces (the relation pieces of
+    kan.enriched_lan) lists them here under the same ids.  Nothing is listed
+    when a factor is empty.
+    """
+    if any(X.is_empty() for X in factors):
+        return
+    for d in range(sum(X.dim_bound for X in factors) + 1):
+        # per factor: (bit mask of a word, the d-simplices with that word)
+        by_word = [[(sum(1 << i for i in w), [NF(w, g) for g in X._by_deg[(d - q,)]])
+                    for q in range(d + 1) if (d - q,) in X._by_deg
+                    for w in delta.all_words(q, d)]
+                   for X in factors]
+        level: list[tuple] = []
+        for words in itertools.product(*by_word):
+            common = (1 << d) - 1
+            for mask, _ in words:
+                common &= mask
+            if not common:
+                level.extend(itertools.product(*(xs for _, xs in words)))
+        level.sort()
+        yield level
+
+
+def product(*factors: SSet) -> Product:
+    """Finite product with projections; generators are the shuffles.
+
+    The generators are the tuples that shuffles lists, numbered p{d}_{i} in
+    its order.  Their faces are read from the factors' face tables.
+    to_nf(d, e) gives any tuple's normal form in closed form, above the top
+    dimension too: the common indices C of the words, applied to the tuple
+    pulled back along a section of the epi that collapses C.  It raises
+    SSetError on a tuple that reduces to no listed shuffle, which is then no
+    d-simplex of the product.
     """
     if not factors:
         pt = SSet([("*", 0)], {})
@@ -69,20 +98,7 @@ def product(*factors: SSet) -> Product:
     gens: list[tuple[str, int]] = []
     faces: dict[str, tuple[NF, ...]] = {}
     elem_of: dict[str, tuple] = {}
-    for d in range(max_dim + 1):
-        # per factor: (bit mask of a word, the d-simplices with that word)
-        by_word = [[(sum(1 << i for i in w), [NF(w, g) for g in X._by_deg[(d - q,)]])
-                    for q in range(d + 1) if (d - q,) in X._by_deg
-                    for w in delta.all_words(q, d)]
-                   for X in factors]
-        level: list[tuple] = []
-        for words in itertools.product(*by_word):
-            common = (1 << d) - 1
-            for mask, _ in words:
-                common &= mask
-            if not common:
-                level.extend(itertools.product(*(xs for _, xs in words)))
-        level.sort()
+    for d, level in enumerate(shuffles(factors)):
         for i, e in enumerate(level):
             gid = f"p{d}_{i}"
             gens.append((gid, d))
@@ -115,9 +131,23 @@ class DiagramError(ValueError):
     pass
 
 
+class BarePiece:
+    """A diagram object given by its generators alone, by degree, with no face
+    table: a piece that only glues the generators of other objects, through
+    the edges out of it.  Its generators never name a class of the colimit
+    (_colimit raises if one would), so the colimit reads no face of it, and it
+    gets no cocone leg."""
+
+    def __init__(self, by_deg: dict[tuple[int, ...], list[str]]):
+        self._by_deg = by_deg
+
+    def n_gens(self) -> int:
+        return sum(map(len, self._by_deg.values()))
+
+
 @dataclass
 class Diagram:
-    objects: dict[str, SSet]
+    objects: dict[str, "SSet | BarePiece"]
     edges: list[tuple[str, str, str, SSetMap]] = field(default_factory=list)
 
     def add(self, name: str, src: str, dst: str, f: SSetMap) -> None:
@@ -166,20 +196,26 @@ def _colimit(diag: Diagram, empty):
     class that disagree mean a map of the diagram is not simplicial
     (SSetError).  The unmarked classes become generators q{deg}_{i}, numbered
     in the order of their least member (name, generator), whose face table
-    gives theirs.
+    gives theirs.  A BarePiece has no face table, so a class whose least
+    member lies in one raises SSetError; a bare piece may be the source of
+    edges only (DiagramError otherwise), and gets no cocone leg.
 
     Returns (set, cocone, cls, reps): cls(name, x) is the class of x from the
     named object, reps[g] the least (name, generator) in the class of g, the
     generator as a normal form with empty words.
     """
     objects = diag.objects
+    bare = {n for n, X in objects.items() if isinstance(X, BarePiece)}
+    if any(t in bare for _, _, t, _ in diag.edges):
+        raise DiagramError("a bare piece can only be the source of an edge")
     names = sorted(objects)
     degrees = sorted({deg for X in objects.values() for deg in X._by_deg})
     if not degrees:
         def no_cls(name, x):
             raise SSetError("empty colimit")
 
-        return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, no_cls, {}
+        return (empty, {n: objects[n].map_type(objects[n], empty, {})
+                        for n in names if n not in bare}, no_cls, {})
     nf_type = empty.nf_type
     n_axes = empty.n_axes
     uf = _UF()
@@ -223,6 +259,9 @@ def _colimit(diag: Diagram, empty):
         for n, g in nodes:
             image[n][g] = nf_of[uf.find((n, g))]
         for gid, n, g in made:
+            if n in bare:
+                raise SSetError(f"the class of {g!r} of {n!r} at degree {list(deg)} has its "
+                                f"least member in a piece with no face table")
             gens.append((gid, deg))
             reps[gid] = (n, objects[n]._nd(g))
             for a, fs in enumerate(objects[n]._faces):
@@ -232,7 +271,7 @@ def _colimit(diag: Diagram, empty):
                       validate=False)
     cocone = {n: objects[n].map_type(objects[n], out, {g: image[n][g] for g in objects[n].gens()},
                                      validate=False)
-              for n in names}
+              for n in names if n not in bare}
 
     def cls(name: str, x: tuple) -> tuple:
         return cocone[name](x)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from . import delta
@@ -65,10 +66,18 @@ def sub_inclusion(A: SSet, B: SSet) -> SSetMap:
     return SSetMap(A, B, {g: nd(g) for g in A.gens()})
 
 
+@lru_cache(maxsize=16)
+def _shared_simplex(m: int) -> SSet:
+    """Delta[m], built once per dimension for simplex_operator; the 16 most
+    recent dimensions are kept."""
+    return simplex(m)
+
+
 def simplex_operator(mu: delta.Monotone, n: int) -> SSetMap:
-    """The map of standard simplices induced by mu: [m] -> [n]."""
+    """The map of standard simplices induced by mu: [m] -> [n].  Its source
+    and target are shared by every map out of Delta[m] and into Delta[n]."""
     m = len(mu) - 1
-    src, dst = simplex(m), simplex(n)
+    src, dst = _shared_simplex(m), _shared_simplex(n)
     top = nd(subset_id(range(n + 1)))
     assign = {}
     for g in src.gens():

@@ -3,7 +3,10 @@
 The counts here are computed by direct enumeration, never through the
 library's own engines, so the values they produce can back the library's
 outputs.  coend_all_relations is the unpruned coend, built from the library's
-products and colimits, the reference for the pruned one in kan.enriched_lan.
+products and colimits, the reference for the pruned one in kan.enriched_lan;
+with_relation_products rebuilds the bare relation pieces of a
+kan.coend_diagram as those full products and checks the library's legs against
+them with a validated SSetMap.
 colimit_all_simplices and product_all_tuples list every simplex, degenerate
 ones included, and strip degeneracies through the generic operator action in
 the materialize engine: the references for ops.colimit, bisset.bi_colimit and
@@ -26,7 +29,7 @@ import itertools
 
 from necklace_calculus import delta
 from necklace_calculus.necklace import RealizedNecklace
-from necklace_calculus.ops import Diagram, OrderWitness, colimit, product
+from necklace_calculus.ops import BarePiece, Diagram, OrderWitness, colimit, product
 from necklace_calculus.sset import EMPTY, NF, SSetMap, materialize, nd
 
 
@@ -135,6 +138,30 @@ def coend_all_relations(F, G, D, d):
             diag.add(f"eb.{a}.{b}", name, f"p.{b}", SSetMap(pr3.sset, prods[b].sset, to_b))
             diag.add(f"ea.{a}.{b}", name, f"p.{a}", SSetMap(pr3.sset, prods[a].sset, to_a))
     return colimit(diag)
+
+
+def with_relation_products(F, G, D, d, diag):
+    """The coend diagram diag = kan.coend_diagram(F, G, D, d) with each bare
+    relation piece r.a.b replaced by the full product C(a, b) x D(d, Ga) x F(b).
+    Asserts that the piece lists that product's generators, with the same ids
+    at the same degrees, and that both its legs are simplicial maps out of it
+    (SSetMap with validate=True raises otherwise)."""
+    C = F.base
+    full = Diagram(dict(diag.objects))
+    for a in C.objects:
+        for b in C.objects:
+            name = f"r.{a}.{b}"
+            if name in diag.objects:
+                piece = diag.objects[name]
+                assert isinstance(piece, BarePiece), name
+                pr3 = product(C.hom[(a, b)], D.hom[(d, G.on_obj[a])], F.value[b])
+                assert piece._by_deg == pr3.sset._by_deg, name
+                full.objects[name] = pr3.sset
+    assert not any(isinstance(X, BarePiece) for X in full.objects.values())
+    for edge, s, t, f in diag.edges:
+        X = full.objects[s]
+        full.add(edge, s, t, f if X is f.src else SSetMap(X, f.dst, f.assign, validate=True))
+    return full
 
 
 # -- the generic operator action ------------------------------------------------

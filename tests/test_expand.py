@@ -49,10 +49,11 @@ def test_cube_hom():
     assert _inverts(c.space, c.to_nf, c.expand, c.chain_of, (c.space.dim_bound,)) > c.space.n_gens()
 
 
-@pytest.mark.parametrize("kind", ["strict", "hc"])
+@pytest.mark.parametrize("kind", ["strict", "hc", "hc21"])
 def test_nerve_and_groth_total(kind):
     C = suspension(d(1))
-    N = strict_nerve(C) if kind == "strict" else hc_nerve(C, 1, 1)
+    N = (strict_nerve(C) if kind == "strict"
+         else hc_nerve(C, 1, 1) if kind == "hc" else hc_nerve(C, 2, 1))
     assert _check_bisset(N) > len(N.bisset.gens())
     G = groth(N, representable(C, "1"))
     assert _check_bisset(G) > len(G.bisset.gens())

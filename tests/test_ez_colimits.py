@@ -19,18 +19,20 @@ from necklace_calculus.sset import NF, SSetError, SSetMap, nd
 from necklace_calculus.straighten import Straightener, delta_precat
 
 from oracles import (colimit_all_simplices, product_all_tuples, product_nd_counts,
-                     shuffle_count)
+                     shuffle_count, with_relation_products)
 
 d = shapes.simplex
 
 
-def _assert_same_colimit(got, diag, bi=False):
+def _assert_same_colimit(got, diag, bi=False, bare=()):
+    """got is the colimit of diag; the named bare pieces (replaced in diag by
+    their full products) have no cocone leg in got."""
     want = (colimit_all_simplices(diag, materialize_bi, BI_EMPTY) if bi
             else colimit_all_simplices(diag))
     dump = bisset_dump if bi else sset_dump
     assert dump(got[0]) == dump(want[0])
     assert got.reps == want[3]
-    assert sorted(got.cocone) == sorted(want[1])
+    assert sorted(got.cocone) == sorted(n for n in want[1] if n not in bare)
     for name, leg in got.cocone.items():
         assert leg.assign == want[1][name].assign, name
         assert list(leg.assign) == list(want[1][name].assign), name
@@ -114,7 +116,17 @@ def test_discretize_pushouts_match_oracle(monkeypatch, m, X):
 
 
 def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
+    # each bare relation piece is rebuilt as its full product for the oracle
     seen = _recording(monkeypatch, kan, "colimit")
+    args_of = {}
+    build = kan.coend_diagram
+
+    def rec(*args):
+        out = build(*args)
+        args_of[id(out[0])] = args
+        return out
+
+    monkeypatch.setattr(kan, "coend_diagram", rec)
     W = delta_precat(2).W
     st = Straightener(W)
     ob = st.st_object(W, bisset.bi_identity(W))
@@ -123,8 +135,32 @@ def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
     assert seen
     assert any(any(f.assign[g][:-1] for _, _, _, f in diag.edges for g in f.assign)
                for diag, _ in seen), "no lan colimit has a degenerate image"
+    assert any(isinstance(X, ops.BarePiece) for diag, _ in seen for X in diag.objects.values())
     for diag, got in seen:
-        _assert_same_colimit(got, diag)
+        bare = [n for n, X in diag.objects.items() if isinstance(X, ops.BarePiece)]
+        _assert_same_colimit(got, with_relation_products(*args_of[id(diag)], diag), bare=bare)
+
+
+def test_bare_piece_holding_a_least_member_raises():
+    # the class {("a", "v"), ("b", "0")} has its least member in the bare piece "a"
+    diag = ops.Diagram({"a": ops.BarePiece({(0,): ["v"]}), "b": d(0)})
+    diag.add("f", "a", "b", SSetMap(diag.objects["a"], d(0), {"v": nd("0")}, validate=False))
+    with pytest.raises(SSetError):
+        ops.colimit(diag)
+    # named after the point, the piece only glues, and gets no cocone leg
+    diag = ops.Diagram({"r": ops.BarePiece({(0,): ["v"]}), "b": d(0)})
+    diag.add("f", "r", "b", SSetMap(diag.objects["r"], d(0), {"v": nd("0")}, validate=False))
+    got = ops.colimit(diag)
+    assert got.sset.nd_counts() == (1,)
+    assert sorted(got.cocone) == ["b"]
+    assert got.reps == {"q0_0": ("b", nd("0"))}
+
+
+def test_bare_piece_cannot_be_an_edge_target():
+    diag = ops.Diagram({"a": d(0), "r": ops.BarePiece({(0,): ["v"]})})
+    diag.add("f", "a", "r", SSetMap(d(0), d(0), {"0": nd("v")}, validate=False))
+    with pytest.raises(ops.DiagramError):
+        ops.colimit(diag)
 
 
 _TARGETS = {"d0": lambda: d(0), "d1": lambda: d(1), "d2": lambda: d(2),

@@ -1,20 +1,21 @@
 """The Straightener's shared universal levels, pruned coends and face pieces.
 
 Straightening a total object builds one categorification per LF[j, Delta[k]],
-left Kan extends along coends with their trivial relation pieces left out, and
-glues generators along their non-degenerate faces without copies.  These tests
-hold each of the three against the construction it replaces.
+left Kan extends along coends with their trivial relation pieces left out and
+the rest as bare generator lists, and glues generators along their
+non-degenerate faces without copies.  These tests hold each against the
+construction it replaces.
 """
 
 import pytest
 
-from necklace_calculus import shapes
+from necklace_calculus import kan, ops, shapes
 from necklace_calculus.bisset import BiMap, bi_identity, lf
 from necklace_calculus.groth import vtensor
 from necklace_calculus.io_schemas import sset_dump
 from necklace_calculus.straighten import Straightener, delta_precat
 
-from oracles import coend_all_relations
+from oracles import coend_all_relations, with_relation_products
 
 d = shapes.simplex
 
@@ -58,6 +59,22 @@ def test_pruned_coend_matches_all_relations(name):
             got = lan.colimits[a]
             assert sset_dump(got.sset) == sset_dump(want.sset), (cell, a)
             assert got.reps == want.reps, (cell, a)
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_relation_legs_are_simplicial_maps_out_of_the_full_product(name):
+    # with_relation_products asserts the ids and validates both legs of each piece
+    st, _ = _straightened(*TOTALS[name])
+    pieces = 0
+    for cell in st._lans:
+        F = st.full(cell.m, cell.k).presheaf
+        G = st.sigma_functor(cell)
+        for a in st.base_cat.objects:
+            diag, _ = kan.coend_diagram(F, G, st.base_cat, a)
+            with_relation_products(F, G, st.base_cat, a, diag)
+            pieces += sum(isinstance(X, ops.BarePiece) and X.n_gens() > 0
+                          for X in diag.objects.values())
+    assert pieces
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
