@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 from . import delta
 from .delta import Monotone, Word
 from .ops import Diagram, _colimit, _span, pi0
-from .shapes import simplex, simplex_operator
+from .shapes import simplex, simplex_operator, subset_id
 from .sset import (NF, GradedSet, SSet, SSetError, SSetMap, _materialize, identity_map,
                    materialize, nd)
 
@@ -302,7 +302,7 @@ def lf(m: int, X: "SSet") -> LF:
     ren = {}
     for i in range(m + 1):
         for ci, comp in enumerate(comps):
-            cl = col.cls("X", bnd(f"{_subset_id([i])}|{comp[0]}"))
+            cl = col.cls("X", bnd(f"{subset_id([i])}|{comp[0]}"))
             ren[cl.gen] = str(i) if len(comps) == 1 else f"{i}.{ci}"
     W = rename_gens(col.bisset, ren)
 
@@ -322,10 +322,6 @@ def lf(m: int, X: "SSet") -> LF:
         if g not in rep:
             raise SSetError(f"no product representative for {g!r}")
     return LF(m, X, A, W, q, cls, rep)
-
-
-def _subset_id(vs) -> str:
-    return ".".join(map(str, sorted(vs)))
 
 
 def lf_map(src: LF, dst: LF, mu, f: "SSetMap") -> BiMap:

@@ -13,8 +13,7 @@ vertical degeneracy word per bead, and its joints and vertices are those of
 the path, the same at every level:
 - the bead table lists each bead's vertical degree and row-0 vertices, once
   per Categorification; `hom_bound` reads it too;
-- the paths from a to b are walked once per hom space, after every level
-  slice up to the bound is checked with `ops.is_1_ordered`;
+- the paths from a to b are walked once per hom space;
 - at level j, a path with all vertical degrees <= j gives one necklace per
   tuple of words, skipped when its flat positions (the words' intersection)
   outnumber its free vertices, before any generator id is built; the chains
@@ -39,8 +38,9 @@ Faces and other operators are read from tables, not recomputed:
   level's face table; it is skipped when the operator keeps both chain ends;
 - a j-simplex is s_i of a face exactly when its chain repeats at i and i is
   in every bead's vertical degeneracy word;
-- `categorify` checks each level slice with `ops.is_1_ordered`, which reads
-  vertices and spines from the level's face table.
+- building a Categorification checks each level slice up to the bound with
+  `ops.is_1_ordered`, which reads vertices and spines from the level's face
+  table; this is the one 1-orderedness gate, and every hom space relies on it.
 """
 
 from __future__ import annotations
@@ -83,7 +83,9 @@ class Categorification:
 
     Each hom space is complete: its computation depth is the maximal possible
     non-degenerate degree, the longest bead path from a to b weighted by
-    (horizontal dim - 1) + vertical dim per bead.
+    (horizontal dim - 1) + vertical dim per bead.  Building one checks that
+    every level slice up to the bound is 1-ordered, else UnsupportedInput
+    carries (level, witness).
     """
 
     def __init__(self, W: BiSSet, bound: Optional[int] = None):
@@ -99,6 +101,11 @@ class Categorification:
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
         self._bound_cache: dict[tuple[str, str], int] = {}
+        for j in range(self.bound + 1):
+            ok, wit = is_1_ordered(self.level(j))
+            if not ok:
+                raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
+                                       witness=(j, wit))
 
     def _beads(self) -> dict[str, list[Bead]]:
         """The bead table: the W generators of horizontal degree m >= 1, with
@@ -224,15 +231,11 @@ class Categorification:
         """The bead paths from a to b with vertical degrees up to hom_bound(a, b),
         walked depth-first.
 
-        Each level slice up to that bound is checked to be 1-ordered first, in
-        ascending order, raising what the slice's TndPoset raises; so the beads
-        walked have no directed cycle, and the walk ends.
+        Every level slice up to that bound was checked to be 1-ordered when the
+        Categorification was built, so the beads walked have no directed cycle,
+        and the walk ends.
         """
         cap = self.hom_bound(a, b)
-        for j in range(cap + 1):
-            ok, wit = is_1_ordered(self.level(j))
-            if not ok:
-                raise UnsupportedInput(f"K is not 1-ordered ({wit.condition})", witness=wit)
         if a not in self.objects or b not in self.objects:
             raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
         table = self._beads()
@@ -339,17 +342,10 @@ class Categorification:
                 for a, b in itertools.product(self.objects, repeat=2)}
 
 
-def categorify(W: BiSSet, bound: Optional[int] = None, check: bool = True) -> Categorification:
-    """The categorification of W; with check, every level slice up to the
-    bound must be 1-ordered, else UnsupportedInput carries (level, witness)."""
-    C = Categorification(W, bound=bound)
-    if check:
-        for j in range(C.bound + 1):
-            ok, wit = is_1_ordered(C.level(j))
-            if not ok:
-                raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
-                                       witness=(j, wit))
-    return C
+def categorify(W: BiSSet, bound: Optional[int] = None) -> Categorification:
+    """The categorification of W.  Every level slice up to the bound must be
+    1-ordered, else UnsupportedInput carries (level, witness)."""
+    return Categorification(W, bound=bound)
 
 
 def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> EnrichedFunctor:

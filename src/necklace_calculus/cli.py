@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 2 schema or usage error (a malformed or invalid input
 file, or arguments such as an endpoint that is not a vertex), 3 unsupported
 input (with witness), 4 check failure, 5 resource limit (an input whose cells
-exceed --max-cells, or a DOT export whose squared object count does).
+exceed --max-cells, a DOT export whose squared object count does, or a
+`dot --sset --emit json` listing whose necklace count does).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import sys
 import time
 from math import comb
 
-from .bisset import BiMap, bnd
+from .bisset import BiMap
 from .categorify import categorify
-from .io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load,
-                         canonical_json, presheaf_dump, run_report, sset_dump, sset_load)
-from .necklace import PairPoset, TndPoset, UnsupportedInput, necklaces_dot
+from .io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load, canonical_json,
+                         necklace_dump, presheaf_dump, run_report, sset_dump, sset_load)
+from .necklace import PairPoset, TndPoset, UnsupportedInput, necklace_count, necklaces_dot
 from .ops import find_iso
-from .sset import SSetError
+from .sset import SSetError, constant_map
 from .straighten import Straightener
 from .verify import SUITES, run_suite
 
@@ -164,13 +165,7 @@ def _over_terminal(P, W):
     """Default structure map for a total object over a point."""
     if len(W.gens_at(0, 0)) != 1 or len(W.gens()) != 1:
         raise SSetError("--map is required unless the base is a point")
-    v = W.gens_at(0, 0)[0]
-    out = {}
-    for g in P.gens():
-        m, k = P.bidegree(g)
-        out[g] = W.act(bnd(v), mu_h=tuple(0 for _ in range(m + 1)),
-                       mu_v=tuple(0 for _ in range(k + 1)))
-    return out
+    return constant_map(P, W, W.gens_at(0, 0)[0]).assign
 
 
 def cmd_verify(args) -> int:
@@ -203,15 +198,17 @@ def cmd_dot(args) -> int:
         raise UsageError("dot needs --pairs i,m, or --sset with --from and --to")
     X = sset_load(_load_json(args.sset))
     a, b = _endpoints(args, X.by_dim[0] if X.dim_bound >= 0 else ())
-    t = TndPoset(X, a, b)
+    n = necklace_count(X, a, b)
     if args.emit == "json":
-        from .io_schemas import necklace_dump
-
+        if n > args.max_cells:
+            raise ResourceLimit(f"{n} necklaces from {a} to {b} exceed "
+                                f"--max-cells={args.max_cells}")
+        t = TndPoset(X, a, b)
         entries = [necklace_dump(t.shape(o).bead_dims, o.beads, (a, b)) for o in t.objects]
         print(canonical_json({"schema": "necklace.v1", "necklaces": entries}))
         return 0
-    _dot_guard(len(t.objects), args.max_cells)
-    print(necklaces_dot(t, name="tnd"))
+    _dot_guard(n, args.max_cells)
+    print(necklaces_dot(TndPoset(X, a, b), name="tnd"))
     return 0
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple
 
 from . import delta
-from .necklace import PairObject, PairPoset, plus_m
-from .ops import product
-from .sset import EMPTY, NF, SSet, SSetError, SSetMap, Materialized, materialize, nd
+from .necklace import PairObject, PairPoset, UnsupportedInput, plus_m
+from .ops import is_connected, product
+from .sset import (EMPTY, NF, SSet, SSetError, SSetMap, Materialized, identity_map,
+                   materialize, nd)
 
 Chain = tuple[tuple, ...]  # weakly increasing tuple of sorted vertex tuples
 
@@ -80,20 +81,17 @@ def cube_hom(J, V) -> CubeHom:
     n_free = len(V) - len(J)
 
     def levels(j):
-        return chains(J, V, j)
+        return chains(J, V, j, steps=range(j))
 
     def act(e, j, mu):
         return chain_act(e, mu)
 
-    mat = materialize(levels, act, max_dim=n_free, prefix="ch")
-    gen_of = {ch: g for g, ch in mat.elem_of.items()}
+    def degen(e, j, i):
+        """A chain that repeats at i is s_i of the chain without the repeat."""
+        return e[:i] + e[i + 1:] if e[i] == e[i + 1] else None
 
-    def to_nf(d: int, chain: Chain) -> NF:
-        word = tuple(sorted((r for r in range(d) if chain[r] == chain[r + 1]), reverse=True))
-        strict = tuple(S for r, S in enumerate(chain) if r == 0 or S != chain[r - 1])
-        return NF(word, gen_of[strict])
-
-    return CubeHom(J, V, to_nf, mat.elem_of, mat.sset, mat.expand)
+    mat = materialize(levels, act, max_dim=n_free, prefix="ch", degen=degen)
+    return CubeHom(J, V, mat.to_nf, mat.elem_of, mat.sset, mat.expand)
 
 
 def cube_of_pair(p: PairObject) -> CubeHom:
@@ -210,8 +208,6 @@ class NProd:
             self.sset = self._prod.sset
 
     def project(self, i: int) -> SSetMap:
-        from .sset import identity_map
-
         if len(self.factors) == 1:
             return identity_map(self.sset)
         return self._prod.projections[i]
@@ -227,18 +223,13 @@ class NProd:
         return pairing(self._prod, maps)
 
 
-def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int,
-             check: bool = True) -> Weight:
+def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int) -> Weight:
     """The weight sending T to (prod over non-last beads of Y) x X when the last
     bead lies in the image of mu+1, and to the empty space otherwise."""
-    from .ops import is_connected
-
     X, Y = f.src, f.dst
     if not delta.is_mono(mu):
         raise SSetError("mu must be injective")
-    if check and not (f.is_mono() and is_connected(X) and is_connected(Y)):
-        from .necklace import UnsupportedInput
-
+    if not (f.is_mono() and is_connected(X) and is_connected(Y)):
         raise UnsupportedInput("weight_F needs a monomorphism between connected inputs")
     pp = PairPoset(i, m)
     im = set(mu) | {m + 1}
@@ -274,40 +265,21 @@ def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int,
 
 
 def weight_G0(m: int, f: SSetMap) -> Weight:
-    """The boundary pushout-product weight on pairs from 0 to m+1."""
-    from .ops import is_connected
-    from .sset import identity_map
-
+    """The boundary pushout-product weight on pairs from 0 to m+1: F0 of
+    (id_[m], id_Y) with X in place of Y at the top cell, entered from below
+    through f.  weight_F requires Y connected."""
     X, Y = f.src, f.dst
     if not f.is_mono():
         raise SSetError("weight_G0 needs a monomorphism")
-    if not is_connected(Y):
-        from .necklace import UnsupportedInput
-
-        raise UnsupportedInput("weight_G0 needs a connected target")
-    pp = PairPoset(0, m)
-    top = pp.top()
-    prods: dict[PairObject, NProd] = {}
-    values: dict[PairObject, SSet] = {}
-    for p in pp.objects:
-        if p == top:
-            values[p] = X
-        else:
-            pv = NProd([Y] * (len(p.J) - 1))
-            prods[p] = pv
-            values[p] = pv.sset
+    f0 = weight_F(delta.identity(m), identity_map(Y), 0, m)
+    top = f0.poset.top()
 
     def arrow(p: PairObject, q: PairObject) -> SSetMap:
-        if q == top:
-            if p == top:
-                return identity_map(X)
-            comps = [f for _ in prods[p].factors]
-            return prods[p].pair(comps, X)
-        cont = _bead_containment(pp, p, q)
-        comps = [prods[q].project(ti) for ti in cont]
-        return prods[p].pair(comps, values[q])
+        if q != top:
+            return f0.arrow(p, q)
+        return identity_map(X) if p == top else f.then(f0.arrow(p, top))
 
-    return Weight(pp, values, arrow)
+    return Weight(f0.poset, {**f0.value, top: X}, arrow)
 
 
 def last_factor_postcompose(t: int, f: SSetMap) -> SSetMap:
@@ -320,27 +292,18 @@ def last_factor_postcompose(t: int, f: SSetMap) -> SSetMap:
 
 
 def weight_constant(i: int, m: int, X: SSet) -> Weight:
-    from .sset import identity_map
-
     pp = PairPoset(i, m)
     return Weight(pp, {p: X for p in pp.objects}, lambda p, q: identity_map(X))
 
 
 def weight_inclusion_G0_F0(m: int, f: SSetMap) -> tuple[Weight, Weight, dict[PairObject, SSetMap]]:
-    """The canonical objectwise inclusion of the G0 weight into F0 of (id_[m], id_Y)."""
-    from .sset import identity_map
-
-    Y = f.dst
+    """The canonical objectwise inclusion of the G0 weight into F0 of (id_[m], id_Y):
+    f at the top cell, and away from it the identity, as G0 takes F0's values there."""
     g0 = weight_G0(m, f)
-    f0 = weight_F(delta.identity(m), identity_map(Y), 0, m)
-    out = {}
-    for p in g0.poset.objects:
-        if p == g0.poset.top():
-            out[p] = SSetMap(g0.value[p], f0.value[p], f.assign)
-        else:
-            if g0.value[p] != f0.value[p]:
-                raise SSetError("G0 and F0 disagree away from the top cell")
-            out[p] = identity_map(g0.value[p])
+    f0 = weight_F(delta.identity(m), identity_map(f.dst), 0, m)
+    top = g0.poset.top()
+    out = {p: SSetMap(f.src, f0.value[p], f.assign) if p == top else identity_map(g0.value[p])
+           for p in g0.poset.objects}
     return g0, f0, out
 
 

@@ -53,13 +53,43 @@ class RealizedNecklace(NamedTuple):
     beads: tuple[str, ...]
 
 
+def _require_1_ordered(K: SSet) -> None:
+    ok, wit = is_1_ordered(K)
+    if not ok:
+        raise UnsupportedInput(f"K is not 1-ordered ({wit.condition})", witness=wit)
+
+
+def necklace_count(K: SSet, a: str, b: str) -> int:
+    """The number of totally non-degenerate necklaces of K from a to b, the
+    objects of TndPoset(K, a, b), counted without listing them: a sum over
+    the beads by first vertex.  K must be 1-ordered, as for TndPoset."""
+    _require_1_ordered(K)
+    if a == b:
+        return 1
+    beads = _beads_by_first_vertex(K)
+
+    @functools.lru_cache(maxsize=None)
+    def tails(v: str) -> int:
+        return sum((w == b) + tails(w) for _, w in beads.get(v, ()))
+
+    return tails(a)
+
+
+def _beads_by_first_vertex(K: SSet) -> dict[str, list[tuple[str, str]]]:
+    """(bead, last vertex) for each generator of K of dimension >= 1, by first vertex."""
+    out: dict[str, list[tuple[str, str]]] = {}
+    for d in range(1, K.dim_bound + 1):
+        for g in K.by_dim[d]:
+            vs = K.vertices(nd(g))
+            out.setdefault(vs[0], []).append((g, vs[-1]))
+    return out
+
+
 class TndPoset:
     """The poset of totally non-degenerate necklaces of K from a to b."""
 
     def __init__(self, K: SSet, a: str, b: str):
-        ok, wit = is_1_ordered(K)
-        if not ok:
-            raise UnsupportedInput(f"K is not 1-ordered ({wit.condition})", witness=wit)
+        _require_1_ordered(K)
         if K.dim_bound < 0 or a not in K.by_dim[0] or b not in K.by_dim[0]:
             raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
         self.K = K
@@ -82,23 +112,15 @@ class TndPoset:
 
     # -- enumeration ----------------------------------------------------------
 
-    def _beads_from(self, v: str) -> list[str]:
-        out = []
-        for d in range(1, self.K.dim_bound + 1):
-            for g in self.K.by_dim[d]:
-                if self.K.vertices(nd(g))[0] == v:
-                    out.append(g)
-        return sorted(out, key=lambda g: (self.K.gen_dim(g), g))
-
     def _enumerate(self) -> list[RealizedNecklace]:
         if self.a == self.b:
             return [RealizedNecklace((self.a,))]
+        beads = _beads_by_first_vertex(self.K)
 
         @functools.lru_cache(maxsize=None)
         def tails(v: str) -> tuple[tuple[str, ...], ...]:
             out = []
-            for g in self._beads_from(v):
-                w = self.K.vertices(nd(g))[-1]
+            for g, w in beads.get(v, ()):
                 if w == self.b:
                     out.append((g,))
                 out.extend((g,) + rest for rest in tails(w))

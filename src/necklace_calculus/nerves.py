@@ -18,6 +18,8 @@ from .ops import Product, enumerate_maps, product
 from .scat import SCat
 from .sset import NF, SSet, SSetError, SSetMap, nd
 
+MAX_FUNCTORS = 200_000  # coherent functors hc_nerve may list over all its levels
+
 
 class Nerve(NamedTuple):
     cat: SCat
@@ -276,8 +278,9 @@ def _hc_functors(C: SCat, m: int, k: int, cube_cells) -> list[CoherentFunctor]:
     return sorted(out)
 
 
-def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> Nerve:
-    """The truncated homotopy coherent nerve."""
+def hc_nerve(C: SCat, m_bound: int, k_bound: int) -> Nerve:
+    """The truncated homotopy coherent nerve; SSetError once its levels list
+    more than MAX_FUNCTORS functors."""
     budget = 0
     cube_cells = lru_cache(maxsize=None)(_cube_cells)
 
@@ -285,8 +288,8 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int, cell_guard: int = 200000) -> N
         nonlocal budget
         fs = _hc_functors(C, m, k, cube_cells)
         budget += len(fs)
-        if budget > cell_guard:
-            raise SSetError("coherent nerve exceeds the cell guard")
+        if budget > MAX_FUNCTORS:
+            raise SSetError(f"coherent nerve lists more than {MAX_FUNCTORS} functors")
         return fs
 
     def act(e, mk, mu_h, mu_v):

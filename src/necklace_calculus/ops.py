@@ -166,10 +166,14 @@ class _UF:
         self.parent: dict = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.parent[x] = self.find(p)
-        return p
+        """The root of x's class, halving the path on the way: no recursion,
+        so a long chain of unions cannot overflow the stack."""
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        while p != x:
+            parent[x] = grand = parent[p]
+            x, p = grand, parent[grand]
+        return x
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)

@@ -267,7 +267,6 @@ class SSet(GradedSet):
         self.dim_bound = max(self._by_deg)[0] if self._by_deg else -1
         self.by_dim: tuple[tuple[str, ...], ...] = tuple(
             tuple(self._by_deg.get((d,), ())) for d in range(self.dim_bound + 1))
-        self._act_cache: dict = {}
         self._vert_cache: dict = {}
         self._order_check: Optional[tuple] = None  # memo of ops.is_1_ordered
 
@@ -292,14 +291,9 @@ class SSet(GradedSet):
 
     def act(self, nf: NF, mu: Monotone) -> NF:
         """Presheaf action: nf at dim m composed with mu: [m'] -> [m]."""
-        key = (nf, mu)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         if not delta.is_monotone(mu, self.dim(nf)):
             raise SSetError(f"{mu} is not monotone into [{self.dim(nf)}]")
-        out = self._act_cache[key] = self._act_axis(nf, 0, mu)
-        return out
+        return self._act_axis(nf, 0, mu)
 
     def face(self, nf: NF, i: int) -> NF:
         return self.act(nf, delta.coface(i, self.dim(nf)))
@@ -337,13 +331,13 @@ def identity_map(X: GradedSet) -> SSetMap:
     return X.map_type(X, X, {g: X._nd(g) for g in X.gens()}, validate=False)
 
 
-def constant_map(X: SSet, Y: SSet, vertex: str) -> SSetMap:
-    """Collapse X to a vertex of Y."""
-    assign = {}
-    for g in X.gens():
-        d = X.gen_dim(g)
-        assign[g] = Y.act(nd(vertex), tuple(0 for _ in range(d + 1)))
-    return SSetMap(X, Y, assign, validate=False)
+def constant_map(X: GradedSet, Y: GradedSet, vertex: str) -> SSetMap:
+    """Collapse X to a vertex of Y, in either grading: each generator goes to
+    the vertex degenerated along every index of every axis."""
+    def image(deg: tuple[int, ...]) -> tuple:
+        return _new(Y.nf_type, (*(tuple(range(d - 1, -1, -1)) for d in deg), vertex))
+
+    return X.map_type(X, Y, {g: image(X._deg[g]) for g in X.gens()}, validate=False)
 
 
 # -- the materialize engine ---------------------------------------------------

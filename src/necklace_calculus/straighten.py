@@ -2,13 +2,15 @@
 
 A cell of W is straightened by left Kan extending the universal representable
 case along its categorified classifying map; the classical route through the
-one-point extension W_sigma is kept (w_sigma) and cross-checked wherever its
-levels are 1-ordered.  General objects over W are straightened by gluing the
-cellwise results along the face relations of the total object.
+one-point extension W_sigma is kept (w_sigma), and verify's `stvssigma` check
+compares the two routes on the cells of horizontal(Delta[2]).  General objects
+over W are straightened by gluing the cellwise results along the face
+relations of the total object.  Every categorification is built through
+`categorify`, which checks that its level slices are 1-ordered.
 
 Each construction is built in one place:
 - extension(m, Y): LF[m, Y] -> LF[m+1, Y] along the last coface (last_coface);
-- cat_lf(j, Y, check): LF[j, Y] with its categorification; a Straightener
+- cat_lf(j, Y): LF[j, Y] with its categorification; a Straightener
   builds each LF[j, Delta[k]] and its categorification once, so full(m, k)
   and full(m+1, k) share LF[m+1, Delta[k]], its categorification and its homs;
 - full_rep(lo, hi): the full representable, values Hom_{c LF[m+1, Y]}(-, m+1),
@@ -140,10 +142,9 @@ class CatLF(NamedTuple):
     C: Categorification
 
 
-def cat_lf(j: int, Y: SSet, check: bool) -> CatLF:
-    """check is categorify's 1-orderedness check."""
+def cat_lf(j: int, Y: SSet) -> CatLF:
     L = lf(j, Y)
-    return CatLF(L, categorify(L.W, check=check))
+    return CatLF(L, categorify(L.W))
 
 
 def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
@@ -163,8 +164,9 @@ def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
 
 
 def checked_full_rep(m: int, Y: SSet) -> FullRep:
-    """full_rep with every level slice of both categorifications checked 1-ordered."""
-    return full_rep(cat_lf(m, Y, check=True), cat_lf(m + 1, Y, check=True))
+    """full_rep over LF[m, Y]; categorify checks that every level slice of both
+    categorifications is 1-ordered."""
+    return full_rep(cat_lf(m, Y), cat_lf(m + 1, Y))
 
 
 def glue_suspension(fr: FullRep, Y: SSet) -> SCat:
@@ -192,11 +194,10 @@ class Straightener:
         self._ops: dict[tuple, object] = {}
 
     def cat_lf(self, j: int, k: int) -> CatLF:
-        """LF[j, Delta[k]] and its categorification, unchecked: its level slices
-        are 1-ordered."""
+        """LF[j, Delta[k]] and its categorification, built once."""
         key = (j, k)
         if key not in self._cat_lfs:
-            self._cat_lfs[key] = cat_lf(j, simplex(k), check=False)
+            self._cat_lfs[key] = cat_lf(j, simplex(k))
         return self._cat_lfs[key]
 
     def full(self, m: int, k: int) -> FullRep:

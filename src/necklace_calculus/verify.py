@@ -23,7 +23,7 @@ from .groth import groth, groth_map, groth_right_adjoint, rightfib_check, vtenso
 from .scat import (NatTrans, Presheaf, ch_simplex, enumerate_nat_trans, representable,
                    sigma_m, suspension, terminal_presheaf)
 from .shapes import boundary, point, simplex, simplex_operator, spine, sub_inclusion
-from .sset import NF, SSet, SSetMap, identity_map, nd
+from .sset import NF, SSet, SSetMap, constant_map, identity_map, nd
 from .straighten import (Cell, Straightener, bead, cone, cone_hom, delta_precat,
                          projection_pi, st_mono_formula, st_over_map,
                          straighten_boundary_pp, unstraighten, w_sigma)
@@ -152,18 +152,12 @@ def check_product_colimit_interchange(rng) -> str:
     col = pushout(g, f)  # the circle-like quotient
     Y = simplex(1)
     lhs = product(col.sset, Y).sset
-    pf = _map_product(f, Y)
-    pg = _map_product(g, Y)
+    pf = _factor_map(f, Y, flip=False)
+    pg = _factor_map(g, Y, flip=False)
     col2 = pushout(pg, pf)
     iso = find_iso(lhs, col2.sset)
     assert iso is not None
     return "product(colim, Y) == colim(product(-, Y))"
-
-
-def _map_product(f: SSetMap, Y: SSet) -> SSetMap:
-    src = product(f.src, Y)
-    dst = product(f.dst, Y)
-    return pairing(dst, [src.projections[0].then(f), src.projections[1]])
 
 
 def check_1_ordered(rng) -> str:
@@ -453,7 +447,7 @@ def _f_boundary_weight(m, f):
     from .cubes import Weight
     from .sset import EMPTY
 
-    base = weight_F(delta.identity(m), f, 0, m, check=False)
+    base = weight_F(delta.identity(m), f, 0, m)
     pp = base.poset
     top = pp.top()
     values = dict(base.value)
@@ -578,11 +572,11 @@ def check_lan_sigma_m(rng) -> str:
 # -- straighten suite ----------------------------------------------------------------
 
 
-def dual_path_battery(max_m: int = 2) -> list[tuple[str, bool]]:
-    """Exact dual-route checks: weighted-colimit formula vs categorified cone."""
+def dual_path_battery() -> list[tuple[str, bool]]:
+    """Exact dual-route checks: weighted-colimit formula vs categorified cone, m <= 2."""
     results = []
     for fname, f in _mono_catalog():
-        for m in range(max_m + 1):
+        for m in range(3):
             for mu in _injections(m):
                 cones = {}
                 for i in range(m + 1):
@@ -637,7 +631,7 @@ def check_tensor_compat(rng) -> str:
         pt_pre = delta_precat(0).W
         # three total objects over W: the identity, a vertex, their disjoint union
         ps: list[tuple[str, object, object]] = [("id", W, bi_identity(W))]
-        v0 = _vertex_map(pt_pre, W, "0")
+        v0 = constant_map(pt_pre, W, "0")
         ps.append(("vertex", pt_pre, v0))
         dj = bi_colimit(Diagram({"i0": W, "i1": pt_pre}))
         from .straighten import pushout_induced
@@ -669,8 +663,8 @@ def check_st_colimits(rng) -> str:
     for trial, v in enumerate([str(rng2.choice([0, 1])) for _ in range(3)]):
         # glue two copies of the identity object along a vertex
         A = delta_precat(0).W
-        f1 = _vertex_map(A, W, v)
-        f2 = _vertex_map(A, W, v)
+        f1 = constant_map(A, W, v)
+        f2 = constant_map(A, W, v)
         po = bi_pushout(f1, f2)
         pmap = pushout_induced(po, {"X": bi_identity(W), "Y": bi_identity(W), "A": f1}, W)
         ob = st.st_object(po.bisset, pmap)
@@ -685,17 +679,6 @@ def check_st_colimits(rng) -> str:
     return "St of pushouts is the valuewise pushout (3 pushouts over D1)"
 
 
-def _vertex_map(A, B, v):
-    from .bisset import BiMap
-
-    assign = {}
-    for g in A.gens():
-        m, k = A.bidegree(g)
-        assign[g] = B.act(bnd(v), mu_h=tuple(0 for _ in range(m + 1)),
-                          mu_v=tuple(0 for _ in range(k + 1)))
-    return BiMap(A, B, assign, validate=False)
-
-
 def check_cone_decomposition(rng) -> str:
     for m in range(3):
         for X in [simplex(0), simplex(1)]:
@@ -703,8 +686,8 @@ def check_cone_decomposition(rng) -> str:
             lfm = lf(m, X)
             lf1 = lf(1, X)
             pt = delta_precat(0).W
-            glue1 = _vertex_map(pt, lfm.W, str(m))
-            glue2 = _vertex_map(pt, lf1.W, "0")
+            glue1 = constant_map(pt, lfm.W, str(m))
+            glue2 = constant_map(pt, lf1.W, "0")
             po = bi_pushout(glue1, glue2)
             assert find_iso(cn.ext, po.bisset) is not None, (m,)
     return "Cone(<m>, id) decomposes as the endpoint gluing, m <= 2"
@@ -874,8 +857,6 @@ def check_groth_colimits(rng) -> str:
 
 
 def _to_terminal(X):
-    from .sset import constant_map
-
     return constant_map(X, point(), "0")
 
 

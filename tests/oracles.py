@@ -23,6 +23,10 @@ cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
 an enriched functor's image, a composite and a face element by element, with
 no table: the references for cfunctor's generator table, the comp_el memo and
 delta.face_of_word behind GradedSet._face.
+cube_hom_by_listing lists every chain of an interval and tests each through the
+operator action, the reference for cubes.cube_hom's strict chains;
+weight_G0_by_products builds the G0 weight from its own products and arrows,
+the reference for cubes.weight_G0, which is built from F0.
 """
 
 import itertools
@@ -448,3 +452,52 @@ def face_of_word_by_composing(word, m, r):
     word2, mono = delta.factor(delta.compose(delta.word_to_epi(word, m), delta.coface(r, m)))
     missing = set(range(m - len(word) + 1)).difference(mono)
     return word2, (missing.pop() if missing else None)
+
+
+# -- cube homs and the G0 weight as first built -------------------------------------
+
+
+def cube_hom_by_listing(J, V):
+    """The interval nerve of [J, V] from every chain, degenerate ones included,
+    each tested through the operator action, with a closed-form normal form:
+    (space, chain of each generator, to_nf).  The reference for cubes.cube_hom,
+    which lists strict chains only."""
+    from necklace_calculus.cubes import chain_act, chains
+
+    J, V = tuple(sorted(set(J))), tuple(sorted(set(V)))
+    mat = materialize(lambda j: chains(J, V, j), lambda e, j, mu: chain_act(e, mu),
+                      len(V) - len(J), prefix="ch")
+    gen_of = {ch: g for g, ch in mat.elem_of.items()}
+
+    def to_nf(d, chain):
+        word = tuple(sorted((r for r in range(d) if chain[r] == chain[r + 1]), reverse=True))
+        strict = tuple(S for r, S in enumerate(chain) if r == 0 or S != chain[r - 1])
+        return NF(word, gen_of[strict])
+
+    return mat.sset, mat.elem_of, to_nf
+
+
+def weight_G0_by_products(m, f):
+    """The boundary pushout-product weight on pairs from 0 to m+1 with its own
+    products and arrows: X at the top cell, Y^t at a pair with t beads, arrows
+    out of the top pairing copies of f, the others pairing projections.  The
+    reference for cubes.weight_G0, which is built from F0."""
+    from necklace_calculus.cubes import NProd, Weight, _bead_containment
+    from necklace_calculus.necklace import PairPoset
+    from necklace_calculus.sset import identity_map
+
+    X, Y = f.src, f.dst
+    pp = PairPoset(0, m)
+    top = pp.top()
+    prods = {p: NProd([Y] * (len(p.J) - 1)) for p in pp.objects if p != top}
+    values = {p: X if p == top else prods[p].sset for p in pp.objects}
+
+    def arrow(p, q):
+        if q == top:
+            if p == top:
+                return identity_map(X)
+            return prods[p].pair([f for _ in prods[p].factors], X)
+        return prods[p].pair([prods[q].project(ti) for ti in _bead_containment(pp, p, q)],
+                             values[q])
+
+    return Weight(pp, values, arrow)

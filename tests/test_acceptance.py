@@ -4,18 +4,20 @@ Each test prints one pass/fail line; all comparisons are exact isomorphism
 checks with explicit certificates (the witnessing maps).
 """
 
+import hashlib
 import time
 
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import bnd, lf, vertical
+from necklace_calculus.bisset import lf, vertical
 from necklace_calculus.categorify import categorify
 from necklace_calculus.cubes import (weight_F, weight_G0, weighted_colim_map,
                                      weight_inclusion_G0_F0)
 from necklace_calculus.groth import groth, rightfib_check
+from necklace_calculus.io_schemas import canonical_json
 from necklace_calculus.scat import representable, suspension
-from necklace_calculus.sset import SSetMap, identity_map
+from necklace_calculus.sset import SSetMap, constant_map, identity_map
 from necklace_calculus.straighten import Straightener, delta_precat, straighten_boundary_pp
 from necklace_calculus.verify import (ADJUNCTION_CASES, check_adjunction,
                                       check_cone_decomposition, check_cone_vertices,
@@ -62,11 +64,7 @@ def test_criterion_02_st_over_point():
     st = Straightener(W)
     for X in [d(0), d(1), d(2), shapes.spine(3)]:
         P = vertical(X)
-        assign = {g: W.act(bnd("0"), mu_h=(0,) * (P.bidegree(g)[0] + 1),
-                           mu_v=(0,) * (P.bidegree(g)[1] + 1)) for g in P.gens()}
-        from necklace_calculus.bisset import BiMap
-
-        ob = st.st_object(P, BiMap(P, W, assign, validate=False))
+        ob = st.st_object(P, constant_map(P, W, "0"))
         assert ops.find_iso(ob.value("0"), X) is not None
     report(2, "St over the point recovers the fiber", True, time.monotonic() - t0)
 
@@ -195,6 +193,16 @@ def test_criterion_12_infrastructure():
     check_colimit_universal(rng)
     check_boundary_coequalizer(rng)
     report(12, "infrastructure round trips and counts", True, time.monotonic() - t0)
+
+
+# sha256 of the canonical JSON of verify --suite all's checks at seed 0, seconds
+# removed: every verdict, detail and witness, in order
+VERIFY_ALL_SHA256 = "30f17fd30b6f546b6bbdd480024836144c900547d0be546d6cdce35e3c79251d"
+
+
+def test_verify_all_verdicts_pinned(suite_all):
+    checks = [{k: v for k, v in c.items() if k != "seconds"} for c in suite_all[0].values()]
+    assert hashlib.sha256(canonical_json(checks).encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_criterion_12b_verify_all_under_budget(suite_all):

@@ -1,9 +1,9 @@
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import bnd, horizontal, lf, lf_map
+from necklace_calculus.bisset import LevelSSet, bnd, horizontal, lf, lf_map
 from necklace_calculus.categorify import categorify, cfunctor, scat_functor
-from necklace_calculus.necklace import UnsupportedInput
+from necklace_calculus.necklace import TndPoset, UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
@@ -57,30 +57,27 @@ def test_categorify_rejects_loops():
         with pytest.raises(UnsupportedInput) as exc:
             categorify(W)
         assert exc.value.witness == (0, wit)
-    # the level's verdict is memoized; a repeated query must raise the same way,
-    # and a hom build raises what the level's necklace poset raises
-    C = categorify(W, check=False)
-    for build in (lambda: C.poset(0, "q0_0", "q0_0"), lambda: C.hom("q0_0", "q0_0")):
-        for _ in range(2):
-            with pytest.raises(UnsupportedInput) as exc:
-                build()
-            assert exc.value.witness == wit
-            assert str(exc.value) == "K is not 1-ordered (antisymmetry)"
+    # the level's verdict is memoized; a repeated query must raise the same way
+    L = LevelSSet(W, 0)
+    for _ in range(2):
+        with pytest.raises(UnsupportedInput) as exc:
+            TndPoset(L, "q0_0", "q0_0")
+        assert exc.value.witness == wit
+        assert str(exc.value) == "K is not 1-ordered (antisymmetry)"
 
 
 def test_vertical_loop_above_the_bound():
     # a (1, 1) loop at a, with horizontally degenerate vertical faces: level 0
-    # is a point and level 1 is not 1-ordered, so the bead walk must stop at
-    # the bound
+    # is a point and level 1 is not 1-ordered, so only a bound of 1 reaches the
+    # loop, and the gate refuses it before any bead walk
     from necklace_calculus.bisset import BiNF, BiSSet
 
     W = BiSSet([("a", (0, 0)), ("g", (1, 1))],
                {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
     assert categorify(W).hom_sset("a", "a").nd_counts() == (1,)
-    C = categorify(W, bound=1, check=False)
     with pytest.raises(UnsupportedInput) as exc:
-        C.hom("a", "a")
-    assert exc.value.witness == ops.OrderWitness("antisymmetry", ("g",))
+        categorify(W, bound=1)
+    assert exc.value.witness == (1, ops.OrderWitness("antisymmetry", ("g",)))
 
 
 def test_categorify_rejects_two_cycles():
@@ -180,7 +177,7 @@ def test_face_tables_match_act_oracle(W):
 def test_levels_match_act_oracle(W):
     # table-derived faces, vertices and 1-orderedness on every level slice of
     # the base, and the bead table's row-0 vertices
-    C = categorify(W, check=False)
+    C = categorify(W)
     beads = [b for bs in C._beads().values() for b in bs]
     assert sorted(b.gen for b in beads) == sorted(g for g in W.gens() if W.bidegree(g)[0])
     for g, k, verts in beads:

@@ -1,13 +1,14 @@
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.cubes import (cube_hom, cube_of_pair, projection_phi, pushforward,
-                                     split_iso, weight_F, weight_G0, weight_constant,
-                                     weighted_colim, weight_inclusion_G0_F0)
+from necklace_calculus.cubes import (chains, cube_hom, cube_of_pair, projection_phi,
+                                     pushforward, split_iso, weight_F, weight_G0,
+                                     weight_constant, weighted_colim, weight_inclusion_G0_F0)
+from necklace_calculus.io_schemas import sset_dump
 from necklace_calculus.necklace import PairObject, PairPoset, UnsupportedInput
 from necklace_calculus.sset import SSetMap, identity_map
 
-from oracles import interval_nerve_counts
+from oracles import cube_hom_by_listing, interval_nerve_counts, weight_G0_by_products
 
 d = shapes.simplex
 
@@ -99,6 +100,36 @@ def test_weight_G0():
     g0id, f0, incl = weight_inclusion_G0_F0(1, identity_map(d(1)))
     for p in g0id.poset.objects:
         assert incl[p].is_iso()
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_weight_G0_matches_its_own_products(m):
+    # G0 built from F0 has the values and arrows of G0 built from its own products
+    from necklace_calculus.verify import _mono_catalog
+
+    for fname, f in _mono_catalog():
+        got, want = weight_G0(m, f), weight_G0_by_products(m, f)
+        pp = got.poset
+        assert pp.objects == want.poset.objects
+        for p in pp.objects:
+            assert got.value[p] == want.value[p], (fname, p)
+            for q in pp.objects:
+                if pp.leq(p, q):
+                    assert got.arrow(p, q).assign == want.arrow(p, q).assign, (fname, p, q)
+
+
+@pytest.mark.parametrize("J,V", [((0, 1), (0, 1)), ((0, 2), (0, 1, 2)), ((0, 3), range(4)),
+                                 ((0, 2, 4), range(5)), ((1, 4), (1, 2, 3, 4))])
+def test_cube_hom_matches_listing_oracle(J, V):
+    # strict chains with the engine's normal forms give the generators, faces
+    # and normal forms of the listing of every chain
+    c = cube_hom(J, V)
+    space, chain_of, to_nf = cube_hom_by_listing(J, V)
+    assert sset_dump(c.space) == sset_dump(space)
+    assert c.chain_of == chain_of
+    for j in range(c.space.dim_bound + 2):
+        for ch in chains(J, V, j):
+            assert c.to_nf(j, ch) == to_nf(j, ch), (j, ch)
 
 
 def test_weighted_colim_constant():

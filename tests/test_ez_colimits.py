@@ -8,6 +8,7 @@ operator action: the same generators, faces, representatives and cocones.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as strat
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as strat
 from necklace_calculus import bisset, kan, ops, shapes
 from necklace_calculus.bisset import BI_EMPTY, lf, materialize_bi
 from necklace_calculus.io_schemas import bisset_dump, sset_dump
-from necklace_calculus.sset import NF, SSetError, SSetMap, nd
+from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, nd
 from necklace_calculus.straighten import Straightener, delta_precat
 
 from oracles import (colimit_all_simplices, product_all_tuples, product_nd_counts,
@@ -113,6 +114,26 @@ def test_discretize_pushouts_match_oracle(monkeypatch, m, X):
     assert len(seen) == 1
     for diag, got in seen:
         _assert_same_colimit(got, diag, bi=True)
+
+
+def test_long_union_chain_is_one_class():
+    # consecutive points identified, ids listed in descending order: each union
+    # hangs the old root under the new one, so the classes form one long chain
+    n = 3000
+    Y = SSet([(f"y{i:04d}", 0) for i in reversed(range(n))], {})
+    X = SSet([(f"x{i:04d}", 0) for i in reversed(range(n - 1))], {})
+    f = SSetMap(X, Y, {f"x{i:04d}": nd(f"y{i:04d}") for i in range(n - 1)})
+    g = SSetMap(X, Y, {f"x{i:04d}": nd(f"y{i + 1:04d}") for i in range(n - 1)})
+    t0 = time.perf_counter()
+    col = ops.coequalizer(f, g)
+    assert col.sset.nd_counts() == (1,)
+    assert col.reps[col.sset.gens()[0]] == ("A", nd("x0000"))
+    path = SSet([(f"v{i:04d}", 0) for i in range(n)]
+                + [(f"e{i:04d}", 1) for i in reversed(range(n - 1))],
+                {f"e{i:04d}": (nd(f"v{i + 1:04d}"), nd(f"v{i:04d}")) for i in range(n - 1)})
+    comps, index = ops.pi0(path)
+    assert len(comps) == 1 and set(index.values()) == {0}
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):

@@ -294,6 +294,19 @@ def _parallel_edges(n: int) -> SSet:
     return SSet(gens, faces)
 
 
+def _diamonds(n: int) -> SSet:
+    """Vertices v0..vn; each step v(i-1) -> vi is a direct edge d(i) or a detour
+    through m(i): 2^n necklaces from v0 to vn, from 5n + 1 generators."""
+    gens = [(f"v{i}", 0) for i in range(n + 1)] + [(f"m{i}", 0) for i in range(1, n + 1)]
+    faces = {}
+    for i in range(1, n + 1):
+        for e, s, t in ((f"d{i}", f"v{i - 1}", f"v{i}"), (f"a{i}", f"v{i - 1}", f"m{i}"),
+                        (f"b{i}", f"m{i}", f"v{i}")):
+            gens.append((e, 1))
+            faces[e] = (nd(t), nd(s))
+    return SSet(gens, faces)
+
+
 def test_cli_dot_guard_exits_5(tmp_path):
     # --pairs 0,3 lists 3^3 = 27 pairs (J, V); DOT compares 27^2 = 729 of them
     assert _dot_exit(["--max-cells", "729", "dot", "--pairs", "0,3"]) == 0
@@ -314,6 +327,17 @@ def test_cli_dot_guard_exits_5(tmp_path):
         assert _dot_exit(["--max-cells", "625"] + argv) == 0
         assert _dot_exit(["--max-cells", "624"] + argv) == 5
     assert _dot_exit(["--max-cells", "624"] + hom[:-2]) == 0
+    # the JSON listing is refused when the necklaces themselves exceed the limit
+    assert _dot_exit(["--max-cells", "25"] + dot + ["--emit", "json"]) == 0
+    assert _dot_exit(["--max-cells", "24"] + dot + ["--emit", "json"]) == 5
+    # 2^21 necklaces, counted before any is listed: more than the default
+    # --max-cells, and their square more still
+    sp.write_text(json.dumps(sset_dump(_diamonds(21))))
+    for emit in ("dot", "json"):
+        t0 = time.perf_counter()
+        assert _dot_exit(["dot", "--sset", str(sp), "--from", "v0", "--to", "v21",
+                          "--emit", emit]) == 5
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_cli_straighten(tmp_path):

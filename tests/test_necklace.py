@@ -7,7 +7,7 @@ from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import horizontal, lf
 from necklace_calculus.categorify import categorify
 from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPoset,
-                                        UnsupportedInput, necklace_joint_ids,
+                                        UnsupportedInput, necklace_count, necklace_joint_ids,
                                         necklace_vertex_ids, pair_poset_iso, plus_m,
                                         necklaces_dot, sub_necklace)
 from necklace_calculus.sset import SSetMap, nd
@@ -31,6 +31,16 @@ def test_tnd_delta2():
     assert beads == [("0.1", "1.2"), ("0.1.2",), ("0.2",)]
     rels = {(u.beads, v.beads) for u, v in t.morphisms()}
     assert rels == {(("0.1", "1.2"), ("0.1.2",)), (("0.2",), ("0.1.2",))}
+
+
+@pytest.mark.parametrize("K", [d(0), d(3), shapes.spine(4), shapes.boundary(3),
+                               shapes.horn(3, 1), lf(2, d(1)).W.level(1)],
+                         ids=["d0", "d3", "sp4", "bd3", "horn31", "lf2_d1_level1"])
+def test_necklace_count_matches_listing(K):
+    for a in K.by_dim[0]:
+        for b in K.by_dim[0]:
+            want = len(TndPoset(K, a, b).objects)
+            assert necklace_count(K, a, b) == want, (a, b)
 
 
 def test_tnd_interval_and_point():

@@ -68,12 +68,14 @@ def test_hc_nerve_simplicial_identities():
                HN.bisset.hfaces, HN.bisset.vfaces)
 
 
-def test_hc_nerve_cell_guard():
+def test_hc_nerve_cell_guard(monkeypatch):
     import pytest
+    from necklace_calculus import nerves
     from necklace_calculus.sset import SSetError
 
+    monkeypatch.setattr(nerves, "MAX_FUNCTORS", 3)
     with pytest.raises(SSetError):
-        hc_nerve(suspension(d(1)), 2, 1, cell_guard=3)
+        hc_nerve(suspension(d(1)), 2, 1)
 
 
 def test_lan_identity_and_representable():

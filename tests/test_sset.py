@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import horizontal, vertical
-from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, nd
+from necklace_calculus.bisset import BiMap, bnd, external, horizontal, lf, vertical
+from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, constant_map, nd
 
 from oracles import act_is_1_ordered, act_vertices, product_nd_counts
 
@@ -75,13 +75,45 @@ def test_face_table_matches_act(m, data):
     assert X._face(x, 0, i) == X.act(x, delta.coface(i, dim))
 
 
-def test_map_validation_makes_no_act_call():
+def test_map_validation_makes_no_act_call(monkeypatch):
     # faces of images are read from the target's face table
     inc = shapes.sub_inclusion(shapes.boundary(2), d(2))
+
+    def no_act(*args):
+        raise AssertionError("SSet.act called")
+
+    monkeypatch.setattr(SSet, "act", no_act)
     SSetMap(inc.src, inc.dst, inc.assign)
-    assert not inc.dst._act_cache
     with pytest.raises(SSetError):
         SSetMap(inc.src, inc.dst, {**inc.assign, "0.1": nd("0.2")})
+
+
+CONSTANT_SOURCES = [d(0), d(3), shapes.boundary(2), shapes.spine(3), shapes.horn(2, 1)]
+
+
+@pytest.mark.parametrize("X", CONSTANT_SOURCES, ids=["d0", "d3", "bd2", "sp3", "horn21"])
+def test_constant_map_matches_act_route(X):
+    # each generator goes to the vertex, degenerated by the constant monotone map
+    for Y, v in [(d(2), "1"), (shapes.boundary(1), "0")]:
+        want = {g: Y.act(nd(v), (0,) * (X.gen_dim(g) + 1)) for g in X.gens()}
+        f = constant_map(X, Y, v)
+        assert type(f) is SSetMap and f.assign == want
+        SSetMap(X, Y, f.assign)  # validates simpliciality
+
+
+@pytest.mark.parametrize("P", [vertical(d(2)), horizontal(d(2)), external(d(1), d(2)),
+                               lf(1, d(1)).W, lf(2, shapes.boundary(2)).W],
+                         ids=["vert_d2", "horiz_d2", "d1_box_d2", "lf1_d1", "lf2_bd2"])
+def test_bi_constant_map_matches_act_route(P):
+    W = lf(2, d(1)).W
+    for v in ("0", "2"):
+        want = {}
+        for g in P.gens():
+            m, k = P.bidegree(g)
+            want[g] = W.act(bnd(v), mu_h=(0,) * (m + 1), mu_v=(0,) * (k + 1))
+        f = constant_map(P, W, v)
+        assert type(f) is BiMap and f.assign == want
+        BiMap(P, W, f.assign)  # validates simpliciality
 
 
 def test_product_counts_match_shuffle_oracle():
