@@ -12,8 +12,11 @@ of W generators of horizontal degree >= 1 (beads) from a to b with one
 vertical degeneracy word per bead, and its joints and vertices are those of
 the path, the same at every level:
 - the bead table lists each bead's vertical degree and row-0 vertices, once
-  per Categorification; `hom_bound` reads it too;
-- the paths from a to b are walked once per hom space;
+  per Categorification;
+- one walk over the vertices, each after its successors (`ops.post_order`),
+  gives the longest weighted bead paths: from every vertex for `bound`, from
+  a to b for `hom_bound(a, b)`; another builds the paths from a to b, each
+  vertex's from its successors', once per hom space;
 - at level j, a path with all vertical degrees <= j gives one necklace per
   tuple of words, skipped when its flat positions (the words' intersection)
   outnumber its free vertices, before any generator id is built; the chains
@@ -47,13 +50,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import NamedTuple, Optional
 
 from . import delta
 from .bisset import BiMap, BiNF, BiSSet, LevelSSet
 from .cubes import Chain, chain_act, chain_join, chains
 from .necklace import RealizedNecklace, TndPoset, UnsupportedInput, sub_necklace
-from .ops import is_1_ordered
+from .ops import is_1_ordered, post_order
 from .scat import EnrichedFunctor, SCat
 from .sset import NF, Materialized, SSet, SSetError, materialize
 
@@ -100,7 +104,6 @@ class Categorification:
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
-        self._bound_cache: dict[tuple[str, str], int] = {}
         for j in range(self.bound + 1):
             ok, wit = is_1_ordered(self.level(j))
             if not ok:
@@ -134,47 +137,46 @@ class Categorification:
             self._table = table
         return self._table
 
+    def _reached(self, starts, cap) -> list[str]:
+        """The vertices reached from starts along beads of vertical degree
+        <= cap, each listed after the successors it reaches.  A loop is not
+        followed: the level check rejects it with its own witness."""
+        table = self._beads()
+        order, cycle = post_order(lambda v: [bd.verts[-1] for bd in table.get(v, ())
+                                             if bd.k <= cap and bd.verts[-1] != v], starts)
+        if cycle is not None:
+            raise UnsupportedInput("the vertex order has a directed cycle", witness=cycle[0])
+        return order
+
+    def _longest(self, starts, ends) -> dict[str, int]:
+        """The largest sum of (m - 1) + k over a path of beads of bidegree
+        (m, k) to a vertex of ends, from each vertex reached from starts that
+        has such a path."""
+        table = self._beads()
+        best: dict[str, int] = {}
+        for v in self._reached(starts, math.inf):
+            ws = [len(verts) - 2 + k + best[verts[-1]]
+                  for _, k, verts in table.get(v, ()) if verts[-1] in best]
+            if v in ends:
+                ws.append(0)
+            if ws:
+                best[v] = max(ws)
+        return best
+
     def hom_bound(self, a: str, b: str) -> int:
         """Max possible non-degenerate degree of Hom(a, b): the largest sum of
         (m - 1) + k over a path of beads of bidegree (m, k) from a to b."""
         if self.user_bound is not None:
             return self.user_bound
-        key = (a, b)
-        if key in self._bound_cache:
-            return self._bound_cache[key]
-        table = self._beads()
-        best: dict[str, int] = {}
-        state: dict[str, int] = {}
-
-        def dfs(v: str) -> int:
-            if state.get(v) == 1:
-                raise UnsupportedInput("the vertex order has a directed cycle",
-                                       witness=v)
-            if v in best:
-                return best[v]
-            state[v] = 1
-            score = 0 if v == b else -(10 ** 9)
-            for g, k, verts in table.get(v, ()):
-                w = verts[-1]
-                if w == v:
-                    continue  # a loop; the level check rejects it
-                sub = dfs(w)
-                if sub > -(10 ** 9):
-                    score = max(score, len(verts) - 2 + k + sub)
-            state[v] = 2
-            best[v] = score
-            return score
-
-        val = dfs(a)
-        self._bound_cache[key] = max(val, 0)
-        return self._bound_cache[key]
+        return self._longest((a,), (b,)).get(a, 0)
 
     @property
     def bound(self) -> int:
+        """The largest hom_bound over all pairs: the weights are >= 0, so the
+        largest over all bead paths."""
         if self.user_bound is not None:
             return self.user_bound
-        return max((self.hom_bound(a, b) for a in self.objects for b in self.objects),
-                   default=0)
+        return max(self._longest(self.objects, set(self.objects)).values(), default=0)
 
     def level(self, j: int) -> LevelSSet:
         if j not in self._levels:
@@ -228,34 +230,24 @@ class Categorification:
         return (tuple(self._transport(g, j, mu) for g in beads), ch[:i] + ch[i + 1:])
 
     def _paths(self, a: str, b: str) -> list[BeadPath]:
-        """The bead paths from a to b with vertical degrees up to hom_bound(a, b),
-        walked depth-first.
+        """The bead paths from a to b (the empty path when a == b) with vertical
+        degrees up to hom_bound(a, b), in one pass over the vertices reached
+        from a: each vertex's paths are built from its successors'.
 
         Every level slice up to that bound was checked to be 1-ordered when the
-        Categorification was built, so the beads walked have no directed cycle,
-        and the walk ends.
+        Categorification was built, so the beads walked have no directed cycle.
         """
         cap = self.hom_bound(a, b)
         if a not in self.objects or b not in self.objects:
             raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
         table = self._beads()
-        tails: dict[str, list[tuple]] = {}
-
-        def walk(v: str) -> list[tuple]:
-            if v not in tails:
-                out = []
-                for g, k, verts in table.get(v, ()):
-                    if k > cap:
-                        continue
-                    w = verts[-1]
-                    if w == b:
-                        out.append(((g,), (k,), (v, w), verts))
-                    out.extend(((g,) + gs, (k,) + ks, (v,) + J, verts[:-1] + V)
-                               for gs, ks, J, V in walk(w))
-                tails[v] = out
-            return tails[v]
-
-        return [BeadPath(gs, ks, J, V, len(set(V) - set(J))) for gs, ks, J, V in walk(a)]
+        to_b: dict[str, list[tuple]] = {}  # the paths from each vertex to b
+        for v in self._reached((a,), cap):
+            to_b[v] = [((), (), (b,), (b,))] if v == b else [
+                ((g,) + gs, (k,) + ks, (v,) + J, verts[:-1] + V)
+                for g, k, verts in table.get(v, ()) if k <= cap
+                for gs, ks, J, V in to_b[verts[-1]]]
+        return [BeadPath(gs, ks, J, V, len(set(V) - set(J))) for gs, ks, J, V in to_b[a]]
 
     def _hom_level(self, a: str, b: str, paths: list[BeadPath], j: int) -> list[HomElement]:
         """The non-degenerate j-simplices of Hom(a, b), sorted, from its bead

@@ -3,10 +3,9 @@ pair-poset combinatorial model of the totally non-degenerate necklace poset."""
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Optional
 
-from .ops import is_1_ordered
+from .ops import is_1_ordered, post_order
 from .sset import SSet, SSetError, nd
 
 
@@ -61,18 +60,23 @@ def _require_1_ordered(K: SSet) -> None:
 
 def necklace_count(K: SSet, a: str, b: str) -> int:
     """The number of totally non-degenerate necklaces of K from a to b, the
-    objects of TndPoset(K, a, b), counted without listing them: a sum over
-    the beads by first vertex.  K must be 1-ordered, as for TndPoset."""
+    objects of TndPoset(K, a, b), counted without listing them: from each
+    vertex, the sum over its beads of the count from the bead's last vertex.
+    K must be 1-ordered, as for TndPoset."""
     _require_1_ordered(K)
-    if a == b:
-        return 1
+    return _fold_paths(K, a, b, 1, lambda per_bead: sum(n for _, n in per_bead))
+
+
+def _fold_paths(K: SSet, a: str, b: str, end, join):
+    """A value for the bead paths from a to b in 1-ordered K, built in one pass
+    over the vertices reached from a, each after its successors: end at b,
+    and join((bead, value at its last vertex) for each bead) elsewhere."""
     beads = _beads_by_first_vertex(K)
-
-    @functools.lru_cache(maxsize=None)
-    def tails(v: str) -> int:
-        return sum((w == b) + tails(w) for _, w in beads.get(v, ()))
-
-    return tails(a)
+    order, _ = post_order(lambda v: [w for _, w in beads.get(v, ())], (a,))
+    acc = {}
+    for v in order:
+        acc[v] = end if v == b else join((g, acc[w]) for g, w in beads.get(v, ()))
+    return acc[a]
 
 
 def _beads_by_first_vertex(K: SSet) -> dict[str, list[tuple[str, str]]]:
@@ -115,18 +119,9 @@ class TndPoset:
     def _enumerate(self) -> list[RealizedNecklace]:
         if self.a == self.b:
             return [RealizedNecklace((self.a,))]
-        beads = _beads_by_first_vertex(self.K)
-
-        @functools.lru_cache(maxsize=None)
-        def tails(v: str) -> tuple[tuple[str, ...], ...]:
-            out = []
-            for g, w in beads.get(v, ()):
-                if w == self.b:
-                    out.append((g,))
-                out.extend((g,) + rest for rest in tails(w))
-            return tuple(out)
-
-        return [RealizedNecklace(bs) for bs in sorted(tails(self.a))]
+        paths = _fold_paths(self.K, self.a, self.b, ((),), lambda per_bead: [
+            (g,) + rest for g, rests in per_bead for rest in rests])
+        return [RealizedNecklace(bs) for bs in sorted(paths)]
 
     # -- the poset relation ----------------------------------------------------
 
@@ -139,9 +134,6 @@ class TndPoset:
         if not set(vu) <= set(vt) or not set(jt) <= set(self._joints[u]):
             return False
         return u == sub_necklace(self.K, t, self._joints[u], vu)
-
-    def sub_necklace(self, t: RealizedNecklace, joints, verts) -> Optional[RealizedNecklace]:
-        return sub_necklace(self.K, t, joints, verts)
 
     def morphisms(self) -> list[tuple[RealizedNecklace, RealizedNecklace]]:
         out = []

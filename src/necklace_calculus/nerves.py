@@ -36,25 +36,19 @@ def _auto_bounds(C: SCat) -> tuple[int, int]:
     """Longest composable chain without identities, and its vertical capacity."""
     if not C.is_directed():
         raise SSetError("nerve bounds are only automatic for directed categories")
-    obs = C.objects
-    idx = {o: i for i, o in enumerate(obs)}
-    best_len: dict[str, int] = {}
-    best_v: dict[str, int] = {}
-
-    def dfs(a: str) -> tuple[int, int]:
-        if a in best_len:
-            return best_len[a], best_v[a]
+    # homs go forward only, so the chains from each object are known before
+    # those from the objects ahead of it
+    best: dict[str, tuple[int, int]] = {}
+    for i in reversed(range(len(C.objects))):
+        a = C.objects[i]
         bl = bv = 0
-        for b in obs:
-            if idx[b] <= idx[a] or C.hom[(a, b)].is_empty():
-                continue
-            sl, sv = dfs(b)
-            bl = max(bl, 1 + sl)
-            bv = max(bv, max(C.hom[(a, b)].dim_bound, 0) + sv)
-        best_len[a], best_v[a] = bl, bv
-        return bl, bv
-
-    return max((dfs(a)[0] for a in obs), default=0), max((dfs(a)[1] for a in obs), default=0)
+        for b in C.objects[i + 1:]:
+            if not C.hom[(a, b)].is_empty():
+                bl = max(bl, 1 + best[b][0])
+                bv = max(bv, max(C.hom[(a, b)].dim_bound, 0) + best[b][1])
+        best[a] = bl, bv
+    return (max((bl for bl, _ in best.values()), default=0),
+            max((bv for _, bv in best.values()), default=0))
 
 
 def strict_nerve(C: SCat, m_bound: Optional[int] = None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
 from .sset import EMPTY, NF, SSet, SSetError, SSetMap, _new, nd
@@ -383,6 +383,38 @@ class OrderWitness(NamedTuple):
     detail: tuple
 
 
+def post_order(succ: Callable[[str], Iterable[str]], starts: Iterable[str]
+               ) -> tuple[list[str], Optional[tuple[str, ...]]]:
+    """Depth-first walk from each start in turn, without recursion.
+
+    Returns the vertices reached, each listed after the successors it
+    reaches, and None; or, as soon as a successor is still on the walk's
+    path, the vertices listed so far and the directed cycle it closes, from
+    that successor on.  succ(v) gives v's successors in the order walked; a
+    vertex reached from an earlier start is not walked again.
+    """
+    order: list[str] = []
+    done: set[str] = set()
+    for s in starts:
+        if s in done:
+            continue
+        path = {s: iter(succ(s))}  # the walk's path, each vertex with its successors to go
+        while path:
+            v, rest = next(reversed(path.items()))
+            for w in rest:
+                if w in path:
+                    cycle = list(path)
+                    return order, tuple(cycle[cycle.index(w):])
+                if w not in done:
+                    path[w] = iter(succ(w))
+                    break
+            else:
+                del path[v]
+                done.add(v)
+                order.append(v)
+    return order, None
+
+
 def is_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
     """Antisymmetric edge order plus spine-injectivity of nd simplices.
 
@@ -404,27 +436,10 @@ def _check_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
             if vs[0] == vs[1]:
                 return False, OrderWitness("antisymmetry", (e,))
             arcs.setdefault(vs[0], set()).add(vs[1])
-    state: dict[str, int] = {}
-
-    def dfs(v: str, stack: list[str]) -> Optional[list[str]]:
-        state[v] = 1
-        stack.append(v)
-        for w in sorted(arcs.get(v, ())):
-            if state.get(w) == 1:
-                return stack[stack.index(w):]
-            if state.get(w, 0) == 0:
-                cyc = dfs(w, stack)
-                if cyc is not None:
-                    return cyc
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in (X.by_dim[0] if X.dim_bound >= 0 else ()):
-        if state.get(v, 0) == 0:
-            cyc = dfs(v, [])
-            if cyc is not None:
-                return False, OrderWitness("antisymmetry", tuple(cyc))
+    _, cycle = post_order(lambda v: sorted(arcs.get(v, ())),
+                          X.by_dim[0] if X.dim_bound >= 0 else ())
+    if cycle is not None:
+        return False, OrderWitness("antisymmetry", cycle)
     # the faces of a spine-mono simplex are non-degenerate
     spine: dict[str, tuple[str, ...]] = {}
     for d in range(1, X.dim_bound + 1):

@@ -17,6 +17,9 @@ routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
 and the bead memo of Categorification._act.
 hom_levels_from_posets lists hom generators from each level slice's necklace
 poset, the reference for the bead paths of Categorification.hom;
+hom_bound_by_dfs and tnd_by_tails walk the bead paths recursively, the
+references for the one iterative walk, ops.post_order, under
+Categorification's bounds, necklace_count and TndPoset;
 lf_rep_by_listing finds the product representatives of bisset.lf by listing
 every simplex, the reference for its one pass over generators.
 cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
@@ -371,6 +374,52 @@ def hom_levels_from_posets(C, a, b, j):
             continue
         out.extend((t.beads, ch) for ch in chains(J, V, j, saturated=True, steps=flat))
     return sorted(out)
+
+
+def hom_bound_by_dfs(C, a, b):
+    """The largest sum of (m - 1) + k over a path of beads of bidegree (m, k)
+    from a to b in C's acyclic bead table, by a recursive depth-first search
+    from a with a sentinel for the vertices that do not reach b: the
+    reference for Categorification.hom_bound and bound, one pass over
+    ops.post_order."""
+    table = C._beads()
+    best = {}
+
+    def dfs(v):
+        if v not in best:
+            score = 0 if v == b else -(10 ** 9)
+            for g, k, verts in table.get(v, ()):
+                sub = dfs(verts[-1])
+                if sub > -(10 ** 9):
+                    score = max(score, len(verts) - 2 + k + sub)
+            best[v] = score
+        return best[v]
+
+    return max(dfs(a), 0)
+
+
+def tnd_by_tails(K, a, b):
+    """The totally non-degenerate necklaces of an acyclic K from a to b, sorted:
+    a recursive listing of the bead paths from each vertex, the beads read by
+    their vertices through K.act; the reference for necklace_count and
+    TndPoset, one pass over ops.post_order."""
+    if a == b:
+        return [RealizedNecklace((a,))]
+    beads = {}
+    for d in range(1, K.dim_bound + 1):
+        for g in K.by_dim[d]:
+            vs = act_vertices(K, nd(g))
+            beads.setdefault(vs[0], []).append((g, vs[-1]))
+
+    def tails(v):
+        out = []
+        for g, w in beads.get(v, ()):
+            if w == b:
+                out.append((g,))
+            out.extend((g,) + rest for rest in tails(w))
+        return out
+
+    return [RealizedNecklace(bs) for bs in sorted(tails(a))]
 
 
 def lf_rep_by_listing(L):

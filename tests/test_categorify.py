@@ -8,7 +8,7 @@ from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
 from oracles import (act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts,
-                     hom_levels_from_posets)
+                     hom_bound_by_dfs, hom_levels_from_posets)
 
 d = shapes.simplex
 
@@ -113,11 +113,21 @@ def test_cfunctor_collapse():
 
 
 def test_hom_bound_is_exact():
-    C = categorify(lf(2, d(1)).W)
-    rep = C.stabilization_report()
-    for (a, b), info in rep.items():
-        assert info["top_degree"] <= info["degree_bound"]
-        assert info["complete"]
+    # the bound is reached: each non-empty hom space has a generator in
+    # degree hom_bound(a, b), and bound is the largest of them; a bound set
+    # too low would cut the hom spaces at it, so each is also checked
+    # against the recursive search
+    for W in (lf(2, d(1)).W, lf(3, d(1)).W, lf(2, d(2)).W, lf(1, shapes.boundary(2)).W,
+              horizontal(d(4)), horizontal(shapes.boundary(3)), horizontal(shapes.horn(3, 1)),
+              horizontal(shapes.spine(3))):
+        C = categorify(W)
+        rep = C.stabilization_report()
+        for (a, b), info in rep.items():
+            assert info["complete"]
+            assert C.hom_bound(a, b) == hom_bound_by_dfs(C, a, b), (W, a, b)
+            if info["top_degree"] >= 0:
+                assert info["top_degree"] == info["degree_bound"] == C.hom_bound(a, b), (W, a, b)
+        assert C.bound == max(C.hom_bound(a, b) for a, b in rep), W
 
 
 def test_simplex_hom_is_cube_nerve():

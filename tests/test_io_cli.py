@@ -281,9 +281,16 @@ def test_cli_hom_rejects_level_slice_ids(tmp_path, top):
         assert json.loads(res.stdout)["report"]["checks"][0]["detail"]["nd_counts"] == [2, 1]
 
 
+def _cli(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _dot_exit(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+    return _cli(argv)[0]
 
 
 def _parallel_edges(n: int) -> SSet:
@@ -338,6 +345,48 @@ def test_cli_dot_guard_exits_5(tmp_path):
         assert _dot_exit(["dot", "--sset", str(sp), "--from", "v0", "--to", "v21",
                           "--emit", emit]) == 5
         assert time.perf_counter() - t0 < 1.0
+
+
+def _line(n: int, cycle: bool) -> SSet:
+    """n edges vi -> v(i+1) from v0: a path to vn, or a directed cycle back to v0."""
+    nv = n if cycle else n + 1
+    gens = [(f"v{i}", 0) for i in range(nv)] + [(f"e{i}", 1) for i in range(n)]
+    return SSet(gens, {f"e{i}": (nd(f"v{(i + 1) % nv}"), nd(f"v{i}")) for i in range(n)})
+
+
+def test_cli_long_path_and_cycle(tmp_path):
+    # 1,200 edges, more than the default recursion limit: no walk over the
+    # vertex order recurses on vertices
+    sp, bp = tmp_path / "x.json", tmp_path / "w.json"
+
+    def write(X):
+        sp.write_text(json.dumps(sset_dump(X)))
+        bp.write_text(json.dumps(bisset_dump(horizontal(X))))
+
+    def run(argv, code):
+        t0 = time.perf_counter()
+        got = _cli(argv)
+        assert got[0] == code, got[2]
+        assert time.perf_counter() - t0 < 5.0
+        return got
+
+    write(_line(1200, cycle=False))
+    dot = ["dot", "--sset", str(sp), "--from", "v0"]
+    hom = ["hom", "--base", str(bp), "--from", "v0"]
+    # one necklace, and one degree-0 generator in the hom space
+    assert len(run(dot + ["--to", "v1200"], 0)[1].splitlines()) == 3  # digraph {, a node, }
+    assert len(json.loads(run(dot + ["--to", "v1200", "--emit", "json"], 0)[1])["necklaces"]) == 1
+    gens = json.loads(run(hom + ["--to", "v1200"], 0)[1])["hom"]["generators"]
+    assert [g["dim"] for g in gens] == [0]
+    write(_line(1200, cycle=True))
+    for argv in (dot, dot + ["--emit", "json"], hom):
+        run(argv + ["--to", "v1"], 3)
+    # the witnesses of a directed 3-cycle: the cycle met walking from v0, and
+    # for hom its first vertex
+    write(_line(3, cycle=True))
+    wit = ops.OrderWitness("antisymmetry", ("v0", "v1", "v2"))
+    assert run(dot + ["--to", "v1"], 3)[2].endswith(f"witness: {wit}\n")
+    assert run(hom + ["--to", "v1"], 3)[2].endswith("witness: v0\n")
 
 
 def test_cli_straighten(tmp_path):

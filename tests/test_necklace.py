@@ -10,9 +10,10 @@ from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPose
                                         UnsupportedInput, necklace_count, necklace_joint_ids,
                                         necklace_vertex_ids, pair_poset_iso, plus_m,
                                         necklaces_dot, sub_necklace)
-from necklace_calculus.sset import SSetMap, nd
+from necklace_calculus.sset import SSet, SSetMap, nd
 
-from oracles import act_sub_necklace, pair_objects
+from oracles import (act_is_1_ordered, act_sub_necklace, hom_bound_by_dfs, pair_objects,
+                     tnd_by_tails)
 
 d = shapes.simplex
 
@@ -141,3 +142,65 @@ def test_sub_necklace_matches_act_oracle(data):
     J ^= set(data.draw(flip))
     J, V = tuple(sorted(J)), tuple(sorted(V))
     assert sub_necklace(K, t, J, V) == act_sub_necklace(K, t, J, V)
+
+
+@strat.composite
+def _digraphs(draw):
+    """A simplicial set on at most 8 vertices: forward edges i -> j, i < j, a
+    few edges drawn anyhow (loops and 2-cycles among them), and triangles on
+    some of the paths u -> v -> w with an edge u -> w, now and then one twice,
+    which breaks spine-injectivity."""
+    n = draw(strat.integers(1, 8))
+    vertex = strat.integers(0, n - 1)
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    arcs = draw(strat.lists(strat.sampled_from(pairs), min_size=min(n - 1, 4), unique=True)
+                if pairs else strat.just([]))
+    arcs += [e for e in draw(strat.lists(strat.tuples(vertex, vertex), max_size=2, unique=True))
+             if e not in arcs]
+    gens = [(f"v{i}", 0) for i in range(n)] + [(f"e{s}.{t}", 1) for s, t in arcs]
+    faces = {f"e{s}.{t}": (nd(f"v{t}"), nd(f"v{s}")) for s, t in arcs}
+    tris = sorted((u, v, w) for u, v in arcs for v2, w in arcs
+                  if v2 == v and (u, w) in arcs and len({u, v, w}) == 3)
+    chosen = draw(strat.lists(strat.sampled_from(tris), unique=True)) if tris else []
+    if chosen and draw(strat.integers(0, 3)) == 0:
+        chosen.append(chosen[0])
+    for i, (u, v, w) in enumerate(chosen):
+        gens.append((f"t{i}", 2))
+        faces[f"t{i}"] = (nd(f"e{v}.{w}"), nd(f"e{u}.{w}"), nd(f"e{u}.{v}"))
+    return SSet(gens, faces)
+
+
+@given(_digraphs())
+@settings(max_examples=200, deadline=None)
+def test_walks_match_recursive_oracles(K):
+    # the walks over ops.post_order against recursive ones: verdict and
+    # witness, necklaces, their count and the hom bounds
+    verdict = ops.is_1_ordered(K)
+    assert verdict == act_is_1_ordered(K)
+    if not verdict[0]:
+        return
+    C = categorify(horizontal(K))
+    vs = K.by_dim[0]
+    for a in vs:
+        for b in vs:
+            want = tnd_by_tails(K, a, b)
+            assert list(TndPoset(K, a, b).objects) == want, (a, b)
+            assert necklace_count(K, a, b) == len(want), (a, b)
+            assert C.hom_bound(a, b) == hom_bound_by_dfs(C, a, b), (a, b)
+    assert C.bound == max(hom_bound_by_dfs(C, a, b) for a in vs for b in vs)
+
+
+def _path(n: int) -> SSet:
+    """Vertices v0..vn and one edge v(i-1) -> vi for each i."""
+    gens = [(f"v{i}", 0) for i in range(n + 1)] + [(f"e{i}", 1) for i in range(1, n + 1)]
+    return SSet(gens, {f"e{i}": (nd(f"v{i}"), nd(f"v{i - 1}")) for i in range(1, n + 1)})
+
+
+def test_long_path_is_one_necklace():
+    # 3,000 edges: a walk that recursed on vertices would pass the default
+    # recursion limit
+    K = _path(3000)
+    assert necklace_count(K, "v0", "v3000") == 1
+    (t,) = TndPoset(K, "v0", "v3000").objects
+    assert t.beads == tuple(f"e{i}" for i in range(1, 3001))
+    assert necklace_count(K, "v3000", "v0") == 0
