@@ -10,19 +10,23 @@ The necklaces are listed from bead paths, not from a necklace poset of each
 level slice.  Row 0 is discrete, so a necklace of the level-j slice is a path
 of W generators of horizontal degree >= 1 (beads) from a to b with one
 vertical degeneracy word per bead, and its joints and vertices are those of
-the path, the same at every level:
-- the bead table lists each bead's vertical degree and row-0 vertices, once
-  per Categorification;
-- one walk over the vertices, each after its successors (`ops.post_order`),
-  gives the longest weighted bead paths: from every vertex for `bound`, from
-  a to b for `hom_bound(a, b)`; another builds the paths from a to b, each
-  vertex's from its successors', once per hom space;
+the path, the same at every level.  The bead-path model is `necklace`'s:
+- the bead table is `necklace.bead_table`, read once per Categorification
+  from the level slices: a bead of vertical degree k is a generator of the
+  level-k slice under its own name, and `SSet.vertices` reads its row-0
+  vertices there;
+- `necklace.fold_beads`, one pass over the vertices, each after its
+  successors (`ops.post_order`), gives the longest weighted bead paths: from
+  every vertex for `bound`, from a to b for `hom_bound(a, b)`, computed once
+  per hom space;
+- `necklace.bead_paths` lists the paths from a to b, each a tuple of beads,
+  once per hom space, in memory that grows with the paths listed;
 - at level j, a path with all vertical degrees <= j gives one necklace per
   tuple of words, skipped when its flat positions (the words' intersection)
   outnumber its free vertices, before any generator id is built; the chains
   of a path depend only on its flat set, so one `_hom_level` call lists them
   once per (path, flat set).
-`poset` and `necklace.TndPoset` serve DOT output and the verify checks.
+`necklace.TndPoset` of a level slice serves DOT output and the verify checks.
 
 Enriched functors and composition are read from tables:
 - a functor from `cfunctor` is simplicial, so by Eilenberg-Zilber it is fixed
@@ -51,35 +55,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import delta
-from .bisset import BiMap, BiNF, BiSSet, LevelSSet
+from .bisset import BiMap, BiSSet, LevelSSet
 from .cubes import Chain, chain_act, chain_join, chains
-from .necklace import RealizedNecklace, TndPoset, UnsupportedInput, sub_necklace
-from .ops import is_1_ordered, post_order
+from .necklace import (Bead, RealizedNecklace, UnsupportedInput, bead_paths, bead_table,
+                       fold_beads, sub_necklace)
+from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
 from .sset import NF, Materialized, SSet, SSetError, materialize
 
 HomElement = tuple[tuple[str, ...], Chain]  # (bead generators in the level slice, chain)
-
-
-class Bead(NamedTuple):
-    """A W generator of horizontal degree m >= 1: vertical degree k, row-0 vertices."""
-
-    gen: str
-    k: int
-    verts: tuple[str, ...]
-
-
-class BeadPath(NamedTuple):
-    """A path of beads: W generators, vertical degrees, joints J, vertices V, |V - J|."""
-
-    beads: tuple[str, ...]
-    ks: tuple[int, ...]
-    joints: tuple[str, ...]
-    verts: tuple[str, ...]
-    free: int
 
 
 class Categorification:
@@ -99,7 +86,6 @@ class Categorification:
         self.user_bound = bound
         self.objects = tuple(sorted(W.row0()))
         self._levels: dict[int, LevelSSet] = {}
-        self._posets: dict[tuple[int, str, str], TndPoset] = {}
         self._homs: dict[tuple[str, str], Materialized] = {}
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._bead_cache: dict[tuple[str, int, delta.Monotone], str] = {}
@@ -111,57 +97,25 @@ class Categorification:
                                        witness=(j, wit))
 
     def _beads(self) -> dict[str, list[Bead]]:
-        """The bead table: the W generators of horizontal degree m >= 1, with
-        their vertical degree and row-0 vertex tuple, by first vertex.
-
-        Vertices are read from the horizontal face table, as SSet.vertices
-        reads them: those of the last face, then the last of the first face.
-        W.gens() ascends in bidegree, so a bead's faces are read before it.
-        """
+        """The bead table: each W generator g of bidegree (m, k), m >= 1, as a
+        Bead with its row-0 vertices, read by SSet.vertices in the level-k
+        slice, where g is a generator under its own name.  With a user bound
+        below k, g is left out, and level k is not built: no walk under that
+        bound reaches it.  With none, a bead that is not a loop is a path of
+        weight >= k, so k <= bound: only a loop's level can lie above the
+        levels the 1-orderedness gate builds."""
         if self._table is None:
-            verts: dict[str, tuple[str, ...]] = {}
-
-            def of(f: BiNF) -> tuple[str, ...]:
-                vs = verts.get(f.gen, (f.gen,))  # a row-0 vertex is its own vertex
-                if not f.hword:
-                    return vs
-                return tuple(vs[v] for v in delta.word_to_epi(f.hword, len(vs) - 1 + len(f.hword)))
-
-            table: dict[str, list[Bead]] = {}
-            for g in self.W.gens():
-                m, k = self.W.bidegree(g)
-                if m:
-                    fs = self.W.hfaces[g]
-                    vs = verts[g] = of(fs[-1]) + of(fs[0])[-1:]
-                    table.setdefault(vs[0], []).append(Bead(g, k, vs))
-            self._table = table
+            cap = math.inf if self.user_bound is None else self.user_bound
+            self._table = bead_table((g, k, self.level(k)) for g in self.W.gens()
+                                     for m, k in [self.W.bidegree(g)] if m and k <= cap)
         return self._table
-
-    def _reached(self, starts, cap) -> list[str]:
-        """The vertices reached from starts along beads of vertical degree
-        <= cap, each listed after the successors it reaches.  A loop is not
-        followed: the level check rejects it with its own witness."""
-        table = self._beads()
-        order, cycle = post_order(lambda v: [bd.verts[-1] for bd in table.get(v, ())
-                                             if bd.k <= cap and bd.verts[-1] != v], starts)
-        if cycle is not None:
-            raise UnsupportedInput("the vertex order has a directed cycle", witness=cycle[0])
-        return order
 
     def _longest(self, starts, ends) -> dict[str, int]:
         """The largest sum of (m - 1) + k over a path of beads of bidegree
         (m, k) to a vertex of ends, from each vertex reached from starts that
         has such a path."""
-        table = self._beads()
-        best: dict[str, int] = {}
-        for v in self._reached(starts, math.inf):
-            ws = [len(verts) - 2 + k + best[verts[-1]]
-                  for _, k, verts in table.get(v, ()) if verts[-1] in best]
-            if v in ends:
-                ws.append(0)
-            if ws:
-                best[v] = max(ws)
-        return best
+        return fold_beads(self._beads(), starts, ends, lambda end, steps: max(
+            [0] * end + [len(bd.verts) - 2 + bd.k + n for bd, n in steps]))
 
     def hom_bound(self, a: str, b: str) -> int:
         """Max possible non-degenerate degree of Hom(a, b): the largest sum of
@@ -182,12 +136,6 @@ class Categorification:
         if j not in self._levels:
             self._levels[j] = LevelSSet(self.W, j)
         return self._levels[j]
-
-    def poset(self, j: int, a: str, b: str) -> TndPoset:
-        key = (j, a, b)
-        if key not in self._posets:
-            self._posets[key] = TndPoset(self.level(j), a, b)
-        return self._posets[key]
 
     # -- hom spaces ------------------------------------------------------------
 
@@ -229,27 +177,8 @@ class Categorification:
         mu = delta.coface(i, j)
         return (tuple(self._transport(g, j, mu) for g in beads), ch[:i] + ch[i + 1:])
 
-    def _paths(self, a: str, b: str) -> list[BeadPath]:
-        """The bead paths from a to b (the empty path when a == b) with vertical
-        degrees up to hom_bound(a, b), in one pass over the vertices reached
-        from a: each vertex's paths are built from its successors'.
-
-        Every level slice up to that bound was checked to be 1-ordered when the
-        Categorification was built, so the beads walked have no directed cycle.
-        """
-        cap = self.hom_bound(a, b)
-        if a not in self.objects or b not in self.objects:
-            raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
-        table = self._beads()
-        to_b: dict[str, list[tuple]] = {}  # the paths from each vertex to b
-        for v in self._reached((a,), cap):
-            to_b[v] = [((), (), (b,), (b,))] if v == b else [
-                ((g,) + gs, (k,) + ks, (v,) + J, verts[:-1] + V)
-                for g, k, verts in table.get(v, ()) if k <= cap
-                for gs, ks, J, V in to_b[verts[-1]]]
-        return [BeadPath(gs, ks, J, V, len(set(V) - set(J))) for gs, ks, J, V in to_b[a]]
-
-    def _hom_level(self, a: str, b: str, paths: list[BeadPath], j: int) -> list[HomElement]:
+    def _hom_level(self, a: str, b: str, paths: list[tuple[Bead, ...]],
+                   j: int) -> list[HomElement]:
         """The non-degenerate j-simplices of Hom(a, b), sorted, from its bead
         paths: (T, chain) for each necklace T of the level-j slice, a path
         with one vertical degeneracy word per bead, and each chain stepping at
@@ -258,9 +187,13 @@ class Categorification:
             return [((a,), ((a,),))] if j == 0 else []
         name = self.level(j)._id
         out = []
-        for beads, ks, J, V, free in paths:
+        for path in paths:
+            beads, ks, verts = zip(*path)
             if max(ks) > j:
                 continue
+            J = (a,) + tuple(vs[-1] for vs in verts)
+            V = {v for vs in verts for v in vs}
+            free = len(V) - len(J)  # the joints of a path in a 1-ordered level are distinct
             by_flat: dict[frozenset[int], list[Chain]] = {}  # the path's chains, per flat set
             for words in itertools.product(*(delta.all_words(j - k, j) for k in ks)):
                 flat = frozenset(words[0]).intersection(*words[1:])
@@ -274,9 +207,15 @@ class Categorification:
         return sorted(out)
 
     def hom(self, a: str, b: str) -> Materialized:
+        """Hom(a, b) up to hom_bound(a, b), computed once, from the bead paths
+        from a to b.  Every level slice up to the bound was checked to be
+        1-ordered when the Categorification was built."""
         key = (a, b)
         if key not in self._homs:
-            levels = functools.partial(self._hom_level, a, b, self._paths(a, b))
+            if a not in self.objects or b not in self.objects:
+                raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
+            paths = list(bead_paths(self._beads(), a, b))
+            levels = functools.partial(self._hom_level, a, b, paths)
             self._homs[key] = materialize(levels, self._act, self.hom_bound(a, b),
                                           prefix=f"h{a}.{b}_", degen=self._degen)
         return self._homs[key]

@@ -104,7 +104,7 @@ def cmd_hom(args) -> int:
                         "complete": report["complete"]}}]),
     }
     if args.emit == "dot":
-        poset = C.poset(0, a, b)
+        poset = TndPoset(C.level(0), a, b)
         _dot_guard(len(poset.objects), args.max_cells)
         payload["dot"] = necklaces_dot(poset, name="tnd_level0")
     _emit(args, payload)

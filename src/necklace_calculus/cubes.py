@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, NamedTuple
 
 from . import delta
-from .necklace import PairObject, PairPoset, UnsupportedInput, plus_m
+from .necklace import PairObject, PairPoset, UnsupportedInput, containing_beads, plus_m
 from .ops import is_connected, product
 from .sset import (EMPTY, NF, SSet, SSetError, SSetMap, Materialized, identity_map,
                    materialize, nd)
@@ -26,10 +26,10 @@ def chains(J, V, j: int, saturated: bool = False, steps=()) -> list[Chain]:
     index at which each vertex of V outside J enters it, so the chains are
     generated from those indices with the required steps built in.
     """
-    J, V = tuple(sorted(set(J))), tuple(sorted(set(V)))
+    J, V = frozenset(J), tuple(sorted(set(V)))
     free = [v for v in V if v not in J]
     lo, hi = (1, j) if saturated else (0, j + 1)
-    every = sorted(set(J) | set(V))
+    every = sorted(J | set(V))
     out = []
     for ts in _entry_times(len(free), lo, hi, frozenset(i + 1 for i in steps)):
         enter = dict(zip(free, ts))
@@ -175,21 +175,6 @@ def _empty_map_to(X: SSet) -> SSetMap:
     return SSetMap(EMPTY, X, {}, validate=False)
 
 
-def _bead_containment(pp: PairPoset, p: PairObject, q: PairObject) -> tuple[int, ...]:
-    """Index in q of the bead containing each bead of p, for p <= q."""
-    qj = q.J
-    out = []
-    for bead in pp.beads(p):
-        lo, hi = bead[0], bead[-1]
-        for ti in range(len(qj) - 1):
-            if qj[ti] <= lo and hi <= qj[ti + 1]:
-                out.append(ti)
-                break
-        else:
-            raise SSetError("no containing bead")
-    return tuple(out)
-
-
 class NProd:
     """An n-ary product whose nullary and unary cases are literal units."""
 
@@ -248,7 +233,7 @@ def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int) -> Weight:
         if values[q].is_empty():
             return _empty_map_to(values[p])
         pv_q, pv_p = prods[q], prods[p]
-        cont = _bead_containment(pp, p, q)
+        cont = containing_beads(p.J, q.J)
         nq = len(pv_q.factors)
         comps: list[SSetMap] = []
         for r, ti in enumerate(cont):

@@ -1,9 +1,28 @@
 """Necklaces, their realizations inside a 1-ordered simplicial set, and the
-pair-poset combinatorial model of the totally non-degenerate necklace poset."""
+pair-poset combinatorial model of the totally non-degenerate necklace poset.
+
+A totally non-degenerate necklace from a to b is a path of beads (Dugger and
+Spivak): generators of dimension >= 1, each starting at the last vertex of
+the one before.  This module is the one home of that model, for a simplicial
+set K here and for the level slices of a bisimplicial set in `categorify`:
+- `bead_table` lists the beads with their vertices, by first vertex;
+- `fold_beads` is one pass over the vertices, each after its successors
+  (`ops.post_order`), that folds a value along the bead paths: the necklace
+  count of `necklace_count`, the longest weighted path of the hom bounds, and
+  the beads at each vertex that lead to b;
+- `bead_paths` lists the paths from a to b by one depth-first pass over the
+  beads that lead to b, shared by every path through a vertex, so its time
+  and memory grow with the total length of the paths listed; `TndPoset` and
+  the hom spaces of `categorify` list their necklaces with it;
+- `containing_beads` gives the bead of t containing each bead of u <= t from
+  their joint positions, behind `TndPoset.bead_map` and the weights of
+  `cubes`.
+"""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import bisect
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ops import is_1_ordered, post_order
 from .sset import SSet, SSetError, nd
@@ -64,29 +83,85 @@ def necklace_count(K: SSet, a: str, b: str) -> int:
     vertex, the sum over its beads of the count from the bead's last vertex.
     K must be 1-ordered, as for TndPoset."""
     _require_1_ordered(K)
-    return _fold_paths(K, a, b, 1, lambda per_bead: sum(n for _, n in per_bead))
+    counts = fold_beads(_simplex_beads(K), (a,), (b,),
+                        lambda end, steps: end + sum(n for _, n in steps))
+    return counts.get(a, 0)
 
 
-def _fold_paths(K: SSet, a: str, b: str, end, join):
-    """A value for the bead paths from a to b in 1-ordered K, built in one pass
-    over the vertices reached from a, each after its successors: end at b,
-    and join((bead, value at its last vertex) for each bead) elsewhere."""
-    beads = _beads_by_first_vertex(K)
-    order, _ = post_order(lambda v: [w for _, w in beads.get(v, ())], (a,))
-    acc = {}
-    for v in order:
-        acc[v] = end if v == b else join((g, acc[w]) for g, w in beads.get(v, ()))
-    return acc[a]
+# -- bead paths ------------------------------------------------------------------
 
 
-def _beads_by_first_vertex(K: SSet) -> dict[str, list[tuple[str, str]]]:
-    """(bead, last vertex) for each generator of K of dimension >= 1, by first vertex."""
-    out: dict[str, list[tuple[str, str]]] = {}
-    for d in range(1, K.dim_bound + 1):
-        for g in K.by_dim[d]:
-            vs = K.vertices(nd(g))
-            out.setdefault(vs[0], []).append((g, vs[-1]))
+class Bead(NamedTuple):
+    """A generator of dimension m >= 1 (for a bisimplicial set, of horizontal
+    degree m >= 1 and vertical degree k; k = 0 in a simplicial set), with its
+    m + 1 vertices."""
+
+    gen: str
+    k: int
+    verts: tuple[str, ...]
+
+
+def bead_table(beads: Iterable[tuple[str, int, SSet]]) -> dict[str, list[Bead]]:
+    """Bead(g, k, vertices of g in X) for each (g, k, X), by first vertex."""
+    out: dict[str, list[Bead]] = {}
+    for g, k, X in beads:
+        vs = X.vertices(nd(g))
+        out.setdefault(vs[0], []).append(Bead(g, k, vs))
     return out
+
+
+def _simplex_beads(K: SSet) -> dict[str, list[Bead]]:
+    return bead_table((g, 0, K) for g in K.gens() if K.gen_dim(g))
+
+
+def fold_beads(table: dict[str, list[Bead]], starts, ends, join) -> dict:
+    """A value for each vertex reached from starts that has a bead path to a
+    vertex of ends, in one pass over ops.post_order, each vertex after its
+    successors: join(v in ends, [(bead, value at its last vertex) for each of
+    v's beads to such a vertex]).  A loop is not followed; a directed cycle
+    raises UnsupportedInput with a vertex on it."""
+    order, cycle = post_order(lambda v: [bd.verts[-1] for bd in table.get(v, ())
+                                         if bd.verts[-1] != v], starts)
+    if cycle is not None:
+        raise UnsupportedInput("the vertex order has a directed cycle", witness=cycle[0])
+    acc: dict = {}
+    for v in order:
+        steps = [(bd, acc[bd.verts[-1]]) for bd in table.get(v, ()) if bd.verts[-1] in acc]
+        if steps or v in ends:
+            acc[v] = join(v in ends, steps)
+    return acc
+
+
+def bead_paths(table: dict[str, list[Bead]], a: str, b: str) -> Iterator[tuple[Bead, ...]]:
+    """The bead paths from a to b != a, in table order.  The fold keeps at each
+    vertex the beads that lead to b, shared by every path through it; one
+    depth-first pass over them emits the paths, in time linear in their total
+    length."""
+    leads = fold_beads(table, (a,), (b,), lambda end, steps: [bd for bd, _ in steps])
+    path: list[Bead] = []
+    stack = [iter(leads.get(a, ()))]  # the beads to go at each step of the path
+    while stack:
+        bd = next(stack[-1], None)
+        del path[len(stack) - 1:]
+        if bd is None:
+            stack.pop()
+            continue
+        path.append(bd)
+        if bd.verts[-1] == b:
+            yield tuple(path)
+        stack.append(iter(leads[bd.verts[-1]]))
+
+
+def containing_beads(inner, outer) -> tuple[int, ...]:
+    """For necklaces u <= t given by their joint positions in ascending order,
+    the bead of t containing each bead of u."""
+    out = []
+    for lo, hi in zip(inner, inner[1:]):
+        ti = min(bisect.bisect_right(outer, lo), len(outer) - 1) - 1
+        if ti < 0 or hi > outer[ti + 1]:
+            raise SSetError("no containing bead")
+        out.append(ti)
+    return tuple(out)
 
 
 class TndPoset:
@@ -119,9 +194,8 @@ class TndPoset:
     def _enumerate(self) -> list[RealizedNecklace]:
         if self.a == self.b:
             return [RealizedNecklace((self.a,))]
-        paths = _fold_paths(self.K, self.a, self.b, ((),), lambda per_bead: [
-            (g,) + rest for g, rests in per_bead for rest in rests])
-        return [RealizedNecklace(bs) for bs in sorted(paths)]
+        paths = bead_paths(_simplex_beads(self.K), self.a, self.b)
+        return [RealizedNecklace(bs) for bs in sorted(tuple(bd.gen for bd in p) for p in paths)]
 
     # -- the poset relation ----------------------------------------------------
 
@@ -148,18 +222,8 @@ class TndPoset:
         if not self.leq(u, t):
             raise SSetError("bead_map requires a monomorphism of necklaces")
         pos = {v: i for i, v in enumerate(self._verts[t])}
-        tj = self._joints[t]
-        out = []
-        for bi in range(len(u.beads)):
-            lo = pos[self._joints[u][bi]]
-            hi = pos[self._joints[u][bi + 1]]
-            for ti in range(len(t.beads)):
-                if pos[tj[ti]] <= lo and hi <= pos[tj[ti + 1]]:
-                    out.append(ti)
-                    break
-            else:
-                raise SSetError("no containing bead")
-        return tuple(out)
+        return containing_beads([pos[v] for v in self._joints[u]],
+                                [pos[v] for v in self._joints[t]])
 
 
 def necklace_vertex_ids(K: SSet, t: RealizedNecklace) -> tuple[str, ...]:

@@ -555,26 +555,34 @@ def find_arrow_iso(f: SSetMap, g: SSetMap) -> Optional[tuple[SSetMap, SSetMap]]:
 
 
 def enumerate_maps(A, B, over: Optional[tuple[SSetMap, SSetMap]] = None) -> Iterator[SSetMap]:
-    """All maps A -> B; with over=(pA, pB), only those f with pB . f == pA."""
+    """All maps A -> B; with over=(pA, pB), only those f with pB . f == pA.
+
+    Generators of A are assigned in (degree, id) order by backtracking on an
+    explicit stack, candidates tried in B.simplices order."""
     order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
+    if not order:
+        yield A.map_type(A, B, {}, validate=False)
+        return
     assign: dict[str, tuple] = {}
 
-    def fits(g: str, img: tuple) -> bool:
-        if over is not None and over[1](img) != over[0](A._nd(g)):
-            return False
-        return all(B._face(img, a, i) == B._degenerate(fa[:-1], assign[fa[-1]])
-                   for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ())))
-
-    def extend(k: int) -> Iterator[dict[str, tuple]]:
-        if k == len(order):
-            yield dict(assign)
-            return
-        g = order[k]
+    def candidates(g: str) -> Iterator[tuple]:
         for img in B.simplices(*A._deg[g]):
-            if fits(g, img):
-                assign[g] = img
-                yield from extend(k + 1)
-                del assign[g]
+            if over is not None and over[1](img) != over[0](A._nd(g)):
+                continue
+            if all(B._face(img, a, i) == B._degenerate(fa[:-1], assign[fa[-1]])
+                   for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ()))):
+                yield img
 
-    for a in extend(0):
-        yield A.map_type(A, B, a, validate=False)
+    stack = [candidates(order[0])]
+    while stack:
+        k = len(stack) - 1
+        assign.pop(order[k], None)
+        img = next(stack[-1], None)
+        if img is None:
+            stack.pop()
+            continue
+        assign[order[k]] = img
+        if k + 1 < len(order):
+            stack.append(candidates(order[k + 1]))
+        else:
+            yield A.map_type(A, B, dict(assign), validate=False)

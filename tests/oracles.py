@@ -18,8 +18,13 @@ and the bead memo of Categorification._act.
 hom_levels_from_posets lists hom generators from each level slice's necklace
 poset, the reference for the bead paths of Categorification.hom;
 hom_bound_by_dfs and tnd_by_tails walk the bead paths recursively, the
-references for the one iterative walk, ops.post_order, under
-Categorification's bounds, necklace_count and TndPoset;
+references for the one fold over ops.post_order and the one path listing in
+necklace, behind Categorification's bounds, necklace_count and TndPoset;
+enumerate_maps_by_recursion is the recursive backtracking reference for
+ops.enumerate_maps, which keeps its choices on an explicit stack;
+bead_containment_by_scan finds each containing bead by a scan over the outer
+necklace's beads, the reference for necklace.containing_beads behind
+TndPoset.bead_map and the weights of cubes;
 lf_rep_by_listing finds the product representatives of bisset.lf by listing
 every simplex, the reference for its one pass over generators.
 cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
@@ -35,7 +40,7 @@ the reference for cubes.weight_G0, which is built from F0.
 import itertools
 
 from necklace_calculus import delta
-from necklace_calculus.necklace import RealizedNecklace
+from necklace_calculus.necklace import RealizedNecklace, TndPoset
 from necklace_calculus.ops import BarePiece, Diagram, OrderWitness, colimit, product
 from necklace_calculus.sset import EMPTY, NF, SSetMap, materialize, nd
 
@@ -364,7 +369,7 @@ def hom_levels_from_posets(C, a, b, j):
     T is flat, skipping T when it has fewer free vertices than flat positions."""
     from necklace_calculus.cubes import chains
 
-    poset = C.poset(j, a, b)
+    poset = TndPoset(C.level(j), a, b)
     origin = C.level(j).origin
     out = []
     for t in poset.objects:
@@ -531,7 +536,7 @@ def weight_G0_by_products(m, f):
     products and arrows: X at the top cell, Y^t at a pair with t beads, arrows
     out of the top pairing copies of f, the others pairing projections.  The
     reference for cubes.weight_G0, which is built from F0."""
-    from necklace_calculus.cubes import NProd, Weight, _bead_containment
+    from necklace_calculus.cubes import NProd, Weight
     from necklace_calculus.necklace import PairPoset
     from necklace_calculus.sset import identity_map
 
@@ -546,7 +551,52 @@ def weight_G0_by_products(m, f):
             if p == top:
                 return identity_map(X)
             return prods[p].pair([f for _ in prods[p].factors], X)
-        return prods[p].pair([prods[q].project(ti) for ti in _bead_containment(pp, p, q)],
+        return prods[p].pair([prods[q].project(ti) for ti in bead_containment_by_scan(pp, p, q)],
                              values[q])
 
     return Weight(pp, values, arrow)
+
+
+def bead_containment_by_scan(pp, p, q):
+    """Index in q of the bead containing each bead of p, for pairs p <= q of
+    the pair poset pp, by a scan over q's beads: the reference for
+    necklace.containing_beads."""
+    out = []
+    for bead in pp.beads(p):
+        lo, hi = bead[0], bead[-1]
+        for ti in range(len(q.J) - 1):
+            if q.J[ti] <= lo and hi <= q.J[ti + 1]:
+                out.append(ti)
+                break
+        else:
+            raise AssertionError("no containing bead")
+    return tuple(out)
+
+
+def enumerate_maps_by_recursion(A, B, over=None):
+    """All maps A -> B (with over=(pA, pB), those f with pB . f == pA) by
+    recursive backtracking over A's generators in (degree, id) order: the
+    reference for ops.enumerate_maps, which yields the same maps in the same
+    order from an explicit stack."""
+    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
+    assign = {}
+
+    def fits(g, img):
+        if over is not None and over[1](img) != over[0](A._nd(g)):
+            return False
+        return all(B._face(img, a, i) == B._degenerate(fa[:-1], assign[fa[-1]])
+                   for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ())))
+
+    def extend(k):
+        if k == len(order):
+            yield dict(assign)
+            return
+        g = order[k]
+        for img in B.simplices(*A._deg[g]):
+            if fits(g, img):
+                assign[g] = img
+                yield from extend(k + 1)
+                del assign[g]
+
+    for a in extend(0):
+        yield A.map_type(A, B, a, validate=False)

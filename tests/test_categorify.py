@@ -3,7 +3,7 @@ import pytest
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import LevelSSet, bnd, horizontal, lf, lf_map
 from necklace_calculus.categorify import categorify, cfunctor, scat_functor
-from necklace_calculus.necklace import TndPoset, UnsupportedInput
+from necklace_calculus.necklace import TndPoset, UnsupportedInput, bead_paths
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
@@ -130,6 +130,16 @@ def test_hom_bound_is_exact():
         assert C.bound == max(C.hom_bound(a, b) for a, b in rep), W
 
 
+def test_hom_walks_for_its_bound_once(monkeypatch):
+    # one hom build asks for hom_bound(a, b) once; the path listing reuses it
+    C = categorify(lf(2, d(2)).W)
+    walks = []
+    longest = C._longest
+    monkeypatch.setattr(C, "_longest", lambda *args: walks.append(args) or longest(*args))
+    C.hom(C.objects[0], C.objects[-1])
+    assert len(walks) == 1
+
+
 def test_simplex_hom_is_cube_nerve():
     # Hom_{C[Delta^{k+1}]}(0, k+1) is the nerve of the cube {0,1}^k
     assert cube_chain_counts(5) == (32, 211, 570, 750, 480, 120)
@@ -145,7 +155,7 @@ def _hom_from_full_levels(C, a, b):
     from necklace_calculus.sset import materialize
 
     def levels(j):
-        poset = C.poset(j, a, b)
+        poset = TndPoset(C.level(j), a, b)
         return sorted((t.beads, ch) for t in poset.objects
                       for ch in chains(necklace_joint_ids(poset.K, t),
                                        necklace_vertex_ids(poset.K, t), j, saturated=True))
@@ -235,7 +245,7 @@ def test_hom_levels_match_poset_oracle(name):
     for C in HOM_LEVEL_CASES[name]():
         for a in C.objects:
             for b in C.objects:
-                paths = C._paths(a, b)
+                paths = list(bead_paths(C._beads(), a, b))
                 for j in range(C.hom_bound(a, b) + 1):
                     got = C._hom_level(a, b, paths, j)
                     assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)

@@ -1,14 +1,23 @@
-"""Source hygiene: no module in src/ or tests/ imports a name it never uses.
+"""Source hygiene: no module in src/ or tests/ imports a name it never uses,
+and no module-level function or class in src/ goes unreferenced.
 
 An import left behind when the code that used it is deleted is read as a
 dependency that is not there.  The scan is a stdlib `ast` pass: a name bound by
 an import must appear somewhere else in the module, as a name, as the root of
 an attribute, in a string annotation, or in `__all__`.  Package `__init__.py`
 files are skipped, because their imports are the package's exports.
+
+A definition nothing names is a copy left behind, or dead code.  The second
+scan looks for the name of each module-level function and class of src/, as
+a whole word, in every Python file of src/, tests/ and perfbench/: it must
+appear somewhere besides its own definition.
 """
 
 import ast
+import collections
+import functools
 import pathlib
+import re
 
 import pytest
 
@@ -64,3 +73,22 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.relative_to(ROOT)}: unused imports {unused}"
+
+
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def _word_counts() -> collections.Counter:
+    """How often each whole word appears in the Python files of src, tests and perfbench."""
+    return collections.Counter(w for d in ("src", "tests", "perfbench")
+                               for p in (ROOT / d).rglob("*.py")
+                               for w in re.findall(r"\w+", p.read_text()))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_definitions(path):
+    defined = [(node.lineno, node.name) for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    lone = [(line, name) for line, name in defined if _word_counts()[name] < 2]
+    assert not lone, f"{path.relative_to(ROOT)}: names used nowhere else {lone}"

@@ -1,4 +1,6 @@
 import functools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as strat
@@ -7,13 +9,14 @@ from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import horizontal, lf
 from necklace_calculus.categorify import categorify
 from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPoset,
-                                        UnsupportedInput, necklace_count, necklace_joint_ids,
-                                        necklace_vertex_ids, pair_poset_iso, plus_m,
+                                        UnsupportedInput, containing_beads, necklace_count,
+                                        necklace_joint_ids, necklace_vertex_ids,
+                                        pair_of_necklace, pair_poset_iso, plus_m,
                                         necklaces_dot, sub_necklace)
 from necklace_calculus.sset import SSet, SSetMap, nd
 
-from oracles import (act_is_1_ordered, act_sub_necklace, hom_bound_by_dfs, pair_objects,
-                     tnd_by_tails)
+from oracles import (act_is_1_ordered, act_sub_necklace, bead_containment_by_scan,
+                     hom_bound_by_dfs, hom_levels_from_posets, pair_objects, tnd_by_tails)
 
 d = shapes.simplex
 
@@ -123,7 +126,8 @@ def _level_necklaces(base: str):
          "lf2_bd2": lambda: lf(2, shapes.boundary(2)).W}[base]()
     C = categorify(W)
     return tuple((C.level(j), t) for j in range(C.bound + 1)
-                 for a in C.objects for b in C.objects for t in C.poset(j, a, b).objects)
+                 for a in C.objects for b in C.objects
+                 for t in TndPoset(C.level(j), a, b).objects)
 
 
 @given(strat.data())
@@ -173,8 +177,9 @@ def _digraphs(draw):
 @given(_digraphs())
 @settings(max_examples=200, deadline=None)
 def test_walks_match_recursive_oracles(K):
-    # the walks over ops.post_order against recursive ones: verdict and
-    # witness, necklaces, their count and the hom bounds
+    # the fold and the path listing over ops.post_order against recursive
+    # walks: verdict and witness, necklaces, their count, the hom bounds, and
+    # every level of every hom against the level slices' necklace posets
     verdict = ops.is_1_ordered(K)
     assert verdict == act_is_1_ordered(K)
     if not verdict[0]:
@@ -187,6 +192,10 @@ def test_walks_match_recursive_oracles(K):
             assert list(TndPoset(K, a, b).objects) == want, (a, b)
             assert necklace_count(K, a, b) == len(want), (a, b)
             assert C.hom_bound(a, b) == hom_bound_by_dfs(C, a, b), (a, b)
+            hs = C.hom(a, b)
+            for j in range(C.hom_bound(a, b) + 1):
+                got = sorted(hs.elem_of[g] for g in hs.sset.gens() if hs.sset.gen_dim(g) == j)
+                assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)
     assert C.bound == max(hom_bound_by_dfs(C, a, b) for a in vs for b in vs)
 
 
@@ -204,3 +213,49 @@ def test_long_path_is_one_necklace():
     (t,) = TndPoset(K, "v0", "v3000").objects
     assert t.beads == tuple(f"e{i}" for i in range(1, 3001))
     assert necklace_count(K, "v3000", "v0") == 0
+
+
+def _peak(build):
+    """build()'s result, its time in seconds and its traced peak in MB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        out = build()
+        return out, time.perf_counter() - start, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_path_memory_grows_with_the_paths_listed():
+    # 6,000 edges, one necklace: a walk that kept every vertex's suffix paths
+    # peaked at about 150 MB for the poset and 590 MB for the hom space
+    K = _path(6000)
+    t, secs, mb = _peak(lambda: TndPoset(K, "v0", "v6000"))
+    assert len(t.objects) == 1
+    assert secs < 5 and mb < 40, (secs, mb)
+    C = categorify(horizontal(K))
+    H, secs, mb = _peak(lambda: C.hom_sset("v0", "v6000"))
+    assert H.nd_counts() == (1,)
+    assert secs < 5 and mb < 40, (secs, mb)
+
+
+def _comparable_pairs(poset):
+    return [(u, t) for u in poset.objects for t in poset.objects if poset.leq(u, t)]
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_containing_beads_match_scan(m):
+    for i in range(m + 1):
+        pp = PairPoset(i, m)
+        for p, q in _comparable_pairs(pp):
+            assert containing_beads(p.J, q.J) == bead_containment_by_scan(pp, p, q), (p, q)
+
+
+def test_bead_map_matches_scan():
+    # the necklaces of Delta[4] from 0 to 4 through their pairs (J, V) in PairPoset(0, 3)
+    t, pp = TndPoset(d(4), "0", "4"), PairPoset(0, 3)
+    ints = {str(v): v for v in range(5)}
+    for u, v in _comparable_pairs(t):
+        want = bead_containment_by_scan(pp, pair_of_necklace(t, u, ints),
+                                        pair_of_necklace(t, v, ints))
+        assert t.bead_map(u, v) == want, (u, v)

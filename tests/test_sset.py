@@ -5,7 +5,8 @@ from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import BiMap, bnd, external, horizontal, lf, vertical
 from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, constant_map, nd
 
-from oracles import act_is_1_ordered, act_vertices, product_nd_counts
+from oracles import (act_is_1_ordered, act_vertices, enumerate_maps_by_recursion,
+                     product_nd_counts)
 
 d = shapes.simplex
 
@@ -234,6 +235,36 @@ def test_iso_search_distinguishes():
         # colours cannot tell two disjoint edges apart; the face checks keep the 2 true swaps
         two = embed(ops.coproduct([d(1), d(1)]).sset)
         assert len(list(ops.find_isos(two, two))) == 2
+
+
+_MAP_SOURCES = [d(0), shapes.boundary(1), d(1), shapes.spine(2)]
+_MAP_TARGETS = [d(0), d(1), d(2), shapes.boundary(2), shapes.horn(2, 1), shapes.spine(2)]
+
+
+def _same_maps(got, want):
+    assert [list(f.assign.items()) for f in got] == [list(f.assign.items()) for f in want]
+
+
+def test_enumerate_maps_matches_recursive_oracle():
+    # the same maps in the same order, plain and over Delta[1], and between
+    # horizontal embeddings
+    for A in _MAP_SOURCES:
+        for B in _MAP_TARGETS:
+            _same_maps(list(ops.enumerate_maps(A, B)), list(enumerate_maps_by_recursion(A, B)))
+            for pA in ops.enumerate_maps(A, d(1)):
+                for pB in list(ops.enumerate_maps(B, d(1)))[:3]:
+                    _same_maps(list(ops.enumerate_maps(A, B, over=(pA, pB))),
+                               list(enumerate_maps_by_recursion(A, B, over=(pA, pB))))
+    A, B = horizontal(shapes.spine(2)), horizontal(d(2))
+    _same_maps(list(ops.enumerate_maps(A, B)), list(enumerate_maps_by_recursion(A, B)))
+
+
+def test_enumerate_maps_from_many_points():
+    # 1,500 generators: backtracking that recursed once per generator would
+    # pass the default recursion limit
+    A = SSet([(f"p{i}", 0) for i in range(1500)], {})
+    (f,) = ops.enumerate_maps(A, shapes.point())
+    assert f.assign == {f"p{i}": nd("0") for i in range(1500)}
 
 
 def test_mono_detection():
