@@ -138,13 +138,20 @@ class LevelSSet(SSet):
                 origin[gid] = BiNF((), vw, g)
                 gens.append((gid, gm))
         self.origin = origin
+        named: dict[tuple[BiNF, Word], NF] = {}  # s_vw f in this level, per face f and word vw
         for gid, gm in gens:
             if gm == 0:
                 continue
             # horizontal and vertical operators commute: d_i s_vw g = s_vw d_i g
-            e = origin[gid]
-            fs = (W._degenerate(((), e.vword), f) for f in W.hfaces[e.gen])
-            faces[gid] = tuple(NF(f.hword, self._id(f.gen, f.vword)) for f in fs)
+            vw, g = origin[gid][1:]
+            fs = []
+            for f in W.hfaces[g]:
+                nf = named.get((f, vw))
+                if nf is None:
+                    d = W._degenerate(((), vw), f)
+                    nf = named[(f, vw)] = NF(d.hword, self._id(d.gen, d.vword))
+                fs.append(nf)
+            faces[gid] = tuple(fs)
         super().__init__(gens, faces, validate=False)
 
     def _id(self, g: str, vword: Word) -> str:

@@ -4,7 +4,7 @@ Exit codes: 0 pass, 2 schema or usage error (a malformed or invalid input
 file, or arguments such as an endpoint that is not a vertex), 3 unsupported
 input (with witness), 4 check failure, 5 resource limit (an input whose cells
 exceed --max-cells, a DOT export whose squared object count does, or a
-`dot --sset --emit json` listing whose necklace count does).
+`dot --sset --emit json` listing whose necklaces have more beads in all).
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ def cmd_dot(args) -> int:
         raise UsageError("dot needs --pairs i,m, or --sset with --from and --to")
     X = sset_load(_load_json(args.sset))
     a, b = _endpoints(args, X.by_dim[0] if X.dim_bound >= 0 else ())
-    n = necklace_count(X, a, b)
+    n, beads = necklace_count(X, a, b)
     if args.emit == "json":
-        if n > args.max_cells:
-            raise ResourceLimit(f"{n} necklaces from {a} to {b} exceed "
+        if beads > args.max_cells:
+            raise ResourceLimit(f"{n} necklaces from {a} to {b} have {beads} beads, more than "
                                 f"--max-cells={args.max_cells}")
         t = TndPoset(X, a, b)
         entries = [necklace_dump(t.shape(o).bead_dims, o.beads, (a, b)) for o in t.objects]

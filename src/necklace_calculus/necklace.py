@@ -8,15 +8,18 @@ set K here and for the level slices of a bisimplicial set in `categorify`:
 - `bead_table` lists the beads with their vertices, by first vertex;
 - `fold_beads` is one pass over the vertices, each after its successors
   (`ops.post_order`), that folds a value along the bead paths: the necklace
-  count of `necklace_count`, the longest weighted path of the hom bounds, and
-  the beads at each vertex that lead to b;
+  and bead counts of `necklace_count`, the longest weighted path of the hom
+  bounds, and the beads at each vertex that lead to b;
 - `bead_paths` lists the paths from a to b by one depth-first pass over the
   beads that lead to b, shared by every path through a vertex, so its time
   and memory grow with the total length of the paths listed; `TndPoset` and
   the hom spaces of `categorify` list their necklaces with it;
 - `containing_beads` gives the bead of t containing each bead of u <= t from
   their joint positions, behind `TndPoset.bead_map` and the weights of
-  `cubes`.
+  `cubes`;
+- `cut_bead` cuts one bead at new joints, keeping some of its vertices, by
+  reading faces from the face table: `sub_necklace` cuts each bead of a
+  necklace with it, and the hom spaces of `categorify` cut single beads.
 """
 
 from __future__ import annotations
@@ -77,15 +80,19 @@ def _require_1_ordered(K: SSet) -> None:
         raise UnsupportedInput(f"K is not 1-ordered ({wit.condition})", witness=wit)
 
 
-def necklace_count(K: SSet, a: str, b: str) -> int:
+def necklace_count(K: SSet, a: str, b: str) -> tuple[int, int]:
     """The number of totally non-degenerate necklaces of K from a to b, the
-    objects of TndPoset(K, a, b), counted without listing them: from each
-    vertex, the sum over its beads of the count from the bead's last vertex.
-    K must be 1-ordered, as for TndPoset."""
+    objects of TndPoset(K, a, b), and of their beads in all (the point
+    necklace of a == b has one), counted without listing them: from each
+    vertex, sums over its beads of the counts from the bead's last vertex, a
+    bead adding one to each necklace through it.  K must be 1-ordered, as for
+    TndPoset."""
     _require_1_ordered(K)
-    counts = fold_beads(_simplex_beads(K), (a,), (b,),
-                        lambda end, steps: end + sum(n for _, n in steps))
-    return counts.get(a, 0)
+    if a == b:
+        return 1, 1
+    counts = fold_beads(_simplex_beads(K), (a,), (b,), lambda end, steps: (
+        end + sum(n for _, (n, _) in steps), sum(n + m for _, (n, m) in steps)))
+    return counts.get(a, (0, 0))
 
 
 # -- bead paths ------------------------------------------------------------------
@@ -246,10 +253,10 @@ def sub_necklace(K: SSet, t: RealizedNecklace, joints, verts) -> Optional[Realiz
 
     K is 1-ordered (as TndPoset and categorify require), so the vertices of t
     are distinct.  One pass over the beads' vertex tuples: each bead is cut
-    at the new joints it contains, and each piece is the face on the kept
-    vertices, read from K's face table.  None when the joints do not contain
-    t's joints, when the vertices do not contain the joints, when a vertex
-    lies off t, or when a piece is degenerate.
+    by cut_bead at the new joints it contains, keeping the vertices in verts.
+    None when the joints do not contain t's joints, when the vertices do not
+    contain the joints, when a vertex lies off t, or when a piece is
+    degenerate.
     """
     joints, verts = set(joints), set(verts)
     if not joints <= verts:
@@ -260,22 +267,34 @@ def sub_necklace(K: SSet, t: RealizedNecklace, joints, verts) -> Optional[Realiz
         vs = K.vertices(nd(g))
         if vs[0] not in joints or vs[-1] not in joints:
             return None
-        piece: list[int] = []
-        for p, v in enumerate(vs):
-            if v not in verts:
-                continue
-            if p or not bi:
-                found += 1
-            piece.append(p)
-            if v in joints and len(piece) > 1:
-                face = K._apply_mono(g, 0, tuple(piece))
-                if face.word:
-                    return None
-                beads.append(face.gen)
-                piece = [p]
+        found += sum(map(verts.__contains__, vs)) - (1 if bi else 0)
+        pieces = cut_bead(K, g, vs, joints, verts)
+        if pieces is None:
+            return None
+        beads.extend(pieces)
     if found != len(verts):
         return None
     return RealizedNecklace(tuple(beads) if beads else (t.beads[0],))
+
+
+def cut_bead(K: SSet, g: str, vs: tuple[str, ...], joints, verts) -> Optional[tuple[str, ...]]:
+    """Bead g of K, with vertices vs whose ends are in joints, cut at the
+    vertices in joints and keeping those in verts: the faces of g on the kept
+    positions from one joint to the next, read from K's face table; None when
+    one is degenerate."""
+    pieces, piece = [], [0]
+    for p in range(1, len(vs)):
+        v = vs[p]
+        if v not in verts:
+            continue
+        piece.append(p)
+        if v in joints:
+            face = K._apply_mono(g, 0, tuple(piece))
+            if face.word:
+                return None
+            pieces.append(face.gen)
+            piece = [p]
+    return tuple(pieces)
 
 
 # -- pair posets ---------------------------------------------------------------

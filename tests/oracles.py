@@ -14,9 +14,12 @@ ops.product, which list non-degenerate simplices only.
 The act_* oracles read vertices, faces and bead transport through the generic
 operator action (SSet.act, BiSSet.act) only, never through the face-table
 routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
-and the bead memo of Categorification._act.
+and the bead and necklace tables of Categorification.hom.
 hom_levels_from_posets lists hom generators from each level slice's necklace
 poset, the reference for the bead paths of Categorification.hom;
+hom_act_by_names and hom_degen_by_names act on hom elements in the name form
+(beads, chain), the action of the full-listing route that Categorification.hom
+replaced with entry-time chains read from necklace tables;
 hom_bound_by_dfs and tnd_by_tails walk the bead paths recursively, the
 references for the one fold over ops.post_order and the one path listing in
 necklace, behind Categorification's bounds, necklace_count and TndPoset;
@@ -379,6 +382,40 @@ def hom_levels_from_posets(C, a, b, j):
             continue
         out.extend((t.beads, ch) for ch in chains(J, V, j, saturated=True, steps=flat))
     return sorted(out)
+
+
+def hom_act_by_names(C, e, j, mu):
+    """A hom element (beads, chain) of the categorification C at level j moved
+    along mu in the name form: every bead by the vertical W.act, the chain by
+    mu, and the necklace re-saturated by necklace.sub_necklace unless mu keeps
+    both chain ends.  With hom_degen_by_names, the action of the full-listing
+    route, the reference for the entry-time tables of Categorification.hom."""
+    from necklace_calculus.necklace import sub_necklace
+
+    beads, ch = e
+    L = C.level(len(mu) - 1)
+    moved = []
+    for g in beads:
+        b = C.W.act(C.level(j).origin[g], mu_v=mu)
+        assert not b.hword
+        moved.append(L._id(b.gen, b.vword))
+    ch2 = tuple(ch[r] for r in mu)
+    if mu[0] == 0 and mu[-1] == j:
+        return tuple(moved), ch2
+    t2 = sub_necklace(L, RealizedNecklace(tuple(moved)), ch2[0], ch2[-1])
+    assert t2 is not None
+    return t2.beads, ch2
+
+
+def hom_degen_by_names(C, e, j, i):
+    """d_i e when the name-form element e = s_i d_i e: its chain repeats at i
+    and i is in every bead's vertical degeneracy word; else None."""
+    beads, ch = e
+    origin = C.level(j).origin
+    flat = set(origin[beads[0]].vword).intersection(*(origin[g].vword for g in beads[1:]))
+    if ch[i] != ch[i + 1] or i not in flat:
+        return None
+    return hom_act_by_names(C, e, j, delta.coface(i, j))
 
 
 def hom_bound_by_dfs(C, a, b):

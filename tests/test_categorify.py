@@ -3,12 +3,13 @@ import pytest
 from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import LevelSSet, bnd, horizontal, lf, lf_map
 from necklace_calculus.categorify import categorify, cfunctor, scat_functor
-from necklace_calculus.necklace import TndPoset, UnsupportedInput, bead_paths
+from necklace_calculus.necklace import TndPoset, UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
 from oracles import (act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts,
-                     hom_bound_by_dfs, hom_levels_from_posets)
+                     hom_act_by_names, hom_bound_by_dfs, hom_degen_by_names,
+                     hom_levels_from_posets)
 
 d = shapes.simplex
 
@@ -131,13 +132,27 @@ def test_hom_bound_is_exact():
 
 
 def test_hom_walks_for_its_bound_once(monkeypatch):
-    # one hom build asks for hom_bound(a, b) once; the path listing reuses it
+    # one hom build asks for hom_bound(a, b) once; the path listing and the
+    # report reuse it
     C = categorify(lf(2, d(2)).W)
     walks = []
     longest = C._longest
     monkeypatch.setattr(C, "_longest", lambda *args: walks.append(args) or longest(*args))
-    C.hom(C.objects[0], C.objects[-1])
+    a, b = C.objects[0], C.objects[-1]
+    C.hom(a, b)
+    assert C.hom_report(a, b)["degree_bound"] == 4
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("chain", [(("0", "1", "2"), ("0", "1", "2")),  # S_0 larger than J
+                                   (("0", "2"), ("0", "2"))])  # S_1 short of V
+def test_to_nf_rejects_chains_that_do_not_saturate(chain):
+    from necklace_calculus.sset import SSetError
+
+    hs = categorify(horizontal(d(2))).hom("0", "2")
+    assert hs.to_nf(1, (("0.1.2@0",), (("0", "2"), ("0", "1", "2")))) == nd("h0.2_1_0")
+    with pytest.raises(SSetError, match="does not saturate"):
+        hs.to_nf(1, (("0.1.2@0",), chain))
 
 
 def test_simplex_hom_is_cube_nerve():
@@ -160,37 +175,9 @@ def _hom_from_full_levels(C, a, b):
                       for ch in chains(necklace_joint_ids(poset.K, t),
                                        necklace_vertex_ids(poset.K, t), j, saturated=True))
 
-    return materialize(levels, C._act, C.hom_bound(a, b), prefix=f"h{a}.{b}_",
-                       degen=C._degen).sset
-
-
-@pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
-def test_hom_matches_full_listing_route(W):
-    from necklace_calculus.io_schemas import canonical_json, sset_dump
-
-    C = categorify(W)
-    for a in C.objects:
-        for b in C.objects:
-            want = canonical_json(sset_dump(_hom_from_full_levels(C, a, b)))
-            assert canonical_json(sset_dump(C.hom_sset(a, b))) == want, (a, b)
-
-
-@pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
-def test_face_tables_match_act_oracle(W):
-    # both sides of each face are read as elements through the generic action,
-    # so neither the hom's face table nor its degeneracy stripping is trusted
-    C = categorify(W)
-    for a in C.objects:
-        for b in C.objects:
-            hs = C.hom(a, b)
-            X = hs.sset
-            for x in X.gens():
-                j = X.gen_dim(x)
-                for i, f in enumerate(X.faces.get(x, ())):
-                    want = act_hom_action(C, hs.elem_of[x], j, delta.coface(i, j))
-                    got = act_hom_action(C, hs.elem_of[f.gen], X.gen_dim(f.gen),
-                                         delta.word_to_epi(f.word, j - 1))
-                    assert got == want, (a, b, x, i)
+    return materialize(levels, lambda e, j, mu: hom_act_by_names(C, e, j, mu),
+                       C.hom_bound(a, b), prefix=f"h{a}.{b}_",
+                       degen=lambda e, j, i: hom_degen_by_names(C, e, j, i)).sset
 
 
 @pytest.mark.parametrize("W", FOUR_BASES, ids=FOUR_IDS)
@@ -240,12 +227,144 @@ HOM_LEVEL_CASES = {
 
 @pytest.mark.parametrize("name", sorted(HOM_LEVEL_CASES))
 def test_hom_levels_match_poset_oracle(name):
-    # bead paths give the same generators, in the same order, as the level
-    # slices' necklace posets, at every level up to each pair's bound
+    # bead paths give the same generators, in the same order (the id order),
+    # as the level slices' necklace posets, at every level up to each pair's
+    # bound
     for C in HOM_LEVEL_CASES[name]():
         for a in C.objects:
             for b in C.objects:
-                paths = list(bead_paths(C._beads(), a, b))
+                hs = C.hom(a, b)
+                X = hs.sset
                 for j in range(C.hom_bound(a, b) + 1):
-                    got = C._hom_level(a, b, paths, j)
+                    got = [hs.elem_of[g] for g in (X.by_dim[j] if j <= X.dim_bound else ())]
                     assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)
+
+
+@pytest.mark.parametrize("name", sorted(HOM_LEVEL_CASES))
+def test_hom_matches_full_listing_route(name):
+    # every element of every level slice's necklaces, degenerate ones
+    # included, through the name-form action: the same hom spaces, byte for byte
+    from necklace_calculus.io_schemas import canonical_json, sset_dump
+
+    for C in HOM_LEVEL_CASES[name]():
+        for a in C.objects:
+            for b in C.objects:
+                want = canonical_json(sset_dump(_hom_from_full_levels(C, a, b)))
+                assert canonical_json(sset_dump(C.hom_sset(a, b))) == want, (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(HOM_LEVEL_CASES))
+def test_face_tables_match_act_oracle(name):
+    # both sides of each face are read as elements through the generic action,
+    # so neither the hom's face table nor its degeneracy stripping is trusted
+    for C in HOM_LEVEL_CASES[name]():
+        for a in C.objects:
+            for b in C.objects:
+                hs = C.hom(a, b)
+                X = hs.sset
+                for x in X.gens():
+                    j = X.gen_dim(x)
+                    for i, f in enumerate(X.faces.get(x, ())):
+                        want = act_hom_action(C, hs.elem_of[x], j, delta.coface(i, j))
+                        got = act_hom_action(C, hs.elem_of[f.gen], X.gen_dim(f.gen),
+                                             delta.word_to_epi(f.word, j - 1))
+                        assert got == want, (a, b, x, i)
+
+
+@pytest.mark.parametrize("ks", [(0,), (2,), (1, 1), (0, 2), (2, 0, 1), (1, 1, 1), (3, 1)])
+def test_word_tuples_match_filtered_product(ks):
+    # the pruned listing gives the word tuples of the filtered product, in
+    # its order, with each tuple's flat positions
+    import itertools
+
+    from necklace_calculus.categorify import _word_tuples
+
+    for j in range(max(ks), 6):
+        for free in range(j + 1):
+            want = []
+            for words in itertools.product(*(delta.all_words(j - k, j) for k in ks)):
+                flat = frozenset(words[0]).intersection(*words[1:])
+                if len(flat) <= free:
+                    want.append((words, sum(1 << i for i in flat)))
+            assert list(_word_tuples(ks, j, free)) == want, (j, free)
+
+
+def _hammer(work, n_threads=8):
+    """Run work(k) in n_threads threads at once, switching as often as the
+    interpreter can; each must finish within two minutes and raise nothing."""
+    import sys
+    import threading
+
+    errors = []
+
+    def guarded(k):
+        try:
+            work(k)
+        except Exception as exc:  # reported below: a thread's failure must fail the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(k,)) for k in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+
+
+def test_bead_ids_and_rows_are_handed_out_once_across_threads():
+    # threads sharing a categorification ask for the same beads and necklace
+    # rows at once: each key gets one id, and each id names its key, where an
+    # unlocked check-then-append hands one bead two ids
+    C = categorify(lf(2, d(2)).W)
+    a, b = C.objects[0], C.objects[-1]
+    C.hom(a, b)
+    lb, table = C._level_beads, C._homs[(a, b)]
+    gens = [g for g in C.W.gens() if C.W.bidegree(g)[0]]
+    keys = [(g, (i,)) for i in range(40) for g in gens]
+    combos = [tuple(sorted(table.rows[n].beads + table.rows[m].beads))
+              for n in range(0, len(table.rows), 3) for m in range(0, len(table.rows), 5)]
+
+    def work(k):
+        for key in keys[k::3] + keys[k::2]:
+            lb.id(*key)
+        for beads in combos[k::3] + combos[k::2]:
+            table.row(C.W.bidegree(lb.keys[beads[0]][0])[1] + len(lb.keys[beads[0]][1]), beads)
+
+    _hammer(work)
+    assert len(lb.keys) == len(lb._ids) and all(lb.keys[i] == key for key, i in lb._ids.items())
+    assert len(table.rows) == len(table._index)
+    assert all(table.rows[n].beads == beads for beads, n in table._index.items())
+
+
+def test_hom_builds_agree_across_threads():
+    # threads sharing one categorification build all its hom spaces and
+    # compose in them at once: every hom space and composite equals the one
+    # made alone
+    from necklace_calculus.io_schemas import canonical_json, sset_dump
+
+    def run(C, pairs):
+        out = {}
+        for a, b in pairs:
+            out[(a, b)] = canonical_json(sset_dump(C.hom_sset(a, b)))
+        for a, b in pairs:
+            for c in C.objects:
+                G, F = C.hom_sset(b, c), C.hom_sset(a, b)
+                for g in G.gens():
+                    f = next((f for f in F.gens() if F.gen_dim(f) == G.gen_dim(g)), None)
+                    if f is not None:
+                        out[(a, b, c, g, f)] = C.comp_el(a, b, c, nd(g), nd(f))
+        return out
+
+    W = lf(2, d(2)).W
+    C = categorify(W)
+    pairs = [(a, b) for a in C.objects for b in C.objects]
+    want = run(categorify(W), pairs)
+    got = []
+    _hammer(lambda k: got.append(run(C, pairs[k:] + pairs[:k])), n_threads=6)
+    assert len(got) == 6 and all(out == want for out in got)

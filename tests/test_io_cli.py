@@ -334,9 +334,10 @@ def test_cli_dot_guard_exits_5(tmp_path):
         assert _dot_exit(["--max-cells", "625"] + argv) == 0
         assert _dot_exit(["--max-cells", "624"] + argv) == 5
     assert _dot_exit(["--max-cells", "624"] + hom[:-2]) == 0
-    # the JSON listing is refused when the necklaces themselves exceed the limit
-    assert _dot_exit(["--max-cells", "25"] + dot + ["--emit", "json"]) == 0
-    assert _dot_exit(["--max-cells", "24"] + dot + ["--emit", "json"]) == 5
+    # the JSON listing is refused when the beads of its necklaces exceed the
+    # limit: 25 necklaces of 2 beads each
+    assert _dot_exit(["--max-cells", "50"] + dot + ["--emit", "json"]) == 0
+    assert _dot_exit(["--max-cells", "49"] + dot + ["--emit", "json"]) == 5
     # 2^21 necklaces, counted before any is listed: more than the default
     # --max-cells, and their square more still
     sp.write_text(json.dumps(sset_dump(_diamonds(21))))
@@ -345,6 +346,12 @@ def test_cli_dot_guard_exits_5(tmp_path):
         assert _dot_exit(["dot", "--sset", str(sp), "--from", "v0", "--to", "v21",
                           "--emit", emit]) == 5
         assert time.perf_counter() - t0 < 1.0
+    # 2^17 necklaces, under the default --max-cells, but 3,342,336 beads over it
+    sp.write_text(json.dumps(sset_dump(_diamonds(17))))
+    t0 = time.perf_counter()
+    assert _dot_exit(["dot", "--sset", str(sp), "--from", "v0", "--to", "v17",
+                      "--emit", "json"]) == 5
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _line(n: int, cycle: bool) -> SSet:
