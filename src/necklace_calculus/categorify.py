@@ -269,6 +269,12 @@ class Categorification:
         ids = {a: self.id_element(a) for a in self.objects}
         return SCat(self.objects, hom, self.comp_el, ids, hom_bound=self.bound)
 
+    def held(self) -> int:
+        """The generators of the hom spaces built so far plus the composites
+        memoized: how much this categorification holds, as one count."""
+        return (sum(t.space.sset.n_gens() for t in list(self._homs.values()))
+                + len(self._comp_cache))
+
     def hom_report(self, a: str, b: str) -> dict:
         """Generator counts of Hom(a, b) against the a-priori degree bound."""
         counts = self.hom_sset(a, b).nd_counts()

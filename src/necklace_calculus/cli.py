@@ -10,6 +10,7 @@ exceed --max-cells, a DOT export whose squared object count does, or a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -212,7 +213,10 @@ def cmd_dot(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The neckcalc argument parser, built once per process: parse_args reads
+    it and changes nothing in it."""
     ap = argparse.ArgumentParser(prog="neckcalc",
                                  description="necklace calculus and straightening")
     ap.add_argument("--max-cells", type=int, default=MAX_CELLS_DEFAULT)
@@ -251,8 +255,11 @@ def main(argv=None) -> int:
     dot.add_argument("--to", default=None)
     dot.add_argument("--emit", choices=["dot", "json"], default="dot")
     dot.set_defaults(fn=cmd_dot)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.max_cells < 0:
             raise UsageError(f"--max-cells must be at least 0; got {args.max_cells}")

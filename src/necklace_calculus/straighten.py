@@ -10,12 +10,17 @@ relations of the total object.  Every categorification is built through
 
 Each construction is built in one place:
 - extension(m, Y): LF[m, Y] -> LF[m+1, Y] along the last coface (last_coface);
-- cat_lf(j, Y): LF[j, Y] with its categorification; a Straightener
-  builds each LF[j, Delta[k]] and its categorification once, so full(m, k)
-  and full(m+1, k) share LF[m+1, Delta[k]], its categorification and its homs;
+- cat_lf(j, Y): LF[j, Y] with its categorification;
 - full_rep(lo, hi): the full representable, values Hom_{c LF[m+1, Y]}(-, m+1),
   from the categorified LF[m, Y] and LF[m+1, Y], behind Straightener.full and
   checked_full_rep (straighten_full, straighten_last_vertex, projection_pi);
+- the universal cases over LF[m, Delta[k]], which depend on (m, k) alone: each
+  LF[j, Delta[k]] with its categorification, each full(m, k) and each
+  transport between universal extensions is built once per process while a
+  process-wide table keeps it, and every Straightener reads them there, so
+  full(m, k) and full(m+1, k) share LF[m+1, Delta[k]], its categorification
+  and its homs.  The table is bounded by a budget on what its
+  categorifications hold (universal_cache_info reports it);
 - glue_suspension(fr, Y): c LF[m, Y] glued at m to Sigma Y, behind
   straighten_last_vertex and projection_pi;
 - one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
@@ -25,6 +30,8 @@ Each construction is built in one place:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable, NamedTuple, Optional
 
 from . import delta
@@ -174,6 +181,142 @@ def glue_suspension(fr: FullRep, Y: SSet) -> SCat:
     return glue_end(fr.base, suspension(Y), {"0": str(fr.m), "1": str(fr.m + 1)})
 
 
+# -- the universal cases, shared by every Straightener in the process -------------
+
+# What the kept categorifications may hold in all, in hom generators and
+# composites (Categorification.held).  A round of the four straighten
+# benchmark totals keeps 875, in 2.2 MB (tracemalloc), so the budget stands
+# for about 10 MB.
+_UNIVERSAL_BUDGET = 4096
+
+
+class UniversalCacheInfo(NamedTuple):
+    """What universal_cache_info reports; no canonical payload carries it."""
+
+    hits: int
+    misses: int
+    budget: int
+    weight: int  # Categorification.held, summed over the kept shapes
+    shapes: int  # LF[j, Delta[k]] kept
+
+
+class _Universal:
+    """St(id) over LF[m, Delta[k]] and what it is built from, which depend on
+    (m, k) alone and never on W:
+    - the LF[j, Delta[k]] with their categorifications, by shape (j, k);
+    - full(m, k), on the shapes (m, k) and (m + 1, k);
+    - the transports c L[mu+1, nu] between universal extensions, keyed
+      (src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes (src.m + 1,
+      src.k) and (dst.m + 1, dst.k).
+
+    Bounded by _UNIVERSAL_BUDGET, weighed at every call: a shape heavier than
+    the budget is dropped, then the least recently used shapes until the rest
+    fit.  Dropping a shape drops every entry built on it.  The caller keeps
+    what it was handed, so a shape too heavy to keep serves the Straightener
+    that built it; a later call builds it again, equal to the first, since
+    every build is deterministic.  A transport is built on the fulls its
+    caller holds, never on fulls built again for it.  Entries are built
+    outside the lock and published with setdefault: the first build wins, so
+    threads agree.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._cats: OrderedDict[tuple[int, int], CatLF] = OrderedDict()  # least recent first
+        self._fulls: dict[tuple[int, int], FullRep] = {}
+        self._transports: dict[tuple, EnrichedFunctor] = {}
+        self._hits = self._misses = 0
+
+    def cat_lf(self, j: int, k: int) -> CatLF:
+        return self._lookup(self._cats, (j, k), ((j, k),), lambda: (cat_lf(j, simplex(k)), ()))
+
+    def full(self, m: int, k: int) -> FullRep:
+        def build():
+            fr = full_rep(self.cat_lf(m, k), self.cat_lf(m + 1, k))
+            return fr, (fr.C, fr.C1)
+
+        return self._lookup(self._fulls, (m, k), ((m, k), (m + 1, k)), build)
+
+    def transport(self, fs: FullRep, fd: FullRep, key: tuple) -> EnrichedFunctor:
+        """c L[mu+1, nu] from the extension of fs to that of fd, built on the
+        fulls the caller holds; key is (src.m, src.k, dst.m, dst.k, mu_h, mu_v)."""
+        sm, sk, dm, dk, mu_h, mu_v = key
+
+        def build():
+            lmap = lf_map(fs.lfm1, fd.lfm1, tuple(mu_h) + (dm + 1,), simplex_operator(mu_v, dk))
+            return cfunctor(lmap, fs.C1, fd.C1), (fs.C1, fd.C1)
+
+        return self._lookup(self._transports, key, ((sm + 1, sk), (dm + 1, dk)), build)
+
+    def _lookup(self, table: dict, key, shapes, build):
+        """table[key], an entry on the shapes given; on a miss, build() returns
+        the entry and the categorifications of those shapes it was built on
+        (none for a categorification itself)."""
+        with self._lock:
+            hit = table.get(key)
+            if hit is not None:
+                self._hits += 1
+                return self._kept(shapes, hit)
+            self._misses += 1
+        built, held = build()
+        with self._lock:
+            # an entry on a categorification dropped while it was built is not kept
+            if all(s in self._cats and self._cats[s].C is C for s, C in zip(shapes, held)):
+                built = table.setdefault(key, built)
+            return self._kept(shapes, built)
+
+    def _kept(self, shapes, value):
+        """Mark shapes used, drop what the budget does not admit, and return value."""
+        for s in shapes:
+            if s in self._cats:
+                self._cats.move_to_end(s)
+        weights = {s: c.C.held() for s, c in self._cats.items()}
+        total = sum(weights.values())
+        heavy = [s for s, w in weights.items() if w > _UNIVERSAL_BUDGET]
+        for s in heavy + list(weights):
+            if total <= _UNIVERSAL_BUDGET:
+                break
+            if s in self._cats:
+                total -= weights[s]
+                self._drop(s)
+        return value
+
+    def _drop(self, shape: tuple[int, int]) -> None:
+        del self._cats[shape]
+        for key in [key for key in self._fulls if shape in (key, (key[0] + 1, key[1]))]:
+            del self._fulls[key]
+        for key in [key for key in self._transports
+                    if shape in ((key[0] + 1, key[1]), (key[2] + 1, key[3]))]:
+            del self._transports[key]
+
+    def info(self) -> UniversalCacheInfo:
+        with self._lock:
+            return UniversalCacheInfo(self._hits, self._misses, _UNIVERSAL_BUDGET,
+                                      sum(c.C.held() for c in self._cats.values()),
+                                      len(self._cats))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._cats.clear()
+            self._fulls.clear()
+            self._transports.clear()
+            self._hits = self._misses = 0
+
+
+_UNIVERSAL = _Universal()
+
+
+def universal_cache_info() -> UniversalCacheInfo:
+    """Hits, misses, budget and current weight of the table of universal
+    straightenings, as lru_cache's cache_info() reports them."""
+    return _UNIVERSAL.info()
+
+
+def universal_cache_clear() -> None:
+    """Empty the table of universal straightenings and zero its counts."""
+    _UNIVERSAL.clear()
+
+
 class Straightener:
     """Computes St_W cellwise by left Kan extension of the universal case.
 
@@ -181,6 +324,12 @@ class Straightener:
     map of sigma; this is defined for every cell of W, degenerate ones
     included, while the one-point extension of a degenerate cell has no
     1-ordered levels and admits no finite necklace computation.
+
+    St(id) over LF[m, Delta[k]], the LF[j, Delta[k]] with their
+    categorifications and the transports come from the process-wide table of
+    universal straightenings, built once per process while it keeps them.  A
+    Straightener keeps the entries it used (_fulls, _cat_lfs and the "tr"
+    keys of _ops), so an entry the table lets go stays with it.
     """
 
     def __init__(self, W: BiSSet):
@@ -193,18 +342,14 @@ class Straightener:
         self._lans: dict[Cell, "LanResult"] = {}
         self._ops: dict[tuple, object] = {}
 
-    def cat_lf(self, j: int, k: int) -> CatLF:
-        """LF[j, Delta[k]] and its categorification, built once."""
-        key = (j, k)
-        if key not in self._cat_lfs:
-            self._cat_lfs[key] = cat_lf(j, simplex(k))
-        return self._cat_lfs[key]
-
     def full(self, m: int, k: int) -> FullRep:
-        """The universal case over LF[m, Delta[k]]; full(m+1, k) shares its LF[m+1, Delta[k]]."""
+        """The universal case over LF[m, Delta[k]], from the process-wide table;
+        full(m+1, k) shares its LF[m+1, Delta[k]]."""
         key = (m, k)
         if key not in self._fulls:
-            self._fulls[key] = full_rep(self.cat_lf(m, k), self.cat_lf(m + 1, k))
+            fr = self._fulls[key] = _UNIVERSAL.full(m, k)
+            self._cat_lfs.setdefault(key, CatLF(fr.lfm, fr.C))
+            self._cat_lfs.setdefault((m + 1, k), CatLF(fr.lfm1, fr.C1))
         return self._fulls[key]
 
     def sigma_functor(self, cell: Cell):
@@ -235,14 +380,12 @@ class Straightener:
 
     def _transport(self, src: Cell, dst: Cell, mu_h: delta.Monotone,
                    mu_v: delta.Monotone):
-        """c L[mu+1, nu]: the functor between the universal extensions."""
+        """c L[mu+1, nu]: the functor between the universal extensions, from the
+        process-wide table."""
         key = ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v)
         if key not in self._ops:
-            fs, fd = self.full(src.m, src.k), self.full(dst.m, dst.k)
-            mu_plus = tuple(mu_h) + (dst.m + 1,)
-            lmap = lf_map(fs.lfm1, fd.lfm1, mu_plus,
-                          simplex_operator(mu_v, dst.k))
-            self._ops[key] = cfunctor(lmap, fs.C1, fd.C1)
+            self._ops[key] = _UNIVERSAL.transport(self.full(src.m, src.k),
+                                                  self.full(dst.m, dst.k), key[1:])
         return self._ops[key]
 
     def st_operator(self, src: Cell, dst: Cell, mu_h: delta.Monotone,

@@ -202,8 +202,9 @@ def test_levels_match_act_oracle(W):
         assert ops.is_1_ordered(L) == act_is_1_ordered(L), j
 
 
-def _straightening_categorifications(n, X):
-    """Every categorification built by straightening id (x) X over Delta[n]."""
+def _straightening_categorifications(n, X, count):
+    """Every categorification built by straightening id (x) X over Delta[n]:
+    count of them, c W and one per LF[j, Delta[k]] the Straightener used."""
     from necklace_calculus.bisset import BiMap
     from necklace_calculus.groth import vtensor
     from necklace_calculus.straighten import Straightener, delta_precat
@@ -214,13 +215,15 @@ def _straightening_categorifications(n, X):
     ob = st.st_object(P, BiMap(P, W, {g: elem_of[g][0] for g in P.gens()}, validate=False))
     for a in st.CW.objects:
         ob.value(a)
-    return [st.CW] + [c.C for c in st._cat_lfs.values()]
+    out = [st.CW] + [c.C for c in st._cat_lfs.values()]
+    assert len({id(C) for C in out}) == count
+    return out
 
 
 HOM_LEVEL_CASES = {
     **{name: (lambda W=W: [categorify(W)]) for name, W in zip(FOUR_IDS, FOUR_BASES)},
-    "id_x_bd2_over_d2": lambda: _straightening_categorifications(2, shapes.boundary(2)),
-    "id_x_d2_over_d1": lambda: _straightening_categorifications(1, d(2)),
+    "id_x_bd2_over_d2": lambda: _straightening_categorifications(2, shapes.boundary(2), 9),
+    "id_x_d2_over_d1": lambda: _straightening_categorifications(1, d(2), 10),
     "lf2_delta2_bound2": lambda: [categorify(lf(2, d(2)).W, bound=2)],
 }
 

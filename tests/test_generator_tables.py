@@ -27,8 +27,9 @@ d = shapes.simplex
 
 def _functors(st):
     """(functor, precategory map, source, target) for every enriched functor
-    the Straightener st has built: the last cofaces of its universal levels,
-    the classifying functors of its cells and its transports."""
+    the Straightener st has used, those it read from the table of universal
+    straightenings included: the last cofaces of its universal levels, the
+    classifying functors of its cells and its transports."""
     out = [(fr.iota, fr.face, fr.C, fr.C1) for fr in st._fulls.values()]
     for cell, G in st._sig.items():
         fr = st.full(cell.m, cell.k)
@@ -49,10 +50,17 @@ def _simplices(C, a, b):
     return [x for j in range(C.hom_bound(a, b) + 1) for x in H.simplices(j)]
 
 
+# how many functors each straightening builds: the last cofaces of its
+# universal levels, one classifying functor per cell, and its transports
+FUNCTOR_COUNTS = {"id_d3": 28, "id_lf1_d2": 32, "id_lf2_d1": 39, "id_x_bd2_over_d2": 36,
+                  "id_x_d1_over_d2": 36, "id_x_d2_over_d1": 31}
+
+
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_functor_tables_match_per_element_route(name):
     st, _ = _straightened(*TOTALS[name])
     functors = _functors(st)
+    assert len({id(F) for F, *_ in functors}) == FUNCTOR_COUNTS[name]
     assert any(F is G for F, *_ in functors for G in st._sig.values())
     checked = 0
     for F, f, Csrc, Cdst in functors:

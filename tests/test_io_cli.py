@@ -408,6 +408,27 @@ def test_cli_straighten(tmp_path):
     assert [g["dim"] for g in out["presheaf"]["0"]["generators"]] == [0, 0, 1]
 
 
+def test_cli_main_called_again_in_one_process(tmp_path, capsys):
+    # the parser is built once per process: no call may see another's arguments
+    base, pt, total = (tmp_path / f"{n}.json" for n in ("h_d2", "h_d0", "v_d1"))
+    for path, W in ((base, horizontal(d(2))), (pt, horizontal(d(0))), (total, vertical(d(1)))):
+        path.write_text(json.dumps(bisset_dump(W)))
+    hom = ["hom", "--base", str(base), "--from", "0", "--to", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hom", "--from", "0", "--to", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --base" in capsys.readouterr().err
+    assert cli.main(["--max-cells", "-1"] + hom) == 2
+    assert capsys.readouterr().err == "usage error: --max-cells must be at least 0; got -1\n"
+    for _ in range(2):
+        assert cli.main(hom) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [g["dim"] for g in out["hom"]["generators"]] == [0, 0, 1]
+        assert cli.main(["straighten", "--base", str(pt), "--total", str(total)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [g["dim"] for g in out["presheaf"]["0"]["generators"]] == [0, 0, 1]
+
+
 def test_cli_verify_deterministic(tmp_path):
     a = _run_cli(["verify", "--suite", "necklace", "--seed", "3"], [])
     b = _run_cli(["verify", "--suite", "necklace", "--seed", "3"], [])
