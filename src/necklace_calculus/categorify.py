@@ -70,6 +70,7 @@ table; this is the one 1-orderedness gate, and every hom space relies on it.
 
 from __future__ import annotations
 
+import copy
 import bisect
 import functools
 import itertools
@@ -268,6 +269,11 @@ class Categorification:
                for a, b in itertools.product(self.objects, repeat=2)}
         ids = {a: self.id_element(a) for a in self.objects}
         return SCat(self.objects, hom, self.comp_el, ids, hom_bound=self.bound)
+
+    def handle(self) -> "Categorification":
+        """Another Categorification object over this one's tables: a level,
+        bead, hom space or composite built through either is there for both."""
+        return copy.copy(self)
 
     def held(self) -> int:
         """The generators of the hom spaces built so far plus the composites

@@ -19,8 +19,9 @@ Each construction is built in one place:
   transport between universal extensions is built once per process while a
   process-wide table keeps it, and every Straightener reads them there, so
   full(m, k) and full(m+1, k) share LF[m+1, Delta[k]], its categorification
-  and its homs.  The table is bounded by a budget on what its
-  categorifications hold (universal_cache_info reports it);
+  and its homs while the table keeps that shape.  The table is bounded by a
+  budget on what its categorifications hold, weighed at every call and when
+  a Straightener is let go (universal_cache_info reports it);
 - glue_suspension(fr, Y): c LF[m, Y] glued at m to Sigma Y, behind
   straighten_last_vertex and projection_pi;
 - one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
@@ -31,6 +32,7 @@ Each construction is built in one place:
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Callable, NamedTuple, Optional
 
@@ -208,23 +210,26 @@ class _Universal:
     - the transports c L[mu+1, nu] between universal extensions, keyed
       (src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes (src.m + 1,
       src.k) and (dst.m + 1, dst.k).
+    Each entry is stored with the shapes it is built on.
 
-    Bounded by _UNIVERSAL_BUDGET, weighed at every call: a shape heavier than
-    the budget is dropped, then the least recently used shapes until the rest
-    fit.  Dropping a shape drops every entry built on it.  The caller keeps
-    what it was handed, so a shape too heavy to keep serves the Straightener
-    that built it; a later call builds it again, equal to the first, since
-    every build is deterministic.  A transport is built on the fulls its
-    caller holds, never on fulls built again for it.  Entries are built
-    outside the lock and published with setdefault: the first build wins, so
-    threads agree.
+    Bounded by _UNIVERSAL_BUDGET, weighed at every call and when a
+    Straightener is let go (trim): a shape heavier than the budget is
+    dropped, then the least recently used shapes until the rest fit.
+    Dropping a shape drops every entry built on it.  The caller keeps what it
+    was handed, so a shape too heavy to keep serves the Straightener that
+    built it; a later call builds it again, equal to the first, since every
+    build is deterministic.  A transport is built on the fulls its caller
+    holds, never on fulls built again for it.  Entries are built outside the
+    lock and published with setdefault: the first build wins, so threads
+    agree.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._cats: OrderedDict[tuple[int, int], CatLF] = OrderedDict()  # least recent first
-        self._fulls: dict[tuple[int, int], FullRep] = {}
-        self._transports: dict[tuple, EnrichedFunctor] = {}
+        # key -> (entry, shapes it is built on); _cats least recently used first
+        self._cats: OrderedDict[tuple[int, int], tuple[CatLF, tuple]] = OrderedDict()
+        self._fulls: dict[tuple[int, int], tuple[FullRep, tuple]] = {}
+        self._transports: dict[tuple, tuple[EnrichedFunctor, tuple]] = {}
         self._hits = self._misses = 0
 
     def cat_lf(self, j: int, k: int) -> CatLF:
@@ -256,13 +261,13 @@ class _Universal:
             hit = table.get(key)
             if hit is not None:
                 self._hits += 1
-                return self._kept(shapes, hit)
+                return self._kept(shapes, hit[0])
             self._misses += 1
         built, held = build()
         with self._lock:
             # an entry on a categorification dropped while it was built is not kept
-            if all(s in self._cats and self._cats[s].C is C for s, C in zip(shapes, held)):
-                built = table.setdefault(key, built)
+            if all(s in self._cats and self._cats[s][0].C is C for s, C in zip(shapes, held)):
+                built = table.setdefault(key, (built, shapes))[0]
             return self._kept(shapes, built)
 
     def _kept(self, shapes, value):
@@ -270,7 +275,7 @@ class _Universal:
         for s in shapes:
             if s in self._cats:
                 self._cats.move_to_end(s)
-        weights = {s: c.C.held() for s, c in self._cats.items()}
+        weights = {s: c.C.held() for s, (c, _) in self._cats.items()}
         total = sum(weights.values())
         heavy = [s for s, w in weights.items() if w > _UNIVERSAL_BUDGET]
         for s in heavy + list(weights):
@@ -282,17 +287,25 @@ class _Universal:
         return value
 
     def _drop(self, shape: tuple[int, int]) -> None:
-        del self._cats[shape]
-        for key in [key for key in self._fulls if shape in (key, (key[0] + 1, key[1]))]:
-            del self._fulls[key]
-        for key in [key for key in self._transports
-                    if shape in ((key[0] + 1, key[1]), (key[2] + 1, key[3]))]:
-            del self._transports[key]
+        for table in (self._cats, self._fulls, self._transports):
+            for key in [key for key, (_, shapes) in table.items() if shape in shapes]:
+                del table[key]
+
+    def trim(self) -> None:
+        """Drop what the budget does not admit, as a call does: what a
+        Straightener built on the kept shapes after its last call is weighed
+        when it is let go.  Skipped while another call holds the lock, since
+        a finalizer must not wait on it."""
+        if self._lock.acquire(blocking=False):
+            try:
+                self._kept((), None)
+            finally:
+                self._lock.release()
 
     def info(self) -> UniversalCacheInfo:
         with self._lock:
             return UniversalCacheInfo(self._hits, self._misses, _UNIVERSAL_BUDGET,
-                                      sum(c.C.held() for c in self._cats.values()),
+                                      sum(c.C.held() for c, _ in self._cats.values()),
                                       len(self._cats))
 
     def clear(self) -> None:
@@ -329,27 +342,35 @@ class Straightener:
     categorifications and the transports come from the process-wide table of
     universal straightenings, built once per process while it keeps them.  A
     Straightener keeps the entries it used (_fulls, _cat_lfs and the "tr"
-    keys of _ops), so an entry the table lets go stays with it.
+    keys of _ops), so an entry the table lets go stays with it, and trims
+    the table when it is let go.  Its classifying functors read the shared
+    categorifications through handles of its own (Categorification.handle),
+    so the hom spaces a W reads are counted per Straightener (perfbench's
+    tracer counts a build per categorification object and arguments).
     """
 
     def __init__(self, W: BiSSet):
         self.W = W
         self.CW = categorify(W)
         self.base_cat = self.CW.scat()
-        self._cat_lfs: dict[tuple[int, int], CatLF] = {}
+        # every categorification used, by identity: after the table lets a
+        # shape go, full(m, k).C1 and full(m+1, k).C may be two builds of it
+        self._cat_lfs: dict[int, CatLF] = {}
+        self._handles: dict[int, Categorification] = {}
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
         self._ops: dict[tuple, object] = {}
+        weakref.finalize(self, _UNIVERSAL.trim).atexit = False
 
     def full(self, m: int, k: int) -> FullRep:
         """The universal case over LF[m, Delta[k]], from the process-wide table;
-        full(m+1, k) shares its LF[m+1, Delta[k]]."""
+        full(m+1, k) shares its LF[m+1, Delta[k]] while the table keeps it."""
         key = (m, k)
         if key not in self._fulls:
             fr = self._fulls[key] = _UNIVERSAL.full(m, k)
-            self._cat_lfs.setdefault(key, CatLF(fr.lfm, fr.C))
-            self._cat_lfs.setdefault((m + 1, k), CatLF(fr.lfm1, fr.C1))
+            self._cat_lfs.setdefault(id(fr.C), CatLF(fr.lfm, fr.C))
+            self._cat_lfs.setdefault(id(fr.C1), CatLF(fr.lfm1, fr.C1))
         return self._fulls[key]
 
     def sigma_functor(self, cell: Cell):
@@ -358,7 +379,9 @@ class Straightener:
             fr = self.full(cell.m, cell.k)
             pm = cell_product_map(self.W, cell, fr.lfm)
             sig = lf_induced(fr.lfm, self.W, pm)
-            raw = cfunctor(sig, fr.C, self.CW)
+            if id(fr.C) not in self._handles:
+                self._handles[id(fr.C)] = fr.C.handle()
+            raw = cfunctor(sig, self._handles[id(fr.C)], self.CW)
             self._sig[cell] = EnrichedFunctor(fr.base, self.base_cat, raw.on_obj,
                                               raw.on_hom)
         return self._sig[cell]

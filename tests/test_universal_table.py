@@ -14,6 +14,7 @@ import threading
 import weakref
 
 from necklace_calculus import straighten
+from necklace_calculus.categorify import Categorification
 from necklace_calculus.io_schemas import canonical_json, presheaf_dump
 from necklace_calculus.straighten import universal_cache_clear, universal_cache_info
 
@@ -35,6 +36,21 @@ def test_warm_table_straightens_as_a_cold_one():
     assert warm == cold
 
 
+def test_warm_straightening_reads_kept_categorifications_through_handles(monkeypatch):
+    # a warm table is only read: no hom space of a kept categorification is
+    # asked for by name, so counts per categorification object stay per job
+    universal_cache_clear()
+    _payload("id_x_bd2_over_d2")
+    kept = {id(c.C) for c, _ in straighten._UNIVERSAL._cats.values()}
+    asked = []
+    hom = Categorification.hom
+    monkeypatch.setattr(Categorification, "hom",
+                        lambda self, a, b: asked.append(id(self)) or hom(self, a, b))
+    _payload("id_x_bd2_over_d2")
+    assert asked and not kept & set(asked)
+    universal_cache_clear()
+
+
 def test_table_stays_within_its_budget(monkeypatch):
     universal_cache_clear()
     want = {name: _payload(name) for name in sorted(TOTALS)}
@@ -52,11 +68,43 @@ def test_table_stays_within_its_budget(monkeypatch):
         info = universal_cache_info()
         assert info.budget == budget and 0 < info.weight <= budget
     gc.collect()
-    kept = {id(c.C) for c in straighten._UNIVERSAL._cats.values()}
+    kept = {id(c.C) for c, _ in straighten._UNIVERSAL._cats.values()}
     alive = [ref() for ref in refs.values() if ref() is not None]
     # nothing but the table holds a categorification once its Straightener is gone
     assert {id(C) for C in alive} == kept
     assert len(alive) < len(refs)
+    universal_cache_clear()
+
+
+def test_shape_grown_after_the_last_call_is_trimmed_when_let_go(monkeypatch):
+    # id (x) Delta[1] over Delta[2] keeps 488 after its straightening; checking
+    # the presheaf of full(2, 1) memoizes composites in LF[3, Delta[1]] (403
+    # before) and takes it past the whole budget without a call to the table
+    budget = 600
+    monkeypatch.setattr(straighten, "_UNIVERSAL_BUDGET", budget)
+    universal_cache_clear()
+    st, ob = _straightened(*TOTALS["id_x_d1_over_d2"])
+    assert universal_cache_info().weight <= budget
+    fr = st.full(2, 1)
+    fr.presheaf.verify()
+    assert universal_cache_info().weight > budget
+    grown = weakref.ref(fr.C1)
+    del st, ob, fr
+    gc.collect()
+    assert grown() is None and (3, 1) not in straighten._UNIVERSAL._cats
+    assert 0 < universal_cache_info().weight <= budget
+    universal_cache_clear()
+
+
+def test_straightener_enumerates_every_build_it_used(monkeypatch):
+    # under a budget of 0 every shape goes once its homs are built, so
+    # full(1, 0) builds LF[1, Delta[0]] again after full(0, 0) built it
+    monkeypatch.setattr(straighten, "_UNIVERSAL_BUDGET", 0)
+    universal_cache_clear()
+    st = straighten.Straightener(straighten.delta_precat(1).W)
+    lo, hi = st.full(0, 0), st.full(1, 0)
+    assert lo.C1 is not hi.C
+    assert {id(c.C) for c in st._cat_lfs.values()} == {id(lo.C), id(lo.C1), id(hi.C), id(hi.C1)}
     universal_cache_clear()
 
 
@@ -67,7 +115,7 @@ def test_heavy_shapes_then_least_recently_used_go_first(monkeypatch):
     table.full(0, 0)
     assert list(table._cats) == [(0, 1), (1, 1), (0, 0), (1, 0)]
     weight = table.info().weight
-    assert table._cats[0, 1].C.held() == 1
+    assert table._cats[0, 1][0].C.held() == 1
     monkeypatch.setattr(straighten, "_UNIVERSAL_BUDGET", weight - 1)
     table.full(0, 0)
     assert list(table._cats) == [(1, 1), (0, 0), (1, 0)]
