@@ -70,8 +70,8 @@ table; this is the one 1-orderedness gate, and every hom space relies on it.
 
 from __future__ import annotations
 
-import copy
 import bisect
+import copy
 import functools
 import itertools
 import math
