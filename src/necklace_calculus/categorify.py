@@ -49,15 +49,21 @@ Spivak, Rigidification of quasi-categories, AGT 11, 2011, section 4):
   degeneracies; beads are integer ids in tables the Categorification owns;
 - a j-simplex is s_i of its face exactly when no free vertex enters at
   i + 1 and i is flat.
-The name form (beads, chain) stays at the hom space's boundary: `elem_of`
-and `expand` return it and `to_nf` accepts it, so enriched functors,
-straightening and the oracles read hom spaces as before.
+The hom space speaks this form only: its `elem_of`, `expand` and `to_nf`
+read and give (row, entry times), and `to_nf` refuses an entry time outside
+[1, j].  Callers that build an element from its beads, by key (W generator,
+vertical word), and the entry times of their vertices go through
+`Categorification.element`.  The name form (bead names, chain of vertex-name
+sets) is the tests' reference form, in `tests/oracles.py`.
 
 Enriched functors and composition are read from tables:
 - a functor from `cfunctor` is simplicial, so by Eilenberg-Zilber it is fixed
   by its values on generators: it computes the image of a source hom
   generator once, in a table its closure owns, and maps s_w x to s_w of x's
-  image;
+  image; a generator is mapped on its element, a map of necklaces sending a
+  flag by image: a bead (x, w) goes to the root of f(s_w x) and drops out
+  when that has horizontal degree 0, and each image vertex enters at the
+  least entry time of its preimages;
 - `comp_el` reads the wedge on (row, entry times), the beads of both rows
   and their entry times side by side, and memoizes each composite per
   (a, b, c, g, f), in a table the Categorification owns;
@@ -76,20 +82,17 @@ import functools
 import itertools
 import math
 import threading
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import delta
 from .bisset import BiMap, BiNF, BiSSet, LevelSSet
-from .cubes import Chain, _entry_times
-from .necklace import (Bead, RealizedNecklace, UnsupportedInput, bead_paths, bead_table,
-                       cut_bead, fold_beads, sub_necklace)
+from .cubes import _entry_times
+from .necklace import Bead, UnsupportedInput, bead_paths, bead_table, cut_bead, fold_beads
 from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
 from .sset import NF, Materialized, SSet, SSetError, materialize, nd
-
-HomElement = tuple[tuple[str, ...], Chain]  # (bead generators in the level slice, chain)
 
 
 class Categorification:
@@ -110,6 +113,8 @@ class Categorification:
         self.objects = tuple(sorted(W.row0()))
         self._levels: dict[int, LevelSSet] = {}
         self._homs: dict[tuple[str, str], _HomTable] = {}
+        self._lock = threading.Lock()  # guards _hom_gens
+        self._hom_gens = [0]  # generators of the hom spaces built, shared with handles
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._level_beads = _LevelBeads(self)
         self._times_cache: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
@@ -210,10 +215,9 @@ class Categorification:
 
     def hom(self, a: str, b: str) -> Materialized:
         """Hom(a, b) up to hom_bound(a, b), computed once, from the bead paths
-        from a to b, on the elements of its own necklace table; elem_of,
-        expand and to_nf speak the name form (beads, chain).  Every level slice
-        up to the bound was checked to be 1-ordered when the Categorification
-        was built."""
+        from a to b, on the elements (row, entry times) of its own necklace
+        table.  Every level slice up to the bound was checked to be 1-ordered
+        when the Categorification was built."""
         key = (a, b)
         if key not in self._homs:
             if a not in self.objects or b not in self.objects:
@@ -221,8 +225,10 @@ class Categorification:
             paths = functools.cache(lambda: list(map(_path_data, bead_paths(self._beads(), a, b))))
             table = _HomTable(self, self.hom_bound(a, b))
             table.build(functools.partial(self._hom_level, a, b, table, paths), f"h{a}.{b}_")
-            self._homs.setdefault(key, table)  # published whole; the first build wins
-        return self._homs[key].space
+            with self._lock:  # published whole; the first build wins
+                if self._homs.setdefault(key, table) is table:
+                    self._hom_gens[0] += table.mat.sset.n_gens()
+        return self._homs[key].mat
 
     def _hom_table(self, a: str, b: str) -> "_HomTable":
         """The build of Hom(a, b): its necklace table, elements and bound."""
@@ -233,8 +239,17 @@ class Categorification:
         return self.hom(a, b).sset
 
     def id_element(self, a: str) -> str:
-        hs = self.hom(a, a)
-        return hs.to_nf(0, ((a,), ((a,),))).gen
+        return self.element(a, a, 0, ((a, ()),), {}).gen
+
+    def element(self, a: str, b: str, j: int, beads: Iterable[tuple[str, delta.Word]],
+                enter: Mapping[str, int]) -> NF:
+        """The normal form of the level-j element of Hom(a, b) on the necklace
+        of beads, each given by its key (W generator, vertical word), whose
+        free vertices v enter the saturated chain at step enter[v].  The beads
+        must be a path from a to b at level j."""
+        table, lb = self._hom_table(a, b), self._level_beads
+        n = table.row(j, tuple([lb.id(x, w) for x, w in beads]))
+        return table.mat.to_nf(j, (n, tuple([enter[v] for v in table.rows[n].free])))
 
     def comp_el(self, a: str, b: str, c: str, g: NF, f: NF) -> NF:
         """The composite of f in Hom(a, b) and g in Hom(b, c), at g's level:
@@ -260,10 +275,6 @@ class Categorification:
         hit = self._comp_cache[key] = hc.mat.to_nf(j, (hc.row(j, beads), tf + tg))
         return hit
 
-    def _is_point(self, beads: tuple[str, ...]) -> bool:
-        # vertex beads carry the row-0 name at every level
-        return len(beads) == 1 and beads[0] in self.objects
-
     def scat(self) -> SCat:
         hom = {(a, b): self.hom_sset(a, b)
                for a, b in itertools.product(self.objects, repeat=2)}
@@ -272,14 +283,14 @@ class Categorification:
 
     def handle(self) -> "Categorification":
         """Another Categorification object over this one's tables: a level,
-        bead, hom space or composite built through either is there for both."""
+        bead, hom space or composite built through either is there for both,
+        and held() counts it for both."""
         return copy.copy(self)
 
     def held(self) -> int:
         """The generators of the hom spaces built so far plus the composites
         memoized: how much this categorification holds, as one count."""
-        return (sum(t.space.sset.n_gens() for t in list(self._homs.values()))
-                + len(self._comp_cache))
+        return self._hom_gens[0] + len(self._comp_cache)
 
     def hom_report(self, a: str, b: str) -> dict:
         """Generator counts of Hom(a, b) against the a-priori degree bound."""
@@ -486,15 +497,12 @@ class _HomTable:
     def __init__(self, C: Categorification, bound: int):
         self._lock = threading.Lock()  # rows are added as ids are: stored, then published
         self.beads = C._level_beads
-        self.level = C.level
         self.bound = bound
         self.rows: list[_Row] = []
         self._index: dict[tuple[int, ...], int] = {}
         # per (mu, level): each entry time's image, the necklace side of mu
         # per row (and vertices joined and dropped), and whether mu is outer
         self._by_mu: dict[tuple[delta.Monotone, int], tuple[tuple[int, ...], dict, bool]] = {}
-        self._namings: dict[int, tuple[tuple[str, ...], tuple[tuple[str, int], ...]]] = {}
-        self._named: dict[tuple[int, tuple[str, ...]], int] = {}  # (level, bead names) -> row
 
     def row(self, j: int, beads: tuple[int, ...], shape=None, flat: Optional[int] = None) -> int:
         """The index of the necklace of level j with these beads, added on first
@@ -567,70 +575,20 @@ class _HomTable:
             return None
         return self.act(e, j, delta.coface(i, j))
 
-    def _naming(self, n: int) -> tuple[tuple[str, ...], tuple[tuple[str, int], ...]]:
-        """Row n's bead names, and its vertices in name order, each with its
-        position among the free vertices (-1 for a joint); memoized per row."""
-        hit = self._namings.get(n)
-        if hit is None:
-            row = self.rows[n]
-            pos = {v: p for p, v in enumerate(row.free)}
-            order = sorted(row.joints + row.free)
-            hit = self._namings[n] = (tuple(map(self.beads.name, row.beads)),
-                                      tuple((v, pos.get(v, -1)) for v in order))
-        return hit
-
-    def names(self, e: tuple[int, tuple[int, ...]]) -> HomElement:
-        """The name form (beads, chain) of e."""
-        n, ts = e
-        beads, order = self._naming(n)
-        times = [(v, ts[p] if p >= 0 else 0) for v, p in order]
-        return beads, tuple([tuple([v for v, t in times if t <= r])
-                             for r in range(self.rows[n].j + 1)])
-
-    def entries(self, j: int, e: HomElement) -> tuple[int, tuple[int, ...]]:
-        """The element (n, ts) of a name-form element of level j; SSetError
-        unless its chain is a saturated chain of its necklace."""
-        beads, ch = e
-        n = self._named.get((j, beads))
-        if n is None:
-            origin = self.level(j).origin
-            if not all(g in origin for g in beads):
-                raise SSetError(f"beads {beads!r} are not all generators of level {j}")
-            n = self._named[(j, beads)] = self.row(
-                j, tuple(self.beads.id(origin[g].gen, origin[g].vword) for g in beads))
-        enter: dict[str, int] = {}
-        for r, S in enumerate(ch):
-            for v in S:
-                enter.setdefault(v, r)
-        out = (n, tuple([enter.get(v, 0) for v in self.rows[n].free]))
-        if 0 in out[1] or self.names(out) != e:  # a free vertex in S_0 or in no S_r
-            raise SSetError("the chain does not saturate the necklace")
-        return out
-
     def build(self, levels, prefix: str) -> None:
-        """Materialize the hom space from levels up to the bound: mat on the
-        elements (n, ts), space with elem_of, expand and to_nf in the name form."""
-        self.mat = mat = materialize(levels, self.act, self.bound, prefix=prefix, degen=self.degen)
-        self.space = Materialized(mat.sset, lambda j, e: mat.to_nf(j, self.entries(j, e)),
-                                  _Named(mat.elem_of, self.names),
-                                  lambda x: self.names(mat.expand(x)))
+        """Materialize the hom space from levels up to the bound, on the
+        elements (n, ts); its to_nf refuses an element whose row is not of its
+        level or whose entry times are not one per free vertex in [1, j]."""
+        mat = materialize(levels, self.act, self.bound, prefix=prefix, degen=self.degen)
 
+        def to_nf(j: int, e: tuple[int, tuple[int, ...]]) -> NF:
+            n, ts = e
+            row = self.rows[n]
+            if row.j != j or len(ts) != len(row.free) or not all(0 < t <= j for t in ts):
+                raise SSetError("the entry times do not saturate the necklace")
+            return mat.to_nf(j, e)
 
-class _Named(Mapping):
-    """Generator id -> element in name form, converted on lookup."""
-
-    def __init__(self, elems: dict, names):
-        self._elems = elems
-        self._names = names
-
-    def __getitem__(self, g: str) -> HomElement:
-        return self._names(self._elems[g])
-
-    def __iter__(self):
-        return iter(self._elems)
-
-    def __len__(self) -> int:
-        return len(self._elems)
+        self.mat = mat._replace(to_nf=to_nf)
 
 
 def categorify(W: BiSSet, bound: Optional[int] = None) -> Categorification:
@@ -651,26 +609,30 @@ def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> Enrich
     table: dict[tuple[str, str, str], tuple[NF, SSet]] = {}
 
     def on_gen(a: str, b: str, g: str) -> NF:
-        """The image of generator g of Hom(a, b): its beads through f, its
-        chain through f on vertices, re-saturated in the target level."""
-        hs = Csrc.hom(a, b)
-        j = hs.sset.gen_dim(g)
-        beads, ch = hs.elem_of[g]
-        Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
-        new_beads = []
-        for bg in beads:
-            binf = f(Lsrc.origin[bg])
-            root = binf.gen
-            if Ldst.W.bidegree(root)[0] > 0:
-                new_beads.append(Ldst._id(root, binf.vword))
-        ch2 = tuple(tuple(sorted({on_obj[v] for v in S})) for S in ch)
-        if not new_beads:
-            t2 = RealizedNecklace((on_obj[ch[0][0] if ch[0] else a],))
-        else:
-            t2 = sub_necklace(Ldst, RealizedNecklace(tuple(new_beads)), ch2[0], ch2[-1])
-            if t2 is None:
-                raise SSetError("image necklace failed to saturate")
-        return Cdst.hom(on_obj[a], on_obj[b]).to_nf(j, (t2.beads, ch2))
+        """The image of generator g of Hom(a, b), read on its element: each
+        bead (x, w) goes to the root of f(s_w x), which keeps f's vertical
+        word merged with w, and drops out when that root is a vertex; each
+        image vertex enters at the least entry time of its preimages, a
+        joint's being 0.  With no bead left, the image is the point at a.  No
+        bead needs a cut: image vertices run along the image path in the order
+        of their preimages, the target's levels being 1-ordered, so a joint
+        maps to the end of an image bead, and to_nf would refuse an inner
+        vertex entering at 0."""
+        src = Csrc._hom_table(a, b)
+        n, ts = src.mat.elem_of[g]
+        row = src.rows[n]
+        beads = []
+        for x, w in map(src.beads.keys.__getitem__, row.beads):
+            binf = f(BiNF((), w, x))
+            if Cdst.W.bidegree(binf.gen)[0]:
+                beads.append((binf.gen, binf.vword))
+        enter = dict.fromkeys(map(on_obj.__getitem__, row.joints), 0)
+        for v, t in zip(row.free, ts):
+            u = on_obj[v]
+            enter[u] = min(t, enter.get(u, t))
+        if not beads:
+            beads = [(on_obj[a], tuple(range(row.j - 1, -1, -1)))]
+        return Cdst.element(on_obj[a], on_obj[b], row.j, beads, enter)
 
     def on_hom(a: str, b: str, x: NF) -> NF:
         key = (a, b, x.gen)

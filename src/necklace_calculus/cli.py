@@ -118,8 +118,12 @@ def cmd_straighten(args) -> int:
     _cell_guard(W, args.max_cells)
     _cell_guard(P, args.max_cells)
     try:
-        p = BiMap(P, W, bimap_load(_load_json(args.map), W)
-                  if args.map else _over_terminal(P, W))
+        images = bimap_load(_load_json(args.map), W) if args.map else _over_terminal(P, W)
+        extra = sorted(set(images).difference(P.gens()))
+        if extra:  # BiMap reads the images of P's generators only
+            raise SchemaError(f"--map has an image for {extra[0]!r}, "
+                              "not a generator of the total object")
+        p = BiMap(P, W, images)
     except SSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

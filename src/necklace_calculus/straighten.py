@@ -26,7 +26,8 @@ Each construction is built in one place:
   straighten_last_vertex and projection_pi;
 - one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
   and cone;
-- bead(L, C, j, alpha, y): the bead of c L on a vertex subset of Delta[m].
+- bead(L, alpha, y): the key (W generator, vertical word) of the bead of c L on
+  a vertex subset of Delta[m], as Categorification.element reads it.
 """
 
 from __future__ import annotations
@@ -99,12 +100,13 @@ def one_point_pushout(ext: Extension, right: BiMap) -> tuple[BiColimit, str]:
     return po, po.cocone["X"](bnd(str(ext.lfm.m + 1))).gen
 
 
-def bead(L: LF, C: Categorification, j: int, alpha, y: NF) -> str:
-    """The level-j bead of c L on the vertex subset alpha of Delta[m], labelled by y."""
+def bead(L: LF, alpha, y: NF) -> tuple[str, delta.Word]:
+    """The bead of c L on the vertex subset alpha of Delta[m], labelled by y, by
+    its key (W generator, vertical word); it lives at y's level."""
     cls = L.cls(BiNF((), y.word, f"{subset_id(alpha)}|{y.gen}"))
     if cls.hword:
         raise SSetError(f"bead on {tuple(alpha)} unexpectedly degenerate")
-    return C.level(j)._id(cls.gen, cls.vword)
+    return cls.gen, cls.vword
 
 
 class WSigma(NamedTuple):
@@ -611,11 +613,9 @@ def straighten_full(m: int, Y: SSet) -> SpecialSt:
     return SpecialSt(fr.presheaf, fr.C, None)
 
 
-def _edge_bead(fr: FullRep, y: NF, j: int):
-    """The single-bead necklace of c LF[m+1, Y] on the edge (m, m+1) labelled by y in Y_j."""
-    m = fr.m
-    seg = (str(m), str(m + 1))
-    return ((bead(fr.lfm1, fr.C1, j, (m, m + 1), y),), (seg,) * (j + 1))
+def _edge_bead(fr: FullRep, y: NF):
+    """The single-bead necklace of c LF[m+1, Y] on the edge (m, m+1) labelled by y."""
+    return (bead(fr.lfm1, (fr.m, fr.m + 1), y),)
 
 
 def straighten_last_vertex(m: int, X: SSet) -> SpecialSt:
@@ -641,11 +641,11 @@ def straighten_last_vertex(m: int, X: SSet) -> SpecialSt:
             d = src.gen_dim(g)
             if a == str(m):
                 # hom(m, m+1) = X itself
-                assign[g] = C1.hom(a, top).to_nf(d, _edge_bead(fr, nd(g), d))
+                assign[g] = C1.element(a, top, d, _edge_bead(fr, nd(g)), {})
             else:
                 h1 = glue.cross[(a, top)].projections[0](nd(g))
                 y = glue.cross[(a, top)].projections[1](nd(g))
-                edge = C1.hom(str(m), top).to_nf(d, _edge_bead(fr, y, d))
+                edge = C1.element(str(m), top, d, _edge_bead(fr, y), {})
                 assign[g] = C1.comp_el(a, str(m), top, edge, F.on_hom(a, str(m), h1))
         compare[a] = SSetMap(src, fr.presheaf.value[a], assign)
     return SpecialSt(pre, C, compare)
@@ -761,63 +761,43 @@ def projection_pi(m: int, Y: SSet) -> PiFunctor:
     fr = checked_full_rep(m, Y)
     lfm1, C, C1 = fr.lfm1, fr.C, fr.C1
     glue = glue_suspension(fr, Y)
+    top = str(m + 1)
     inv_gen = {fr.face.assign[g].gen: g for g in fr.lfm.W.gens()}
 
-    def bead_data(j: int, g: str):
-        """(vertex subset, Y label) of a level-j bead of LF[m+1, Y]."""
-        origin = C1.level(j).origin[g]
-        rep = lfm1.rep[origin.gen]
+    def bead_data(x: str, w: delta.Word):
+        """(vertex subset, Y label) of the bead (x, w) of LF[m+1, Y]."""
+        rep = lfm1.rep[x]
         s, yg = rep.gen.split("|")
         alpha = tuple(int(v) for v in s.split("."))
-        yw = delta.merge_words(origin.vword, rep.vword, lfm1.X.gen_dim(yg) + len(rep.vword))
+        yw = delta.merge_words(w, rep.vword, lfm1.X.gen_dim(yg) + len(rep.vword))
         return alpha, NF(yw, yg)
 
-    def down(j: int, beads) -> tuple[str, ...]:
-        """Carry beads of the d^{m+1} face into LF[m, Y]."""
-        out = []
-        for g in beads:
-            origin = C1.level(j).origin[g]
-            pre = inv_gen[origin.gen]
-            out.append(C.level(j)._id(pre, origin.vword))
-        return tuple(out)
-
     def on_hom(a: str, b: str, x: NF) -> NF:
-        j = C1.hom_sset(a, b).dim(x)
-        beads, ch = C1.hom(a, b).expand(x)
-        if b != str(m + 1):
-            el = (beads, ch) if C1._is_point(beads) else (down(j, beads), ch)
-            return C.hom(a, b).to_nf(j, el)
+        table = C1._hom_table(a, b)
+        n, ts = table.mat.expand(x)
+        row = table.rows[n]
+        j, enter = row.j, dict(zip(row.free, ts))
+        keys = [table.beads.keys[bd] for bd in row.beads]
+        if b != top:  # the necklace lies in the d^{m+1} face
+            return C.element(a, b, j, [(inv_gen[y], w) for y, w in keys], enter)
         # target m+1: add the vertex m as a joint and split off the last edge
-        if a == str(m + 1):
+        if a == top:
             return glue.id_el(a, j)
-        mname = str(m)
-        ch2 = tuple(tuple(sorted(set(S) | {mname})) for S in ch)
-        verts = [int(v) for v in ch2[-1]]
-        joints = [int(v) for v in ch2[0]]
-        if C1._is_point(beads):
-            raise SSetError("no point necklaces with distinct endpoints")
-        data = [bead_data(j, g) for g in beads]
+        joints = sorted({int(v) for v in row.joints if int(v) < m} | {m})
+        verts = sorted({int(v) for v in row.joints + row.free if int(v) <= m} | {m})
+        data = [bead_data(*key) for key in keys]
         y_last = data[-1][1]
-        prefix_joints = [v for v in joints if v <= m]
-        prefix_beads = []
-        for r in range(len(prefix_joints) - 1):
-            u, w = prefix_joints[r], prefix_joints[r + 1]
+        prefix = []
+        for u, w in zip(joints, joints[1:]):
             seg = tuple(v for v in verts if u <= v <= w)
-            holder = None
-            for alpha, y in data:
-                if alpha[0] <= u and w <= alpha[-1]:
-                    holder = (alpha, y)
-                    break
-            if holder is None:
-                # the segment ending at m sits inside the last bead
-                holder = data[-1]
-            prefix_beads.append(bead(fr.lfm, C, j, seg, holder[1]))
-        pre_ch = tuple(tuple(v for v in S if int(v) <= m) for S in ch2)
-        if not prefix_beads:
+            # the bead holding the segment; the one ending at m sits inside the last bead
+            y = next((y for alpha, y in data if alpha[0] <= u and w <= alpha[-1]), y_last)
+            prefix.append(bead(fr.lfm, seg, y))
+        if not prefix:
             # a = m: the element is just the Y label
             return y_last
-        pre_el = C.hom(a, mname).to_nf(j, (tuple(prefix_beads), pre_ch))
-        return glue.cross[(a, str(m + 1))].to_nf(j, (pre_el, y_last))
+        pre_el = C.element(a, str(m), j, prefix, enter)
+        return glue.cross[(a, top)].to_nf(j, (pre_el, y_last))
 
     on_obj = {str(i): str(i) for i in range(m + 2)}
     return PiFunctor(C1.scat(), glue, on_obj, on_hom, C1, C, fr.iota)

@@ -550,13 +550,11 @@ def check_lan_sigma_m(rng) -> str:
             ia, ib = int(a), int(b)
             j = S.hom[(a, b)].dim(x)
             if ia == ib:
-                return C.hom(a, b).to_nf(j, ((a,), ((a,),) * (j + 1)))
+                return cat.id_el(a, j)
             parts = [x] if ib - ia == 1 else [
                 pr(x) for pr in S.cross[(a, b)].projections]
-            beads = [bead(L, C, j, (ia + r, ia + r + 1), y) for r, y in enumerate(parts)]
-            verts = tuple(str(v) for v in range(ia, ib + 1))
-            ch = (verts,) * (j + 1)
-            return C.hom(a, b).to_nf(j, (tuple(beads), ch))
+            return C.element(a, b, j, [bead(L, (ia + r, ia + r + 1), y)
+                                       for r, y in enumerate(parts)], {})
 
         from .scat import EnrichedFunctor
 

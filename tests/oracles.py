@@ -15,6 +15,10 @@ The act_* oracles read vertices, faces and bead transport through the generic
 operator action (SSet.act, BiSSet.act) only, never through the face-table
 routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
 and the bead and necklace tables of Categorification.hom.
+hom_names and hom_from_names convert a hom element between the form that
+Categorification.hom speaks, (necklace row, entry times), and the name form
+(bead names, chain of vertex-name sets), the reference form the hom oracles
+below are written in;
 hom_levels_from_posets lists hom generators from each level slice's necklace
 poset, the reference for the bead paths of Categorification.hom;
 hom_act_by_names and hom_degen_by_names act on hom elements in the name form
@@ -365,6 +369,41 @@ def product_all_tuples(*factors):
 # -- hom generators and LF representatives by listing ----------------------------
 
 
+def hom_names(C, a, b, e):
+    """The name form (beads, chain) of the element e = (row, entry times) of
+    Hom(a, b) of the categorification C: the row's beads by their names in
+    the level slice, and S_r the vertices, in name order, that enter by step
+    r, the joints at 0."""
+    row = C._hom_table(a, b).rows[e[0]]
+    enter = dict.fromkeys(row.joints, 0) | dict(zip(row.free, e[1]))
+    order = sorted(enter)
+    return (tuple(map(C._level_beads.name, row.beads)),
+            tuple(tuple(v for v in order if enter[v] <= r) for r in range(row.j + 1)))
+
+
+def hom_from_names(C, a, b, j, e):
+    """The element (row, entry times) of Hom(a, b) of the categorification C
+    named by the level-j name form e = (beads, chain); SSetError unless the
+    beads are generators of the level-j slice and the chain is a saturated
+    chain of their necklace."""
+    from necklace_calculus.sset import SSetError
+
+    beads, ch = e
+    origin = C.level(j).origin
+    if not all(g in origin for g in beads):
+        raise SSetError(f"beads {beads!r} are not all generators of level {j}")
+    table = C._hom_table(a, b)
+    n = table.row(j, tuple(C._level_beads.id(origin[g].gen, origin[g].vword) for g in beads))
+    enter = {}
+    for r, S in enumerate(ch):
+        for v in S:
+            enter.setdefault(v, r)
+    out = (n, tuple(enter.get(v, 0) for v in table.rows[n].free))
+    if 0 in out[1] or hom_names(C, a, b, out) != e:  # a free vertex in S_0 or in no S_r
+        raise SSetError("the chain does not saturate the necklace")
+    return out
+
+
 def hom_levels_from_posets(C, a, b, j):
     """The non-degenerate j-simplices of Hom(a, b) of the categorification C,
     sorted: for each necklace T of the level-j slice's TndPoset, with joints and
@@ -489,7 +528,7 @@ def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):
     on_obj = {v: f(Csrc.level(0).origin[v]).gen for v in Csrc.objects}
     hs = Csrc.hom(a, b)
     j = hs.sset.dim(x)
-    beads, ch = hs.expand(x)
+    beads, ch = hom_names(Csrc, a, b, hs.expand(x))
     Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
     new_beads = []
     for g in beads:
@@ -502,7 +541,8 @@ def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):
     else:
         t2 = sub_necklace(Ldst, RealizedNecklace(tuple(new_beads)), ch2[0], ch2[-1])
         assert t2 is not None
-    return Cdst.hom(on_obj[a], on_obj[b]).to_nf(j, (t2.beads, ch2))
+    a2, b2 = on_obj[a], on_obj[b]
+    return Cdst.hom(a2, b2).to_nf(j, hom_from_names(Cdst, a2, b2, j, (t2.beads, ch2)))
 
 
 def comp_el_by_element(C, a, b, c, g, f):
@@ -512,15 +552,15 @@ def comp_el_by_element(C, a, b, c, g, f):
 
     hg, hf = C.hom(b, c), C.hom(a, b)
     j = hg.sset.dim(g)
-    tg, chg = hg.expand(g)
-    tf, chf = hf.expand(f)
-    if C._is_point(tf):
+    tg, chg = hom_names(C, b, c, hg.expand(g))
+    tf, chf = hom_names(C, a, b, hf.expand(f))
+    if tf[0] in C.objects:  # the point necklace, named by its vertex
         beads = tg
-    elif C._is_point(tg):
+    elif tg[0] in C.objects:
         beads = tf
     else:
         beads = tf + tg
-    return C.hom(a, c).to_nf(j, (beads, chain_join(chf, chg)))
+    return C.hom(a, c).to_nf(j, hom_from_names(C, a, c, j, (beads, chain_join(chf, chg))))
 
 
 def face_by_composing(X, e, a, r):

@@ -8,8 +8,8 @@ from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
 from oracles import (act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts,
-                     hom_act_by_names, hom_bound_by_dfs, hom_degen_by_names,
-                     hom_levels_from_posets)
+                     hom_act_by_names, hom_bound_by_dfs, hom_degen_by_names, hom_from_names,
+                     hom_levels_from_posets, hom_names)
 
 d = shapes.simplex
 
@@ -149,10 +149,15 @@ def test_hom_walks_for_its_bound_once(monkeypatch):
 def test_to_nf_rejects_chains_that_do_not_saturate(chain):
     from necklace_calculus.sset import SSetError
 
-    hs = categorify(horizontal(d(2))).hom("0", "2")
-    assert hs.to_nf(1, (("0.1.2@0",), (("0", "2"), ("0", "1", "2")))) == nd("h0.2_1_0")
+    C = categorify(horizontal(d(2)))
+    hs = C.hom("0", "2")
+    e = hom_from_names(C, "0", "2", 1, (("0.1.2@0",), (("0", "2"), ("0", "1", "2"))))
+    assert hs.to_nf(1, e) == nd("h0.2_1_0")
     with pytest.raises(SSetError, match="does not saturate"):
-        hs.to_nf(1, (("0.1.2@0",), chain))
+        hom_from_names(C, "0", "2", 1, (("0.1.2@0",), chain))
+    # the free vertex 1 entering at 0, in the chain's S_0
+    with pytest.raises(SSetError, match="do not saturate"):
+        hs.to_nf(1, (e[0], (0,)))
 
 
 def test_simplex_hom_is_cube_nerve():
@@ -239,7 +244,8 @@ def test_hom_levels_match_poset_oracle(name):
                 hs = C.hom(a, b)
                 X = hs.sset
                 for j in range(C.hom_bound(a, b) + 1):
-                    got = [hs.elem_of[g] for g in (X.by_dim[j] if j <= X.dim_bound else ())]
+                    got = [hom_names(C, a, b, hs.elem_of[g])
+                           for g in (X.by_dim[j] if j <= X.dim_bound else ())]
                     assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)
 
 
@@ -268,8 +274,10 @@ def test_face_tables_match_act_oracle(name):
                 for x in X.gens():
                     j = X.gen_dim(x)
                     for i, f in enumerate(X.faces.get(x, ())):
-                        want = act_hom_action(C, hs.elem_of[x], j, delta.coface(i, j))
-                        got = act_hom_action(C, hs.elem_of[f.gen], X.gen_dim(f.gen),
+                        want = act_hom_action(C, hom_names(C, a, b, hs.elem_of[x]), j,
+                                              delta.coface(i, j))
+                        got = act_hom_action(C, hom_names(C, a, b, hs.elem_of[f.gen]),
+                                             X.gen_dim(f.gen),
                                              delta.word_to_epi(f.word, j - 1))
                         assert got == want, (a, b, x, i)
 
@@ -371,3 +379,11 @@ def test_hom_builds_agree_across_threads():
     got = []
     _hammer(lambda k: got.append(run(C, pairs[k:] + pairs[:k])), n_threads=6)
     assert len(got) == 6 and all(out == want for out in got)
+
+
+def test_held_is_shared_with_handles():
+    # a handle is a copy that shares the tables, so what one builds the other holds
+    C = categorify(horizontal(d(2)))
+    H = C.handle()
+    H.hom("0", "2")
+    assert C.held() == H.held() == C.hom_sset("0", "2").n_gens() == 3

@@ -13,7 +13,7 @@ import pytest
 
 from necklace_calculus import delta, shapes
 from necklace_calculus.bisset import horizontal, lf, vertical
-from necklace_calculus.categorify import categorify
+from necklace_calculus.categorify import categorify, cfunctor
 from necklace_calculus.shapes import simplex_operator
 from necklace_calculus.sset import nd
 from necklace_calculus.straighten import cell_product_map, lf_induced, lf_map
@@ -70,6 +70,32 @@ def test_functor_tables_match_per_element_route(name):
                 assert F.on_hom(a, b, x) == want, (name, a, b, x)
                 checked += 1
     assert checked
+
+
+# maps L[mu, nu]: LF[m, Delta[k]] -> LF[m2, Delta[k2]] that collapse: (m, k, mu, m2, k2, nu)
+COLLAPSING_MAPS = {
+    "every_bead_to_a_vertex": (2, 1, (0, 0, 0), 0, 1, (0, 1)),
+    "two_vertices_merged": (2, 1, (0, 0, 1), 1, 1, (0, 1)),
+    "two_inner_vertices_merged": (3, 0, (0, 1, 1, 2), 2, 0, (0,)),
+    "vertical_codegeneracy": (2, 2, (0, 1, 2), 2, 1, (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLAPSING_MAPS))
+def test_collapsing_functors_match_per_element_route(name):
+    # beads that become vertices drop out, merged vertices enter at the least
+    # entry time of their preimages, and vertical words merge
+    m, k, mu, m2, k2, nu = COLLAPSING_MAPS[name]
+    src, dst = lf(m, d(k)), lf(m2, d(k2))
+    f = lf_map(src, dst, mu, simplex_operator(nu, k2))
+    Csrc, Cdst = categorify(src.W), categorify(dst.W)
+    F = cfunctor(f, Csrc, Cdst)
+    checked = 0
+    for a, b in itertools.product(Csrc.objects, repeat=2):
+        for x in _simplices(Csrc, a, b):
+            assert F.on_hom(a, b, x) == cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x), x
+            checked += 1
+    assert checked > len(Csrc.objects)
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))

@@ -113,6 +113,8 @@ BAD_FILES = {
     "v_d1": bisset_dump(vertical(d(1))),
     "map_no_target": {"0": {"hword": [], "vword": []}},
     "map_bad_target": {"0": {"hword": [], "vword": [], "target": "zz"}},
+    "map_extra_id": {**{g: {"hword": [], "vword": [], "target": g} for g in ("0", "1", "0.1")},
+                     "zz": {"hword": [], "vword": [], "target": "0"}},
 }
 
 
@@ -132,12 +134,13 @@ BAD_FILES = {
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_no_target}"],
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{list}"],
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_bad_target}"],
+    ["straighten", "--base", "{h_d1}", "--total", "{h_d1}", "--map", "{map_extra_id}"],
 ], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
         "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
         "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex",
         "hom_negative_degree", "dot_pairs_i_above_m", "dot_pairs_negative_m",
         "negative_max_cells", "map_entry_without_target", "map_not_an_object",
-        "map_target_not_a_base_generator"])
+        "map_target_not_a_base_generator", "map_image_of_an_id_not_in_the_total"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
     paths = {}
     for name, payload in BAD_FILES.items():

@@ -16,7 +16,8 @@ from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPose
 from necklace_calculus.sset import SSet, SSetMap, nd
 
 from oracles import (act_is_1_ordered, act_sub_necklace, bead_containment_by_scan,
-                     hom_bound_by_dfs, hom_levels_from_posets, pair_objects, tnd_by_tails)
+                     hom_bound_by_dfs, hom_levels_from_posets, hom_names, pair_objects,
+                     tnd_by_tails)
 
 d = shapes.simplex
 
@@ -194,7 +195,8 @@ def test_walks_match_recursive_oracles(K):
             assert C.hom_bound(a, b) == hom_bound_by_dfs(C, a, b), (a, b)
             hs = C.hom(a, b)
             for j in range(C.hom_bound(a, b) + 1):
-                got = sorted(hs.elem_of[g] for g in hs.sset.gens() if hs.sset.gen_dim(g) == j)
+                got = sorted(hom_names(C, a, b, hs.elem_of[g])
+                             for g in hs.sset.gens() if hs.sset.gen_dim(g) == j)
                 assert got == hom_levels_from_posets(C, a, b, j), (a, b, j)
     assert C.bound == max(hom_bound_by_dfs(C, a, b) for a in vs for b in vs)
 
