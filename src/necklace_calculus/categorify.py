@@ -11,10 +11,9 @@ level slice.  Row 0 is discrete, so a necklace of the level-j slice is a path
 of W generators of horizontal degree >= 1 (beads) from a to b with one
 vertical degeneracy word per bead, and its joints and vertices are those of
 the path, the same at every level.  The bead-path model is `necklace`'s:
-- the bead table is `necklace.bead_table`, read once per Categorification
-  from the level slices: a bead of vertical degree k is a generator of the
-  level-k slice under its own name, and `SSet.vertices` reads its row-0
-  vertices there;
+- the bead table is `necklace.bead_table`, read once per Categorification:
+  a bead's row-0 vertices are read from W's own horizontal faces, so the
+  table builds no level slice;
 - `necklace.fold_beads`, one pass over the vertices, each after its
   successors (`ops.post_order`), gives the longest weighted bead paths: from
   every vertex for `bound`, from a to b for `hom_bound(a, b)`, computed once
@@ -32,6 +31,11 @@ Spivak, Rigidification of quasi-categories, AGT 11, 2011, section 4):
 - each hom build owns a necklace table; a row is a necklace of one level
   slice, with its beads, its joints, its free vertices in path order and its
   flat positions (those in every bead's vertical degeneracy word);
+- a hom build is the necklace action (`_Necklaces`: the table, the beads and
+  the operator tables) and the space materialized from it, whose operators
+  read the action; the action never points at the space, and nothing a
+  Categorification owns points back at it, so reference counting frees them
+  with it;
 - an element at level j is (row, entry times): the step in [1, j] at which
   each free vertex enters the saturated chain J = S_0 <= ... <= S_j = V;
 - the chains of a necklace are listed from `cubes._entry_times`, memoized per
@@ -92,7 +96,7 @@ from .cubes import _entry_times
 from .necklace import Bead, UnsupportedInput, bead_paths, bead_table, cut_bead, fold_beads
 from .ops import is_1_ordered
 from .scat import EnrichedFunctor, SCat
-from .sset import NF, Materialized, SSet, SSetError, materialize, nd
+from .sset import NF, Materialized, SSet, SSetError, materialize
 
 
 class Categorification:
@@ -111,12 +115,12 @@ class Categorification:
         self.W = W
         self.user_bound = bound
         self.objects = tuple(sorted(W.row0()))
-        self._levels: dict[int, LevelSSet] = {}
-        self._homs: dict[tuple[str, str], _HomTable] = {}
+        self._levels = _Levels(W)
+        self._homs: dict[tuple[str, str], tuple[_Necklaces, Materialized]] = {}
         self._lock = threading.Lock()  # guards _hom_gens
         self._hom_gens = [0]  # generators of the hom spaces built, shared with handles
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
-        self._level_beads = _LevelBeads(self)
+        self._level_beads = _LevelBeads(self._levels)
         self._times_cache: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
         self._order_cache: dict[tuple, list[tuple[int, ...]]] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
@@ -128,15 +132,13 @@ class Categorification:
 
     def _beads(self) -> dict[str, list[Bead]]:
         """The bead table: each W generator g of bidegree (m, k), m >= 1, as a
-        Bead with its row-0 vertices, read by SSet.vertices in the level-k
-        slice, where g is a generator under its own name.  With a user bound
-        below k, g is left out, and level k is not built: no walk under that
-        bound reaches it.  With none, a bead that is not a loop is a path of
-        weight >= k, so k <= bound: only a loop's level can lie above the
-        levels the 1-orderedness gate builds."""
+        Bead with its row-0 vertices, read from W's horizontal faces, so no
+        level slice is built for it.  With a user bound below k, g is left
+        out: no walk under that bound reaches it."""
         if self._table is None:
             cap = math.inf if self.user_bound is None else self.user_bound
-            self._table = bead_table((g, k, self.level(k)) for g in self.W.gens()
+            verts = self._level_beads.verts
+            self._table = bead_table((g, k, verts(g)) for g in self.W.gens()
                                      for m, k in [self.W.bidegree(g)] if m and k <= cap)
         return self._table
 
@@ -163,8 +165,6 @@ class Categorification:
         return max(self._longest(self.objects, set(self.objects)).values(), default=0)
 
     def level(self, j: int) -> LevelSSet:
-        if j not in self._levels:
-            self._levels[j] = LevelSSet(self.W, j)
         return self._levels[j]
 
     # -- hom spaces ------------------------------------------------------------
@@ -191,7 +191,7 @@ class Categorification:
                  for r in range(1, j)]))
         return hit
 
-    def _hom_level(self, a: str, b: str, table: "_HomTable", paths, j: int
+    def _hom_level(self, a: str, b: str, table: "_Necklaces", paths, j: int
                    ) -> list[tuple[int, tuple[int, ...]]]:
         """The non-degenerate j-simplices of Hom(a, b) as (row, entry times), in
         the order of their name forms (T, chain): for each necklace T of the
@@ -217,21 +217,23 @@ class Categorification:
         """Hom(a, b) up to hom_bound(a, b), computed once, from the bead paths
         from a to b, on the elements (row, entry times) of its own necklace
         table.  Every level slice up to the bound was checked to be 1-ordered
-        when the Categorification was built."""
+        when the Categorification was built.  The build is its necklace table
+        and then the space that reads it, which the table never points at."""
         key = (a, b)
         if key not in self._homs:
             if a not in self.objects or b not in self.objects:
                 raise SSetError(f"endpoints {a!r}, {b!r} must be vertices of K")
             paths = functools.cache(lambda: list(map(_path_data, bead_paths(self._beads(), a, b))))
-            table = _HomTable(self, self.hom_bound(a, b))
-            table.build(functools.partial(self._hom_level, a, b, table, paths), f"h{a}.{b}_")
+            table = _Necklaces(self._level_beads, self.hom_bound(a, b))
+            build = (table, table.materialize(
+                functools.partial(self._hom_level, a, b, table, paths), f"h{a}.{b}_"))
             with self._lock:  # published whole; the first build wins
-                if self._homs.setdefault(key, table) is table:
-                    self._hom_gens[0] += table.mat.sset.n_gens()
-        return self._homs[key].mat
+                if self._homs.setdefault(key, build) is build:
+                    self._hom_gens[0] += build[1].sset.n_gens()
+        return self._homs[key][1]
 
-    def _hom_table(self, a: str, b: str) -> "_HomTable":
-        """The build of Hom(a, b): its necklace table, elements and bound."""
+    def _hom_build(self, a: str, b: str) -> tuple["_Necklaces", Materialized]:
+        """The build of Hom(a, b): its necklace table and its space."""
         self.hom(a, b)
         return self._homs[(a, b)]
 
@@ -247,9 +249,9 @@ class Categorification:
         of beads, each given by its key (W generator, vertical word), whose
         free vertices v enter the saturated chain at step enter[v].  The beads
         must be a path from a to b at level j."""
-        table, lb = self._hom_table(a, b), self._level_beads
+        (table, space), lb = self._hom_build(a, b), self._level_beads
         n = table.row(j, tuple([lb.id(x, w) for x, w in beads]))
-        return table.mat.to_nf(j, (n, tuple([enter[v] for v in table.rows[n].free])))
+        return space.to_nf(j, (n, tuple([enter[v] for v in table.rows[n].free])))
 
     def comp_el(self, a: str, b: str, c: str, g: NF, f: NF) -> NF:
         """The composite of f in Hom(a, b) and g in Hom(b, c), at g's level:
@@ -260,10 +262,11 @@ class Categorification:
         hit = self._comp_cache.get(key)
         if hit is not None:
             return hit
-        hg, hf, hc = self._hom_table(b, c), self._hom_table(a, b), self._hom_table(a, c)
-        j = hg.mat.sset.dim(g)
-        ng, tg = hg.mat.expand(g)
-        nf, tf = hf.mat.expand(f)
+        (hg, sg), (hf, sf), (hc, sc) = (self._hom_build(b, c), self._hom_build(a, b),
+                                        self._hom_build(a, c))
+        j = sg.sset.dim(g)
+        ng, tg = sg.expand(g)
+        nf, tf = sf.expand(f)
         rg, rf = hg.rows[ng], hf.rows[nf]
         # the wedge's free vertices are f's, then g's, each entering as before
         if len(rf.joints) == 1:  # f is the point necklace
@@ -272,7 +275,7 @@ class Categorification:
             beads = rf.beads
         else:
             beads = rf.beads + rg.beads
-        hit = self._comp_cache[key] = hc.mat.to_nf(j, (hc.row(j, beads), tf + tg))
+        hit = self._comp_cache[key] = sc.to_nf(j, (hc.row(j, beads), tf + tg))
         return hit
 
     def scat(self) -> SCat:
@@ -297,7 +300,7 @@ class Categorification:
         counts = self.hom_sset(a, b).nd_counts()
         return {
             "nd_counts": counts,
-            "degree_bound": self._homs[(a, b)].bound,  # hom_sset built it
+            "degree_bound": self._homs[(a, b)][0].bound,  # hom_sset built it
             "top_degree": max((d for d, c in enumerate(counts) if c), default=-1),
             "complete": self.user_bound is None,
         }
@@ -306,6 +309,20 @@ class Categorification:
         """hom_report for every pair of objects."""
         return {(a, b): self.hom_report(a, b)
                 for a, b in itertools.product(self.objects, repeat=2)}
+
+
+class _Levels(dict):
+    """The level slices of W by level, each built on first use.  They point at
+    W only, so the Categorification and its bead tables share them without
+    pointing back at either."""
+
+    def __init__(self, W: BiSSet):
+        super().__init__()
+        self.W = W
+
+    def __missing__(self, j: int) -> LevelSSet:
+        level = self[j] = LevelSSet(self.W, j)
+        return level
 
 
 class _LevelBeads:
@@ -319,8 +336,8 @@ class _LevelBeads:
     out under a lock, and an id is published only once its key is stored,
     so threads sharing the Categorification agree on them."""
 
-    def __init__(self, C: Categorification):
-        self.W, self.level = C.W, C.level
+    def __init__(self, levels: _Levels):
+        self.W, self.levels = levels.W, levels
         self._lock = threading.Lock()
         self.keys: list[tuple[str, delta.Word]] = []  # bead id -> (x, w)
         self._ids: dict[tuple[str, delta.Word], int] = {}
@@ -347,15 +364,18 @@ class _LevelBeads:
         name = self._names[b]
         if name is None:
             x, w = self.keys[b]
-            name = self._names[b] = self.level(self.W.bidegree(x)[1] + len(w))._id(x, w)
+            name = self._names[b] = self.levels[self.W.bidegree(x)[1] + len(w)]._id(x, w)
         return name
 
     def verts(self, x: str) -> tuple[str, ...]:
-        """The row-0 vertices of W generator x, read in the level slice of its
-        vertical degree, where x is a generator under its own name."""
+        """The row-0 vertices of W generator x, read from W's horizontal faces:
+        row 0 is discrete, so each is a bidegree-(0, 0) generator, under the
+        name it has in every level slice."""
         vs = self._verts.get(x)
         if vs is None:
-            vs = self._verts[x] = self.level(self.W.bidegree(x)[1]).vertices(nd(x))
+            W = self.W
+            vs = self._verts[x] = tuple([W._apply_mono(x, 0, (i,)).gen
+                                         for i in range(W.bidegree(x)[0] + 1)])
         return vs
 
     def transport(self, beads: tuple[int, ...], mu: delta.Monotone) -> list[int]:
@@ -391,7 +411,7 @@ class _LevelBeads:
             k = self.W.bidegree(x)[1]
             pieces = self._pieces.get((x, joined, dropped))
             if pieces is None:
-                L, vs = self.level(k), self.verts(x)
+                L, vs = self.levels[k], self.verts(x)
                 cut = cut_bead(L, x, vs, {vs[0], vs[-1], *(vs[1 + p] for p in joined)},
                                set(vs).difference(vs[1 + p] for p in dropped))
                 if cut is None:
@@ -483,7 +503,7 @@ class _Row(NamedTuple):
     flat: int
 
 
-class _HomTable:
+class _Necklaces:
     """The necklace table of one hom build and the action on its elements.
 
     An element at level j is (n, ts): row n of the table, a necklace of the
@@ -492,11 +512,13 @@ class _HomTable:
     mu sends an entry time t to min{r : t <= mu(r)}; a vertex that lands at 0
     joins the joints, one beyond mu's last value leaves the necklace.  The
     necklace side of mu is one lookup per (row, mu, vertices joined, vertices
-    dropped), filled once from the beads' transport and cuts."""
+    dropped), filled once from the beads' transport and cuts.  The table never
+    points at the space materialized from it, so both are freed with their
+    Categorification."""
 
-    def __init__(self, C: Categorification, bound: int):
+    def __init__(self, beads: _LevelBeads, bound: int):
         self._lock = threading.Lock()  # rows are added as ids are: stored, then published
-        self.beads = C._level_beads
+        self.beads = beads
         self.bound = bound
         self.rows: list[_Row] = []
         self._index: dict[tuple[int, ...], int] = {}
@@ -575,20 +597,21 @@ class _HomTable:
             return None
         return self.act(e, j, delta.coface(i, j))
 
-    def build(self, levels, prefix: str) -> None:
-        """Materialize the hom space from levels up to the bound, on the
+    def materialize(self, levels, prefix: str) -> Materialized:
+        """The hom space materialized from levels up to the bound, on the
         elements (n, ts); its to_nf refuses an element whose row is not of its
         level or whose entry times are not one per free vertex in [1, j]."""
         mat = materialize(levels, self.act, self.bound, prefix=prefix, degen=self.degen)
+        rows, lookup = self.rows, mat.to_nf
 
         def to_nf(j: int, e: tuple[int, tuple[int, ...]]) -> NF:
             n, ts = e
-            row = self.rows[n]
+            row = rows[n]
             if row.j != j or len(ts) != len(row.free) or not all(0 < t <= j for t in ts):
                 raise SSetError("the entry times do not saturate the necklace")
-            return mat.to_nf(j, e)
+            return lookup(j, e)
 
-        self.mat = mat._replace(to_nf=to_nf)
+        return mat._replace(to_nf=to_nf)
 
 
 def categorify(W: BiSSet, bound: Optional[int] = None) -> Categorification:
@@ -618,8 +641,8 @@ def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> Enrich
         of their preimages, the target's levels being 1-ordered, so a joint
         maps to the end of an image bead, and to_nf would refuse an inner
         vertex entering at 0."""
-        src = Csrc._hom_table(a, b)
-        n, ts = src.mat.elem_of[g]
+        src, space = Csrc._hom_build(a, b)
+        n, ts = space.elem_of[g]
         row = src.rows[n]
         beads = []
         for x, w in map(src.beads.keys.__getitem__, row.beads):

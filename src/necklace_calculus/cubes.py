@@ -39,20 +39,24 @@ def chains(J, V, j: int, saturated: bool = False, steps=()) -> list[Chain]:
 
 
 def _entry_times(n: int, lo: int, hi: int, need: frozenset) -> list[tuple[int, ...]]:
-    """All n-tuples over [lo, hi] whose values include every member of need."""
+    """All n-tuples over [lo, hi] whose values include every member of need,
+    in lexicographic order."""
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], missing: frozenset) -> None:
-        if len(missing) > n - len(prefix):
-            return
-        if len(prefix) == n:
-            out.append(prefix)
-            return
-        for t in range(lo, hi + 1):
-            extend(prefix + (t,), missing - {t})
-
-    extend((), need)
+    _extend_times(out, (), need, n, range(lo, hi + 1))
     return out
+
+
+def _extend_times(out: list, prefix: tuple[int, ...], missing: frozenset, n: int,
+                  values: range) -> None:
+    """Append to out each n-tuple that extends prefix by values and takes
+    every value in missing; a prefix with too few places left is cut."""
+    if len(missing) > n - len(prefix):
+        return
+    if len(prefix) == n:
+        out.append(prefix)
+        return
+    for t in values:
+        _extend_times(out, prefix + (t,), missing - {t}, n, values)
 
 
 def chain_act(chain: Chain, mu: delta.Monotone) -> Chain:

@@ -126,14 +126,17 @@ def bisset_load(d: dict) -> BiSSet:
 
 
 def scat_dump(C: SCat) -> dict:
+    dims = range(C.hom_bound + 1)
+    listed = {((a, b), dim): C.hom[(a, b)].simplices(dim)
+              for a in C.objects for b in C.objects for dim in dims}
     comp = {}
     for a in C.objects:
         for b in C.objects:
             for c in C.objects:
                 entries = []
-                for dim in range(C.hom_bound + 1):
-                    for g in C.hom[(b, c)].simplices(dim):
-                        for f in C.hom[(a, b)].simplices(dim):
+                for dim in dims:
+                    for g in listed[((b, c), dim)]:
+                        for f in listed[((a, b), dim)]:
                             entries.append({"dim": dim, "g": _nf_json(g), "f": _nf_json(f),
                                             "to": _nf_json(C.comp(a, b, c, g, f))})
                 if entries:
@@ -176,13 +179,15 @@ def scat_load(d: dict) -> SCat:
 
 def presheaf_dump(F: Presheaf) -> dict:
     base = F.base
+    dims = range(base.hom_bound + 1)
+    listed = {(b, dim): F.value[b].simplices(dim) for b in base.objects for dim in dims}
     actions = {}
     for a in base.objects:
         for b in base.objects:
             entries = []
-            for dim in range(base.hom_bound + 1):
+            for dim in dims:
                 for h in base.hom[(a, b)].simplices(dim):
-                    for x in F.value[b].simplices(dim):
+                    for x in listed[(b, dim)]:
                         entries.append({"dim": dim, "h": _nf_json(h), "x": _nf_json(x),
                                         "to": _nf_json(F.action(a, b, h, x))})
             if entries:

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 from .ops import BarePiece, Colimit, Diagram, Product, colimit, product, shuffles
 from .scat import EnrichedFunctor, Presheaf, SCat
-from .sset import NF, SSetError, SSetMap
+from .sset import NF, SSet, SSetError, SSetMap
 
 
 class LanResult(NamedTuple):
@@ -15,14 +15,17 @@ class LanResult(NamedTuple):
     products: dict
 
 
-def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat,
-                  d: str) -> tuple[Diagram, dict[str, Product]]:
+def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
+                  pieces: dict) -> tuple[Diagram, dict[str, Product]]:
     """The coend coequalizer diagram at the object d of D, and its product pieces.
 
     The piece p.a is the product D(d, Ga) x F(a), one per object a of the
-    source C.  The relation piece r.a.b of C(a, b) x D(d, Ga) x F(b) glues
-    (b, Gk.h, x) with (a, h, k.x) for k in C(a, b), through its legs eb.a.b
-    to p.b and ea.a.b to p.a.  It is left out when C(a, b) is empty, and when
+    source C, read from pieces: a table of products by the ids of their two
+    factors, filled on first use, which its owner shares across calls and
+    whose factors it keeps alive (each product also points at its factors).  The relation
+    piece r.a.b of C(a, b) x D(d, Ga) x F(b) glues (b, Gk.h, x) with
+    (a, h, k.x) for k in C(a, b), through its legs eb.a.b to p.b and ea.a.b
+    to p.a.  It is left out when C(a, b) is empty, and when
     a == b and C(a, a) is the identity alone: the first piece is empty, and
     the second glues (a, h, x) with itself.
 
@@ -36,7 +39,7 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat,
     ("p." < "r."), so each class's least member has a face table.
     """
     C = F.base
-    prods = {a: product(D.hom[(d, G.on_obj[a])], F.value[a]) for a in C.objects}
+    prods = {a: _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces) for a in C.objects}
     diag = Diagram({f"p.{a}": pr.sset for a, pr in prods.items()})
     for a in C.objects:
         Ga = G.on_obj[a]
@@ -65,21 +68,30 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat,
     return diag, prods
 
 
-def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat) -> LanResult:
+def _piece(X: SSet, Y: SSet, pieces: dict) -> Product:
+    """X x Y, from pieces, built and entered there on first use."""
+    key = (id(X), id(Y))
+    pr = pieces.get(key)
+    if pr is None:
+        pr = pieces.setdefault(key, product(X, Y))
+    return pr
+
+
+def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
-    The colimit at d is that of coend_diagram(F, G, D, d), whose relation
-    pieces are bare generator lists (see there); with the trivial relation
-    pieces left out, no degree rises above the product pieces', so the
+    The colimit at d is that of coend_diagram(F, G, D, d, pieces), whose
+    relation pieces are bare generator lists (see there); with the trivial
+    relation pieces left out, no degree rises above the product pieces', so the
     colimit's degree bounds stay, and the generators and their
     representatives are those of the full coequalizer.  The result keeps the
     product pieces, which the action and lan_into_representable read, and no
-    relation piece.
+    relation piece.  pieces is coend_diagram's table of product pieces.
     """
     colimits: dict[str, Colimit] = {}
     products: dict = {}
     for d_obj in D.objects:
-        diag, products[d_obj] = coend_diagram(F, G, D, d_obj)
+        diag, products[d_obj] = coend_diagram(F, G, D, d_obj, pieces)
         colimits[d_obj] = colimit(diag)
 
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}

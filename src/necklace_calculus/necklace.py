@@ -108,17 +108,16 @@ class Bead(NamedTuple):
     verts: tuple[str, ...]
 
 
-def bead_table(beads: Iterable[tuple[str, int, SSet]]) -> dict[str, list[Bead]]:
-    """Bead(g, k, vertices of g in X) for each (g, k, X), by first vertex."""
+def bead_table(beads: Iterable[tuple[str, int, tuple[str, ...]]]) -> dict[str, list[Bead]]:
+    """Bead(g, k, vertices) for each (g, k, vertices), by first vertex."""
     out: dict[str, list[Bead]] = {}
-    for g, k, X in beads:
-        vs = X.vertices(nd(g))
+    for g, k, vs in beads:
         out.setdefault(vs[0], []).append(Bead(g, k, vs))
     return out
 
 
 def _simplex_beads(K: SSet) -> dict[str, list[Bead]]:
-    return bead_table((g, 0, K) for g in K.gens() if K.gen_dim(g))
+    return bead_table((g, 0, K.vertices(nd(g))) for g in K.gens() if K.gen_dim(g))
 
 
 def fold_beads(table: dict[str, list[Bead]], starts, ends, join) -> dict:

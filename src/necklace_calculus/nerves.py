@@ -218,58 +218,68 @@ def _hc_functors(C: SCat, m: int, k: int, cube_cells) -> list[CoherentFunctor]:
     out = []
     pairs = _pairs(m)
     for objs in itertools.product(C.objects, repeat=m + 1):
-        partial: dict[tuple[int, int], dict[str, ExpEl]] = {}
-
-        def extend(idx: int):
-            if idx == len(pairs):
-                out.append(CoherentFunctor(
-                    objs, tuple(tuple(partial[p][g] for g, _ in cube_cells(*p)[1])
-                                for p in pairs)))
-                return
-            i, j = pairs[idx]
-            H = C.hom[(objs[i], objs[j])]
-            cube, cells = cube_cells(i, j)
-            forced: dict[str, ExpEl] = {}
-            for g, ch in cells:
-                d = cube.space.gen_dim(g)
-                ps = [p for p in range(i + 1, j) if all(p in S for S in ch)]
-                if ps:
-                    p = ps[0]
-                    left = tuple(tuple(v for v in S if v <= p) for S in ch)
-                    right = tuple(tuple(v for v in S if v >= p) for S in ch)
-                    forced[g] = exp_comp(C, objs[i], objs[p], objs[j], k, d,
-                                         _at_chain(C, objs, k, partial[(p, j)], p, j, right,
-                                                   cube_cells),
-                                         _at_chain(C, objs, k, partial[(i, p)], i, p, left,
-                                                   cube_cells))
-            assigns: dict[str, ExpEl] = {}
-
-            def fill(cells_left) -> None:
-                if not cells_left:
-                    partial[(i, j)] = dict(assigns)
-                    extend(idx + 1)
-                    del partial[(i, j)]
-                    return
-                (g, ch) = cells_left[0]
-                d = cube.space.gen_dim(g)
-                if g in forced:
-                    cands = [forced[g]]
-                else:
-                    cands = exp_elements(H, d, k)
-                for e in cands:
-                    if all(exp_act(H, d, k, e, delta.coface(r, d))
-                           == _at_chain(C, objs, k, assigns, i, j,
-                                        chain_act(ch, delta.coface(r, d)), cube_cells)
-                           for r in (range(d + 1) if d else ())):
-                        assigns[g] = e
-                        fill(cells_left[1:])
-                        del assigns[g]
-
-            ordered = sorted(cells, key=lambda it: cube.space.gen_dim(it[0]))
-            fill(ordered)
-
-        extend(0)
+        _FunctorSearch(C, k, objs, pairs, cube_cells, out).extend(0)
     return sorted(out)
+
+
+class _FunctorSearch:
+    """The functors on one tuple of objects, by depth-first search: the
+    components pair by pair, in the order of pairs, each cell by cell, by
+    dimension; a cell with an inner vertex in every set of its chain is
+    forced to the composite of the components below it."""
+
+    def __init__(self, C: SCat, k: int, objs: tuple[str, ...], pairs, cube_cells,
+                 out: list[CoherentFunctor]):
+        self.C, self.k, self.objs, self.pairs = C, k, objs, pairs
+        self.cube_cells, self.out = cube_cells, out
+        self.partial: dict[tuple[int, int], dict[str, ExpEl]] = {}
+
+    def extend(self, idx: int) -> None:
+        C, k, objs, cube_cells, partial = self.C, self.k, self.objs, self.cube_cells, self.partial
+        if idx == len(self.pairs):
+            self.out.append(CoherentFunctor(
+                objs, tuple(tuple(partial[p][g] for g, _ in cube_cells(*p)[1])
+                            for p in self.pairs)))
+            return
+        i, j = self.pairs[idx]
+        cube, cells = cube_cells(i, j)
+        forced: dict[str, ExpEl] = {}
+        for g, ch in cells:
+            d = cube.space.gen_dim(g)
+            ps = [p for p in range(i + 1, j) if all(p in S for S in ch)]
+            if ps:
+                p = ps[0]
+                left = tuple(tuple(v for v in S if v <= p) for S in ch)
+                right = tuple(tuple(v for v in S if v >= p) for S in ch)
+                forced[g] = exp_comp(C, objs[i], objs[p], objs[j], k, d,
+                                     _at_chain(C, objs, k, partial[(p, j)], p, j, right,
+                                               cube_cells),
+                                     _at_chain(C, objs, k, partial[(i, p)], i, p, left,
+                                               cube_cells))
+        ordered = sorted(cells, key=lambda it: cube.space.gen_dim(it[0]))
+        self.fill(idx, cube.space, forced, ordered, {})
+
+    def fill(self, idx: int, space: SSet, forced: dict[str, ExpEl], cells_left,
+             assigns: dict[str, ExpEl]) -> None:
+        i, j = self.pairs[idx]
+        if not cells_left:
+            self.partial[(i, j)] = dict(assigns)
+            self.extend(idx + 1)
+            del self.partial[(i, j)]
+            return
+        C, k, objs = self.C, self.k, self.objs
+        H = C.hom[(objs[i], objs[j])]
+        (g, ch) = cells_left[0]
+        d = space.gen_dim(g)
+        cands = [forced[g]] if g in forced else exp_elements(H, d, k)
+        for e in cands:
+            if all(exp_act(H, d, k, e, delta.coface(r, d))
+                   == _at_chain(C, objs, k, assigns, i, j,
+                                chain_act(ch, delta.coface(r, d)), self.cube_cells)
+                   for r in (range(d + 1) if d else ())):
+                assigns[g] = e
+                self.fill(idx, space, forced, cells_left[1:], assigns)
+                del assigns[g]
 
 
 def hc_nerve(C: SCat, m_bound: int, k_bound: int) -> Nerve:

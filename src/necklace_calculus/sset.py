@@ -171,19 +171,23 @@ class GradedSet:
                         raise SSetError(f"face word of {g!r} not strictly decreasing")
                     if self.degree(f) != want:
                         raise SSetError(f"face of {g!r} has wrong degree")
+        face = self._face
         for g, deg in self._deg.items():
+            if sum(deg) < 2:  # no face of a face to compare
+                continue
             e = self._nd(g)
+            first = [[face(e, a, r) for r in range(top + 1)] if top else []
+                     for a, top in enumerate(deg)]
             for a, top in enumerate(deg):
+                fa = first[a]
                 for j in range(top + 1) if top >= 2 else ():
                     for i in range(j):
-                        if (self._face(self._face(e, a, j), a, i)
-                                != self._face(self._face(e, a, i), a, j - 1)):
+                        if face(fa[j], a, i) != face(fa[i], a, j - 1):
                             raise SSetError(f"d_{i} d_{j} identity fails on {g!r} along axis {a}")
                 for b in range(a + 1, n):
                     for i in range(top + 1) if top and deg[b] else ():
                         for j in range(deg[b] + 1):
-                            if (self._face(self._face(e, a, i), b, j)
-                                    != self._face(self._face(e, b, j), a, i)):
+                            if face(fa[i], b, j) != face(first[b][j], a, i):
                                 raise SSetError(f"mixed face identity fails on {g!r}")
 
     # -- equality -------------------------------------------------------------------
@@ -369,6 +373,11 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
     return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, degen))
 
 
+def _degenerated(nf_type: type, base: tuple, a: int, i: int, low: int) -> tuple:
+    """The normal form of s_i along axis a of base, whose degree along a is low."""
+    return _new(nf_type, base[:a] + (delta.merge_words((i,), base[a], low),) + base[a + 1:])
+
+
 def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int, ...],
                  prefix: str, degen: Optional[Callable] = None):
     """The engine behind materialize and bisset.materialize_bi, for n = len(bounds) axes.
@@ -401,27 +410,35 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
 
     degens = (degen,) if degen is not None else tuple(map(via_act, range(n)))
 
-    def strip(deg: tuple, e) -> Optional[tuple]:
-        """Normal form of e if degenerate, else None."""
+    def degeneracy(deg: tuple, e) -> Optional[tuple]:
+        """(axis a, index i, key of d_i e) for the first s_i along an axis a
+        that e is in the image of, or None when e is non-degenerate."""
         dk = deg[0] if n == 1 else deg
         for a, degen_a in enumerate(degens):
             top = deg[a]
             for i in range(top - 1, -1, -1):
                 df = degen_a(e, dk, i)
                 if df is not None:
-                    base = lookup(*deg[:a], top - 1, *deg[a + 1:], df)
-                    word = delta.merge_words((i,), base[a], top - 1)
-                    return _new(nf_type, base[:a] + (word,) + base[a + 1:])
+                    return a, i, (*deg[:a], top - 1, *deg[a + 1:], df)
         return None
 
     def lookup(*key) -> tuple:
-        """Normal form of any element: lookup(*deg, e)."""
+        """Normal form of any element: lookup(*deg, e).  Degeneracies are
+        stripped one at a time down to a memoized element, and the normal
+        form is built back up, memoizing each element on the way."""
         hit = memo.get(key)
-        if hit is None:
-            hit = strip(key[:-1], key[-1])
-            if hit is None:
+        if hit is not None:
+            return hit
+        steps = []
+        while hit is None:
+            step = degeneracy(key[:-1], key[-1])
+            if step is None:
                 raise SSetError(f"element at degree {key[:-1]} has no recorded normal form")
-            memo[key] = hit
+            steps.append((key, step))
+            key = step[2]
+            hit = memo.get(key)
+        for key, (a, i, low) in reversed(steps):
+            hit = memo[key] = _degenerated(nf_type, hit, a, i, low[a])
         return hit
 
     for deg in itertools.product(*(range(b + 1) for b in bounds)):
@@ -431,13 +448,16 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
         stem = prefix + "_".join(map(str, deg)) + "_"
         fresh = 0
         for e in elems:
-            out = strip(deg, e)
-            if out is None:
+            step = degeneracy(deg, e)
+            if step is None:
                 gid = stem + str(fresh)
                 fresh += 1
                 made.append((gid, deg))
                 elem_of[gid] = e
                 out = _new(nf_type, ((),) * n + (gid,))
+            else:
+                a, i, low = step
+                out = _degenerated(nf_type, lookup(*low), a, i, low[a])
             memo[(*deg, e)] = out
     faces = tuple({} for _ in range(n))
     for gid, deg in made:

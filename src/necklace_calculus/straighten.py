@@ -44,7 +44,7 @@ from .categorify import Categorification, categorify, cfunctor
 from .cubes import weight_F, weighted_colim
 from .kan import LanResult, enriched_lan
 from .necklace import UnsupportedInput
-from .ops import Colimit, Diagram, colimit, is_connected
+from .ops import Colimit, Diagram, Product, colimit, is_connected
 from .scat import (EnrichedFunctor, NatTrans, Presheaf, SCat, enumerate_nat_trans,
                    glue_end, suspension)
 from .shapes import point, simplex, simplex_operator, subset_id
@@ -362,6 +362,9 @@ class Straightener:
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
+        # the product pieces of every lan, by their factors: a hom of base_cat
+        # and a value of a universal presheaf in _fulls, both kept here
+        self._pieces: dict[tuple[int, int], Product] = {}
         self._ops: dict[tuple, object] = {}
         weakref.finalize(self, _UNIVERSAL.trim).atexit = False
 
@@ -392,7 +395,7 @@ class Straightener:
         if cell not in self._lans:
             fr = self.full(cell.m, cell.k)
             self._lans[cell] = enriched_lan(fr.presheaf, self.sigma_functor(cell),
-                                            self.base_cat)
+                                            self.base_cat, self._pieces)
         return self._lans[cell]
 
     # -- representable straightening --------------------------------------------
@@ -773,8 +776,8 @@ def projection_pi(m: int, Y: SSet) -> PiFunctor:
         return alpha, NF(yw, yg)
 
     def on_hom(a: str, b: str, x: NF) -> NF:
-        table = C1._hom_table(a, b)
-        n, ts = table.mat.expand(x)
+        table, space = C1._hom_build(a, b)
+        n, ts = space.expand(x)
         row = table.rows[n]
         j, enter = row.j, dict(zip(row.free, ts))
         keys = [table.beads.keys[bd] for bd in row.beads]

@@ -374,7 +374,7 @@ def hom_names(C, a, b, e):
     Hom(a, b) of the categorification C: the row's beads by their names in
     the level slice, and S_r the vertices, in name order, that enter by step
     r, the joints at 0."""
-    row = C._hom_table(a, b).rows[e[0]]
+    row = C._hom_build(a, b)[0].rows[e[0]]
     enter = dict.fromkeys(row.joints, 0) | dict(zip(row.free, e[1]))
     order = sorted(enter)
     return (tuple(map(C._level_beads.name, row.beads)),
@@ -392,7 +392,7 @@ def hom_from_names(C, a, b, j, e):
     origin = C.level(j).origin
     if not all(g in origin for g in beads):
         raise SSetError(f"beads {beads!r} are not all generators of level {j}")
-    table = C._hom_table(a, b)
+    table = C._hom_build(a, b)[0]
     n = table.row(j, tuple(C._level_beads.id(origin[g].gen, origin[g].vword) for g in beads))
     enter = {}
     for r, S in enumerate(ch):

@@ -70,12 +70,15 @@ def test_categorify_rejects_loops():
 def test_vertical_loop_above_the_bound():
     # a (1, 1) loop at a, with horizontally degenerate vertical faces: level 0
     # is a point and level 1 is not 1-ordered, so only a bound of 1 reaches the
-    # loop, and the gate refuses it before any bead walk
+    # loop, and the gate refuses it before any bead walk; the bead table reads
+    # the loop's vertices from W, so under bound 0 no level above 0 is built
     from necklace_calculus.bisset import BiNF, BiSSet
 
     W = BiSSet([("a", (0, 0)), ("g", (1, 1))],
                {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
-    assert categorify(W).hom_sset("a", "a").nd_counts() == (1,)
+    C = categorify(W)
+    assert C.hom_sset("a", "a").nd_counts() == (1,)
+    assert sorted(C._levels) == [0]
     with pytest.raises(UnsupportedInput) as exc:
         categorify(W, bound=1)
     assert exc.value.witness == (1, ops.OrderWitness("antisymmetry", ("g",)))
@@ -335,7 +338,7 @@ def test_bead_ids_and_rows_are_handed_out_once_across_threads():
     C = categorify(lf(2, d(2)).W)
     a, b = C.objects[0], C.objects[-1]
     C.hom(a, b)
-    lb, table = C._level_beads, C._homs[(a, b)]
+    lb, table = C._level_beads, C._hom_build(a, b)[0]
     gens = [g for g in C.W.gens() if C.W.bidegree(g)[0]]
     keys = [(g, (i,)) for i in range(40) for g in gens]
     combos = [tuple(sorted(table.rows[n].beads + table.rows[m].beads))

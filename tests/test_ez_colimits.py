@@ -142,9 +142,9 @@ def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
     args_of = {}
     build = kan.coend_diagram
 
-    def rec(*args):
-        out = build(*args)
-        args_of[id(out[0])] = args
+    def rec(F, G, D, d, pieces):  # pieces: the Straightener's table of product pieces
+        out = build(F, G, D, d, pieces)
+        args_of[id(out[0])] = (F, G, D, d)
         return out
 
     monkeypatch.setattr(kan, "coend_diagram", rec)

@@ -70,7 +70,7 @@ def test_relation_legs_are_simplicial_maps_out_of_the_full_product(name):
         F = st.full(cell.m, cell.k).presheaf
         G = st.sigma_functor(cell)
         for a in st.base_cat.objects:
-            diag, _ = kan.coend_diagram(F, G, st.base_cat, a)
+            diag, _ = kan.coend_diagram(F, G, st.base_cat, a, {})
             with_relation_products(F, G, st.base_cat, a, diag)
             pieces += sum(isinstance(X, ops.BarePiece) and X.n_gens() > 0
                           for X in diag.objects.values())
