@@ -3,11 +3,21 @@ and DOT emission."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Optional
 
+# SHA-256 from the interpreter's built-in module: importing hashlib maps OpenSSL,
+# which costs a short job more than it computes
+try:
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        from hashlib import sha256
+
 from .bisset import BiNF, BiSSet
+from .delta import Word
 from .scat import SCat, Presheaf
 from .sset import NF, SSet, SSetError
 
@@ -177,19 +187,37 @@ def scat_load(d: dict) -> SCat:
         raise SchemaError(f"malformed scat.v1: {exc}") from exc
 
 
+def _undegenerate(nf: NF, common: Word) -> NF:
+    """The simplex y with s_common y = nf, for common a subword of nf's word."""
+    return NF(tuple(j - sum(c < j for c in common) for j in nf.word if j not in common),
+              nf.gen)
+
+
 def presheaf_dump(F: Presheaf) -> dict:
+    """presheaf.v1 of F.  The action is simplicial, so a pair (h, x) whose
+    degeneracy words share the indices C is s_C of a lower pair (Eilenberg-
+    Zilber), and its image is s_C of the lower pair's image: only the pairs
+    whose words share no index call F.action."""
     base = F.base
     dims = range(base.hom_bound + 1)
     listed = {(b, dim): F.value[b].simplices(dim) for b in base.objects for dim in dims}
     actions = {}
     for a in base.objects:
+        Fa = F.value[a]
         for b in base.objects:
             entries = []
+            acted = {}  # (h, x) -> F.action(a, b, h, x), for the pairs sharing no index
             for dim in dims:
                 for h in base.hom[(a, b)].simplices(dim):
                     for x in listed[(b, dim)]:
+                        common = tuple(i for i in h.word if i in x.word)
+                        if common:
+                            lower = acted[_undegenerate(h, common), _undegenerate(x, common)]
+                            to = Fa._degenerate((common,), lower)
+                        else:
+                            to = acted[h, x] = F.action(a, b, h, x)
                         entries.append({"dim": dim, "h": _nf_json(h), "x": _nf_json(x),
-                                        "to": _nf_json(F.action(a, b, h, x))})
+                                        "to": _nf_json(to)})
             if entries:
                 actions[f"{a}|{b}"] = entries
     return {
@@ -210,7 +238,7 @@ def canonical_json(d) -> str:
 
 
 def digest(payloads) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in payloads:
         h.update(canonical_json(p).encode())
     return h.hexdigest()[:16]

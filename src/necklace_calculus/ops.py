@@ -11,7 +11,6 @@ through the operator action.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
@@ -145,10 +144,12 @@ class BarePiece:
         return sum(map(len, self._by_deg.values()))
 
 
-@dataclass
 class Diagram:
-    objects: dict[str, "SSet | BarePiece"]
-    edges: list[tuple[str, str, str, SSetMap]] = field(default_factory=list)
+    """Named objects, and the maps between them that add() names."""
+
+    def __init__(self, objects: dict[str, SSet | BarePiece]):
+        self.objects = objects
+        self.edges: list[tuple[str, str, str, SSetMap]] = []
 
     def add(self, name: str, src: str, dst: str, f: SSetMap) -> None:
         self.edges.append((name, src, dst, f))

@@ -42,6 +42,9 @@ cube_hom_by_listing lists every chain of an interval and tests each through the
 operator action, the reference for cubes.cube_hom's strict chains;
 weight_G0_by_products builds the G0 weight from its own products and arrows,
 the reference for cubes.weight_G0, which is built from F0.
+presheaf_actions_all_pairs calls a presheaf's action on every pair of
+simplices, the reference for io_schemas.presheaf_dump, which calls it only on
+the pairs whose degeneracy words share no index.
 """
 
 import itertools
@@ -157,6 +160,24 @@ def coend_all_relations(F, G, D, d):
             diag.add(f"eb.{a}.{b}", name, f"p.{b}", SSetMap(pr3.sset, prods[b].sset, to_b))
             diag.add(f"ea.{a}.{b}", name, f"p.{a}", SSetMap(pr3.sset, prods[a].sset, to_a))
     return colimit(diag)
+
+
+def presheaf_actions_all_pairs(F):
+    """The "actions" of presheaf.v1 for F, with F.action called on every pair."""
+    def js(nf):
+        return {"word": list(nf.word), "target": nf.gen}
+
+    base = F.base
+    actions = {}
+    for a in base.objects:
+        for b in base.objects:
+            entries = [{"dim": dim, "h": js(h), "x": js(x), "to": js(F.action(a, b, h, x))}
+                       for dim in range(base.hom_bound + 1)
+                       for h in base.hom[(a, b)].simplices(dim)
+                       for x in F.value[b].simplices(dim)]
+            if entries:
+                actions[f"{a}|{b}"] = entries
+    return actions
 
 
 def with_relation_products(F, G, D, d, diag):

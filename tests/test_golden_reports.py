@@ -9,6 +9,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +19,8 @@ from necklace_calculus import cli, delta, ops, shapes
 from necklace_calculus.bisset import (BiMap, bnd, diag, discretize, external, horizontal, lf,
                                       lf_map, bi_pushout, vertical)
 from necklace_calculus.groth import groth, vtensor
-from necklace_calculus.io_schemas import bisset_dump, canonical_json, presheaf_dump, sset_dump
+from necklace_calculus.io_schemas import (bisset_dump, canonical_json, digest, presheaf_dump,
+                                          sset_dump)
 from necklace_calculus.nerves import hc_nerve, strict_nerve
 from necklace_calculus.scat import ch_simplex, representable, suspension, terminal_presheaf
 from necklace_calculus.sset import SSetMap, identity_map, nd
@@ -316,3 +320,44 @@ GOLDEN = {
 def test_golden(tmp_path, name):
     make, want = GOLDEN[name]
     assert _sha(make(tmp_path)) == want
+
+
+# -- the inputs digest of a report ------------------------------------------------------
+
+# the inputs that the command-line cases above digest into their reports
+DIGESTED = {
+    "hom_lf3_d1": lambda: [bisset_dump(lf(3, d(1)).W)],
+    "straighten_id_d2": lambda: [bisset_dump(delta_precat(2).W)] * 2,
+    "straighten_point": lambda: [bisset_dump(horizontal(d(0))),
+                                 bisset_dump(vertical(shapes.boundary(2)))],
+    "verify": lambda: [{"seed": 0}],
+    "none": lambda: [],
+}
+
+
+def _hashlib_digest(payloads) -> str:
+    return hashlib.sha256("".join(map(canonical_json, payloads)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTED))
+def test_digest_is_sha256(name):
+    payloads = DIGESTED[name]()
+    assert digest(payloads) == _hashlib_digest(payloads)
+
+
+def test_digest_through_hashlib_when_no_builtin_sha256(tmp_path):
+    # blocking both built-in modules forces the hashlib fallback of io_schemas
+    payloads = {name: make() for name, make in DIGESTED.items()}
+    p = tmp_path / "payloads.json"
+    p.write_text(json.dumps(payloads))
+    code = ("import hashlib, json, sys\n"
+            "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+            "from necklace_calculus import io_schemas\n"
+            "assert io_schemas.sha256 is hashlib.sha256\n"
+            f"payloads = json.load(open({str(p)!r}))\n"
+            "print(json.dumps({n: io_schemas.digest(ps) for n, ps in payloads.items()}))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {n: _hashlib_digest(ps) for n, ps in payloads.items()}

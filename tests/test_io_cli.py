@@ -135,12 +135,14 @@ BAD_FILES = {
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{list}"],
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_bad_target}"],
     ["straighten", "--base", "{h_d1}", "--total", "{h_d1}", "--map", "{map_extra_id}"],
+    ["verify", "--suite", "nosuch"],
 ], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
         "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
         "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex",
         "hom_negative_degree", "dot_pairs_i_above_m", "dot_pairs_negative_m",
         "negative_max_cells", "map_entry_without_target", "map_not_an_object",
-        "map_target_not_a_base_generator", "map_image_of_an_id_not_in_the_total"])
+        "map_target_not_a_base_generator", "map_image_of_an_id_not_in_the_total",
+        "verify_unknown_suite"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
     paths = {}
     for name, payload in BAD_FILES.items():
@@ -150,6 +152,8 @@ def test_cli_usage_errors_exit_2(tmp_path, args):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1
+    if args[0] == "verify":
+        assert res.stderr.startswith("usage error: ")
 
 
 @pytest.fixture(scope="module")

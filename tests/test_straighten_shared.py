@@ -12,10 +12,10 @@ import pytest
 from necklace_calculus import kan, ops, shapes
 from necklace_calculus.bisset import BiMap, bi_identity, lf
 from necklace_calculus.groth import vtensor
-from necklace_calculus.io_schemas import sset_dump
+from necklace_calculus.io_schemas import presheaf_dump, sset_dump
 from necklace_calculus.straighten import Straightener, delta_precat
 
-from oracles import coend_all_relations, with_relation_products
+from oracles import coend_all_relations, presheaf_actions_all_pairs, with_relation_products
 
 d = shapes.simplex
 
@@ -75,6 +75,23 @@ def test_relation_legs_are_simplicial_maps_out_of_the_full_product(name):
             pieces += sum(isinstance(X, ops.BarePiece) and X.n_gens() > 0
                           for X in diag.objects.values())
     assert pieces
+
+
+# (pairs (h, x) listed, pairs whose degeneracy words share an index) per total
+ACTION_PAIRS = {"id_d3": (248, 148), "id_x_d1_over_d2": (84, 24),
+                "id_x_bd2_over_d2": (156, 36), "id_x_d2_over_d1": (12, 0),
+                "id_lf2_d1": (306, 168), "id_lf1_d2": (70, 40)}
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_presheaf_dump_actions_match_all_pairs(name):
+    # presheaf_dump reads the image of a pair whose words share an index from a lower pair
+    pre = _straightened(*TOTALS[name])[1].presheaf()
+    actions = presheaf_dump(pre)["actions"]
+    assert actions == presheaf_actions_all_pairs(pre)
+    entries = [e for es in actions.values() for e in es]
+    shared = sum(bool(set(e["h"]["word"]) & set(e["x"]["word"])) for e in entries)
+    assert (len(entries), shared) == ACTION_PAIRS[name]
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
