@@ -117,8 +117,6 @@ class Categorification:
         self.objects = tuple(sorted(W.row0()))
         self._levels = _Levels(W)
         self._homs: dict[tuple[str, str], tuple[_Necklaces, Materialized]] = {}
-        self._lock = threading.Lock()  # guards _hom_gens
-        self._hom_gens = [0]  # generators of the hom spaces built, shared with handles
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
         self._level_beads = _LevelBeads(self._levels)
         self._times_cache: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
@@ -227,9 +225,7 @@ class Categorification:
             table = _Necklaces(self._level_beads, self.hom_bound(a, b))
             build = (table, table.materialize(
                 functools.partial(self._hom_level, a, b, table, paths), f"h{a}.{b}_"))
-            with self._lock:  # published whole; the first build wins
-                if self._homs.setdefault(key, build) is build:
-                    self._hom_gens[0] += build[1].sset.n_gens()
+            self._homs.setdefault(key, build)  # published whole; the first build wins
         return self._homs[key][1]
 
     def _hom_build(self, a: str, b: str) -> tuple["_Necklaces", Materialized]:
@@ -286,14 +282,10 @@ class Categorification:
 
     def handle(self) -> "Categorification":
         """Another Categorification object over this one's tables: a level,
-        bead, hom space or composite built through either is there for both,
-        and held() counts it for both."""
+        bead, hom space or composite built through either is there for both.
+        What is asked of a handle is counted per object (perfbench's tracer
+        counts a hom build per categorification object and arguments)."""
         return copy.copy(self)
-
-    def held(self) -> int:
-        """The generators of the hom spaces built so far plus the composites
-        memoized: how much this categorification holds, as one count."""
-        return self._hom_gens[0] + len(self._comp_cache)
 
     def hom_report(self, a: str, b: str) -> dict:
         """Generator counts of Hom(a, b) against the a-priori degree bound."""

@@ -16,12 +16,12 @@ Each construction is built in one place:
   checked_full_rep (straighten_full, straighten_last_vertex, projection_pi);
 - the universal cases over LF[m, Delta[k]], which depend on (m, k) alone: each
   LF[j, Delta[k]] with its categorification, each full(m, k) and each
-  transport between universal extensions is built once per process while a
-  process-wide table keeps it, and every Straightener reads them there, so
+  transport between universal extensions.  An entry on shapes with
+  j + k <= 4 only is built once per process, in a process-wide table that
+  never lets it go (universal_cache_info reports it); one on a larger shape
+  is built by the Straightener that needs it and kept there.  Either way
   full(m, k) and full(m+1, k) share LF[m+1, Delta[k]], its categorification
-  and its homs while the table keeps that shape.  The table is bounded by a
-  budget on what its categorifications hold, weighed at every call and when
-  a Straightener is let go (universal_cache_info reports it);
+  and its homs;
 - glue_suspension(fr, Y): c LF[m, Y] glued at m to Sigma Y, behind
   straighten_last_vertex and projection_pi;
 - one_point_pushout(ext, right): LF[m+1, Y] glued along LF[m, Y], behind w_sigma
@@ -33,8 +33,6 @@ Each construction is built in one place:
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
 from typing import Callable, NamedTuple, Optional
 
 from . import delta
@@ -187,11 +185,10 @@ def glue_suspension(fr: FullRep, Y: SSet) -> SCat:
 
 # -- the universal cases, shared by every Straightener in the process -------------
 
-# What the kept categorifications may hold in all, in hom generators and
-# composites (Categorification.held).  A round of the four straighten
-# benchmark totals keeps 875, in 2.2 MB (tracemalloc), so the budget stands
-# for about 10 MB.
-_UNIVERSAL_BUDGET = 4096
+# The process-wide table keeps an entry exactly when every shape (j, k) it is
+# built on has j + k <= _KEPT.  Those 15 shapes hold 548 hom generators; the
+# 6 shapes with j + k = 5 hold 8,708, LF[3, Delta[2]] alone 4,870.
+_KEPT = 4
 
 
 class UniversalCacheInfo(NamedTuple):
@@ -199,116 +196,44 @@ class UniversalCacheInfo(NamedTuple):
 
     hits: int
     misses: int
-    budget: int
-    weight: int  # Categorification.held, summed over the kept shapes
     shapes: int  # LF[j, Delta[k]] kept
 
 
 class _Universal:
     """St(id) over LF[m, Delta[k]] and what it is built from, which depend on
-    (m, k) alone and never on W:
+    (m, k) alone and never on W, on the shapes (j, k) with j + k <= _KEPT:
     - the LF[j, Delta[k]] with their categorifications, by shape (j, k);
     - full(m, k), on the shapes (m, k) and (m + 1, k);
     - the transports c L[mu+1, nu] between universal extensions, keyed
-      (src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes (src.m + 1,
-      src.k) and (dst.m + 1, dst.k).
-    Each entry is stored with the shapes it is built on.
-
-    Bounded by _UNIVERSAL_BUDGET, weighed at every call and when a
-    Straightener is let go (trim): a shape heavier than the budget is
-    dropped, then the least recently used shapes until the rest fit.
-    Dropping a shape drops every entry built on it.  The caller keeps what it
-    was handed, so a shape too heavy to keep serves the Straightener that
-    built it; a later call builds it again, equal to the first, since every
-    build is deterministic.  A transport is built on the fulls its caller
-    holds, never on fulls built again for it.  Entries are built outside the
-    lock and published with setdefault: the first build wins, so threads
-    agree.
+      ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes
+      (src.m + 1, src.k) and (dst.m + 1, dst.k).
+    Nothing is let go, so full(m, k).C1 is full(m + 1, k).C.  Entries are
+    built outside the lock and published with setdefault: the first build
+    wins, so threads agree.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        # key -> (entry, shapes it is built on); _cats least recently used first
-        self._cats: OrderedDict[tuple[int, int], tuple[CatLF, tuple]] = OrderedDict()
-        self._fulls: dict[tuple[int, int], tuple[FullRep, tuple]] = {}
-        self._transports: dict[tuple, tuple[EnrichedFunctor, tuple]] = {}
+        self._cats: dict[tuple[int, int], CatLF] = {}
+        self._fulls: dict[tuple[int, int], FullRep] = {}
+        self._transports: dict[tuple, EnrichedFunctor] = {}
         self._hits = self._misses = 0
 
-    def cat_lf(self, j: int, k: int) -> CatLF:
-        return self._lookup(self._cats, (j, k), ((j, k),), lambda: (cat_lf(j, simplex(k)), ()))
-
-    def full(self, m: int, k: int) -> FullRep:
-        def build():
-            fr = full_rep(self.cat_lf(m, k), self.cat_lf(m + 1, k))
-            return fr, (fr.C, fr.C1)
-
-        return self._lookup(self._fulls, (m, k), ((m, k), (m + 1, k)), build)
-
-    def transport(self, fs: FullRep, fd: FullRep, key: tuple) -> EnrichedFunctor:
-        """c L[mu+1, nu] from the extension of fs to that of fd, built on the
-        fulls the caller holds; key is (src.m, src.k, dst.m, dst.k, mu_h, mu_v)."""
-        sm, sk, dm, dk, mu_h, mu_v = key
-
-        def build():
-            lmap = lf_map(fs.lfm1, fd.lfm1, tuple(mu_h) + (dm + 1,), simplex_operator(mu_v, dk))
-            return cfunctor(lmap, fs.C1, fd.C1), (fs.C1, fd.C1)
-
-        return self._lookup(self._transports, key, ((sm + 1, sk), (dm + 1, dk)), build)
-
-    def _lookup(self, table: dict, key, shapes, build):
-        """table[key], an entry on the shapes given; on a miss, build() returns
-        the entry and the categorifications of those shapes it was built on
-        (none for a categorification itself)."""
+    def get(self, table: dict, key, build: Callable[[], object]):
+        """table[key], built by build() on a miss."""
         with self._lock:
             hit = table.get(key)
             if hit is not None:
                 self._hits += 1
-                return self._kept(shapes, hit[0])
+                return hit
             self._misses += 1
-        built, held = build()
+        built = build()
         with self._lock:
-            # an entry on a categorification dropped while it was built is not kept
-            if all(s in self._cats and self._cats[s][0].C is C for s, C in zip(shapes, held)):
-                built = table.setdefault(key, (built, shapes))[0]
-            return self._kept(shapes, built)
-
-    def _kept(self, shapes, value):
-        """Mark shapes used, drop what the budget does not admit, and return value."""
-        for s in shapes:
-            if s in self._cats:
-                self._cats.move_to_end(s)
-        weights = {s: c.C.held() for s, (c, _) in self._cats.items()}
-        total = sum(weights.values())
-        heavy = [s for s, w in weights.items() if w > _UNIVERSAL_BUDGET]
-        for s in heavy + list(weights):
-            if total <= _UNIVERSAL_BUDGET:
-                break
-            if s in self._cats:
-                total -= weights[s]
-                self._drop(s)
-        return value
-
-    def _drop(self, shape: tuple[int, int]) -> None:
-        for table in (self._cats, self._fulls, self._transports):
-            for key in [key for key, (_, shapes) in table.items() if shape in shapes]:
-                del table[key]
-
-    def trim(self) -> None:
-        """Drop what the budget does not admit, as a call does: what a
-        Straightener built on the kept shapes after its last call is weighed
-        when it is let go.  Skipped while another call holds the lock, since
-        a finalizer must not wait on it."""
-        if self._lock.acquire(blocking=False):
-            try:
-                self._kept((), None)
-            finally:
-                self._lock.release()
+            return table.setdefault(key, built)
 
     def info(self) -> UniversalCacheInfo:
         with self._lock:
-            return UniversalCacheInfo(self._hits, self._misses, _UNIVERSAL_BUDGET,
-                                      sum(c.C.held() for c, _ in self._cats.values()),
-                                      len(self._cats))
+            return UniversalCacheInfo(self._hits, self._misses, len(self._cats))
 
     def clear(self) -> None:
         with self._lock:
@@ -322,8 +247,8 @@ _UNIVERSAL = _Universal()
 
 
 def universal_cache_info() -> UniversalCacheInfo:
-    """Hits, misses, budget and current weight of the table of universal
-    straightenings, as lru_cache's cache_info() reports them."""
+    """Hits, misses and shapes kept of the table of universal straightenings,
+    as lru_cache's cache_info() reports them."""
     return _UNIVERSAL.info()
 
 
@@ -342,23 +267,22 @@ class Straightener:
 
     St(id) over LF[m, Delta[k]], the LF[j, Delta[k]] with their
     categorifications and the transports come from the process-wide table of
-    universal straightenings, built once per process while it keeps them.  A
-    Straightener keeps the entries it used (_fulls, _cat_lfs and the "tr"
-    keys of _ops), so an entry the table lets go stays with it, and trims
-    the table when it is let go.  Its classifying functors read the shared
-    categorifications through handles of its own (Categorification.handle),
-    so the hom spaces a W reads are counted per Straightener (perfbench's
-    tracer counts a build per categorification object and arguments).
+    universal straightenings when it keeps their shapes, and are built here
+    otherwise.  A Straightener keeps every entry it used, by shape: _fulls,
+    the "tr" keys of _ops, and in _cat_lfs the LF[j, Delta[k]] under each
+    full it built, so full(m, k).C1 is full(m + 1, k).C on every shape.  Its
+    classifying functors read the categorifications through handles of its
+    own (Categorification.handle), so the hom spaces a W reads are counted
+    per Straightener (perfbench's tracer counts a build per categorification
+    object and arguments).
     """
 
     def __init__(self, W: BiSSet):
         self.W = W
         self.CW = categorify(W)
         self.base_cat = self.CW.scat()
-        # every categorification used, by identity: after the table lets a
-        # shape go, full(m, k).C1 and full(m+1, k).C may be two builds of it
-        self._cat_lfs: dict[int, CatLF] = {}
-        self._handles: dict[int, Categorification] = {}
+        self._cat_lfs: dict[tuple[int, int], CatLF] = {}
+        self._handles: dict[tuple[int, int], Categorification] = {}
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
@@ -366,17 +290,23 @@ class Straightener:
         # and a value of a universal presheaf in _fulls, both kept here
         self._pieces: dict[tuple[int, int], Product] = {}
         self._ops: dict[tuple, object] = {}
-        weakref.finalize(self, _UNIVERSAL.trim).atexit = False
+
+    def _universal(self, own: dict, key, shapes, table: dict, build):
+        """own[key], an entry on the given shapes: read from table, one of the
+        process-wide table's, when that keeps every shape, else built here."""
+        if key not in own:
+            kept = all(j + k <= _KEPT for j, k in shapes)
+            own[key] = _UNIVERSAL.get(table, key, build) if kept else build()
+        return own[key]
+
+    def _cat_lf(self, j: int, k: int) -> CatLF:
+        return self._universal(self._cat_lfs, (j, k), ((j, k),), _UNIVERSAL._cats,
+                               lambda: cat_lf(j, simplex(k)))
 
     def full(self, m: int, k: int) -> FullRep:
-        """The universal case over LF[m, Delta[k]], from the process-wide table;
-        full(m+1, k) shares its LF[m+1, Delta[k]] while the table keeps it."""
-        key = (m, k)
-        if key not in self._fulls:
-            fr = self._fulls[key] = _UNIVERSAL.full(m, k)
-            self._cat_lfs.setdefault(id(fr.C), CatLF(fr.lfm, fr.C))
-            self._cat_lfs.setdefault(id(fr.C1), CatLF(fr.lfm1, fr.C1))
-        return self._fulls[key]
+        """The universal case over LF[m, Delta[k]]."""
+        return self._universal(self._fulls, (m, k), ((m, k), (m + 1, k)), _UNIVERSAL._fulls,
+                               lambda: full_rep(self._cat_lf(m, k), self._cat_lf(m + 1, k)))
 
     def sigma_functor(self, cell: Cell):
         """The enriched functor from the categorified representable into c W."""
@@ -384,9 +314,10 @@ class Straightener:
             fr = self.full(cell.m, cell.k)
             pm = cell_product_map(self.W, cell, fr.lfm)
             sig = lf_induced(fr.lfm, self.W, pm)
-            if id(fr.C) not in self._handles:
-                self._handles[id(fr.C)] = fr.C.handle()
-            raw = cfunctor(sig, self._handles[id(fr.C)], self.CW)
+            shape = (cell.m, cell.k)
+            if shape not in self._handles:
+                self._handles[shape] = fr.C.handle()
+            raw = cfunctor(sig, self._handles[shape], self.CW)
             self._sig[cell] = EnrichedFunctor(fr.base, self.base_cat, raw.on_obj,
                                               raw.on_hom)
         return self._sig[cell]
@@ -408,13 +339,18 @@ class Straightener:
 
     def _transport(self, src: Cell, dst: Cell, mu_h: delta.Monotone,
                    mu_v: delta.Monotone):
-        """c L[mu+1, nu]: the functor between the universal extensions, from the
-        process-wide table."""
-        key = ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v)
-        if key not in self._ops:
-            self._ops[key] = _UNIVERSAL.transport(self.full(src.m, src.k),
-                                                  self.full(dst.m, dst.k), key[1:])
-        return self._ops[key]
+        """c L[mu+1, nu]: the functor between the universal extensions, built
+        on the fulls this Straightener holds."""
+
+        def build():
+            fs, fd = self.full(src.m, src.k), self.full(dst.m, dst.k)
+            lmap = lf_map(fs.lfm1, fd.lfm1, tuple(mu_h) + (dst.m + 1,),
+                          simplex_operator(mu_v, dst.k))
+            return cfunctor(lmap, fs.C1, fd.C1)
+
+        return self._universal(self._ops, ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v),
+                               ((src.m + 1, src.k), (dst.m + 1, dst.k)),
+                               _UNIVERSAL._transports, build)
 
     def st_operator(self, src: Cell, dst: Cell, mu_h: delta.Monotone,
                     mu_v: delta.Monotone, a: str) -> SSetMap:

@@ -5,7 +5,9 @@ calls back into its owner, or a table that points at the object that holds it,
 makes a reference cycle and fails this.  The table of universal
 straightenings is emptied before the second call and again after it, so what
 it builds cold (categorifications, St(id), transports) is built in the
-measured call and must be freed by reference counting when it is dropped."""
+measured call and must be freed by reference counting when it is dropped.
+Straightening the identity over Delta[4] reaches LF[5, Delta[0]], a shape the
+table does not keep: the Straightener builds it, and it must go with it."""
 
 import contextlib
 import gc
@@ -33,12 +35,15 @@ def inputs(tmp_path_factory):
         path.write_text(json.dumps(payload))
         return str(path)
 
-    W = delta_precat(2).W
-    ident = {g: {"hword": list(e.hword), "vword": list(e.vword), "target": e.gen}
-             for g, e in bi_identity(W).assign.items()}
+    def identity(n):
+        W = delta_precat(n).W
+        ident = {g: {"hword": list(e.hword), "vword": list(e.vword), "target": e.gen}
+                 for g, e in bi_identity(W).assign.items()}
+        return write(f"base{n}.json", bisset_dump(W)), write(f"map{n}.json", ident)
+
+    (base, mp), (base4, map4) = identity(2), identity(4)
     return {"d5": write("d5.json", bisset_dump(horizontal(d(5)))),
-            "base": write("base.json", bisset_dump(W)),
-            "map": write("map.json", ident),
+            "base": base, "map": mp, "base4": base4, "map4": map4,
             "s3": write("s3.json", sset_dump(d(3))),
             "out": str(tmp / "out.json")}
 
@@ -47,8 +52,9 @@ def _hom(f, *extra):
     return ["hom", "--base", f["d5"], "--from", "0", "--to", "5", *extra, "--out", f["out"]]
 
 
-def _straighten(f, flag):
-    return ["straighten", "--base", f["base"], "--total", f["base"], "--map", f["map"], flag,
+def _straighten(f, flag, n=""):
+    base = f["base" + n]
+    return ["straighten", "--base", base, "--total", base, "--map", f["map" + n], flag,
             "--out", f["out"]]
 
 
@@ -56,6 +62,7 @@ COMMANDS = {
     "hom": (lambda f: _hom(f), 0),
     "hom_emit_dot": (lambda f: _hom(f, "--emit", "dot"), 0),
     "straighten_full": (lambda f: _straighten(f, "--full"), 0),
+    "straighten_full_d4": (lambda f: _straighten(f, "--full", "4"), 0),
     "straighten_certify": (lambda f: _straighten(f, "--certify"), 0),
     "dot_sset": (lambda f: ["dot", "--sset", f["s3"], "--from", "0", "--to", "3"], 0),
     "dot_pairs": (lambda f: ["dot", "--pairs", "0,3"], 0),
