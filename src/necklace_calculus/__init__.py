@@ -20,7 +20,7 @@ _EXPORTS = {
     "bisset": ("BiSSet", "BiMap", "BiNF", "bnd", "external", "horizontal", "vertical", "diag",
                "discretize", "lf", "lf_map", "bi_pushout", "bi_colimit", "rename_gens",
                "external_map", "LF"),
-    "necklace": ("Necklace", "RealizedNecklace", "TndPoset", "PairObject", "PairPoset",
+    "necklace": ("RealizedNecklace", "TndPoset", "PairObject", "PairPoset",
                  "plus_m", "pair_poset_iso", "UnsupportedInput", "necklaces_dot"),
     "cubes": ("cube_hom", "cube_of_pair", "pushforward", "split_iso", "projection_phi",
               "Weight", "weight_F", "weight_G0", "weight_constant", "weighted_colim",

@@ -229,7 +229,6 @@ def diag(W: BiSSet) -> "Materialized":
 class BiColimit(NamedTuple):
     bisset: BiSSet
     cocone: dict[str, BiMap]
-    cls: Callable[[str, BiNF], BiNF]
     reps: dict[str, tuple[str, BiNF]]
 
 
@@ -304,17 +303,17 @@ class LF(NamedTuple):
 def lf(m: int, X: "SSet") -> LF:
     """L F[m, X]: row 0 has (m+1) * |pi0 X| vertices named i or i.c."""
     A = external(simplex(m), X)
-    col = discretize(A)
+    quot = discretize(A).cocone["X"]
     comps, index = pi0(X)
     ren = {}
     for i in range(m + 1):
         for ci, comp in enumerate(comps):
-            cl = col.cls("X", bnd(f"{subset_id([i])}|{comp[0]}"))
+            cl = quot(bnd(f"{subset_id([i])}|{comp[0]}"))
             ren[cl.gen] = str(i) if len(comps) == 1 else f"{i}.{ci}"
-    W = rename_gens(col.bisset, ren)
+    W = rename_gens(quot.dst, ren)
 
     def cls(e: BiNF) -> BiNF:
-        out = col.cls("X", e)
+        out = quot(e)
         return BiNF(out.hword, out.vword, ren.get(out.gen, out.gen))
 
     q = BiMap(A, W, {g: cls(bnd(g)) for g in A.gens()}, validate=False)

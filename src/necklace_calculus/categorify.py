@@ -297,11 +297,6 @@ class Categorification:
             "complete": self.user_bound is None,
         }
 
-    def stabilization_report(self) -> dict:
-        """hom_report for every pair of objects."""
-        return {(a, b): self.hom_report(a, b)
-                for a, b in itertools.product(self.objects, repeat=2)}
-
 
 class _Levels(dict):
     """The level slices of W by level, each built on first use.  They point at

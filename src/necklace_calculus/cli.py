@@ -213,7 +213,7 @@ def cmd_dot(args) -> int:
             raise ResourceLimit(f"{n} necklaces from {a} to {b} have {beads} beads, more than "
                                 f"--max-cells={args.max_cells}")
         t = TndPoset(X, a, b)
-        entries = [necklace_dump(t.shape(o).bead_dims, o.beads, (a, b)) for o in t.objects]
+        entries = [necklace_dump(t.bead_dims(o), o.beads, (a, b)) for o in t.objects]
         print(canonical_json({"schema": "necklace.v1", "necklaces": entries}))
         return 0
     _dot_guard(n, args.max_cells)

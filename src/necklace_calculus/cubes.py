@@ -315,15 +315,9 @@ def weighted_colim(weight: Weight) -> Materialized:
     max_dim = max(len(p.V) - len(p.J) + max(weight.value[p].dim_bound, 0) for p in live)
 
     def levels(j):
-        out = []
-        for p in live:
-            xs = weight.value[p].simplices(j)
-            if not xs:
-                continue
-            for ch in chains(p.J, p.V, j, saturated=True):
-                for x in xs:
-                    out.append((p, ch, x))
-        return sorted(out)
+        # (p, chain, s_w y) is degenerate exactly when the chain stays put at an index of w
+        return sorted((p, ch, x) for p in live for x in weight.value[p].simplices(j)
+                      for ch in chains(p.J, p.V, j, saturated=True, steps=x.word))
 
     def act(e, j, mu):
         p, ch, x = e

@@ -15,18 +15,18 @@ Monotone = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def identity(m: int) -> Monotone:
     return tuple(range(m + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def coface(i: int, m: int) -> Monotone:
     """delta^i: [m-1] -> [m], skipping i."""
     return tuple(j for j in range(m + 1) if j != i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def codegeneracy(i: int, m: int) -> Monotone:
     """sigma^i: [m+1] -> [m], hitting i twice."""
     return tuple(j if j <= i else j - 1 for j in range(m + 2))
@@ -47,7 +47,7 @@ def is_mono(mu: Monotone) -> bool:
     return all(mu[i] < mu[i + 1] for i in range(len(mu) - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def word_to_epi(word: Word, m: int) -> Monotone:
     """The epi [m] ->> [m - len(word)] named by a strictly decreasing word."""
     mu = identity(m)
@@ -63,7 +63,14 @@ def epi_to_word(epi: Monotone) -> Word:
     return tuple(sorted((j for j in range(len(epi) - 1) if epi[j] == epi[j + 1]), reverse=True))
 
 
-@lru_cache(maxsize=None)
+def strip_word(word: Word, common) -> Word:
+    """The word w' with s_word = s_common s_w', for common a subset of word's
+    indices (Eilenberg-Zilber): the indices of common dropped, each other
+    index shifted down by the members of common below it."""
+    return tuple(j - sum(c < j for c in common) for j in word if j not in common)
+
+
+@lru_cache(maxsize=1 << 14)
 def factor(mu: Monotone) -> tuple[Word, Monotone]:
     """Epi-mono factorization: mu = mono . epi, returned as (word, mono)."""
     image = sorted(set(mu))
@@ -91,7 +98,7 @@ def face_of_word(word: Word, m: int, r: int) -> tuple[Word, Optional[int]]:
     return hi + lo, r - len(lo)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def merge_words(outer: Word, inner: Word, inner_top_dim: int) -> Word:
     """Word for s_outer(s_inner(x)) where s_inner(x) has dimension inner_top_dim."""
     if not outer:
@@ -103,7 +110,7 @@ def merge_words(outer: Word, inner: Word, inner_top_dim: int) -> Word:
     return epi_to_word(compose(e_in, e_out))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def all_words(p: int, top_dim: int) -> list[Word]:
     """All strictly decreasing degeneracy words of length p landing in dim top_dim."""
     return [tuple(sorted(c, reverse=True)) for c in combinations(range(top_dim), p)]

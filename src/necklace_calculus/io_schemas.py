@@ -1,5 +1,9 @@
-"""JSON schemas (sset.v1, bisset.v1, scat.v1, presheaf.v1, necklace.v1, check.v1)
-and DOT emission."""
+"""JSON schemas (sset.v1, bisset.v1, scat.v1, presheaf.v1, necklace.v1, check.v1).
+
+A loader raises SchemaError on an object not of its schema, which the CLI
+reports with exit code 2.  presheaf_dump acts only on the pairs whose words
+share no index, and reads each other pair off a lower one by delta.strip_word.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ except ImportError:
         from hashlib import sha256
 
 from .bisset import BiNF, BiSSet
-from .delta import Word
+from .delta import strip_word
 from .scat import SCat, Presheaf
 from .sset import NF, SSet, SSetError
 
@@ -32,6 +36,14 @@ def _check_schema(d, name: str, default: Optional[str] = None) -> None:
         raise SchemaError(f"expected a {name} object, got {type(d).__name__}")
     if d.get("schema", default) != name:
         raise SchemaError(f"expected {name}, got {d.get('schema')!r}")
+
+
+def _labels(d) -> dict:
+    """The "labels" of a set object, {} when absent: a JSON object of strings."""
+    labels = d.get("labels", {})
+    if not isinstance(labels, dict) or not all(isinstance(v, str) for v in labels.values()):
+        raise SchemaError("labels must be a JSON object of strings")
+    return labels
 
 
 def _nf_json(nf: NF) -> dict:
@@ -61,7 +73,7 @@ def sset_load(d: dict) -> SSet:
         gens = [(g["id"], g["dim"]) for g in d["generators"]]
         faces = {g["id"]: tuple(_nf_load(f) for f in g["faces"])
                  for g in d["generators"] if g["dim"] > 0}
-        return SSet(gens, faces, labels=d.get("labels"))
+        return SSet(gens, faces, labels=_labels(d))
     except (KeyError, TypeError, SSetError) as exc:
         raise SchemaError(f"malformed sset.v1: {exc}") from exc
 
@@ -130,7 +142,7 @@ def bisset_load(d: dict) -> BiSSet:
                   for g in d["generators"] if g["bidegree"][0] > 0}
         vfaces = {g["id"]: tuple(_binf_load(f) for f in g["vfaces"])
                   for g in d["generators"] if g["bidegree"][1] > 0}
-        return BiSSet(gens, hfaces, vfaces, labels=d.get("labels"))
+        return BiSSet(gens, hfaces, vfaces, labels=_labels(d))
     except (KeyError, TypeError, IndexError, SSetError) as exc:
         raise SchemaError(f"malformed bisset.v1: {exc}") from exc
 
@@ -187,12 +199,6 @@ def scat_load(d: dict) -> SCat:
         raise SchemaError(f"malformed scat.v1: {exc}") from exc
 
 
-def _undegenerate(nf: NF, common: Word) -> NF:
-    """The simplex y with s_common y = nf, for common a subword of nf's word."""
-    return NF(tuple(j - sum(c < j for c in common) for j in nf.word if j not in common),
-              nf.gen)
-
-
 def presheaf_dump(F: Presheaf) -> dict:
     """presheaf.v1 of F.  The action is simplicial, so a pair (h, x) whose
     degeneracy words share the indices C is s_C of a lower pair (Eilenberg-
@@ -212,8 +218,8 @@ def presheaf_dump(F: Presheaf) -> dict:
                     for x in listed[(b, dim)]:
                         common = tuple(i for i in h.word if i in x.word)
                         if common:
-                            lower = acted[_undegenerate(h, common), _undegenerate(x, common)]
-                            to = Fa._degenerate((common,), lower)
+                            lower = tuple(NF(strip_word(y.word, common), y.gen) for y in (h, x))
+                            to = Fa._degenerate((common,), acted[lower])
                         else:
                             to = acted[h, x] = F.action(a, b, h, x)
                         entries.append({"dim": dim, "h": _nf_json(h), "x": _nf_json(x),

@@ -1,10 +1,13 @@
-"""Necklaces, their realizations inside a 1-ordered simplicial set, and the
-pair-poset combinatorial model of the totally non-degenerate necklace poset.
+"""Totally non-degenerate necklaces in a 1-ordered simplicial set, their
+poset, and its pair-poset combinatorial model.
 
 A totally non-degenerate necklace from a to b is a path of beads (Dugger and
 Spivak): generators of dimension >= 1, each starting at the last vertex of
-the one before.  This module is the one home of that model, for a simplicial
-set K here and for the level slices of a bisimplicial set in `categorify`:
+the one before; from a to a there is one, the point necklace, stored as the
+vertex a.  A necklace is stored as its beads (RealizedNecklace), and
+TndPoset.bead_dims gives its shape.  This module is the one home of that
+model, for a simplicial set K here and for the level slices of a
+bisimplicial set in `categorify`:
 - `bead_table` lists the beads with their vertices, by first vertex;
 - `fold_beads` is one pass over the vertices, each after its successors
   (`ops.post_order`), that folds a value along the bead paths: the necklace
@@ -37,35 +40,6 @@ class UnsupportedInput(SSetError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class Necklace(NamedTuple):
-    """Abstract wedge of simplices; bead_dims positive unless the necklace is a point."""
-
-    bead_dims: tuple[int, ...]
-
-    @staticmethod
-    def of(dims) -> "Necklace":
-        dims = tuple(dims)
-        if not dims:
-            raise SSetError("a necklace needs at least one bead")
-        if len(dims) > 1:
-            dims = tuple(d for d in dims if d > 0)
-            if not dims:
-                dims = (0,)
-        if any(d < 0 for d in dims):
-            raise SSetError("bead dimensions must be >= 0")
-        return Necklace(dims)
-
-    @property
-    def joints(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.bead_dims:
-            out.append(out[-1] + d)
-        return tuple(out)
-
-    def wedge(self, other: "Necklace") -> "Necklace":
-        return Necklace.of(self.bead_dims + other.bead_dims)
 
 
 class RealizedNecklace(NamedTuple):
@@ -192,8 +166,9 @@ class TndPoset:
     def joint_ids(self, t: RealizedNecklace) -> tuple[str, ...]:
         return necklace_joint_ids(self.K, t)
 
-    def shape(self, t: RealizedNecklace) -> Necklace:
-        return Necklace.of(self.K.gen_dim(g) for g in t.beads)
+    def bead_dims(self, t: RealizedNecklace) -> tuple[int, ...]:
+        """The dimension of each bead of t: all >= 1, or (0,) for the point necklace."""
+        return tuple(self.K.gen_dim(g) for g in t.beads)
 
     # -- enumeration ----------------------------------------------------------
 
@@ -390,16 +365,13 @@ def pair_poset_iso(i: int, m: int) -> PairIso:
 
 
 def necklaces_dot(poset, name: str = "necklaces") -> str:
-    """DOT export; nodes named J|V."""
+    """DOT export of a PairPoset or a TndPoset, Hasse edges only; nodes named J|V."""
     lines = [f"digraph {name} {{"]
+    objs, leq = poset.objects, poset.leq
     if isinstance(poset, PairPoset):
-        objs = poset.objects
         label = lambda p: ".".join(map(str, p.J)) + "|" + ".".join(map(str, p.V))
-        leq = poset.leq
     else:
-        objs = poset.objects
         label = lambda t: ".".join(poset.joint_ids(t)) + "|" + ".".join(poset.vertex_ids(t))
-        leq = poset.leq
     for o in objs:
         lines.append(f'  "{label(o)}";')
     for u in objs:

@@ -102,7 +102,7 @@ def strict_nerve(C: SCat, m_bound: Optional[int] = None,
 # -- exponentials H^{Delta[k]} ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _prism(d: int, k: int) -> Product:
     from .shapes import simplex
 

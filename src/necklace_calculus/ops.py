@@ -5,7 +5,9 @@ n-fold sets of `sset` and serve simplicial and bisimplicial sets alike.
 Products and colimits are built from non-degenerate simplices only: by the
 Eilenberg-Zilber lemma every simplex of the result has one normal form, which
 they give in closed form, so neither lists a degenerate simplex nor tests one
-through the operator action.
+through the operator action: a product's to_nf strips the indices its factors'
+words share (delta.strip_word), and a colimit gives the class of a simplex x
+of the object named n as cocone[n](x).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def product(*factors: SSet) -> Product:
     its order.  Their faces are read from the factors' face tables.
     to_nf(d, e) gives any tuple's normal form in closed form, above the top
     dimension too: the common indices C of the words, applied to the tuple
-    pulled back along a section of the epi that collapses C.  It raises
+    with C stripped from each word (delta.strip_word).  It raises
     SSetError on a tuple that reduces to no listed shuffle, which is then no
     d-simplex of the product.
     """
@@ -81,14 +83,9 @@ def product(*factors: SSet) -> Product:
         hit = memo.get(e)
         if hit is None:
             common = set(e[0].word).intersection(*(x.word for x in e[1:]))
-            base = None
-            if common:
-                # the first index of every fiber of the epi that collapses common
-                sec = tuple(j for j in range(d + 1) if j - 1 not in common)
-                y = tuple(NF(delta.epi_to_word(delta.compose(delta.word_to_epi(x.word, d), sec)),
-                             x.gen) for x in e)
-                base = memo.get(y)
-            if base is None or base.word:
+            base = common and memo.get(tuple(NF(delta.strip_word(x.word, common), x.gen)
+                                             for x in e))
+            if not base or base.word:
                 raise SSetError(f"no generator of the product below a {d}-simplex; "
                                 f"the product's top dimension is {max_dim}")
             hit = memo[e] = NF(tuple(sorted(common, reverse=True)), base.gen)
@@ -158,7 +155,6 @@ class Diagram:
 class Colimit(NamedTuple):
     sset: SSet
     cocone: dict[str, SSetMap]
-    cls: Callable[[str, NF], NF]
     reps: dict[str, tuple[str, NF]]
 
 
@@ -193,7 +189,7 @@ def _colimit(diag: Diagram, empty):
     Degrees are taken in ascending order.  At each degree the non-degenerate
     generators of all objects are union-found along every edge whose image of
     a generator is non-degenerate.  An image s_w z instead marks the
-    generator's class as the degenerate simplex s_w cls(z), where cls(z) is
+    generator's class as the degenerate simplex s_w [z], where the class [z] is
     already known because z lies at a lower degree.  By Eilenberg-Zilber
     uniqueness, a class with no mark is a non-degenerate simplex of the
     colimit and has only non-degenerate members, and every relation between
@@ -205,7 +201,7 @@ def _colimit(diag: Diagram, empty):
     member lies in one raises SSetError; a bare piece may be the source of
     edges only (DiagramError otherwise), and gets no cocone leg.
 
-    Returns (set, cocone, cls, reps): cls(name, x) is the class of x from the
+    Returns (set, cocone, reps): cocone[name](x) is the class of x from the
     named object, reps[g] the least (name, generator) in the class of g, the
     generator as a normal form with empty words.
     """
@@ -216,11 +212,8 @@ def _colimit(diag: Diagram, empty):
     names = sorted(objects)
     degrees = sorted({deg for X in objects.values() for deg in X._by_deg})
     if not degrees:
-        def no_cls(name, x):
-            raise SSetError("empty colimit")
-
         return (empty, {n: objects[n].map_type(objects[n], empty, {})
-                        for n in names if n not in bare}, no_cls, {})
+                        for n in names if n not in bare}, {})
     nf_type = empty.nf_type
     n_axes = empty.n_axes
     uf = _UF()
@@ -277,11 +270,7 @@ def _colimit(diag: Diagram, empty):
     cocone = {n: objects[n].map_type(objects[n], out, {g: image[n][g] for g in objects[n].gens()},
                                      validate=False)
               for n in names if n not in bare}
-
-    def cls(name: str, x: tuple) -> tuple:
-        return cocone[name](x)
-
-    return out, cocone, cls, reps
+    return out, cocone, reps
 
 
 def _span(f: SSetMap, g: SSetMap) -> Diagram:

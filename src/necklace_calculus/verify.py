@@ -134,9 +134,7 @@ def check_colimit_universal(rng) -> str:
             v, w = rng.choice(verts), rng.choice(verts)
             q = coequalizer(SSetMap(point(), col.sset, {"0": nd(v)}),
                             SSetMap(point(), col.sset, {"0": nd(w)}))
-            quo = SSetMap(col.sset, q.sset,
-                          {g: q.cls("X", nd(g)) for g in col.sset.gens()},
-                          validate=False)
+            quo = q.cocone["X"]
             test = {n: col.cocone[n].then(quo) for n in col.cocone}
             u = mediating_map(col, objects, test)
             for g in col.sset.gens():
@@ -264,10 +262,10 @@ def check_wedge_decomposition(rng) -> str:
     m1 = SSetMap(pt, cop.sset, {"0": cop.cocone["i0"](nd("2"))})
     m2 = SSetMap(pt, cop.sset, {"0": cop.cocone["i1"](nd("0"))})
     wedge = coequalizer(m1, m2)
-    K = wedge.sset
-    a = wedge.cls("X", cop.cocone["i0"](nd("0"))).gen
-    b = wedge.cls("X", cop.cocone["i1"](nd("2"))).gen
-    mid = wedge.cls("X", cop.cocone["i0"](nd("2"))).gen
+    K, quot = wedge.sset, wedge.cocone["X"]
+    a = quot(cop.cocone["i0"](nd("0"))).gen
+    b = quot(cop.cocone["i1"](nd("2"))).gen
+    mid = quot(cop.cocone["i0"](nd("2"))).gen
     t = TndPoset(K, a, b)
     t1 = TndPoset(K, a, mid)
     t2 = TndPoset(K, mid, b)

@@ -37,7 +37,9 @@ every simplex, the reference for its one pass over generators.
 cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
 an enriched functor's image, a composite and a face element by element, with
 no table: the references for cfunctor's generator table, the comp_el memo and
-delta.face_of_word behind GradedSet._face.
+delta.face_of_word behind GradedSet._face; strip_word_by_section undoes common
+degeneracies through a section, the reference for delta.strip_word behind
+ops.product's normal forms and io_schemas.presheaf_dump.
 cube_hom_by_listing lists every chain of an interval and tests each through the
 operator action, the reference for cubes.cube_hom's strict chains;
 weight_G0_by_products builds the G0 weight from its own products and arrows,
@@ -304,7 +306,7 @@ def act_is_1_ordered(X):
 
 
 def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
-    """(set, cocone, cls, reps) of the colimit of a diagram of n-fold sets:
+    """(set, cocone, reps) of the colimit of a diagram of n-fold sets:
     every simplex of every object, degenerate ones included, union-found along
     every edge, and each class materialized by build (materialize, or
     bisset.materialize_bi with empty BI_EMPTY) from its least member, which
@@ -314,7 +316,7 @@ def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
     bounds = tuple(max((deg[a] for X in objects.values() for deg in X._by_deg), default=-1)
                    for a in range(empty.n_axes))
     if min(bounds) < 0:
-        return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, None, {}
+        return empty, {n: objects[n].map_type(objects[n], empty, {}) for n in names}, {}
     parent = {}
 
     def find(x):
@@ -353,7 +355,7 @@ def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
         assign = {g: to_nf(*X._deg[g], classes[X._deg[g]][find((n, X._nd(g)))])
                   for g in X.gens()}
         cocone[n] = X.map_type(X, out, assign, validate=False)
-    return out, cocone, (lambda name, x: cocone[name](x)), {g: elem_of[g] for g in out.gens()}
+    return out, cocone, {g: elem_of[g] for g in out.gens()}
 
 
 def product_all_tuples(*factors):
@@ -604,6 +606,15 @@ def face_of_word_by_composing(word, m, r):
     word2, mono = delta.factor(delta.compose(delta.word_to_epi(word, m), delta.coface(r, m)))
     missing = set(range(m - len(word) + 1)).difference(mono)
     return word2, (missing.pop() if missing else None)
+
+
+def strip_word_by_section(word, common, m):
+    """The word w' with s_word = s_common s_w' on a simplex of dimension
+    m - len(word), for common a subset of word: the epi of word composed with
+    the section of the epi of common that takes the first index of each
+    fiber."""
+    section = tuple(j for j in range(m + 1) if j - 1 not in common)
+    return delta.epi_to_word(delta.compose(delta.word_to_epi(word, m), section))
 
 
 # -- cube homs and the G0 weight as first built -------------------------------------

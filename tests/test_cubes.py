@@ -155,3 +155,34 @@ def test_weighted_colim_single_pair():
     w = weight_F(delta.identity(1), identity_map(Y), 1, 1)
     wc = weighted_colim(w)
     assert ops.find_iso(wc.sset, Y) is not None
+
+
+def test_weighted_colim_keeps_every_element_it_lists(monkeypatch):
+    # on the weights of the dual-route battery, levels lists only the
+    # non-degenerate elements: materialize keeps each element listed
+    from necklace_calculus import cubes
+    from necklace_calculus.straighten import st_mono_formula
+    from necklace_calculus.verify import _injections, _mono_catalog
+
+    materialize, counts = cubes.materialize, []
+
+    def counting(levels, act, max_dim, prefix, degen=None):
+        listed = []
+
+        def listing(j):
+            out = levels(j)
+            listed.append(len(out))
+            return out
+
+        mat = materialize(listing, act, max_dim, prefix=prefix, degen=degen)
+        if prefix == "wc":  # weighted_colim's, not cube_hom's
+            counts.append((sum(listed), mat.sset.n_gens()))
+        return mat
+
+    monkeypatch.setattr(cubes, "materialize", counting)
+    for _, f in _mono_catalog():
+        for m in range(3):
+            for mu in _injections(m):
+                for i in range(m + 1):
+                    st_mono_formula(mu, m, f, i)
+    assert counts and all(listed == kept for listed, kept in counts), counts

@@ -32,7 +32,7 @@ def _assert_same_colimit(got, diag, bi=False, bare=()):
             else colimit_all_simplices(diag))
     dump = bisset_dump if bi else sset_dump
     assert dump(got[0]) == dump(want[0])
-    assert got.reps == want[3]
+    assert got.reps == want[2]
     assert sorted(got.cocone) == sorted(n for n in want[1] if n not in bare)
     for name, leg in got.cocone.items():
         assert leg.assign == want[1][name].assign, name
@@ -53,7 +53,7 @@ def test_edge_collapsed_onto_a_degenerate_edge():
     diag = _span_diagram(edge, to_pt)
     got = ops.colimit(diag)
     assert got.sset.nd_counts() == (2, 2, 1)
-    assert got.cls("X", nd("0.1")).word == (0,)
+    assert got.cocone["X"](nd("0.1")).word == (0,)
     _assert_same_colimit(got, diag)
 
 

@@ -3,7 +3,8 @@ that compute them element by element.
 
 cfunctor's on_hom reads the image of each generator from a table its closure
 owns and degenerates it in the target; Categorification.comp_el memoizes each
-composite; GradedSet._face reads delta's bounded face lookup.  Each is held
+composite; GradedSet._face reads delta's bounded face lookup, and
+delta.strip_word undoes common degeneracies in closed form.  Each is held
 against its per-element route in oracles.py.
 """
 
@@ -19,7 +20,7 @@ from necklace_calculus.sset import nd
 from necklace_calculus.straighten import cell_product_map, lf_induced, lf_map
 
 from oracles import (cfunctor_on_hom_by_element, comp_el_by_element, face_by_composing,
-                     face_of_word_by_composing)
+                     face_of_word_by_composing, strip_word_by_section)
 from test_straighten_shared import TOTALS, _straightened
 
 d = shapes.simplex
@@ -130,6 +131,15 @@ def test_face_lookup_matches_composing(m):
         for word in delta.all_words(p, m):
             for r in range(m + 1):
                 assert delta.face_of_word(word, m, r) == face_of_word_by_composing(word, m, r)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_strip_word_matches_the_section(m):
+    for p in range(m + 1):
+        for word in delta.all_words(p, m):
+            for q in range(p + 1):
+                for common in itertools.combinations(word, q):
+                    assert delta.strip_word(word, common) == strip_word_by_section(word, common, m)
 
 
 def test_face_lookup_is_bounded():

@@ -11,6 +11,10 @@ A definition nothing names is a copy left behind, or dead code.  The second
 scan looks for the name of each module-level function and class of src/, as
 a whole word, in every Python file of src/, tests/ and perfbench/: it must
 appear somewhere besides its own definition.
+
+A memo table over a module-level function of src/ lives as long as the
+process, so the third scan requires a finite maxsize of each one whose
+function takes parameters.
 """
 
 import ast
@@ -92,3 +96,30 @@ def test_no_unreferenced_definitions(path):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     lone = [(line, name) for line, name in defined if _word_counts()[name] < 2]
     assert not lone, f"{path.relative_to(ROOT)}: names used nowhere else {lone}"
+
+
+def _unbounded_memo(dec: ast.expr) -> bool:
+    """Whether a decorator is functools.cache or an lru_cache with maxsize None."""
+    name = ast.unparse(dec.func if isinstance(dec, ast.Call) else dec).rsplit(".", 1)[-1]
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(dec, ast.Call):
+        return False  # a bare lru_cache keeps 128 entries
+    size = dec.args[0] if dec.args else next(
+        (k.value for k in dec.keywords if k.arg == "maxsize"), ast.Constant(128))
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def _has_parameters(node: ast.FunctionDef) -> bool:
+    args = node.args
+    return bool(args.posonlyargs or args.args or args.kwonlyargs or args.vararg or args.kwarg)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_level_memo_tables_are_bounded(path):
+    # a process-wide table over a function's arguments grows with every new
+    # argument a long-lived process passes, unless it has a finite maxsize
+    unbounded = [(node.lineno, node.name) for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and _has_parameters(node)
+                 and any(map(_unbounded_memo, node.decorator_list))]
+    assert not unbounded, f"{path.relative_to(ROOT)}: unbounded memo tables {unbounded}"

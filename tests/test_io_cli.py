@@ -30,6 +30,11 @@ def test_sset_schema_errors():
         sset_load({"schema": "bogus"})
     with pytest.raises(SchemaError):
         sset_load({"schema": "sset.v1", "generators": [{"id": "x"}]})
+    for labels in ("xy", ["x"], {"x": 1}, None):
+        with pytest.raises(SchemaError, match="labels"):
+            sset_load({**sset_dump(d(0)), "labels": labels})
+        with pytest.raises(SchemaError, match="labels"):
+            bisset_load({**bisset_dump(horizontal(d(0))), "labels": labels})
 
 
 def test_bisset_roundtrip():
@@ -111,6 +116,8 @@ BAD_FILES = {
     "h_d1": bisset_dump(horizontal(d(1))),
     "h_d2": bisset_dump(horizontal(d(2))),
     "v_d1": bisset_dump(vertical(d(1))),
+    "d1_string_labels": {**sset_dump(d(1)), "labels": "xy"},
+    "h_d1_string_labels": {**bisset_dump(horizontal(d(1))), "labels": "xy"},
     "map_no_target": {"0": {"hword": [], "vword": []}},
     "map_bad_target": {"0": {"hword": [], "vword": [], "target": "zz"}},
     "map_extra_id": {**{g: {"hword": [], "vword": [], "target": g} for g in ("0", "1", "0.1")},
@@ -136,13 +143,15 @@ BAD_FILES = {
     ["straighten", "--base", "{h_d0}", "--total", "{v_d1}", "--map", "{map_bad_target}"],
     ["straighten", "--base", "{h_d1}", "--total", "{h_d1}", "--map", "{map_extra_id}"],
     ["verify", "--suite", "nosuch"],
+    ["hom", "--base", "{h_d1_string_labels}", "--from", "0", "--to", "1"],
+    ["dot", "--sset", "{d1_string_labels}", "--from", "0", "--to", "1"],
 ], ids=["bare_dot", "dot_bad_pairs", "hom_non_object_base", "sset_dim_minus_1",
         "bisset_negative_bidegree", "bisset_fractional_bidegree", "sset_invalid_faces",
         "hom_endpoint_not_a_vertex", "dot_endpoint_not_a_vertex", "straighten_at_not_a_vertex",
         "hom_negative_degree", "dot_pairs_i_above_m", "dot_pairs_negative_m",
         "negative_max_cells", "map_entry_without_target", "map_not_an_object",
         "map_target_not_a_base_generator", "map_image_of_an_id_not_in_the_total",
-        "verify_unknown_suite"])
+        "verify_unknown_suite", "hom_string_labels", "dot_string_labels"])
 def test_cli_usage_errors_exit_2(tmp_path, args):
     paths = {}
     for name, payload in BAD_FILES.items():
@@ -460,6 +469,16 @@ def test_cli_dot():
     res = _run_cli(["dot", "--pairs", "0,2"], [])
     assert res.returncode == 0
     assert res.stdout.startswith("digraph")
+
+
+def test_cli_dot_json_point_necklace(tmp_path):
+    # from a vertex to itself there is one necklace, the point: a bead of dimension 0
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(sset_dump(d(2))))
+    code, out, _ = _cli(["dot", "--sset", str(p), "--from", "1", "--to", "1", "--emit", "json"])
+    assert code == 0
+    assert json.loads(out)["necklaces"] == [
+        {"schema": "necklace.v1", "bead_dims": [0], "beads": ["1"], "endpoints": ["1", "1"]}]
 
 
 def test_presheaf_dump_shape():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as strat
 from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import horizontal, lf
 from necklace_calculus.categorify import categorify
-from necklace_calculus.necklace import (Necklace, PairObject, PairPoset, TndPoset,
+from necklace_calculus.necklace import (PairObject, PairPoset, RealizedNecklace, TndPoset,
                                         UnsupportedInput, containing_beads, necklace_count,
                                         necklace_joint_ids, necklace_vertex_ids,
                                         pair_of_necklace, pair_poset_iso, plus_m,
@@ -23,11 +23,15 @@ d = shapes.simplex
 
 
 def test_necklace_shape_normalization():
-    T = Necklace.of([2, 0, 1])
-    assert T.bead_dims == (2, 1)
-    assert T.joints == (0, 2, 3)
-    assert Necklace.of([0]).bead_dims == (0,)
-    assert Necklace.of([1]).wedge(Necklace.of([0])).bead_dims == (1,)
+    # every bead listed has dimension >= 1; the point necklace is one vertex
+    t = TndPoset(d(3), "0", "3")
+    for o in t.objects:
+        dims = t.bead_dims(o)
+        assert min(dims) >= 1 and sum(dims) == len(t.vertex_ids(o)) - 1
+        assert dims == tuple(len(g.split(".")) - 1 for g in o.beads)
+    assert t.bead_dims(RealizedNecklace(("0.1.2", "2.3"))) == (2, 1)
+    point = TndPoset(d(3), "2", "2")
+    assert [point.bead_dims(o) for o in point.objects] == [(0,)]
 
 
 def test_tnd_delta2():
