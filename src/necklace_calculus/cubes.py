@@ -3,6 +3,9 @@
 The mapping space of a totally non-degenerate necklace with joints J and
 vertices V is the nerve of the subset interval [J, V]: a j-simplex is a chain
 S_0 <= ... <= S_j with J <= S_r <= V, non-degenerate iff strictly increasing.
+A weight takes a pair with t beads to a product of t factors built by
+ops.product (one factor is that factor itself), and its arrows are pairings
+of the projections.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import delta
 from .necklace import PairObject, PairPoset, UnsupportedInput, containing_beads, plus_m
-from .ops import is_connected, product
+from .ops import Product, is_connected, pairing, product
 from .sset import (EMPTY, NF, SSet, SSetError, SSetMap, Materialized, identity_map,
                    materialize, nd)
 
@@ -179,39 +182,6 @@ def _empty_map_to(X: SSet) -> SSetMap:
     return SSetMap(EMPTY, X, {}, validate=False)
 
 
-class NProd:
-    """An n-ary product whose nullary and unary cases are literal units."""
-
-    def __init__(self, factors: list[SSet]):
-        from .shapes import point
-
-        self.factors = tuple(factors)
-        if len(factors) == 0:
-            self.sset = point()
-            self._prod = None
-        elif len(factors) == 1:
-            self.sset = factors[0]
-            self._prod = None
-        else:
-            self._prod = product(*factors)
-            self.sset = self._prod.sset
-
-    def project(self, i: int) -> SSetMap:
-        if len(self.factors) == 1:
-            return identity_map(self.sset)
-        return self._prod.projections[i]
-
-    def pair(self, maps: list[SSetMap], src: SSet) -> SSetMap:
-        from .ops import pairing
-        from .sset import constant_map
-
-        if len(self.factors) == 0:
-            return constant_map(src, self.sset, self.sset.by_dim[0][0])
-        if len(self.factors) == 1:
-            return maps[0]
-        return pairing(self._prod, maps)
-
-
 def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int) -> Weight:
     """The weight sending T to (prod over non-last beads of Y) x X when the last
     bead lies in the image of mu+1, and to the empty space otherwise."""
@@ -222,33 +192,25 @@ def weight_F(mu: delta.Monotone, f: SSetMap, i: int, m: int) -> Weight:
         raise UnsupportedInput("weight_F needs a monomorphism between connected inputs")
     pp = PairPoset(i, m)
     im = set(mu) | {m + 1}
-    prods: dict[PairObject, NProd] = {}
+    prods: dict[PairObject, Product] = {}
     values: dict[PairObject, SSet] = {}
     for p in pp.objects:
         if set(pp.last_bead(p)) <= im:
-            t = len(p.J) - 1
-            pv = NProd([Y] * (t - 1) + [X])
-            prods[p] = pv
-            values[p] = pv.sset
+            t = len(p.J) - 1  # at least 1: a pair has at least 2 joints
+            prods[p] = product(*[Y] * (t - 1), X)
+            values[p] = prods[p].sset
         else:
             values[p] = EMPTY
 
     def arrow(p: PairObject, q: PairObject) -> SSetMap:
         if values[q].is_empty():
             return _empty_map_to(values[p])
-        pv_q, pv_p = prods[q], prods[p]
+        projs = prods[q].projections
         cont = containing_beads(p.J, q.J)
-        nq = len(pv_q.factors)
-        comps: list[SSetMap] = []
-        for r, ti in enumerate(cont):
-            pr = pv_q.project(ti)
-            if r == len(cont) - 1:
-                comps.append(pr)  # last bead lands in the last bead: keep X
-            elif ti == nq - 1:
-                comps.append(pr.then(f))  # collapsed into q's last bead: apply f
-            else:
-                comps.append(pr)
-        return pv_p.pair(comps, pv_q.sset)
+        # p's last bead lands in q's last bead and keeps X; another bead
+        # collapsed into q's last bead applies f
+        return pairing(prods[p], [projs[ti].then(f) if ti == len(projs) - 1 and r < len(cont) - 1
+                                  else projs[ti] for r, ti in enumerate(cont)])
 
     return Weight(pp, values, arrow)
 
@@ -274,10 +236,8 @@ def weight_G0(m: int, f: SSetMap) -> Weight:
 def last_factor_postcompose(t: int, f: SSetMap) -> SSetMap:
     """(Y^{t-1} x X) -> Y^t applying f to the last factor."""
     Y = f.dst
-    src = NProd([Y] * (t - 1) + [f.src])
-    dst = NProd([Y] * t)
-    comps = [src.project(r) for r in range(t - 1)] + [src.project(t - 1).then(f)]
-    return dst.pair(comps, src.sset)
+    projs = product(*[Y] * (t - 1), f.src).projections
+    return pairing(product(*[Y] * t), [*projs[:-1], projs[-1].then(f)])
 
 
 def weight_constant(i: int, m: int, X: SSet) -> Weight:
@@ -328,15 +288,9 @@ def weighted_colim(weight: Weight) -> Materialized:
 
     def degen(e, j, i):
         p, ch, x = e
-        if ch[i] != ch[i + 1]:
+        if ch[i] != ch[i + 1] or i not in x.word:
             return None
-        epi = delta.word_to_epi(x.word, j)
-        if epi[i] != epi[i + 1]:
-            return None
-        word2, _ = delta.factor(delta.compose(epi, delta.coface(i, j)))
-        from .sset import NF
-
-        return (p, ch[:i] + ch[i + 1:], NF(word2, x.gen))
+        return (p, ch[:i] + ch[i + 1:], NF(delta.strip_word(x.word, (i,)), x.gen))
 
     return materialize(levels, act, max_dim, prefix="wc", degen=degen)
 

@@ -8,13 +8,12 @@ given by the evaluation of the presheaf action on the last edge.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 from . import delta
-from .bisset import BiMap, BiNF, BiSSet, materialize_bi
+from .bisset import BiMap, BiNF, BiSSet, materialize_bi, rename_gens, vertical
 from .nerves import Nerve
-from .ops import enumerate_maps
+from .ops import enumerate_maps, product
 from .scat import NatTrans, Presheaf, representable
 from .sset import NF, SSet, SSetError
 
@@ -141,18 +140,21 @@ def rightfib_check(P: BiSSet, W: BiSSet, p: BiMap) -> FibReport:
 
 
 def vtensor(A: BiSSet, X: SSet) -> tuple[BiSSet, dict, object]:
-    """The vertical tensor A (x) X, with element bookkeeping."""
+    """The vertical tensor A (x) X, the product A x vertical(X), with element
+    bookkeeping: generators t{m}_{k}_{i} (the product's p{m}_{k}_{i}),
+    elem_of[g] = (a, x) with x a simplex of X as an NF, and to_nf(m, k, (a, x))
+    the normal form of any such pair of bidegree (m, k)."""
+    prod = product(A, vertical(X))
+    ren = {g: "t" + g[1:] for g in prod.sset.gens()}
+    on_a, on_x = (pr.assign for pr in prod.projections)
+    elem_of = {ren[g]: (on_a[g], NF(on_x[g].vword, on_x[g].gen)) for g in prod.sset.gens()}
 
-    def levels(m, k):
-        return sorted(itertools.product(A.simplices(m, k), X.simplices(k)))
-
-    def act(e, mk, mu_h, mu_v):
+    def to_nf(m: int, k: int, e: tuple) -> BiNF:
         a, x = e
-        return (A.act(a, mu_h=mu_h, mu_v=mu_v), x if mu_v is None else X.act(x, mu_v))
+        out = prod.to_nf((m, k), (a, BiNF(tuple(range(m - 1, -1, -1)), x.word, x.gen)))
+        return BiNF(out.hword, out.vword, ren[out.gen])
 
-    mat = materialize_bi(levels, act, A.h_bound, A.v_bound + max(X.dim_bound, 0),
-                         prefix="t")
-    return mat.bisset, mat.elem_of, mat.to_nf
+    return rename_gens(prod.sset, ren), elem_of, to_nf
 
 
 def groth_right_adjoint(nerve: Nerve, P: BiSSet, p: BiMap, k_bound: int) -> Presheaf:

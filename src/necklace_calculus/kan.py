@@ -52,10 +52,11 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
             by_deg: dict[tuple[int], list[str]] = {}
             to_b: dict[str, NF] = {}
             to_a: dict[str, NF] = {}
-            for dd, level in enumerate(shuffles((K, D.hom[(d, Ga)], F.value[b]))):
+            for deg, level in shuffles((K, D.hom[(d, Ga)], F.value[b])):
+                (dd,) = deg
                 ids = [f"p{dd}_{i}" for i in range(len(level))]
                 if ids:
-                    by_deg[(dd,)] = ids
+                    by_deg[deg] = ids
                 for g, (k, h, x) in zip(ids, level):
                     to_b[g] = prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
                     to_a[g] = prods[a].to_nf(dd, (h, F.action(a, b, k, x)))

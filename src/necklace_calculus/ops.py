@@ -1,111 +1,156 @@
 """Products, colimits, isomorphism search, and structural predicates.
 
-Colimits, isomorphism search and map enumeration are written once for the
-n-fold sets of `sset` and serve simplicial and bisimplicial sets alike.
-Products and colimits are built from non-degenerate simplices only: by the
-Eilenberg-Zilber lemma every simplex of the result has one normal form, which
-they give in closed form, so neither lists a degenerate simplex nor tests one
-through the operator action: a product's to_nf strips the indices its factors'
-words share (delta.strip_word), and a colimit gives the class of a simplex x
-of the object named n as cocone[n](x).
+Products, colimits, isomorphism search and map enumeration are written once
+for the n-fold sets of `sset` and serve simplicial and bisimplicial sets
+alike.  Products and colimits are built from non-degenerate simplices only:
+by the Eilenberg-Zilber lemma every simplex of the result has one normal
+form, which they give in closed form, so neither lists a degenerate simplex
+nor tests one through the operator action: a product's to_nf strips, axis by
+axis, the indices its factors' words share (delta.strip_word), and a colimit
+gives the class of a simplex x of the object named n as cocone[n](x).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import gt, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
-from .sset import EMPTY, NF, SSet, SSetError, SSetMap, _new, nd
+from .sset import EMPTY, NF, GradedSet, SSet, SSetError, SSetMap, _new, identity_map, nd
 
 
 # -- products -----------------------------------------------------------------
 
 
 class Product(NamedTuple):
-    sset: SSet
+    sset: GradedSet
     projections: tuple[SSetMap, ...]
-    to_nf: Callable[[int, tuple], NF]
+    to_nf: Callable[[object, tuple], tuple]
 
 
-def shuffles(factors: tuple[SSet, ...]) -> Iterator[list[tuple]]:
-    """The non-degenerate simplices of the product of factors, one sorted list
-    per degree d from 0 to the sum of the factors' top dimensions.
+@functools.lru_cache(maxsize=1 << 12)
+def _word_masks(low: tuple[int, ...], deg: tuple[int, ...]) -> tuple[tuple[int, tuple], ...]:
+    """Each tuple of words, one per axis, that lifts degree low to degree deg
+    (none unless low <= deg on every axis), with one bit mask of its indices:
+    axis a's indices shifted by the sum of deg before a, so two tuples share
+    an index on some axis exactly when their masks meet."""
+    if any(map(gt, low, deg)):
+        return ()
+    out = []
+    for words in itertools.product(*map(delta.all_words, map(sub, deg, low), deg)):
+        mask = shift = 0
+        for w, top in zip(words, deg):
+            for i in w:
+                mask |= 1 << (shift + i)
+            shift += top
+        out.append((mask, words))
+    return tuple(out)
 
-    A d-simplex of the product is a tuple of d-simplices, one per factor; it
-    is non-degenerate exactly when the factors' degeneracy words have no
-    index in common (Eilenberg-Zilber), so only those tuples are listed.
-    product numbers the list at degree d p{d}_0, p{d}_1, ...; a caller that
-    needs the generators but not their faces (the relation pieces of
+
+def _empty(n_axes: int) -> GradedSet:
+    """The empty set of the grading with n_axes axes."""
+    if n_axes == 1:
+        return EMPTY
+    from .bisset import BI_EMPTY
+
+    return BI_EMPTY
+
+
+def shuffles(factors: tuple[GradedSet, ...]) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+    """The non-degenerate simplices of the product of n-fold factors (SSet or
+    BiSSet, all with the same number of axes): (degree, sorted list) for each
+    degree up to the sum of the factors' top degrees, axis by axis, in
+    ascending order.
+
+    A simplex of the product is a tuple of simplices of one degree, one per
+    factor; it is non-degenerate exactly when, on every axis, the factors'
+    degeneracy words have no index in common (Eilenberg-Zilber), so only
+    those tuples are listed.  product numbers the list at degree deg p{deg}_0,
+    p{deg}_1, ..., the degree joined by "_"; a caller that needs the
+    generators but not their faces (the relation pieces of
     kan.enriched_lan) lists them here under the same ids.  Nothing is listed
     when a factor is empty.
     """
     if any(X.is_empty() for X in factors):
         return
-    for d in range(sum(X.dim_bound for X in factors) + 1):
-        # per factor: (bit mask of a word, the d-simplices with that word)
-        by_word = [[(sum(1 << i for i in w), [NF(w, g) for g in X._by_deg[(d - q,)]])
-                    for q in range(d + 1) if (d - q,) in X._by_deg
-                    for w in delta.all_words(q, d)]
+    nf_type = factors[0].nf_type
+    # per axis, the sum over the factors of their top degrees on it
+    tops = map(sum, zip(*(map(max, zip(*X._by_deg)) for X in factors)))
+    for deg in itertools.product(*(range(top + 1) for top in tops)):
+        # per factor: (bit mask of a tuple of words, the simplices with those words)
+        by_word = [[(mask, [_new(nf_type, words + (g,)) for g in level])
+                    for low, level in X._by_deg.items()
+                    for mask, words in _word_masks(low, deg)]
                    for X in factors]
         level: list[tuple] = []
         for words in itertools.product(*by_word):
-            common = (1 << d) - 1
+            common = -1
             for mask, _ in words:
                 common &= mask
             if not common:
                 level.extend(itertools.product(*(xs for _, xs in words)))
         level.sort()
-        yield level
+        yield deg, level
 
 
-def product(*factors: SSet) -> Product:
-    """Finite product with projections; generators are the shuffles.
+def product(*factors: GradedSet) -> Product:
+    """Finite product of n-fold factors with projections; generators are the shuffles.
 
-    The generators are the tuples that shuffles lists, numbered p{d}_{i} in
-    its order.  Their faces are read from the factors' face tables.
-    to_nf(d, e) gives any tuple's normal form in closed form, above the top
-    dimension too: the common indices C of the words, applied to the tuple
-    with C stripped from each word (delta.strip_word).  It raises
-    SSetError on a tuple that reduces to no listed shuffle, which is then no
-    d-simplex of the product.
+    The generators are the tuples that shuffles lists, numbered p{deg}_{i} in
+    its order (p{d}_{i} for simplicial sets).  Their faces are read, axis by
+    axis, from the factors' face tables.  to_nf(d, e) gives any tuple's
+    normal form in closed form, above the top degree too, for d the degree
+    of e (an int for simplicial sets): on each axis, the common indices C of
+    the words, applied to the tuple with C stripped from each word
+    (delta.strip_word).  It raises SSetError on a tuple that reduces to no
+    listed shuffle, which is then no simplex of the product.  A product of
+    one factor is that factor, with the identity as its projection.
     """
-    if not factors:
-        pt = SSet([("*", 0)], {})
-        return Product(pt, (), lambda d, e: NF(tuple(range(d - 1, -1, -1)), "*"))
-    if any(X.is_empty() for X in factors):
-        return Product(EMPTY, tuple(SSetMap(EMPTY, X, {}) for X in factors),
-                       lambda d, e: (_ for _ in ()).throw(SSetError("empty product")))
-    max_dim = sum(X.dim_bound for X in factors)
-    memo: dict[tuple, NF] = {}  # tuple -> normal form; each shuffle entered as it is listed
+    n = factors[0].n_axes
+    if any(X.n_axes != n for X in factors):
+        raise SSetError("the factors of a product need the same number of axes")
+    if len(factors) == 1:
+        return Product(factors[0], (identity_map(factors[0]),), lambda d, e: e[0])
+    nf_type = factors[0].nf_type
+    memo: dict[tuple, tuple] = {}  # tuple -> normal form; each shuffle entered as it is listed
 
-    def to_nf(d: int, e: tuple) -> NF:
+    def to_nf(d, e: tuple) -> tuple:
         hit = memo.get(e)
         if hit is None:
-            common = set(e[0].word).intersection(*(x.word for x in e[1:]))
-            base = common and memo.get(tuple(NF(delta.strip_word(x.word, common), x.gen)
-                                             for x in e))
-            if not base or base.word:
-                raise SSetError(f"no generator of the product below a {d}-simplex; "
-                                f"the product's top dimension is {max_dim}")
-            hit = memo[e] = NF(tuple(sorted(common, reverse=True)), base.gen)
+            commons = [set(e[0][a]).intersection(*(x[a] for x in e[1:])) for a in range(n)]
+            base = any(commons) and memo.get(tuple(
+                _new(nf_type, (*map(delta.strip_word, x[:-1], commons), x[-1])) for x in e))
+            if not base or any(base[:-1]):
+                raise SSetError(f"no generator of the product below a simplex of degree {d}")
+            hit = memo[e] = _new(nf_type, (*(tuple(sorted(c, reverse=True)) for c in commons),
+                                           base[-1]))
         return hit
 
-    gens: list[tuple[str, int]] = []
-    faces: dict[str, tuple[NF, ...]] = {}
+    gens: list[tuple[str, object]] = []
+    faces: tuple[dict, ...] = tuple({} for _ in range(n))
     elem_of: dict[str, tuple] = {}
-    for d, level in enumerate(shuffles(factors)):
+    nd_words = ((),) * n
+    for deg, level in shuffles(factors):
+        stem = "p" + "_".join(map(str, deg)) + "_"
+        key = deg[0] if n == 1 else deg
         for i, e in enumerate(level):
-            gid = f"p{d}_{i}"
-            gens.append((gid, d))
+            gid = stem + str(i)
+            gens.append((gid, key))
             elem_of[gid] = e
-            memo[e] = nd(gid)
-        for e in level if d else ():
-            faces[memo[e].gen] = tuple(
-                to_nf(d - 1, tuple(X._face(x, 0, i) for X, x in zip(factors, e)))
-                for i in range(d + 1))
-    out = SSet(gens, faces, validate=False)
-    projs = tuple(SSetMap(out, X, {g: elem_of[g][k] for g in out.gens()}, validate=False)
+            memo[e] = _new(nf_type, nd_words + (gid,))
+        for a, top in enumerate(deg):
+            if top:
+                low = top - 1 if n == 1 else deg[:a] + (top - 1,) + deg[a + 1:]
+                fa = faces[a]
+                for e in level:
+                    fa[memo[e][-1]] = tuple(
+                        to_nf(low, tuple(X._face(x, a, i) for X, x in zip(factors, e)))
+                        for i in range(top + 1))
+    empty = _empty(n)
+    out = type(empty)(gens, *faces, validate=False) if gens else empty
+    projs = tuple(X.map_type(out, X, {g: e[k] for g, e in elem_of.items()}, validate=False)
                   for k, X in enumerate(factors))
     return Product(out, projs, to_nf)
 
@@ -115,9 +160,9 @@ def pairing(prod: Product, maps: list[SSetMap]) -> SSetMap:
     src = maps[0].src
     assign = {}
     for g in src.gens():
-        d = src.gen_dim(g)
-        assign[g] = prod.to_nf(d, tuple(f(nd(g)) for f in maps))
-    return SSetMap(src, prod.sset, assign, validate=False)
+        d = src._deg[g]
+        assign[g] = prod.to_nf(d[0] if len(d) == 1 else d, tuple(f(src._nd(g)) for f in maps))
+    return src.map_type(src, prod.sset, assign, validate=False)
 
 
 # -- colimits -----------------------------------------------------------------

@@ -95,6 +95,9 @@ class GradedSet:
     def is_empty(self) -> bool:
         return not self._deg
 
+    def n_gens(self) -> int:
+        return len(self._deg)
+
     def degree(self, e: tuple) -> tuple[int, ...]:
         """Per-axis dimensions of a normal form."""
         return tuple(map(add, self._deg[e[-1]], map(len, e)))
@@ -281,9 +284,6 @@ class SSet(GradedSet):
 
     def gens(self) -> list[str]:
         return [g for level in self.by_dim for g in level]
-
-    def n_gens(self) -> int:
-        return len(self._deg)
 
     def nd_counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.by_dim)

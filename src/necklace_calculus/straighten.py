@@ -284,7 +284,6 @@ class Straightener:
         self._cat_lfs: dict[tuple[int, int], CatLF] = {}
         self._handles: dict[tuple[int, int], Categorification] = {}
         self._fulls: dict[tuple[int, int], FullRep] = {}
-        self._sig: dict[Cell, object] = {}
         self._lans: dict[Cell, "LanResult"] = {}
         # the product pieces of every lan, by their factors: a hom of base_cat
         # and a value of a universal presheaf in _fulls, both kept here
@@ -309,18 +308,15 @@ class Straightener:
                                lambda: full_rep(self._cat_lf(m, k), self._cat_lf(m + 1, k)))
 
     def sigma_functor(self, cell: Cell):
-        """The enriched functor from the categorified representable into c W."""
-        if cell not in self._sig:
-            fr = self.full(cell.m, cell.k)
-            pm = cell_product_map(self.W, cell, fr.lfm)
-            sig = lf_induced(fr.lfm, self.W, pm)
-            shape = (cell.m, cell.k)
-            if shape not in self._handles:
-                self._handles[shape] = fr.C.handle()
-            raw = cfunctor(sig, self._handles[shape], self.CW)
-            self._sig[cell] = EnrichedFunctor(fr.base, self.base_cat, raw.on_obj,
-                                              raw.on_hom)
-        return self._sig[cell]
+        """The enriched functor from the categorified representable into c W,
+        built anew on each call: lan, which is memoized, asks once per cell."""
+        fr = self.full(cell.m, cell.k)
+        sig = lf_induced(fr.lfm, self.W, cell_product_map(self.W, cell, fr.lfm))
+        shape = (cell.m, cell.k)
+        if shape not in self._handles:
+            self._handles[shape] = fr.C.handle()
+        raw = cfunctor(sig, self._handles[shape], self.CW)
+        return EnrichedFunctor(fr.base, self.base_cat, raw.on_obj, raw.on_hom)
 
     def lan(self, cell: Cell) -> LanResult:
         if cell not in self._lans:

@@ -10,7 +10,9 @@ them with a validated SSetMap.
 colimit_all_simplices and product_all_tuples list every simplex, degenerate
 ones included, and strip degeneracies through the generic operator action in
 the materialize engine: the references for ops.colimit, bisset.bi_colimit and
-ops.product, which list non-degenerate simplices only.
+ops.product (of simplicial or bisimplicial factors), which list
+non-degenerate simplices only; vtensor_by_act lists every pair the same way,
+the reference for groth.vtensor, the product A x vertical(X).
 The act_* oracles read vertices, faces and bead transport through the generic
 operator action (SSet.act, BiSSet.act) only, never through the face-table
 routines they check: SSet.vertices, necklace.sub_necklace, ops.is_1_ordered
@@ -42,8 +44,9 @@ degeneracies through a section, the reference for delta.strip_word behind
 ops.product's normal forms and io_schemas.presheaf_dump.
 cube_hom_by_listing lists every chain of an interval and tests each through the
 operator action, the reference for cubes.cube_hom's strict chains;
-weight_G0_by_products builds the G0 weight from its own products and arrows,
-the reference for cubes.weight_G0, which is built from F0.
+weight_G0_by_products builds the G0 weight from its own products and arrows
+(ops.product and ops.pairing), the reference for cubes.weight_G0, which is
+built from F0.
 presheaf_actions_all_pairs calls a presheaf's action on every pair of
 simplices, the reference for io_schemas.presheaf_dump, which calls it only on
 the pairs whose degeneracy words share no index.
@@ -52,6 +55,7 @@ the pairs whose degeneracy words share no index.
 import itertools
 
 from necklace_calculus import delta
+from necklace_calculus.bisset import materialize_bi
 from necklace_calculus.necklace import RealizedNecklace, TndPoset
 from necklace_calculus.ops import BarePiece, Diagram, OrderWitness, colimit, product
 from necklace_calculus.sset import EMPTY, NF, SSetMap, materialize, nd
@@ -359,34 +363,50 @@ def colimit_all_simplices(diag, build=materialize, empty=EMPTY):
 
 
 def product_all_tuples(*factors):
-    """(set, projections, to_nf) of the product of simplicial sets: every
-    tuple of d-simplices listed, the degenerate ones stripped one index at a
-    time by the factors' own degeneracy words, faces taken through act."""
-    if not factors or any(X.is_empty() for X in factors):
-        raise ValueError("the oracle takes non-empty factors only")
-    max_dim = sum(X.dim_bound for X in factors)
+    """(set, projections, to_nf) of the product of n-fold sets (simplicial or
+    bisimplicial, an empty one among them too): every tuple of simplices of
+    one degree listed, the degenerate ones stripped by materialize (or
+    bisset.materialize_bi) through the factors' own act, faces taken through
+    act.  to_nf(d, e) takes d as ops.product's does, an int for simplicial
+    sets."""
+    n = factors[0].n_axes
+    bounds = tuple(-1 if any(X.is_empty() for X in factors)
+                   else sum(max(deg[a] for deg in X._by_deg) for X in factors)
+                   for a in range(n))
 
-    def levels(d):
-        return sorted(itertools.product(*(X.simplices(d) for X in factors)))
+    def levels(*deg):
+        return sorted(itertools.product(*(X.simplices(*deg) for X in factors)))
 
-    def act(e, d, mu):
-        return tuple(X.act(x, mu) for X, x in zip(factors, e))
+    def act(e, d, *mus):
+        return tuple(X.act(x, *mus) for X, x in zip(factors, e))
 
-    def degen(e, d, i):
-        out = []
-        for x in e:
-            epi = delta.word_to_epi(x.word, d)
-            if epi[i] != epi[i + 1]:
-                return None
-            word2, _ = delta.factor(delta.compose(epi, delta.coface(i, d)))
-            out.append(NF(word2, x.gen))
-        return tuple(out)
+    mat = (materialize if n == 1 else materialize_bi)(levels, act, *bounds, prefix="p")
+    out = mat[0]
 
-    mat = materialize(levels, act, max_dim, prefix="p", degen=degen)
-    projs = tuple(SSetMap(mat.sset, X, {g: mat.elem_of[g][i] for g in mat.sset.gens()},
-                          validate=False)
+    def to_nf(d, e):
+        return mat.to_nf(d, e) if n == 1 else mat.to_nf(*d, e)
+
+    projs = tuple(X.map_type(out, X, {g: mat.elem_of[g][i] for g in out.gens()},
+                             validate=False)
                   for i, X in enumerate(factors))
-    return mat.sset, projs, mat.to_nf
+    return out, projs, to_nf
+
+
+def vtensor_by_act(A, X):
+    """groth.vtensor as first built: every pair (a, x) of A x X listed and
+    each tested for degeneracy through A's and X's act by materialize_bi.
+    The reference for groth.vtensor, the product A x vertical(X)."""
+
+    def levels(m, k):
+        return sorted(itertools.product(A.simplices(m, k), X.simplices(k)))
+
+    def act(e, mk, mu_h, mu_v):
+        a, x = e
+        return (A.act(a, mu_h=mu_h, mu_v=mu_v), x if mu_v is None else X.act(x, mu_v))
+
+    mat = materialize_bi(levels, act, A.h_bound, A.v_bound + max(X.dim_bound, 0),
+                         prefix="t")
+    return mat.bisset, mat.elem_of, mat.to_nf
 
 
 # -- hom generators and LF representatives by listing ----------------------------
@@ -645,23 +665,24 @@ def weight_G0_by_products(m, f):
     products and arrows: X at the top cell, Y^t at a pair with t beads, arrows
     out of the top pairing copies of f, the others pairing projections.  The
     reference for cubes.weight_G0, which is built from F0."""
-    from necklace_calculus.cubes import NProd, Weight
+    from necklace_calculus.cubes import Weight
     from necklace_calculus.necklace import PairPoset
+    from necklace_calculus.ops import pairing
     from necklace_calculus.sset import identity_map
 
     X, Y = f.src, f.dst
     pp = PairPoset(0, m)
     top = pp.top()
-    prods = {p: NProd([Y] * (len(p.J) - 1)) for p in pp.objects if p != top}
+    prods = {p: product(*[Y] * (len(p.J) - 1)) for p in pp.objects if p != top}
     values = {p: X if p == top else prods[p].sset for p in pp.objects}
 
     def arrow(p, q):
         if q == top:
             if p == top:
                 return identity_map(X)
-            return prods[p].pair([f for _ in prods[p].factors], X)
-        return prods[p].pair([prods[q].project(ti) for ti in bead_containment_by_scan(pp, p, q)],
-                             values[q])
+            return pairing(prods[p], [f] * len(prods[p].projections))
+        return pairing(prods[p], [prods[q].projections[ti]
+                                  for ti in bead_containment_by_scan(pp, p, q)])
 
     return Weight(pp, values, arrow)
 

@@ -157,32 +157,52 @@ def test_weighted_colim_single_pair():
     assert ops.find_iso(wc.sset, Y) is not None
 
 
-def test_weighted_colim_keeps_every_element_it_lists(monkeypatch):
-    # on the weights of the dual-route battery, levels lists only the
-    # non-degenerate elements: materialize keeps each element listed
+@pytest.fixture(scope="module")
+def battery_colims():
+    """(levels, act, degen, max_dim, set) of every weighted colimit that the
+    dual-route battery builds, its callbacks taken from a wrapped materialize."""
     from necklace_calculus import cubes
     from necklace_calculus.straighten import st_mono_formula
     from necklace_calculus.verify import _injections, _mono_catalog
 
-    materialize, counts = cubes.materialize, []
+    materialize, seen = cubes.materialize, []
 
-    def counting(levels, act, max_dim, prefix, degen=None):
-        listed = []
-
-        def listing(j):
-            out = levels(j)
-            listed.append(len(out))
-            return out
-
-        mat = materialize(listing, act, max_dim, prefix=prefix, degen=degen)
+    def recording(levels, act, max_dim, prefix, degen=None):
+        mat = materialize(levels, act, max_dim, prefix=prefix, degen=degen)
         if prefix == "wc":  # weighted_colim's, not cube_hom's
-            counts.append((sum(listed), mat.sset.n_gens()))
+            seen.append((levels, act, degen, max_dim, mat.sset))
         return mat
 
-    monkeypatch.setattr(cubes, "materialize", counting)
-    for _, f in _mono_catalog():
-        for m in range(3):
-            for mu in _injections(m):
-                for i in range(m + 1):
-                    st_mono_formula(mu, m, f, i)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubes, "materialize", recording)
+        for _, f in _mono_catalog():
+            for m in range(3):
+                for mu in _injections(m):
+                    for i in range(m + 1):
+                        st_mono_formula(mu, m, f, i)
+    return seen
+
+
+def test_weighted_colim_keeps_every_element_it_lists(battery_colims):
+    # on the weights of the dual-route battery, levels lists only the
+    # non-degenerate elements: materialize keeps each element listed
+    counts = [(sum(len(levels(j)) for j in range(max_dim + 1)), out.n_gens())
+              for levels, _, _, max_dim, out in battery_colims]
     assert counts and all(listed == kept for listed, kept in counts), counts
+
+
+def test_weighted_colim_undegeneracy_matches_the_operator_action(battery_colims):
+    # degen(e, j, i) strips s_i exactly when the operator action says e is
+    # s_i of its i-th face: on every listed element and each of its degeneracies
+    checked = 0
+    for levels, act, degen, max_dim, _ in battery_colims:
+        for j in range(max_dim + 1):
+            for e in levels(j):
+                for x, dx in [(e, j)] + [(act(e, j, delta.codegeneracy(i, j)), j + 1)
+                                         for i in range(j + 1)]:
+                    for i in range(dx):
+                        df = act(x, dx, delta.coface(i, dx))
+                        back = act(df, dx - 1, delta.codegeneracy(i, dx - 1))
+                        assert degen(x, dx, i) == (df if back == x else None), (x, dx, i)
+                        checked += 1
+    assert checked

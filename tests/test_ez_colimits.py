@@ -1,10 +1,12 @@
 """Colimits and products built from non-degenerate simplices only.
 
 ops.colimit (and bisset.bi_colimit) union-find generators and read each
-degenerate image as a normal form; ops.product lists the shuffles and gives
-normal forms in closed form.  These tests hold both against the oracles in
-tests/oracles.py that list every simplex and strip degeneracies through the
-operator action: the same generators, faces, representatives and cocones.
+degenerate image as a normal form; ops.product lists the shuffles of
+simplicial or bisimplicial factors and gives normal forms in closed form, and
+groth.vtensor is the product A x vertical(X).  These tests hold them against
+the oracles in tests/oracles.py that list every simplex and strip
+degeneracies through the operator action: the same generators, faces,
+representatives and cocones.
 """
 
 import itertools
@@ -15,12 +17,13 @@ from hypothesis import given, settings, strategies as strat
 
 from necklace_calculus import bisset, kan, ops, shapes
 from necklace_calculus.bisset import BI_EMPTY, lf, materialize_bi
+from necklace_calculus.groth import vtensor
 from necklace_calculus.io_schemas import bisset_dump, sset_dump
 from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, nd
 from necklace_calculus.straighten import Straightener, delta_precat
 
 from oracles import (colimit_all_simplices, product_all_tuples, product_nd_counts,
-                     shuffle_count, with_relation_products)
+                     shuffle_count, vtensor_by_act, with_relation_products)
 
 d = shapes.simplex
 
@@ -215,7 +218,21 @@ PRODUCTS = {
     "d1xptxd1": lambda: (d(1), d(0), d(1)),
     "d1xd1xd1": lambda: (d(1), d(1), d(1)),
     "spine2xbd1xd1": lambda: (shapes.spine(2), shapes.boundary(1), d(1)),
+    # bisimplicial factors
+    "bi_lf1d1xv_d1": lambda: (lf(1, d(1)).W, bisset.vertical(d(1))),
+    "bi_h_d1xv_bd2": lambda: (bisset.horizontal(d(1)), bisset.vertical(shapes.boundary(2))),
+    "bi_h_d1xv_d1xlf1d0": lambda: (bisset.horizontal(d(1)), bisset.vertical(d(1)),
+                                   lf(1, d(0)).W),
+    "bi_lf1d1xemptyxv_d1": lambda: (lf(1, d(1)).W, BI_EMPTY, bisset.vertical(d(1))),
 }
+SIMPLICIAL_PRODUCTS = sorted(name for name in PRODUCTS if not name.startswith("bi_"))
+
+
+def _degrees(factors):
+    """Every degree up to one above the product's top degree on each axis."""
+    tops = [sum(max((deg[a] for deg in X._by_deg), default=0) for X in factors)
+            for a in range(factors[0].n_axes)]
+    return itertools.product(*(range(top + 2) for top in tops))
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCTS))
@@ -223,22 +240,64 @@ def test_product_matches_every_tuple_oracle(name):
     factors = PRODUCTS[name]()
     got = ops.product(*factors)
     want, want_projs, want_nf = product_all_tuples(*factors)
-    assert sset_dump(got.sset) == sset_dump(want)
+    dump = sset_dump if factors[0].n_axes == 1 else bisset_dump
+    assert dump(got.sset) == dump(want)
     for pr, want_pr in zip(got.projections, want_projs):
         assert pr.assign == want_pr.assign
-    top = sum(X.dim_bound for X in factors)
-    for dd in range(top + 2):  # one degree above the top: every tuple there is degenerate
-        for e in itertools.product(*(X.simplices(dd) for X in factors)):
+    checked = 0
+    for deg in _degrees(factors):  # one degree above the top: every tuple there is degenerate
+        dd = deg[0] if len(deg) == 1 else deg
+        for e in itertools.product(*(X.simplices(*deg) for X in factors)):
             assert got.to_nf(dd, e) == want_nf(dd, e), (dd, e)
+            checked += 1
+    assert checked or any(X.is_empty() for X in factors)
 
 
-@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_of_one_factor_is_that_factor():
+    for X in (shapes.boundary(2), lf(1, d(1)).W):
+        got = ops.product(X)
+        assert got.sset is X
+        assert got.projections[0].assign == {g: X._nd(g) for g in X.gens()}
+        f = SSetMap(d(1), d(1), {g: nd(g) for g in d(1).gens()})
+        assert ops.pairing(ops.product(d(1)), [f]).assign == f.assign
+
+
+def test_product_factors_need_one_grading():
+    with pytest.raises(SSetError):
+        ops.product(d(1), bisset.vertical(d(1)))
+
+
+@pytest.mark.parametrize("name", SIMPLICIAL_PRODUCTS)
 def test_product_nd_counts_match_shuffle_oracle(name):
     factors = PRODUCTS[name]()
     want = factors[0].nd_counts()
     for X in factors[1:]:
         want = product_nd_counts(want, X.nd_counts())
     assert ops.product(*factors).sset.nd_counts() == want
+
+
+# vertical tensors A (x) X: bases, and fibres
+VTENSOR_BASES = {"delta0": lambda: delta_precat(0).W, "delta1": lambda: delta_precat(1).W,
+                 "delta2": lambda: delta_precat(2).W, "lf1_d1": lambda: lf(1, d(1)).W,
+                 "lf2_bd1": lambda: lf(2, shapes.boundary(1)).W}
+VTENSOR_FIBRES = {"pt": lambda: d(0), "d1": lambda: d(1), "d2": lambda: d(2),
+                  "bd2": lambda: shapes.boundary(2), "horn21": lambda: shapes.horn(2, 1)}
+
+
+@pytest.mark.parametrize("base", sorted(VTENSOR_BASES))
+def test_vtensor_matches_the_act_based_listing(base):
+    A = VTENSOR_BASES[base]()
+    for fibre in sorted(VTENSOR_FIBRES):
+        X = VTENSOR_FIBRES[fibre]()
+        T, elem_of, to_nf = vtensor(A, X)
+        want_T, want_elem_of, want_nf = vtensor_by_act(A, X)
+        assert bisset_dump(T) == bisset_dump(want_T), fibre
+        assert elem_of == want_elem_of, fibre
+        # every simplex of bidegree (m, k), one past the top on each axis
+        for m in range(T.h_bound + 2):
+            for k in range(T.v_bound + 2):
+                for e in itertools.product(A.simplices(m, k), X.simplices(k)):
+                    assert to_nf(m, k, e) == want_nf(m, k, e), (fibre, m, k, e)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
@@ -270,6 +329,8 @@ def test_no_operator_action_and_no_materialize(monkeypatch):
     bi_seen = _recording(monkeypatch, bisset, "bi_colimit")
     lf(2, d(1))
     factors = [PRODUCTS[name]() for name in sorted(PRODUCTS)]
+    tensors = [(VTENSOR_BASES[b](), VTENSOR_FIBRES[x]()) for b in sorted(VTENSOR_BASES)
+               for x in sorted(VTENSOR_FIBRES)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("called")
@@ -286,4 +347,7 @@ def test_no_operator_action_and_no_materialize(monkeypatch):
         prod = ops.product(*fs)
         for g in prod.sset.gens():
             e = tuple(pr.assign[g] for pr in prod.projections)
-            assert not set(e[0].word).intersection(*(x.word for x in e[1:])), (g, e)
+            for a in range(fs[0].n_axes):
+                assert not set(e[0][a]).intersection(*(x[a] for x in e[1:])), (g, e)
+    for A, X in tensors:
+        vtensor(A, X)

@@ -15,6 +15,9 @@ appear somewhere besides its own definition.
 A memo table over a module-level function of src/ lives as long as the
 process, so the third scan requires a finite maxsize of each one whose
 function takes parameters.
+
+python -O drops assert statements, so a check stated as one passes there
+whatever it finds; the fourth scan refuses any assert statement in src/.
 """
 
 import ast
@@ -123,3 +126,10 @@ def test_module_level_memo_tables_are_bounded(path):
                  if isinstance(node, ast.FunctionDef) and _has_parameters(node)
                  and any(map(_unbounded_memo, node.decorator_list))]
     assert not unbounded, f"{path.relative_to(ROOT)}: unbounded memo tables {unbounded}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_assert_statements(path):
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"{path.relative_to(ROOT)}: assert statements at lines {found}"

@@ -465,6 +465,21 @@ def test_cli_verify_timings_per_check():
     assert r_timed["checks"] == r_plain["checks"]
 
 
+def test_cli_verify_fails_a_check_under_python_O():
+    # python -O drops assert statements; a failing check must still report
+    # fail there, and the command exit 4
+    code = ("import sys\n"
+            "from necklace_calculus import cli, verify\n"
+            "verify.find_iso = lambda A, B: None\n"
+            "sys.exit(cli.main(['verify', '--suite', 'enriched']))\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 4, res.stderr
+    checks = {c["name"]: c for c in json.loads(res.stdout)["checks"]}
+    assert checks["enriched.suspension_hom"]["status"] == "fail"
+    assert checks["enriched.suspension_hom"]["witness"] == "assertion failed"
+
+
 def test_cli_dot():
     res = _run_cli(["dot", "--pairs", "0,2"], [])
     assert res.returncode == 0
