@@ -2,12 +2,12 @@
 
 Products, colimits, isomorphism search and map enumeration are written once
 for the n-fold sets of `sset` and serve simplicial and bisimplicial sets
-alike.  Products and colimits are built from non-degenerate simplices only:
-by the Eilenberg-Zilber lemma every simplex of the result has one normal
-form, which they give in closed form, so neither lists a degenerate simplex
-nor tests one through the operator action: a product's to_nf strips, axis by
-axis, the indices its factors' words share (delta.strip_word), and a colimit
-gives the class of a simplex x of the object named n as cocone[n](x).
+alike.  Products and colimits list non-degenerate simplices only and give
+every normal form in closed form (Eilenberg-Zilber): a product's to_nf strips,
+axis by axis, the indices its factors' words share (delta.strip_word), and a
+product of points and one factor X is X renamed.  A colimit union-finds each
+degree's generators as integers in (name, generator) order, so every class's
+root is its least member, and gives the class of x from n as cocone[n](x).
 """
 
 from __future__ import annotations
@@ -58,11 +58,18 @@ def _empty(n_axes: int) -> GradedSet:
     return BI_EMPTY
 
 
+def _lone(factors: tuple[GradedSet, ...]) -> Optional[int]:
+    """k when every factor but the k-th is the point (one generator, of degree
+    0 on every axis), 0 when all are; None otherwise."""
+    rest = [k for k, X in enumerate(factors) if X.n_gens() != 1 or any(*X._by_deg)]
+    return None if len(rest) > 1 else (rest or [0])[0]
+
+
 def shuffles(factors: tuple[GradedSet, ...]) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
     """The non-degenerate simplices of the product of n-fold factors (SSet or
     BiSSet, all with the same number of axes): (degree, sorted list) for each
     degree up to the sum of the factors' top degrees, axis by axis, in
-    ascending order.
+    ascending order; when all factors but X are points, for X's degrees only.
 
     A simplex of the product is a tuple of simplices of one degree, one per
     factor; it is non-degenerate exactly when, on every axis, the factors'
@@ -76,6 +83,14 @@ def shuffles(factors: tuple[GradedSet, ...]) -> Iterator[tuple[tuple[int, ...], 
     if any(X.is_empty() for X in factors):
         return
     nf_type = factors[0].nf_type
+    k = _lone(factors)
+    if k is not None:  # the k-th factor's generators by id, beside the points at their degree
+        X = factors[k]
+        for deg in sorted(X._by_deg):
+            full = tuple(tuple(range(top - 1, -1, -1)) for top in deg)
+            pts = [_new(nf_type, full + (next(iter(P._deg)),)) for P in factors]
+            yield deg, [(*pts[:k], X._nd(g), *pts[k + 1:]) for g in sorted(X._by_deg[deg])]
+        return
     # per axis, the sum over the factors of their top degrees on it
     tops = map(sum, zip(*(map(max, zip(*X._by_deg)) for X in factors)))
     for deg in itertools.product(*(range(top + 1) for top in tops)):
@@ -100,14 +115,17 @@ def product(*factors: GradedSet) -> Product:
 
     The generators are the tuples that shuffles lists, numbered p{deg}_{i} in
     its order (p{d}_{i} for simplicial sets).  Their faces are read, axis by
-    axis, from the factors' face tables.  to_nf(d, e) gives any tuple's
-    normal form in closed form, above the top degree too, for d the degree
-    of e (an int for simplicial sets): on each axis, the common indices C of
-    the words, applied to the tuple with C stripped from each word
-    (delta.strip_word).  It raises SSetError on a tuple that reduces to no
-    listed shuffle, which is then no simplex of the product.  A product of
+    axis, from the factors' face tables, or when every factor but X is the
+    point (one adds no common index) from X's, renamed.  to_nf(d, e) gives
+    any tuple's normal form in closed form, above the top degree too, for d
+    the degree of e (an int for simplicial sets): on each axis, the common
+    indices C of the words, applied to the tuple with C stripped from each
+    word (delta.strip_word).  It raises SSetError on a tuple that reduces to
+    no listed shuffle, which is then no simplex of the product.  A product of
     one factor is that factor, with the identity as its projection.
     """
+    if not factors:
+        raise SSetError("a product needs at least one factor")
     n = factors[0].n_axes
     if any(X.n_axes != n for X in factors):
         raise SSetError("the factors of a product need the same number of axes")
@@ -132,6 +150,7 @@ def product(*factors: GradedSet) -> Product:
     faces: tuple[dict, ...] = tuple({} for _ in range(n))
     elem_of: dict[str, tuple] = {}
     nd_words = ((),) * n
+    k = _lone(factors)
     for deg, level in shuffles(factors):
         stem = "p" + "_".join(map(str, deg)) + "_"
         key = deg[0] if n == 1 else deg
@@ -140,7 +159,7 @@ def product(*factors: GradedSet) -> Product:
             gens.append((gid, key))
             elem_of[gid] = e
             memo[e] = _new(nf_type, nd_words + (gid,))
-        for a, top in enumerate(deg):
+        for a, top in enumerate(deg) if k is None else ():
             if top:
                 low = top - 1 if n == 1 else deg[:a] + (top - 1,) + deg[a + 1:]
                 fa = faces[a]
@@ -148,6 +167,12 @@ def product(*factors: GradedSet) -> Product:
                     fa[memo[e][-1]] = tuple(
                         to_nf(low, tuple(X._face(x, a, i) for X, x in zip(factors, e)))
                         for i in range(top + 1))
+    if k is not None:  # the lone factor's face table, its targets renamed
+        X, new = factors[k], {e[k][-1]: g for g, e in elem_of.items()}
+        for x, g in new.items():
+            for a, top in enumerate(X._deg[x]):
+                if top:
+                    faces[a][g] = [_new(nf_type, (*f[:-1], new[f[-1]])) for f in X._faces[a][x]]
     empty = _empty(n)
     out = type(empty)(gens, *faces, validate=False) if gens else empty
     projs = tuple(X.map_type(out, X, {g: e[k] for g, e in elem_of.items()}, validate=False)
@@ -203,24 +228,12 @@ class Colimit(NamedTuple):
     reps: dict[str, tuple[str, NF]]
 
 
-class _UF:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        """The root of x's class, halving the path on the way: no recursion,
-        so a long chain of unions cannot overflow the stack."""
-        parent = self.parent
-        p = parent.setdefault(x, x)
-        while p != x:
-            parent[x] = grand = parent[p]
-            x, p = grand, parent[grand]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+def _root(parent: list[int], x: int) -> int:
+    """The root of x's class in the union-find forest parent, halving the path
+    on the way: no recursion, so a long chain of unions cannot overflow the stack."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def colimit(diag: Diagram) -> Colimit:
@@ -231,20 +244,22 @@ def colimit(diag: Diagram) -> Colimit:
 def _colimit(diag: Diagram, empty):
     """The colimit of a diagram of n-fold sets; empty is the empty set of the grading.
 
-    Degrees are taken in ascending order.  At each degree the non-degenerate
-    generators of all objects are union-found along every edge whose image of
-    a generator is non-degenerate.  An image s_w z instead marks the
-    generator's class as the degenerate simplex s_w [z], where the class [z] is
-    already known because z lies at a lower degree.  By Eilenberg-Zilber
-    uniqueness, a class with no mark is a non-degenerate simplex of the
-    colimit and has only non-degenerate members, and every relation between
-    degenerate simplices follows from one at a lower degree; two marks on one
-    class that disagree mean a map of the diagram is not simplicial
-    (SSetError).  The unmarked classes become generators q{deg}_{i}, numbered
-    in the order of their least member (name, generator), whose face table
-    gives theirs.  A BarePiece has no face table, so a class whose least
-    member lies in one raises SSetError; a bare piece may be the source of
-    edges only (DiagramError otherwise), and gets no cocone leg.
+    Degrees are taken in ascending order.  At each degree the generators of
+    all objects, numbered in (name, generator) order, are union-found as
+    integers under the smaller root, so each class's root is its least
+    member, along every edge whose image of a generator is non-degenerate.
+    An image s_w z instead marks the generator's class as the degenerate
+    simplex s_w [z], where the class [z] is already known because z lies at
+    a lower degree.  By Eilenberg-Zilber uniqueness, a class with no mark is
+    a non-degenerate simplex of the colimit and has only non-degenerate
+    members, and every relation between degenerate simplices follows from
+    one at a lower degree; two marks on one class that disagree, or an image
+    of another degree, mean a map of the diagram is not simplicial
+    (SSetError).  The unmarked classes become generators q{deg}_{i} in the
+    order of their roots, whose face tables give theirs.  A BarePiece has no
+    face table, so a class whose least member lies in one raises SSetError;
+    a bare piece may be the source of edges only (DiagramError otherwise),
+    and gets no cocone leg.
 
     Returns (set, cocone, reps): cocone[name](x) is the class of x from the
     named object, reps[g] the least (name, generator) in the class of g, the
@@ -256,64 +271,69 @@ def _colimit(diag: Diagram, empty):
         raise DiagramError("a bare piece can only be the source of an edge")
     names = sorted(objects)
     degrees = sorted({deg for X in objects.values() for deg in X._by_deg})
-    if not degrees:
-        return (empty, {n: objects[n].map_type(objects[n], empty, {})
-                        for n in names if n not in bare}, {})
     nf_type = empty.nf_type
     n_axes = empty.n_axes
-    uf = _UF()
-    image: dict[str, dict[str, tuple]] = {n: {} for n in names}  # the cocone, as it is found
-    gens: list[tuple[str, tuple[int, ...]]] = []
+    targets = {t for _, _, t, _ in diag.edges}
+    nd_words = ((),) * n_axes
+    # the cocone as it is found, keyed in each object's generator order
+    image = {n: {} if n in bare else dict.fromkeys(objects[n].gens()) for n in names}
+    gens: list[tuple[str, object]] = []
     faces: tuple[dict, ...] = tuple({} for _ in range(n_axes))
     reps: dict[str, tuple] = {}
 
     def push(name: str, f: tuple) -> tuple:
         """The class of the normal form f of the named object, f's generator already placed."""
         c = image[name][f[-1]]
-        if not any(f[:-1]):
+        if f[:-1] == nd_words:
             return c
         dims = objects[name]._deg[f[-1]]
         return _new(nf_type, (*map(delta.merge_words, f[:-1], c, dims), c[-1]))
 
     for deg in degrees:
-        nodes = [(n, g) for n in names for g in objects[n]._by_deg.get(deg, ())]
+        # this degree's generators, numbered in (name, generator) order: n's from start[n] on
+        level = {n: sorted(objects[n]._by_deg.get(deg, ())) for n in names}
+        start = dict(zip(names, itertools.accumulate(map(len, level.values()), initial=0)))
+        number = {t: dict(zip(level[t], itertools.count(start[t]))) for t in targets}
+        parent = list(range(sum(map(len, level.values()))))
         marked = []
-        for _, s, t, f in diag.edges:
-            for g in objects[s]._by_deg.get(deg, ()):
+        for name, s, t, f in diag.edges:
+            at_t = number[t]
+            for i, g in enumerate(level[s], start[s]):
                 img = f.assign[g]
-                if any(img[:-1]):
-                    marked.append(((s, g), push(t, img)))
+                if img[:-1] == nd_words and img[-1] in at_t:  # join under the smaller root
+                    x, y = _root(parent, i), _root(parent, at_t[img[-1]])
+                    parent[max(x, y)] = min(x, y)
+                elif img[:-1] != nd_words and objects[t].degree(img) == deg:
+                    marked.append((i, push(t, img)))
                 else:
-                    uf.union((s, g), (t, img[-1]))
-        nf_of: dict = {}  # class root -> the class's normal form
-        for node, m in marked:
-            if nf_of.setdefault(uf.find(node), m) != m:
+                    raise SSetError(f"edge {name!r} sends {g!r} of degree {list(deg)} to a "
+                                    f"simplex of another degree")
+        for i, p in enumerate(parent):  # a root is its class's least member: one pass finds all
+            parent[i] = parent[p]
+        nf_of: dict[int, tuple] = {}  # class root -> the class's normal form
+        for i, m in marked:
+            if nf_of.setdefault(parent[i], m) != m:
                 raise SSetError(f"a colimit class at degree {list(deg)} has two normal forms, "
-                                f"{tuple(m)} and {tuple(nf_of[uf.find(node)])}")
-        least: dict = {}
-        for node in nodes:
-            root = uf.find(node)
-            if root not in nf_of and (root not in least or node < least[root]):
-                least[root] = node
-        made = [("q" + "_".join(map(str, deg)) + f"_{i}", n, g)
-                for i, (n, g) in enumerate(sorted(least.values()))]
-        for gid, n, g in made:
-            nf_of[uf.find((n, g))] = _new(nf_type, ((),) * n_axes + (gid,))
-        for n, g in nodes:
-            image[n][g] = nf_of[uf.find((n, g))]
-        for gid, n, g in made:
-            if n in bare:
-                raise SSetError(f"the class of {g!r} of {n!r} at degree {list(deg)} has its "
-                                f"least member in a piece with no face table")
-            gens.append((gid, deg))
-            reps[gid] = (n, objects[n]._nd(g))
-            for a, fs in enumerate(objects[n]._faces):
-                if deg[a]:
-                    faces[a][gid] = tuple(push(n, f) for f in fs[g])
-    out = type(empty)([(g, deg[0] if n_axes == 1 else deg) for g, deg in gens], *faces,
-                      validate=False)
-    cocone = {n: objects[n].map_type(objects[n], out, {g: image[n][g] for g in objects[n].gens()},
-                                     validate=False)
+                                f"{tuple(m)} and {tuple(nf_of[parent[i]])}")
+        stem = "q" + "_".join(map(str, deg)) + "_"
+        key, first = deg[0] if n_axes == 1 else deg, len(gens)
+        for n in names:
+            X, image_n = objects[n], image[n]
+            for i, g in enumerate(level[n], start[n]):
+                if parent[i] == i and i not in nf_of:  # an unmarked class, met at its least member
+                    if n in bare:
+                        raise SSetError(f"the class of {g!r} of {n!r} at degree {list(deg)} has "
+                                        f"its least member in a piece with no face table")
+                    gid = stem + str(len(gens) - first)
+                    nf_of[i] = _new(nf_type, nd_words + (gid,))
+                    gens.append((gid, key))
+                    reps[gid] = (n, _new(nf_type, nd_words + (g,)))
+                    for a, fs in enumerate(X._faces):
+                        if deg[a]:
+                            faces[a][gid] = [push(n, f) for f in fs[g]]
+                image_n[g] = nf_of[parent[i]]
+    out = type(empty)(gens, *faces, validate=False)
+    cocone = {n: objects[n].map_type(objects[n], out, image[n], validate=False)
               for n in names if n not in bare}
     return out, cocone, reps
 
@@ -393,17 +413,16 @@ def component_maps(f: SSetMap) -> list[SSetMap]:
 
 def pi0(X: SSet) -> tuple[list[tuple[str, ...]], dict[str, int]]:
     """Connected components of the vertex set, linked by edges."""
-    uf = _UF()
     verts = list(X.by_dim[0]) if X.dim_bound >= 0 else []
-    for v in verts:
-        uf.find(v)
-    if X.dim_bound >= 1:
-        for e in X.by_dim[1]:
-            vs = X.vertices(nd(e))
-            uf.union(vs[0], vs[1])
-    comps: dict[str, list[str]] = {}
-    for v in verts:
-        comps.setdefault(uf.find(v), []).append(v)
+    number = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+    for e in X.by_dim[1] if X.dim_bound >= 1 else ():
+        vs = X.vertices(nd(e))
+        x, y = _root(parent, number[vs[0]]), _root(parent, number[vs[1]])
+        parent[max(x, y)] = min(x, y)
+    comps: dict[int, list[str]] = {}
+    for i, v in enumerate(verts):
+        comps.setdefault(_root(parent, i), []).append(v)
     ordered = sorted((tuple(sorted(c)) for c in comps.values()), key=lambda c: c[0])
     index = {v: i for i, c in enumerate(ordered) for v in c}
     return list(ordered), index

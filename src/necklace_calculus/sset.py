@@ -363,12 +363,12 @@ def materialize(levels: Callable[[int], list], act: Callable[[object, int, Monot
     every non-degenerate one and may list only those.  act is the presheaf
     action.  degen(e, d, i) returns df with s_i(df) == e, or None; without it,
     the test is made through act.  Listed elements that degen strips are
-    degenerate, the rest become generators, numbered in listing order.  The
-    returned lookup gives the normal form of any element, listed or not
-    (faces, elements above max_dim), by stripping degeneracies with degen.
-    Elements above max_dim are never listed, so the caller must pick max_dim
-    at least the top non-degenerate dimension.  expand is lookup's inverse:
-    the element that a normal form names, built through act.
+    degenerate; the rest become generators in listing order, each with its
+    faces read through act as it is made.  The returned lookup gives the
+    normal form of any element, listed or not (faces, elements above
+    max_dim), by stripping degeneracies with degen.  Elements above max_dim
+    are never listed, so max_dim must be at least the top non-degenerate
+    dimension.  expand, lookup's inverse, builds the named element by act.
     """
     return Materialized(*_materialize(SSet, levels, act, (max_dim,), prefix, degen))
 
@@ -386,15 +386,17 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
     levels(*deg), act(e, d, *mus) with one operator (or None) per axis, and
     degen(e, d, i) for n = 1.  Degeneracies are stripped axis by axis, i
     descending; generator ids are prefix, the degree joined by "_", and a
-    per-degree counter.  Returns (set of type kind, lookup, elem_of, expand),
-    where lookup(*deg, e) is the memoized normal form of any element and
-    expand(x) the element named by the normal form x: its generator's element
-    moved by act along the epi of each axis's word, one axis after another.
+    per-degree counter.  A generator's faces are read through act and the
+    memo as it is made: every element below its degree is placed by then.
+    Returns (set of type kind, lookup, elem_of, expand), where lookup(*deg,
+    e) is the memoized normal form of any element and expand(x) the element
+    named by the normal form x: its generator's element moved by act along
+    the epi of each axis's word, one axis after another.
     """
     n = len(bounds)
     nf_type = kind.nf_type
     memo: dict[tuple, tuple] = {}
-    made: list[tuple[str, tuple[int, ...]]] = []
+    made: list[tuple[str, object]] = []  # (id, degree as the callbacks see it)
     elem_of: dict[str, object] = {}
 
     def via_act(a: int) -> Callable:
@@ -441,34 +443,33 @@ def _materialize(kind: type, levels: Callable, act: Callable, bounds: tuple[int,
             hit = memo[key] = _degenerated(nf_type, hit, a, i, low[a])
         return hit
 
+    faces = tuple({} for _ in range(n))
     for deg in itertools.product(*(range(b + 1) for b in bounds)):
         elems = levels(*deg)
         if len(set(elems)) != len(elems):
             raise SSetError("duplicate elements in a level")
         stem = prefix + "_".join(map(str, deg)) + "_"
-        fresh = 0
+        dk, first = deg[0] if n == 1 else deg, len(made)
+        # per axis a with deg[a] > 0: its face table, the degree below and the coface
+        # operators; every element below deg already has its normal form
+        axes = [(faces[a], deg[:a] + (top - 1,) + deg[a + 1:],
+                 [_on_axis(n, a, delta.coface(i, top)) for i in range(top + 1)])
+                for a, top in enumerate(deg) if top]
         for e in elems:
             step = degeneracy(deg, e)
             if step is None:
-                gid = stem + str(fresh)
-                fresh += 1
-                made.append((gid, deg))
+                gid = stem + str(len(made) - first)
+                made.append((gid, dk))
                 elem_of[gid] = e
                 out = _new(nf_type, ((),) * n + (gid,))
+                for fa, low, ops in axes:
+                    fa[gid] = [memo.get(key := (*low, act(e, dk, *mus))) or lookup(*key)
+                               for mus in ops]
             else:
                 a, i, low = step
                 out = _degenerated(nf_type, lookup(*low), a, i, low[a])
             memo[(*deg, e)] = out
-    faces = tuple({} for _ in range(n))
-    for gid, deg in made:
-        e, dk = elem_of[gid], deg[0] if n == 1 else deg
-        for a, top in enumerate(deg):
-            if top:
-                low = deg[:a] + (top - 1,) + deg[a + 1:]
-                faces[a][gid] = tuple(
-                    lookup(*low, act(e, dk, *_on_axis(n, a, delta.coface(i, top))))
-                    for i in range(top + 1))
-    out = kind([(gid, deg[0] if n == 1 else deg) for gid, deg in made], *faces, validate=False)
+    out = kind(made, *faces, validate=False)
 
     def expand(x: tuple):
         e, deg = elem_of[x[-1]], out._deg[x[-1]]

@@ -2,8 +2,9 @@
 
 ops.colimit (and bisset.bi_colimit) union-find generators and read each
 degenerate image as a normal form; ops.product lists the shuffles of
-simplicial or bisimplicial factors and gives normal forms in closed form, and
-groth.vtensor is the product A x vertical(X).  These tests hold them against
+simplicial or bisimplicial factors and gives normal forms in closed form (a
+product of points and one factor is that factor renamed), and groth.vtensor
+is the product A x vertical(X).  These tests hold them against
 the oracles in tests/oracles.py that list every simplex and strip
 degeneracies through the operator action: the same generators, faces,
 representatives and cocones.
@@ -13,7 +14,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as strat
+from hypothesis import assume, given, settings, strategies as strat
 
 from necklace_calculus import bisset, kan, ops, shapes
 from necklace_calculus.bisset import BI_EMPTY, lf, materialize_bi
@@ -119,6 +120,20 @@ def test_discretize_pushouts_match_oracle(monkeypatch, m, X):
         _assert_same_colimit(got, diag, bi=True)
 
 
+def test_edge_image_of_another_degree_raises():
+    # the point onto the edge of Delta[1], or onto s_0 of a vertex: no map, in either grading
+    for img in (nd("0.1"), NF((0,), "0")):
+        diag = ops.Diagram({"A": d(0), "X": d(1)})
+        diag.add("f", "A", "X", SSetMap(d(0), d(1), {"0": img}, validate=False))
+        with pytest.raises(SSetError):
+            ops.colimit(diag)
+    h0, h1 = bisset.horizontal(d(0)), bisset.horizontal(d(1))
+    diag = ops.Diagram({"A": h0, "X": h1})
+    diag.add("f", "A", "X", bisset.BiMap(h0, h1, {"0": bisset.bnd("0.1")}, validate=False))
+    with pytest.raises(SSetError):
+        bisset.bi_colimit(diag)
+
+
 def test_long_union_chain_is_one_class():
     # consecutive points identified, ids listed in descending order: each union
     # hangs the old root under the new one, so the classes form one long chain
@@ -160,6 +175,10 @@ def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
     assert any(any(f.assign[g][:-1] for _, _, _, f in diag.edges for g in f.assign)
                for diag, _ in seen), "no lan colimit has a degenerate image"
     assert any(isinstance(X, ops.BarePiece) for diag, _ in seen for X in diag.objects.values())
+    # over Delta[n], D(d, Ga) is a point when Ga is d or d + 1: its product pieces are
+    # renamed copies of F(a), and the relation pieces beside them lose no relation
+    assert any(D.hom[(dd, G.on_obj[a])].nd_counts() == (1,)
+               for F, G, D, dd in args_of.values() for a in F.base.objects)
     for diag, got in seen:
         bare = [n for n, X in diag.objects.items() if isinstance(X, ops.BarePiece)]
         _assert_same_colimit(got, with_relation_products(*args_of[id(diag)], diag), bare=bare)
@@ -208,6 +227,44 @@ def test_random_spans_match_oracle(data):
     _assert_same_colimit(ops.colimit(diag), diag)
 
 
+_BI_SETS = {"h_d0": lambda: bisset.horizontal(d(0)), "h_d1": lambda: bisset.horizontal(d(1)),
+            "v_d1": lambda: bisset.vertical(d(1)),
+            "v_bd2": lambda: bisset.vertical(shapes.boundary(2)),
+            "ext_d1_d1": lambda: bisset.external(d(1), d(1)), "lf1_d0": lambda: lf(1, d(0)).W,
+            "empty": lambda: BI_EMPTY}
+_SETS = {**_TARGETS, "bd1": lambda: shapes.boundary(1), "empty": lambda: ops.EMPTY}
+
+
+@settings(max_examples=80, deadline=None)
+@given(strat.data())
+def test_random_diagrams_of_both_gradings_match_oracle(data):
+    # pushouts, coequalizers, one object with no edge and the empty diagram
+    bi = data.draw(strat.booleans())
+    pool = _BI_SETS if bi else _SETS
+    shape = data.draw(strat.sampled_from(["pushout", "coequalizer", "one", "empty"]))
+
+    def draw_set():
+        return pool[data.draw(strat.sampled_from(sorted(pool)))]()
+
+    def draw_map(A, X):
+        maps = list(ops.enumerate_maps(A, X))
+        return maps[data.draw(strat.integers(0, len(maps) - 1))] if maps else None
+
+    if shape in ("one", "empty"):
+        diag = ops.Diagram({"X": draw_set()} if shape == "one" else {})
+    else:
+        A, X = draw_set(), draw_set()
+        f, g = draw_map(A, X), draw_map(A, draw_set() if shape == "pushout" else X)
+        assume(f is not None and g is not None)
+        if shape == "pushout":
+            diag = _span_diagram(f, g)
+        else:
+            diag = ops.Diagram({"A": A, "X": X})
+            diag.add("f", "A", "X", f)
+            diag.add("g", "A", "X", g)
+    _assert_same_colimit((bisset.bi_colimit if bi else ops.colimit)(diag), diag, bi=bi)
+
+
 # -- products -----------------------------------------------------------------------
 
 PRODUCTS = {
@@ -224,7 +281,22 @@ PRODUCTS = {
     "bi_h_d1xv_d1xlf1d0": lambda: (bisset.horizontal(d(1)), bisset.vertical(d(1)),
                                    lf(1, d(0)).W),
     "bi_lf1d1xemptyxv_d1": lambda: (lf(1, d(1)).W, BI_EMPTY, bisset.vertical(d(1))),
+    # a terminal factor (one generator of degree 0 on every axis) beside one other
+    "ptxd2": lambda: (d(0), d(2)),
+    "bd2xpt": lambda: (shapes.boundary(2), d(0)),
+    "ptxhorn21xpt": lambda: (d(0), shapes.horn(2, 1), d(0)),
+    "ptxpt": lambda: (d(0), d(0)),
+    # ids listed out of their sorted order: p1_10 before p1_2
+    "ptxd2xd1_ids": lambda: (d(0), ops.product(d(2), d(1)).sset),
+    "ptxempty": lambda: (d(0), ops.EMPTY),
+    "bi_h_d0xlf1d1": lambda: (bisset.horizontal(d(0)), lf(1, d(1)).W),
+    "bi_v_bd2xh_d0": lambda: (bisset.vertical(shapes.boundary(2)), bisset.horizontal(d(0))),
+    "bi_h_d0xlf1d0xh_d0": lambda: (bisset.horizontal(d(0)), lf(1, d(0)).W,
+                                   bisset.horizontal(d(0))),
+    "bi_v_d0xempty": lambda: (bisset.vertical(d(0)), BI_EMPTY),
 }
+TERMINAL_PRODUCTS = ["bd2xpt", "bi_h_d0xlf1d1", "bi_h_d0xlf1d0xh_d0", "bi_v_bd2xh_d0",
+                     "bi_v_d0xempty", "ptxd2", "ptxd2xd1_ids", "ptxempty", "ptxhorn21xpt", "ptxpt"]
 SIMPLICIAL_PRODUCTS = sorted(name for name in PRODUCTS if not name.startswith("bi_"))
 
 
@@ -260,6 +332,57 @@ def test_product_of_one_factor_is_that_factor():
         assert got.projections[0].assign == {g: X._nd(g) for g in X.gens()}
         f = SSetMap(d(1), d(1), {g: nd(g) for g in d(1).gens()})
         assert ops.pairing(ops.product(d(1)), [f]).assign == f.assign
+
+
+@pytest.mark.parametrize("name", TERMINAL_PRODUCTS)
+def test_terminal_factor_products_reject_what_is_no_simplex(name):
+    # PRODUCTS holds these, so test_product_matches_every_tuple_oracle compares their
+    # ids, faces, projections and to_nf; here: a tuple of simplices of different
+    # degrees, or of a generator no factor has, is no simplex, for the oracle too
+    factors = PRODUCTS[name]()
+    assert ops._lone(factors) is not None
+    got = ops.product(*factors)
+    _, _, want_nf = product_all_tuples(*factors)
+    n = factors[0].n_axes
+    degrees = list(_degrees(factors))
+    rejected = 0
+    for deg, low in itertools.product(degrees, degrees):
+        if deg == low:
+            continue
+        for first in factors[0].simplices(*deg):
+            for rest in itertools.product(*(X.simplices(*low) for X in factors[1:])):
+                e = (first, *rest)
+                dd = deg[0] if n == 1 else deg
+                with pytest.raises(SSetError):
+                    got.to_nf(dd, e)
+                with pytest.raises((SSetError, IndexError)):  # BiSSet.act checks no bound
+                    want_nf(dd, e)
+                rejected += 1
+    assert rejected or any(X.is_empty() for X in factors)
+    for deg in degrees:  # every word there, on a generator no factor has
+        words = tuple(tuple(range(p - 1, -1, -1)) for p in deg)
+        with pytest.raises(SSetError):
+            got.to_nf(deg[0] if n == 1 else deg,
+                      tuple(X.nf_type(*words, "no such generator") for X in factors))
+
+
+def test_product_of_points_and_one_factor_reads_no_face(monkeypatch):
+    from necklace_calculus import sset
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    factors = [PRODUCTS[name]() for name in TERMINAL_PRODUCTS]
+    pt = d(0)
+    monkeypatch.setattr(sset.GradedSet, "_face", refuse)
+    for fs in factors:
+        ops.product(*fs)
+    assert ops.product(pt).sset is pt  # the point alone: the one-factor product
+
+
+def test_product_of_no_factor_raises():
+    with pytest.raises(SSetError):
+        ops.product()
 
 
 def test_product_factors_need_one_grading():
