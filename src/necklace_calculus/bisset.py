@@ -69,7 +69,8 @@ class BiSSet(GradedSet):
 
     def act(self, e: BiNF, mu_h: Optional[Monotone] = None,
             mu_v: Optional[Monotone] = None) -> BiNF:
-        """e composed with mu_h horizontally, then with mu_v vertically (None: identity)."""
+        """e composed with mu_h horizontally, then with mu_v vertically (None: the
+        identity); SSetError if one is not monotone into e's degree on its axis."""
         if mu_h is not None:
             e = self._act_axis(e, 0, mu_h)
         if mu_v is not None:

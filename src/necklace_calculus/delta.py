@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 from typing import Optional
 
 Monotone = tuple[int, ...]
@@ -38,9 +39,8 @@ def compose(outer: Monotone, inner: Monotone) -> Monotone:
 
 
 def is_monotone(mu: Monotone, target_dim: int) -> bool:
-    return all(0 <= v <= target_dim for v in mu) and all(
-        mu[i] <= mu[i + 1] for i in range(len(mu) - 1)
-    )
+    """Whether mu is non-decreasing, from at least 0 to at most target_dim."""
+    return not mu or (0 <= mu[0] and mu[-1] <= target_dim and all(map(le, mu, mu[1:])))
 
 
 def is_mono(mu: Monotone) -> bool:

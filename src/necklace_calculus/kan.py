@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .ops import BarePiece, Colimit, Diagram, Product, colimit, product, shuffles
+from .ops import BarePiece, Colimit, Diagram, Product, colimit, induced_map, product, shuffles
 from .scat import EnrichedFunctor, Presheaf, SCat
-from .sset import NF, SSet, SSetError, SSetMap
+from .sset import NF, SSet, SSetMap
 
 
 class LanResult(NamedTuple):
@@ -113,20 +113,15 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict) -> LanR
 
 def lan_into_representable(lan: LanResult, F: Presheaf, G: EnrichedFunctor,
                            D: SCat, c: str) -> dict[str, SSetMap]:
-    """For F = Hom_C(-, c): the canonical comparison G_!F -> Hom_D(-, Gc)."""
-    C = F.base
-    out = {}
-    for d_obj in D.objects:
-        col = lan.colimits[d_obj]
-        assign = {}
-        for g in col.sset.gens():
-            name, rep = col.reps[g]
-            a = name.split(".", 1)[1] if name.startswith("p.") else None
-            if a is None:
-                raise SSetError("representative escaped the pieces")
-            pr = lan.products[d_obj][a]
-            h_el, x_el = pr.projections[0](rep), pr.projections[1](rep)
-            gx = G.on_hom(a, c, x_el)
-            assign[g] = D.comp(d_obj, G.on_obj[a], G.on_obj[c], gx, h_el)
-        out[d_obj] = SSetMap(col.sset, D.hom[(d_obj, G.on_obj[c])], assign)
-    return out
+    """For F = Hom_C(-, c): the canonical comparison G_!F -> Hom_D(-, Gc), out of
+    each coend by the legs (h, x) -> G(x) . h on its product pieces."""
+
+    def leg(d_obj: str, a: str, pr: Product) -> Callable[[NF], NF]:
+        return lambda e: D.comp(d_obj, G.on_obj[a], G.on_obj[c],
+                                G.on_hom(a, c, pr.projections[1](e)), pr.projections[0](e))
+
+    return {d_obj: induced_map(lan.colimits[d_obj],
+                               {f"p.{a}": leg(d_obj, a, pr)
+                                for a, pr in lan.products[d_obj].items()},
+                               D.hom[(d_obj, G.on_obj[c])])
+            for d_obj in D.objects}

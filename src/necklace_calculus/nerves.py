@@ -2,19 +2,20 @@
 
 The strict nerve at (m, k) is the set of strings of m composable k-simplices.
 The coherent nerve at (m, k) is the set of enriched functors from the coherent
-simplex category into C^{Delta[k]}, whose homs are maps Delta[j] x Delta[k] -> hom.
+simplex category into C^{Delta[k]}, whose homs are maps Delta[j] x Delta[k] -> hom,
+found cell by cell by ops.backtrack and counted against MAX_FUNCTORS as found.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import delta
 from .bisset import BiMap, BiSSet, materialize_bi
 from .cubes import Chain, chain_act, cube_hom
-from .ops import Product, enumerate_maps, product
+from .ops import Product, backtrack, enumerate_maps, product
 from .scat import SCat
 from .sset import NF, SSet, SSetError, SSetMap, nd
 
@@ -193,114 +194,85 @@ def _pairs(m: int) -> list[tuple[int, int]]:
     return [(i, i + gap) for gap in range(1, m + 1) for i in range(m + 1 - gap)]
 
 
-def _at_chain(C: SCat, objs: tuple[str, ...], k: int, vals: Optional[Mapping[str, ExpEl]],
+def _at_chain(C: SCat, objs: tuple[str, ...], k: int, vals: Mapping[tuple, ExpEl],
               i: int, j: int, ch: Chain, cube_cells) -> ExpEl:
-    """The value at the chain ch of cube(i, j) of a component that vals gives on
-    the cube's generators: the identity of objs[i] when i == j, else the value
-    at the generator of ch's normal form, precomposed with its degeneracy.
-    cube_cells is the caller's table of _cube_cells."""
+    """The value at the chain ch of cube(i, j) of a functor whose components
+    vals gives on the cubes' generators, keyed (i, j, generator): the identity
+    of objs[i] when i == j, else the value at the generator of ch's normal
+    form, precomposed with its degeneracy.  cube_cells is the caller's table
+    of _cube_cells."""
     d = len(ch) - 1
     if i == j:
         return exp_of_element(C.hom[(objs[i],) * 2], d, k, C.id_el(objs[i], k))
     x = cube_cells(i, j)[0].to_nf(d, ch)
     if not x.word:
-        return vals[x.gen]
-    return exp_act(C.hom[(objs[i], objs[j])], d - len(x.word), k, vals[x.gen],
+        return vals[(i, j, x.gen)]
+    return exp_act(C.hom[(objs[i], objs[j])], d - len(x.word), k, vals[(i, j, x.gen)],
                    delta.word_to_epi(x.word, d))
 
 
 def hc_functors(C: SCat, m: int, k: int) -> list[CoherentFunctor]:
     """All enriched functors c^h Delta[m] -> C^{Delta[k]}."""
-    return _hc_functors(C, m, k, lru_cache(maxsize=None)(_cube_cells))
+    return sorted(_hc_functors(C, m, k, lru_cache(maxsize=None)(_cube_cells)))
 
 
-def _hc_functors(C: SCat, m: int, k: int, cube_cells) -> list[CoherentFunctor]:
-    out = []
+def _hc_functors(C: SCat, m: int, k: int, cube_cells) -> Iterator[CoherentFunctor]:
+    """The functors as ops.backtrack finds them: it assigns the objects of the
+    vertices 0..m, then the components pair by pair, in the order of pairs,
+    each cell by cell, by dimension; a cell with an inner vertex in every set
+    of its chain is forced to the composite of the components below it."""
     pairs = _pairs(m)
-    for objs in itertools.product(C.objects, repeat=m + 1):
-        _FunctorSearch(C, k, objs, pairs, cube_cells, out).extend(0)
-    return sorted(out)
+    steps = [(i, j, g) for i, j in pairs  # a cell's chain is one longer than its dimension
+             for g, _ in sorted(cube_cells(i, j)[1], key=lambda cell: len(cell[1]))]
 
-
-class _FunctorSearch:
-    """The functors on one tuple of objects, by depth-first search: the
-    components pair by pair, in the order of pairs, each cell by cell, by
-    dimension; a cell with an inner vertex in every set of its chain is
-    forced to the composite of the components below it."""
-
-    def __init__(self, C: SCat, k: int, objs: tuple[str, ...], pairs, cube_cells,
-                 out: list[CoherentFunctor]):
-        self.C, self.k, self.objs, self.pairs = C, k, objs, pairs
-        self.cube_cells, self.out = cube_cells, out
-        self.partial: dict[tuple[int, int], dict[str, ExpEl]] = {}
-
-    def extend(self, idx: int) -> None:
-        C, k, objs, cube_cells, partial = self.C, self.k, self.objs, self.cube_cells, self.partial
-        if idx == len(self.pairs):
-            self.out.append(CoherentFunctor(
-                objs, tuple(tuple(partial[p][g] for g, _ in cube_cells(*p)[1])
-                            for p in self.pairs)))
-            return
-        i, j = self.pairs[idx]
-        cube, cells = cube_cells(i, j)
-        forced: dict[str, ExpEl] = {}
-        for g, ch in cells:
-            d = cube.space.gen_dim(g)
-            ps = [p for p in range(i + 1, j) if all(p in S for S in ch)]
-            if ps:
-                p = ps[0]
-                left = tuple(tuple(v for v in S if v <= p) for S in ch)
-                right = tuple(tuple(v for v in S if v >= p) for S in ch)
-                forced[g] = exp_comp(C, objs[i], objs[p], objs[j], k, d,
-                                     _at_chain(C, objs, k, partial[(p, j)], p, j, right,
-                                               cube_cells),
-                                     _at_chain(C, objs, k, partial[(i, p)], i, p, left,
-                                               cube_cells))
-        ordered = sorted(cells, key=lambda it: cube.space.gen_dim(it[0]))
-        self.fill(idx, cube.space, forced, ordered, {})
-
-    def fill(self, idx: int, space: SSet, forced: dict[str, ExpEl], cells_left,
-             assigns: dict[str, ExpEl]) -> None:
-        i, j = self.pairs[idx]
-        if not cells_left:
-            self.partial[(i, j)] = dict(assigns)
-            self.extend(idx + 1)
-            del self.partial[(i, j)]
-            return
-        C, k, objs = self.C, self.k, self.objs
+    def candidates(step, vals: dict) -> Iterable:
+        if type(step) is int:  # a vertex
+            return C.objects
+        i, j, g = step
+        objs = tuple(vals[v] for v in range(m + 1))
+        ch = cube_cells(i, j)[0].chain_of[g]
+        d = len(ch) - 1
         H = C.hom[(objs[i], objs[j])]
-        (g, ch) = cells_left[0]
-        d = space.gen_dim(g)
-        cands = [forced[g]] if g in forced else exp_elements(H, d, k)
-        for e in cands:
-            if all(exp_act(H, d, k, e, delta.coface(r, d))
-                   == _at_chain(C, objs, k, assigns, i, j,
-                                chain_act(ch, delta.coface(r, d)), self.cube_cells)
-                   for r in (range(d + 1) if d else ())):
-                assigns[g] = e
-                self.fill(idx, space, forced, cells_left[1:], assigns)
-                del assigns[g]
+        p = next((p for p in range(i + 1, j) if all(p in S for S in ch)), None)
+        if p is None:
+            cands = exp_elements(H, d, k)
+        else:
+            left = tuple(tuple(v for v in S if v <= p) for S in ch)
+            right = tuple(tuple(v for v in S if v >= p) for S in ch)
+            cands = [exp_comp(C, objs[i], objs[p], objs[j], k, d,
+                              _at_chain(C, objs, k, vals, p, j, right, cube_cells),
+                              _at_chain(C, objs, k, vals, i, p, left, cube_cells))]
+        return (e for e in cands
+                if all(exp_act(H, d, k, e, delta.coface(r, d))
+                       == _at_chain(C, objs, k, vals, i, j, chain_act(ch, delta.coface(r, d)),
+                                    cube_cells)
+                       for r in (range(d + 1) if d else ())))
+
+    for vals in backtrack(list(range(m + 1)) + steps, candidates):
+        yield CoherentFunctor(tuple(vals[v] for v in range(m + 1)),
+                              tuple(tuple(vals[(i, j, g)] for g, _ in cube_cells(i, j)[1])
+                                    for i, j in pairs))
 
 
 def hc_nerve(C: SCat, m_bound: int, k_bound: int) -> Nerve:
-    """The truncated homotopy coherent nerve; SSetError once its levels list
-    more than MAX_FUNCTORS functors."""
-    budget = 0
+    """The truncated homotopy coherent nerve; SSetError as soon as its levels
+    have found more than MAX_FUNCTORS functors."""
+    found = itertools.count(1)
     cube_cells = lru_cache(maxsize=None)(_cube_cells)
 
     def levels(m, k):
-        nonlocal budget
-        fs = _hc_functors(C, m, k, cube_cells)
-        budget += len(fs)
-        if budget > MAX_FUNCTORS:
-            raise SSetError(f"coherent nerve lists more than {MAX_FUNCTORS} functors")
-        return fs
+        fs = []
+        for f in _hc_functors(C, m, k, cube_cells):
+            if next(found) > MAX_FUNCTORS:
+                raise SSetError(f"coherent nerve lists more than {MAX_FUNCTORS} functors")
+            fs.append(f)
+        return sorted(fs)
 
     def act(e, mk, mu_h, mu_v):
         m, k = mk
         objs, maps = e
-        table = {p: dict(zip((g for g, _ in cube_cells(*p)[1]), ms))
-                 for p, ms in zip(_pairs(m), maps)}
+        table = {(i, j, g): v for (i, j), ms in zip(_pairs(m), maps)
+                 for (g, _), v in zip(cube_cells(i, j)[1], ms)}
         m2 = m if mu_h is None else len(mu_h) - 1
         mu = delta.identity(m) if mu_h is None else mu_h
         objs2 = tuple(objs[v] for v in mu)
@@ -312,8 +284,7 @@ def hc_nerve(C: SCat, m_bound: int, k_bound: int) -> Nerve:
             for g, ch in cells:
                 d = cube.space.gen_dim(g)
                 big = tuple(tuple(sorted({mu[v] for v in S})) for S in ch)
-                val = _at_chain(C, objs, k, table.get((mu[i], mu[j])), mu[i], mu[j], big,
-                                cube_cells)
+                val = _at_chain(C, objs, k, table, mu[i], mu[j], big, cube_cells)
                 if mu_v is not None:
                     val = exp_act(H2, d, k, val, delta.identity(d), mu_v)
                 comp_maps.append(val)

@@ -7,7 +7,10 @@ every normal form in closed form (Eilenberg-Zilber): a product's to_nf strips,
 axis by axis, the indices its factors' words share (delta.strip_word), and a
 product of points and one factor X is X renamed.  A colimit union-finds each
 degree's generators as integers in (name, generator) order, so every class's
-root is its least member, and gives the class of x from n as cocone[n](x).
+root is its least member, and gives the class of x from n as cocone[n](x);
+induced_map reads a map out of it from its least members.  backtrack is the
+one depth-first search behind find_isos, enumerate_maps, nerves' coherent
+functors and scat's natural transformations.
 """
 
 from __future__ import annotations
@@ -366,18 +369,23 @@ def coproduct(xs: list[SSet]) -> Colimit:
     return colimit(Diagram({f"i{k}": X for k, X in enumerate(xs)}))
 
 
-def mediating_map(col: Colimit, objects: Mapping[str, SSet],
+def induced_map(col, legs: Mapping[str, SSetMap], target: GradedSet,
+                validate: bool = True) -> SSetMap:
+    """The map out of a colimit of either grading that sends each generator to
+    the image of its least member under the leg of its object: the map a
+    commuting cocone legs into target induces."""
+    src, reps = col[0], col.reps  # col[0]: the set of a Colimit or a bisset.BiColimit
+    assign = {g: legs[reps[g][0]](reps[g][1]) for g in src.gens()}
+    return target.map_type(src, target, assign, validate=validate)
+
+
+def mediating_map(col, objects: Mapping[str, GradedSet],
                   test: Mapping[str, SSetMap]) -> SSetMap:
     """The unique map out of a colimit matching a test cocone; raises if none."""
-    target = next(iter(test.values())).dst
-    assign = {}
-    for g in col.sset.gens():
-        n, x = col.reps[g]
-        assign[g] = test[n](x)
-    u = SSetMap(col.sset, target, assign)  # validates simpliciality
+    u = induced_map(col, test, next(iter(test.values())).dst)  # validates simpliciality
     for n, leg in col.cocone.items():
-        comp = leg.then(u)
-        if any(comp(nd(x)) != test[n](nd(x)) for x in objects[n].gens()):
+        comp, X = leg.then(u), objects[n]
+        if any(comp(X._nd(x)) != test[n](X._nd(x)) for x in X.gens()):
             raise SSetError("mediating map does not commute; cocone invalid")
     return u
 
@@ -510,6 +518,36 @@ def _check_1_ordered(X: SSet) -> tuple[bool, Optional[OrderWitness]]:
     return True, None
 
 
+# -- backtracking search ------------------------------------------------------
+
+
+def backtrack(items: list, candidates: Callable[[object, dict], Iterable]) -> Iterator[dict]:
+    """Each assignment of the items, in their order, to values that
+    candidates(item, partial) gives, tried in its order, where partial holds
+    the items before item: depth-first, on an explicit stack, so no recursion
+    limit bounds the items.  What candidates returns is read lazily, with
+    partial unchanged.  Each assignment is yielded as the one live dict, which
+    changes once the search resumes."""
+    assign: dict = {}
+    if not items:
+        yield assign
+        return
+    last = len(items) - 1
+    stack = [iter(candidates(items[0], assign))]
+    while stack:
+        k = len(stack) - 1
+        assign.pop(items[k], None)
+        for value in stack[-1]:
+            assign[items[k]] = value
+            if k < last:
+                stack.append(iter(candidates(items[k + 1], assign)))
+            else:
+                yield assign
+            break
+        else:
+            stack.pop()
+
+
 # -- isomorphism search -------------------------------------------------------
 
 
@@ -552,40 +590,24 @@ def find_isos(A, B) -> Iterator[SSetMap]:
     ca, cb = _refine_colors(A), _refine_colors(B)
     if sorted(ca.values()) != sorted(cb.values()):
         return
-    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
-    if not order:
-        yield A.map_type(A, B, {}, validate=False)
-        return
     b_by_color: dict[tuple, list[str]] = {}
     for h in B.gens():
         b_by_color.setdefault(cb[h], []).append(h)
-    assign: dict[str, str] = {}
-    used: set[str] = set()
+    used: set[str] = set()  # the images of the assigned generators
 
-    def candidates(g: str):
+    def candidates(g: str, assign: dict[str, str]) -> Iterator[str]:
         for h in b_by_color.get(ca[g], ()):
             if h not in used and all(fa[:-1] + (assign[fa[-1]],) == B._faces[a][h][i]
                                      for a, faces in enumerate(A._faces)
                                      for i, fa in enumerate(faces.get(g, ()))):
+                used.add(h)  # until backtrack resumes this generator, when h is unassigned
                 yield h
+                used.discard(h)
 
-    stack = [candidates(order[0])]
-    while stack:
-        k = len(stack) - 1
-        g = order[k]
-        if g in assign:
-            used.discard(assign.pop(g))
-        h = next(stack[-1], None)
-        if h is None:
-            stack.pop()
-            continue
-        assign[g] = h
-        used.add(h)
-        if k + 1 < len(order):
-            stack.append(candidates(order[k + 1]))
-        else:
-            # a bijection on generators that matches every face is an isomorphism
-            yield A.map_type(A, B, {x: B._nd(assign[x]) for x in order}, validate=False)
+    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
+    for assign in backtrack(order, candidates):
+        # a bijection on generators that matches every face is an isomorphism
+        yield A.map_type(A, B, {x: B._nd(assign[x]) for x in order}, validate=False)
 
 
 _ARROW_ISO_TRIES = 2000
@@ -611,15 +633,10 @@ def find_arrow_iso(f: SSetMap, g: SSetMap) -> Optional[tuple[SSetMap, SSetMap]]:
 def enumerate_maps(A, B, over: Optional[tuple[SSetMap, SSetMap]] = None) -> Iterator[SSetMap]:
     """All maps A -> B; with over=(pA, pB), only those f with pB . f == pA.
 
-    Generators of A are assigned in (degree, id) order by backtracking on an
-    explicit stack, candidates tried in B.simplices order."""
-    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
-    if not order:
-        yield A.map_type(A, B, {}, validate=False)
-        return
-    assign: dict[str, tuple] = {}
+    Generators of A are assigned in (degree, id) order by backtrack,
+    candidates tried in B.simplices order."""
 
-    def candidates(g: str) -> Iterator[tuple]:
+    def candidates(g: str, assign: dict[str, tuple]) -> Iterator[tuple]:
         for img in B.simplices(*A._deg[g]):
             if over is not None and over[1](img) != over[0](A._nd(g)):
                 continue
@@ -627,16 +644,5 @@ def enumerate_maps(A, B, over: Optional[tuple[SSetMap, SSetMap]] = None) -> Iter
                    for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ()))):
                 yield img
 
-    stack = [candidates(order[0])]
-    while stack:
-        k = len(stack) - 1
-        assign.pop(order[k], None)
-        img = next(stack[-1], None)
-        if img is None:
-            stack.pop()
-            continue
-        assign[order[k]] = img
-        if k + 1 < len(order):
-            stack.append(candidates(order[k + 1]))
-        else:
-            yield A.map_type(A, B, dict(assign), validate=False)
+    for assign in backtrack(sorted(A.gens(), key=lambda g: (A._deg[g], g)), candidates):
+        yield A.map_type(A, B, dict(assign), validate=False)

@@ -2,7 +2,9 @@
 
 Composition and actions are stored as element-level functions: comp(a, b, c)
 takes a d-simplex of hom(b, c) and a d-simplex of hom(a, b) (second-then-first
-convention) and returns a d-simplex of hom(a, c).
+convention) and returns a d-simplex of hom(a, c).  Natural transformations
+are found component by component by ops.backtrack, each pair of components
+tested as NatTrans.verify tests it.
 """
 
 from __future__ import annotations
@@ -343,6 +345,15 @@ def terminal_presheaf(C: SCat) -> Presheaf:
                     lambda a, b, h, x: x)
 
 
+def _natural(F: Presheaf, G: Presheaf, component: Mapping[str, SSetMap], a: str, b: str,
+             d: int) -> bool:
+    """Whether component[a] and component[b] commute with the actions of F and
+    G along every d-simplex of hom(a, b)."""
+    ca, cb = component[a], component[b]
+    return all(ca(F.action(a, b, h, x)) == G.action(a, b, h, cb(x))
+               for h in F.base.hom[(a, b)].simplices(d) for x in F.value[b].simplices(d))
+
+
 class NatTrans(NamedTuple):
     src: Presheaf
     dst: Presheaf
@@ -350,29 +361,28 @@ class NatTrans(NamedTuple):
 
     def verify(self, bound: Optional[int] = None) -> None:
         base = self.src.base
-        if bound is None:
-            bound = base.hom_bound
-        for d in range(bound + 1):
+        for d in range(1 + (base.hom_bound if bound is None else bound)):
             for a, b in itertools.product(base.objects, repeat=2):
-                H = base.hom[(a, b)]
-                for h in H.simplices(d):
-                    for x in self.src.value[b].simplices(d):
-                        lhs = self.component[a](self.src.action(a, b, h, x))
-                        rhs = self.dst.action(a, b, h, self.component[b](x))
-                        if lhs != rhs:
-                            raise SSetError(f"naturality fails at {a},{b}")
+                if not _natural(self.src, self.dst, self.component, a, b, d):
+                    raise SSetError(f"naturality fails at {a},{b}")
 
 
 def enumerate_nat_trans(F: Presheaf, G: Presheaf) -> Iterator[NatTrans]:
-    """All enriched natural transformations F -> G (exhaustive; small inputs)."""
-    from .ops import enumerate_maps
+    """All enriched natural transformations F -> G (exhaustive; small inputs):
+    the components object by object, in enumerate_maps order, each kept where
+    it is natural with itself and with those before it."""
+    from .ops import backtrack, enumerate_maps
 
     obs = list(F.base.objects)
-    choices = [list(enumerate_maps(F.value[a], G.value[a])) for a in obs]
-    for combo in itertools.product(*choices):
-        eta = NatTrans(F, G, dict(zip(obs, combo)))
-        try:
-            eta.verify()
-        except SSetError:
-            continue
-        yield eta
+    maps = {a: list(enumerate_maps(F.value[a], G.value[a])) for a in obs}
+    degrees = range(F.base.hom_bound + 1)
+
+    def candidates(a: str, eta: dict) -> Iterator[SSetMap]:
+        for f in maps[a]:
+            comp = {**eta, a: f}
+            if all(_natural(F, G, comp, x, y, d) for b in comp for x, y in {(a, b), (b, a)}
+                   for d in degrees):
+                yield f
+
+    for eta in backtrack(obs, candidates):
+        yield NatTrans(F, G, dict(eta))

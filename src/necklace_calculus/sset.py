@@ -119,9 +119,12 @@ class GradedSet:
     # -- the operators ------------------------------------------------------------
 
     def _act_axis(self, e: tuple, a: int, mu: Monotone) -> tuple:
-        """The normal form of e composed with mu along axis a."""
+        """The normal form of e composed with mu along axis a; SSetError if mu
+        is not monotone into e's dimension along a."""
         g = e[-1]
         top = self._deg[g][a] + len(e[a])
+        if not delta.is_monotone(mu, top):
+            raise SSetError(f"{mu} is not monotone into [{top}]")
         word, mono = delta.factor(delta.compose(delta.word_to_epi(e[a], top), mu))
         return self._degenerate(e[:a] + (word,) + e[a + 1:-1], self._apply_mono(g, a, mono))
 
@@ -295,8 +298,6 @@ class SSet(GradedSet):
 
     def act(self, nf: NF, mu: Monotone) -> NF:
         """Presheaf action: nf at dim m composed with mu: [m'] -> [m]."""
-        if not delta.is_monotone(mu, self.dim(nf)):
-            raise SSetError(f"{mu} is not monotone into [{self.dim(nf)}]")
         return self._act_axis(nf, 0, mu)
 
     def face(self, nf: NF, i: int) -> NF:

@@ -42,7 +42,7 @@ from .categorify import Categorification, categorify, cfunctor
 from .cubes import weight_F, weighted_colim
 from .kan import LanResult, enriched_lan
 from .necklace import UnsupportedInput
-from .ops import Colimit, Diagram, Product, colimit, is_connected
+from .ops import Colimit, Diagram, Product, colimit, induced_map, is_connected
 from .scat import (EnrichedFunctor, NatTrans, Presheaf, SCat, enumerate_nat_trans,
                    glue_end, suspension)
 from .shapes import point, simplex, simplex_operator, subset_id
@@ -55,16 +55,6 @@ class Cell(NamedTuple):
     m: int
     k: int
     el: BiNF
-
-
-def pushout_induced(po: BiColimit, legs: dict[str, BiMap], target: BiSSet,
-                    validate: bool = True) -> BiMap:
-    """The map out of a bisimplicial colimit determined by a commuting cocone."""
-    assign = {}
-    for g in po.bisset.gens():
-        name, e = po.reps[g]
-        assign[g] = legs[name](e)
-    return BiMap(po.bisset, target, assign, validate=validate)
 
 
 def delta_precat(n: int) -> LF:
@@ -499,7 +489,7 @@ def cone(mu: delta.Monotone, m: int, f: SSetMap) -> Cone:
         "X": lf_map(ext.lfm1, dp, tuple(mu) + (m + 1,), constant_map(X, point(), "0")),
     }
     legs["A"] = right.then(legs["Y"])
-    q_raw = pushout_induced(po, legs, dp.W, validate=False)
+    q_raw = induced_map(po, legs, dp.W, validate=False)
     q = BiMap(rename_gens(po.bisset, ren), dp.W,
               {ren.get(g, g): q_raw.assign[g] for g in q_raw.assign})
     return Cone(q.src, q)
@@ -605,7 +595,7 @@ def pushout_product_object(m: int, f: SSetMap) -> tuple[BiSSet, BiMap, BiMap, LF
         "X": external_map(inc, identity_map(Y), left.dst, lfm.product),
         "Y": external_map(identity_map(simplex(m)), f, right.dst, lfm.product),
     }
-    j = pushout_induced(po, j_legs, lfm.product)
+    j = induced_map(po, j_legs, lfm.product)
     return po.bisset, j.then(lfm.q), j, lfm
 
 

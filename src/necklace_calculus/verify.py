@@ -17,8 +17,8 @@ from .kan import enriched_lan, lan_into_representable
 from .necklace import PairObject, PairPoset, TndPoset, pair_poset_iso, plus_m
 from .nerves import hc_nerve, nerve_comparison, strict_nerve
 from .ops import (Diagram, coequalizer, colimit, component_maps, coproduct,
-                  enumerate_maps, find_iso, is_1_ordered, is_connected, mediating_map, pairing,
-                  pi0, product, pushout, sub_sset)
+                  enumerate_maps, find_iso, induced_map, is_1_ordered, is_connected,
+                  mediating_map, pairing, pi0, product, pushout, sub_sset)
 from .groth import groth, groth_map, groth_right_adjoint, rightfib_check, vtensor
 from .scat import (NatTrans, Presheaf, ch_simplex, enumerate_nat_trans, representable,
                    sigma_m, suspension, terminal_presheaf)
@@ -623,10 +623,7 @@ def check_tensor_compat(rng) -> str:
         v0 = constant_map(pt_pre, W, "0")
         ps.append(("vertex", pt_pre, v0))
         dj = bi_colimit(Diagram({"i0": W, "i1": pt_pre}))
-        from .straighten import pushout_induced
-
-        ps.append(("sum", dj.bisset,
-                   pushout_induced(dj, {"i0": bi_identity(W), "i1": v0}, W)))
+        ps.append(("sum", dj.bisset, induced_map(dj, {"i0": bi_identity(W), "i1": v0}, W)))
         st = Straightener(W)
         for pname, P, p in ps:
             ob = st.st_object(P, p)
@@ -644,8 +641,6 @@ def check_tensor_compat(rng) -> str:
 
 
 def check_st_colimits(rng) -> str:
-    from .straighten import pushout_induced
-
     W = delta_precat(1).W
     st = Straightener(W)
     rng2 = random.Random(7)
@@ -655,7 +650,7 @@ def check_st_colimits(rng) -> str:
         f1 = constant_map(A, W, v)
         f2 = constant_map(A, W, v)
         po = bi_pushout(f1, f2)
-        pmap = pushout_induced(po, {"X": bi_identity(W), "Y": bi_identity(W), "A": f1}, W)
+        pmap = induced_map(po, {"X": bi_identity(W), "Y": bi_identity(W), "A": f1}, W)
         ob = st.st_object(po.bisset, pmap)
         ob1x = st.st_object(W, bi_identity(W))
         obA = st.st_object(A, f1)

@@ -30,7 +30,14 @@ hom_bound_by_dfs and tnd_by_tails walk the bead paths recursively, the
 references for the one fold over ops.post_order and the one path listing in
 necklace, behind Categorification's bounds, necklace_count and TndPoset;
 enumerate_maps_by_recursion is the recursive backtracking reference for
-ops.enumerate_maps, which keeps its choices on an explicit stack;
+ops.enumerate_maps, which keeps its choices on the explicit stack of
+ops.backtrack; isos_by_degree, the one for ops.find_isos, prunes by degree
+only, where find_isos prunes by colour refinement too;
+hc_functors_by_generate_and_test lists every choice of prism maps on the cube
+cells and tests each, the reference for nerves.hc_functors, which backtracks
+cell by cell; nat_trans_by_products builds every tuple of componentwise maps
+and tests each for naturality, the reference for scat.enumerate_nat_trans,
+which prunes component by component;
 bead_containment_by_scan finds each containing bead by a scan over the outer
 necklace's beads, the reference for necklace.containing_beads behind
 TndPoset.bead_map and the weights of cubes;
@@ -56,8 +63,11 @@ import itertools
 
 from necklace_calculus import delta
 from necklace_calculus.bisset import materialize_bi
+from necklace_calculus.cubes import chain_act, cube_hom
 from necklace_calculus.necklace import RealizedNecklace, TndPoset
+from necklace_calculus.nerves import CoherentFunctor, _prism, exp_act, exp_comp, exp_of_element
 from necklace_calculus.ops import BarePiece, Diagram, OrderWitness, colimit, product
+from necklace_calculus.scat import NatTrans
 from necklace_calculus.sset import EMPTY, NF, SSetMap, materialize, nd
 
 
@@ -730,3 +740,96 @@ def enumerate_maps_by_recursion(A, B, over=None):
 
     for a in extend(0):
         yield A.map_type(A, B, a, validate=False)
+
+
+def isos_by_degree(A, B):
+    """All isomorphisms A -> B by recursive backtracking pruned by degree only:
+    A's generators in (degree, id) order, each tried against B's unused
+    generators of its degree in B.gens() order and kept where its faces match.
+    The reference for ops.find_isos, whose colour refinement may prune only
+    what cannot extend to an isomorphism: so it yields these maps in this order."""
+    if A.n_gens() != B.n_gens():
+        return
+    order = sorted(A.gens(), key=lambda g: (A._deg[g], g))
+    assign = {}
+
+    def extend(k):
+        if k == len(order):
+            yield dict(assign)
+            return
+        g = order[k]
+        for h in B.gens():
+            if B._deg[h] == A._deg[g] and h not in assign.values() and all(
+                    fa[:-1] + (assign[fa[-1]],) == B._faces[a][h][i]
+                    for a, faces in enumerate(A._faces) for i, fa in enumerate(faces.get(g, ()))):
+                assign[g] = h
+                yield from extend(k + 1)
+                del assign[g]
+
+    for a in extend(0):
+        yield A.map_type(A, B, {x: B._nd(h) for x, h in a.items()}, validate=False)
+
+
+def hc_functors_by_generate_and_test(C, m, k):
+    """All enriched functors c^h Delta[m] -> C^{Delta[k]}, sorted: every tuple
+    of objects and every choice of a prism map Delta[d] x Delta[k] -> hom at each
+    d-cell of each cube(i, j), kept where each cell's faces are its value's
+    faces and, at every vertex p inside every set of its chain, its value is
+    the composite of the values at the chain cut at p.  The reference for
+    nerves.hc_functors, which backtracks cell by cell and forces composites."""
+    pairs = [(i, i + gap) for gap in range(1, m + 1) for i in range(m + 1 - gap)]
+    cubes = {p: cube_hom(p, range(p[0], p[1] + 1)) for p in pairs}
+    slots = [(p, g, ch) for p in pairs for g, ch in sorted(cubes[p].chain_of.items())]
+    out = []
+    for objs in itertools.product(C.objects, repeat=m + 1):
+        def hom(i, j):
+            return C.hom[(objs[i], objs[j])]
+
+        listings = [[tuple(sorted(f.assign.items())) for f in enumerate_maps_by_recursion(
+                        _prism(cubes[p].space.gen_dim(g), k).sset, hom(*p))]
+                    for p, g, _ in slots]
+        for choice in itertools.product(*listings):
+            vals = {(p, g): e for (p, g, _), e in zip(slots, choice)}
+
+            def at(i, j, ch):
+                d = len(ch) - 1
+                if i == j:
+                    return exp_of_element(hom(i, i), d, k, C.id_el(objs[i], k))
+                x = cubes[(i, j)].to_nf(d, ch)
+                e = vals[((i, j), x.gen)]
+                return exp_act(hom(i, j), d - len(x.word), k, e,
+                               delta.word_to_epi(x.word, d)) if x.word else e
+
+            def fits(p, g, ch):
+                (i, j), d, e = p, len(ch) - 1, vals[(p, g)]
+                return (all(exp_act(hom(i, j), d, k, e, delta.coface(r, d))
+                            == at(i, j, chain_act(ch, delta.coface(r, d)))
+                            for r in (range(d + 1) if d else ()))
+                        and all(e == exp_comp(C, objs[i], objs[q], objs[j], k, d,
+                                              at(q, j, tuple(tuple(v for v in S if v >= q)
+                                                             for S in ch)),
+                                              at(i, q, tuple(tuple(v for v in S if v <= q)
+                                                             for S in ch)))
+                                for q in range(i + 1, j) if all(q in S for S in ch)))
+
+            if all(fits(*slot) for slot in slots):
+                out.append(CoherentFunctor(objs, tuple(
+                    tuple(vals[(p, g)] for q, g, _ in slots if q == p) for p in pairs)))
+    return sorted(out)
+
+
+def nat_trans_by_products(F, G):
+    """All natural transformations F -> G: every tuple of componentwise maps,
+    kept where each component commutes with the actions along every simplex
+    of every hom.  The reference for scat.enumerate_nat_trans, which prunes
+    component by component, and yields these in this order."""
+    base = F.base
+    obs = list(base.objects)
+    for combo in itertools.product(*(list(enumerate_maps_by_recursion(F.value[a], G.value[a]))
+                                     for a in obs)):
+        eta = dict(zip(obs, combo))
+        if all(eta[a](F.action(a, b, h, x)) == G.action(a, b, h, eta[b](x))
+               for d in range(base.hom_bound + 1)
+               for a, b in itertools.product(obs, repeat=2)
+               for h in base.hom[(a, b)].simplices(d) for x in F.value[b].simplices(d)):
+            yield NatTrans(F, G, eta)

@@ -7,7 +7,7 @@ from necklace_calculus import delta, shapes, ops
 from necklace_calculus.bisset import (BiMap, BiNF, bnd, diag, discretize, external,
                                       horizontal, lf, lf_map, bi_pushout, rename_gens, vertical)
 from necklace_calculus.ops import pi0
-from necklace_calculus.sset import identity_map
+from necklace_calculus.sset import SSetError, identity_map, nd
 
 from oracles import lf_rep_by_listing
 
@@ -25,6 +25,17 @@ def test_diag_of_external_is_product():
     assert ops.find_iso(diag(W).sset, ops.product(d(1), d(1)).sset) is not None
     assert ops.find_iso(diag(external(d(2), d(0))).sset, d(2)) is not None
     assert ops.find_iso(diag(vertical(shapes.spine(2))).sset, shapes.spine(2)) is not None
+
+
+@pytest.mark.parametrize("mu", [(1, 0), (2, 0, 1), (-1, 0), (0, 5)])
+def test_act_refuses_an_operator_that_does_not_fit(mu):
+    # both gradings, along either axis, refuse what SSet.act refuses, with its message
+    with pytest.raises(SSetError, match=r"is not monotone into \[2\]"):
+        d(2).act(nd("0.1.2"), mu)
+    for W, axis in ((horizontal(d(2)), "mu_h"), (vertical(d(2)), "mu_v")):
+        with pytest.raises(SSetError, match=r"is not monotone into \[2\]"):
+            W.act(bnd("0.1.2"), **{axis: mu})
+    assert horizontal(d(2)).act(bnd("0.1.2"), mu_h=(0, 2)) == bnd("0.2")
 
 
 @pytest.mark.parametrize("m,Y", [(1, d(0)), (1, shapes.boundary(1)), (2, d(1)),
