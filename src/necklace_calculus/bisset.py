@@ -115,14 +115,19 @@ BI_EMPTY = BiSSet([], {}, {})
 bi_identity = identity_map
 
 
-class LevelSSet(SSet):
-    """The horizontal simplicial set W_{-,k} of a bisimplicial set.
+def level_id(W: BiSSet, g: str, vword: Word) -> str:
+    """The name of s_vword g in a level slice of W: "g@vword", except that a
+    bidegree-(0, 0) generator keeps its own name at every level (its vertical
+    degeneracy word is determined by the level); this makes vertex names
+    level-independent over a discrete row 0."""
+    if not vword or W.bidegree(g) == (0, 0):
+        return g
+    return g + "@" + ".".join(map(str, vword))
 
-    Generators are encoded as "g@vword", except that a bidegree-(0, 0)
-    generator keeps its own name at every level (its vertical degeneracy word
-    is determined by the level); this makes vertex names level-independent
-    over a discrete row 0.
-    """
+
+class LevelSSet(SSet):
+    """The horizontal simplicial set W_{-,k} of a bisimplicial set, its
+    generators named by level_id."""
 
     def __init__(self, W: BiSSet, k: int):
         self.W = W
@@ -135,7 +140,7 @@ class LevelSSet(SSet):
             if gk > k:
                 continue
             for vw in delta.all_words(k - gk, k):
-                gid = self._id(g, vw)
+                gid = level_id(W, g, vw)
                 origin[gid] = BiNF((), vw, g)
                 gens.append((gid, gm))
         self.origin = origin
@@ -150,15 +155,10 @@ class LevelSSet(SSet):
                 nf = named.get((f, vw))
                 if nf is None:
                     d = W._degenerate(((), vw), f)
-                    nf = named[(f, vw)] = NF(d.hword, self._id(d.gen, d.vword))
+                    nf = named[(f, vw)] = NF(d.hword, level_id(W, d.gen, d.vword))
                 fs.append(nf)
             faces[gid] = tuple(fs)
         super().__init__(gens, faces, validate=False)
-
-    def _id(self, g: str, vword: Word) -> str:
-        if self.W.bidegree(g) == (0, 0):
-            return g
-        return g if not vword else g + "@" + ".".join(map(str, vword))
 
 
 # -- materialization and colimits ----------------------------------------------

@@ -11,9 +11,11 @@ level slice.  Row 0 is discrete, so a necklace of the level-j slice is a path
 of W generators of horizontal degree >= 1 (beads) from a to b with one
 vertical degeneracy word per bead, and its joints and vertices are those of
 the path, the same at every level.  The bead-path model is `necklace`'s:
-- the bead table is `necklace.bead_table`, read once per Categorification:
-  a bead's row-0 vertices are read from W's own horizontal faces, so the
-  table builds no level slice;
+- the bead table is `necklace.bead_table`, read once per Categorification
+  from W alone: a bead's row-0 vertices are read from W's horizontal faces,
+  its name in a level slice is `bisset.level_id`, the slice's own naming,
+  and its cuts are read on W's horizontal faces, so no hom space builds or
+  keeps a level slice;
 - `necklace.fold_beads`, one pass over the vertices, each after its
   successors (`ops.post_order`), gives the longest weighted bead paths: from
   every vertex for `bound`, from a to b for `hom_bound(a, b)`, computed once
@@ -49,8 +51,9 @@ Spivak, Rigidification of quasi-categories, AGT 11, 2011, section 4):
   vertices dropped), filled once: each bead is moved by the vertical action
   of W, read per (bead, mu), and a bead with a vertex that joined or left is
   cut by `necklace.cut_bead`, the per-bead cut of `necklace.sub_necklace`,
-  once per (W generator, joined, dropped), the cut commuting with vertical
-  degeneracies; beads are integer ids in tables the Categorification owns;
+  on W's horizontal faces once per (W generator, joined, dropped), the cut
+  commuting with vertical degeneracies; beads are integer ids in tables the
+  Categorification owns;
 - a j-simplex is s_i of its face exactly when no free vertex enters at
   i + 1 and i is flat.
 The hom space speaks this form only: its `elem_of`, `expand` and `to_nf`
@@ -73,9 +76,15 @@ Enriched functors and composition are read from tables:
   (a, b, c, g, f), in a table the Categorification owns;
 - faces of normal forms go through `delta.face_of_word`, a bounded lookup.
 
-Building a Categorification checks each level slice up to the bound with
+Building a Categorification is the one 1-orderedness gate, and every hom
+space relies on it: each level slice up to the bound must pass
 `ops.is_1_ordered`, which reads vertices and spines from the level's face
-table; this is the one 1-orderedness gate, and every hom space relies on it.
+table.  Vertical s_0 embeds W_{-,j} in W_{-,j+1} as an injective simplicial
+map that keeps vertex names and spines (Dugger and Spivak, section 4), so a
+failure at level j recurs at every level above: the gate checks the level
+`bound` alone, and only when that fails does it check the levels 0..bound in
+turn, to name the first failing level and its witness.  It builds that one
+slice and keeps none; `level(j)` builds W's level-j slice on each call.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import delta
-from .bisset import BiMap, BiNF, BiSSet, LevelSSet
+from .bisset import BiMap, BiNF, BiSSet, LevelSSet, bnd, level_id
 from .cubes import _entry_times
 from .necklace import Bead, UnsupportedInput, bead_paths, bead_table, cut_bead, fold_beads
 from .ops import is_1_ordered
@@ -115,18 +124,24 @@ class Categorification:
         self.W = W
         self.user_bound = bound
         self.objects = tuple(sorted(W.row0()))
-        self._levels = _Levels(W)
         self._homs: dict[tuple[str, str], tuple[_Necklaces, Materialized]] = {}
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
-        self._level_beads = _LevelBeads(self._levels)
+        self._level_beads = _LevelBeads(W)
         self._times_cache: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
         self._order_cache: dict[tuple, list[tuple[int, ...]]] = {}
         self._table: Optional[dict[str, list[Bead]]] = None
-        for j in range(self.bound + 1):
-            ok, wit = is_1_ordered(self.level(j))
-            if not ok:
-                raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
-                                       witness=(j, wit))
+        # the largest hom_bound over all pairs: the weights are >= 0, so the
+        # largest over all bead paths
+        self.bound = bound if bound is not None else max(
+            self._longest(self.objects, set(self.objects)).values(), default=0)
+        # vertical s_0 embeds each level slice in the next: the top level
+        # decides, and only its failure scans the levels for the first one
+        if not is_1_ordered(W.level(self.bound))[0]:
+            for j in range(self.bound + 1):
+                ok, wit = is_1_ordered(W.level(j))
+                if not ok:
+                    raise UnsupportedInput(f"level {j} is not 1-ordered ({wit.condition})",
+                                           witness=(j, wit))
 
     def _beads(self) -> dict[str, list[Bead]]:
         """The bead table: each W generator g of bidegree (m, k), m >= 1, as a
@@ -154,16 +169,9 @@ class Categorification:
             return self.user_bound
         return self._longest((a,), (b,)).get(a, 0)
 
-    @property
-    def bound(self) -> int:
-        """The largest hom_bound over all pairs: the weights are >= 0, so the
-        largest over all bead paths."""
-        if self.user_bound is not None:
-            return self.user_bound
-        return max(self._longest(self.objects, set(self.objects)).values(), default=0)
-
     def level(self, j: int) -> LevelSSet:
-        return self._levels[j]
+        """The level-j slice of W, built on each call; the Categorification keeps none."""
+        return self.W.level(j)
 
     # -- hom spaces ------------------------------------------------------------
 
@@ -281,8 +289,8 @@ class Categorification:
         return SCat(self.objects, hom, self.comp_el, ids, hom_bound=self.bound)
 
     def handle(self) -> "Categorification":
-        """Another Categorification object over this one's tables: a level,
-        bead, hom space or composite built through either is there for both.
+        """Another Categorification object over this one's tables: a bead, hom
+        space or composite built through either is there for both.
         What is asked of a handle is counted per object (perfbench's tracer
         counts a hom build per categorification object and arguments)."""
         return copy.copy(self)
@@ -298,37 +306,24 @@ class Categorification:
         }
 
 
-class _Levels(dict):
-    """The level slices of W by level, each built on first use.  They point at
-    W only, so the Categorification and its bead tables share them without
-    pointing back at either."""
-
-    def __init__(self, W: BiSSet):
-        super().__init__()
-        self.W = W
-
-    def __missing__(self, j: int) -> LevelSSet:
-        level = self[j] = LevelSSet(self.W, j)
-        return level
-
-
 class _LevelBeads:
-    """The beads of a Categorification's level slices by integer id.
+    """The beads of a Categorification's level slices by integer id, read
+    from W alone.
 
     Bead s_w x is a W generator x (an object, for the point necklace) under
     a vertical degeneracy word w; it lives in the level-(k + len(w)) slice for
-    x of vertical degree k.  Its name there, the vertices of x, its transport
-    along a vertical operator and its cuts are each read once, into tables
-    this object owns for the Categorification's lifetime.  Ids are handed
-    out under a lock, and an id is published only once its key is stored,
-    so threads sharing the Categorification agree on them."""
+    x of vertical degree k, under the name bisset.level_id gives it there.
+    The vertices of x, its transport along a vertical operator and its cuts
+    are each read once, into tables this object owns for the
+    Categorification's lifetime.  Ids are handed out under a lock, and an id
+    is published only once its key is stored, so threads sharing the
+    Categorification agree on them."""
 
-    def __init__(self, levels: _Levels):
-        self.W, self.levels = levels.W, levels
+    def __init__(self, W: BiSSet):
+        self.W = W
         self._lock = threading.Lock()
         self.keys: list[tuple[str, delta.Word]] = []  # bead id -> (x, w)
         self._ids: dict[tuple[str, delta.Word], int] = {}
-        self._names: list[Optional[str]] = []
         self._verts: dict[str, tuple[str, ...]] = {}
         self._moved: dict[delta.Monotone, dict[int, int]] = {}
         self._cuts: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
@@ -341,18 +336,13 @@ class _LevelBeads:
             with self._lock:
                 b = self._ids.get((x, w))
                 if b is None:
-                    self._names.append(None)
                     self.keys.append((x, w))
                     b = self._ids[(x, w)] = len(self.keys) - 1
         return b
 
     def name(self, b: int) -> str:
         """The generator id of bead b in its level slice."""
-        name = self._names[b]
-        if name is None:
-            x, w = self.keys[b]
-            name = self._names[b] = self.levels[self.W.bidegree(x)[1] + len(w)]._id(x, w)
-        return name
+        return level_id(self.W, *self.keys[b])
 
     def verts(self, x: str) -> tuple[str, ...]:
         """The row-0 vertices of W generator x, read from W's horizontal faces:
@@ -389,21 +379,21 @@ class _LevelBeads:
         positions joined become joints and those at positions dropped are left
         out, memoized per (bead, joined, dropped).  Vertical degeneracies commute
         with the cut: b is s_w x for a W generator x of vertical degree k, so
-        the cut is that of x in the level-k slice, by necklace.cut_bead (the
-        cut of each bead in sub_necklace) once per (x, joined, dropped), with
-        s_w put on each piece."""
+        the cut is that of x along W's horizontal faces, by necklace.cut_bead
+        (the cut of each bead in sub_necklace) once per (x, joined, dropped),
+        with s_w put on each piece."""
         hit = self._cuts.get((b, joined, dropped))
         if hit is None:
             x, w = self.keys[b]
             k = self.W.bidegree(x)[1]
             pieces = self._pieces.get((x, joined, dropped))
             if pieces is None:
-                L, vs = self.levels[k], self.verts(x)
-                cut = cut_bead(L, x, vs, {vs[0], vs[-1], *(vs[1 + p] for p in joined)},
+                vs = self.verts(x)
+                cut = cut_bead(self.W, x, vs, {vs[0], vs[-1], *(vs[1 + p] for p in joined)},
                                set(vs).difference(vs[1 + p] for p in dropped))
                 if cut is None:
                     raise SSetError("saturation failed")
-                pieces = self._pieces[(x, joined, dropped)] = tuple(L.origin[y][1:] for y in cut)
+                pieces = self._pieces[(x, joined, dropped)] = tuple(f[1:] for f in cut)
             hit = self._cuts[(b, joined, dropped)] = tuple(
                 [self.id(y, delta.merge_words(w, v, k)) for v, y in pieces])
         return hit
@@ -615,7 +605,7 @@ def cfunctor(f: BiMap, Csrc: Categorification, Cdst: Categorification) -> Enrich
     closure owns and fills on first use, and a degenerate s_w x maps to
     s_w of the image of x, through the target hom space's `_degenerate`.
     """
-    on_obj = {a: f(Csrc.level(0).origin[a]).gen for a in Csrc.objects}
+    on_obj = {a: f(bnd(a)).gen for a in Csrc.objects}
     table: dict[tuple[str, str, str], tuple[NF, SSet]] = {}
 
     def on_gen(a: str, b: str, g: str) -> NF:

@@ -111,10 +111,11 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict) -> LanR
     return LanResult(pre, colimits, products)
 
 
-def lan_into_representable(lan: LanResult, F: Presheaf, G: EnrichedFunctor,
-                           D: SCat, c: str) -> dict[str, SSetMap]:
-    """For F = Hom_C(-, c): the canonical comparison G_!F -> Hom_D(-, Gc), out of
-    each coend by the legs (h, x) -> G(x) . h on its product pieces."""
+def lan_into_representable(lan: LanResult, G: EnrichedFunctor, D: SCat,
+                           c: str) -> dict[str, SSetMap]:
+    """For lan the extension G_!F of F = Hom_C(-, c): the canonical comparison
+    G_!F -> Hom_D(-, Gc), out of each coend by the legs (h, x) -> G(x) . h on
+    its product pieces."""
 
     def leg(d_obj: str, a: str, pr: Product) -> Callable[[NF], NF]:
         return lambda e: D.comp(d_obj, G.on_obj[a], G.on_obj[c],

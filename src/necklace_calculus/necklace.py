@@ -22,7 +22,8 @@ bisimplicial set in `categorify`:
   `cubes`;
 - `cut_bead` cuts one bead at new joints, keeping some of its vertices, by
   reading faces from the face table: `sub_necklace` cuts each bead of a
-  necklace with it, and the hom spaces of `categorify` cut single beads.
+  necklace with it, and the hom spaces of `categorify` cut single beads of
+  W along its horizontal faces.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import bisect
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .ops import is_1_ordered, post_order
-from .sset import SSet, SSetError, nd
+from .sset import GradedSet, SSet, SSetError, nd
 
 
 class UnsupportedInput(SSetError):
@@ -245,17 +246,18 @@ def sub_necklace(K: SSet, t: RealizedNecklace, joints, verts) -> Optional[Realiz
         pieces = cut_bead(K, g, vs, joints, verts)
         if pieces is None:
             return None
-        beads.extend(pieces)
+        beads.extend(f.gen for f in pieces)
     if found != len(verts):
         return None
     return RealizedNecklace(tuple(beads) if beads else (t.beads[0],))
 
 
-def cut_bead(K: SSet, g: str, vs: tuple[str, ...], joints, verts) -> Optional[tuple[str, ...]]:
-    """Bead g of K, with vertices vs whose ends are in joints, cut at the
-    vertices in joints and keeping those in verts: the faces of g on the kept
-    positions from one joint to the next, read from K's face table; None when
-    one is degenerate."""
+def cut_bead(K: GradedSet, g: str, vs: tuple[str, ...], joints, verts) -> Optional[tuple]:
+    """Bead g, with vertices vs whose ends are in joints, cut at the vertices
+    in joints and keeping those in verts: the faces of g on the kept positions
+    from one joint to the next, as normal forms of K read from its face table
+    along axis 0 (K a simplicial set, or a bisimplicial set cut horizontally);
+    None when one is degenerate on that axis."""
     pieces, piece = [], [0]
     for p in range(1, len(vs)):
         v = vs[p]
@@ -264,9 +266,9 @@ def cut_bead(K: SSet, g: str, vs: tuple[str, ...], joints, verts) -> Optional[tu
         piece.append(p)
         if v in joints:
             face = K._apply_mono(g, 0, tuple(piece))
-            if face.word:
+            if face[0]:
                 return None
-            pieces.append(face.gen)
+            pieces.append(face)
             piece = [p]
     return tuple(pieces)
 

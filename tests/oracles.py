@@ -22,7 +22,10 @@ Categorification.hom speaks, (necklace row, entry times), and the name form
 (bead names, chain of vertex-name sets), the reference form the hom oracles
 below are written in;
 hom_levels_from_posets lists hom generators from each level slice's necklace
-poset, the reference for the bead paths of Categorification.hom;
+poset, the reference for the bead paths of Categorification.hom; level_of
+keeps the level slices these oracles read, one per categorification and level;
+first_unordered_level checks every level slice up to a bound, the reference
+for Categorification's 1-orderedness gate, which checks the top level first;
 hom_act_by_names and hom_degen_by_names act on hom elements in the name form
 (beads, chain), the action of the full-listing route that Categorification.hom
 replaced with entry-time chains read from necklace tables;
@@ -60,9 +63,10 @@ the pairs whose degeneracy words share no index.
 """
 
 import itertools
+import weakref
 
 from necklace_calculus import delta
-from necklace_calculus.bisset import materialize_bi
+from necklace_calculus.bisset import level_id, materialize_bi
 from necklace_calculus.cubes import chain_act, cube_hom
 from necklace_calculus.necklace import RealizedNecklace, TndPoset
 from necklace_calculus.nerves import CoherentFunctor, _prism, exp_act, exp_comp, exp_of_element
@@ -220,6 +224,37 @@ def with_relation_products(F, G, D, d, diag):
     return full
 
 
+# -- level slices ------------------------------------------------------------------
+
+
+_LEVELS = weakref.WeakKeyDictionary()  # categorification -> {level: its slice}
+
+
+def level_of(C, j):
+    """The level-j slice of the categorification C, built once per C and level
+    for the oracles below; C.level(j) builds a new slice on each call, and C
+    keeps none."""
+    levels = _LEVELS.setdefault(C, {})
+    if j not in levels:
+        levels[j] = C.level(j)
+    return levels[j]
+
+
+def first_unordered_level(W, bound):
+    """The first level j in 0..bound whose slice LevelSSet(W, j) is not
+    1-ordered, with its witness, or None: every level checked in turn, the
+    reference for the gate of Categorification, which checks the level bound
+    alone unless it fails."""
+    from necklace_calculus.bisset import LevelSSet
+    from necklace_calculus.ops import is_1_ordered
+
+    for j in range(bound + 1):
+        ok, wit = is_1_ordered(LevelSSet(W, j))
+        if not ok:
+            return j, wit
+    return None
+
+
 # -- the generic operator action ------------------------------------------------
 
 
@@ -262,12 +297,12 @@ def act_hom_action(C, e, j, mu):
     along mu: every bead by the vertical W.act, the chain by mu, and the
     necklace always re-saturated by act_sub_necklace."""
     beads, ch = e
-    L = C.level(len(mu) - 1)
+    L = level_of(C, len(mu) - 1)
     moved = []
     for g in beads:
-        b = C.W.act(C.level(j).origin[g], mu_v=mu)
+        b = C.W.act(level_of(C, j).origin[g], mu_v=mu)
         assert not b.hword
-        moved.append(L._id(b.gen, b.vword))
+        moved.append(level_id(C.W, b.gen, b.vword))
     ch2 = tuple(ch[r] for r in mu)
     t2 = act_sub_necklace(L, RealizedNecklace(tuple(moved)), ch2[0], ch2[-1])
     assert t2 is not None
@@ -442,7 +477,7 @@ def hom_from_names(C, a, b, j, e):
     from necklace_calculus.sset import SSetError
 
     beads, ch = e
-    origin = C.level(j).origin
+    origin = level_of(C, j).origin
     if not all(g in origin for g in beads):
         raise SSetError(f"beads {beads!r} are not all generators of level {j}")
     table = C._hom_build(a, b)[0]
@@ -464,8 +499,8 @@ def hom_levels_from_posets(C, a, b, j):
     T is flat, skipping T when it has fewer free vertices than flat positions."""
     from necklace_calculus.cubes import chains
 
-    poset = TndPoset(C.level(j), a, b)
-    origin = C.level(j).origin
+    poset = TndPoset(level_of(C, j), a, b)
+    origin = level_of(C, j).origin
     out = []
     for t in poset.objects:
         J, V = poset._joints[t], poset._verts[t]
@@ -485,12 +520,12 @@ def hom_act_by_names(C, e, j, mu):
     from necklace_calculus.necklace import sub_necklace
 
     beads, ch = e
-    L = C.level(len(mu) - 1)
+    L = level_of(C, len(mu) - 1)
     moved = []
     for g in beads:
-        b = C.W.act(C.level(j).origin[g], mu_v=mu)
+        b = C.W.act(level_of(C, j).origin[g], mu_v=mu)
         assert not b.hword
-        moved.append(L._id(b.gen, b.vword))
+        moved.append(level_id(C.W, b.gen, b.vword))
     ch2 = tuple(ch[r] for r in mu)
     if mu[0] == 0 and mu[-1] == j:
         return tuple(moved), ch2
@@ -503,7 +538,7 @@ def hom_degen_by_names(C, e, j, i):
     """d_i e when the name-form element e = s_i d_i e: its chain repeats at i
     and i is in every bead's vertical degeneracy word; else None."""
     beads, ch = e
-    origin = C.level(j).origin
+    origin = level_of(C, j).origin
     flat = set(origin[beads[0]].vword).intersection(*(origin[g].vword for g in beads[1:]))
     if ch[i] != ch[i + 1] or i not in flat:
         return None
@@ -578,16 +613,16 @@ def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):
     re-saturated by sub_necklace in the target level; no table."""
     from necklace_calculus.necklace import sub_necklace
 
-    on_obj = {v: f(Csrc.level(0).origin[v]).gen for v in Csrc.objects}
+    on_obj = {v: f(level_of(Csrc, 0).origin[v]).gen for v in Csrc.objects}
     hs = Csrc.hom(a, b)
     j = hs.sset.dim(x)
     beads, ch = hom_names(Csrc, a, b, hs.expand(x))
-    Lsrc, Ldst = Csrc.level(j), Cdst.level(j)
+    Lsrc, Ldst = level_of(Csrc, j), level_of(Cdst, j)
     new_beads = []
     for g in beads:
         binf = f(Lsrc.origin[g])
         if Ldst.W.bidegree(binf.gen)[0] > 0:
-            new_beads.append(Ldst._id(binf.gen, binf.vword))
+            new_beads.append(level_id(Cdst.W, binf.gen, binf.vword))
     ch2 = tuple(tuple(sorted({on_obj[v] for v in S})) for S in ch)
     if not new_beads:
         t2 = RealizedNecklace((on_obj[ch[0][0] if ch[0] else a],))

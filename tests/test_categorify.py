@@ -1,17 +1,34 @@
+import gc
+import types
+
 import pytest
 
 from necklace_calculus import delta, shapes, ops
-from necklace_calculus.bisset import LevelSSet, bnd, horizontal, lf, lf_map
+from necklace_calculus.bisset import (BiNF, BiSSet, LevelSSet, bnd, horizontal, level_id, lf,
+                                      lf_map)
 from necklace_calculus.categorify import categorify, cfunctor, scat_functor
 from necklace_calculus.necklace import TndPoset, UnsupportedInput
 from necklace_calculus.scat import ch_simplex
 from necklace_calculus.sset import identity_map, nd
 
 from oracles import (act_hom_action, act_is_1_ordered, act_vertices, cube_chain_counts,
-                     hom_act_by_names, hom_bound_by_dfs, hom_degen_by_names, hom_from_names,
-                     hom_levels_from_posets, hom_names)
+                     first_unordered_level, hom_act_by_names, hom_bound_by_dfs,
+                     hom_degen_by_names, hom_from_names, hom_levels_from_posets, hom_names,
+                     level_of)
 
 d = shapes.simplex
+
+
+def _circle():
+    b1, d1, d0 = shapes.boundary(1), d(1), d(0)
+    return ops.pushout(ops.SSetMap(b1, d0, {"0": nd("0"), "1": nd("0")}),
+                       shapes.sub_inclusion(b1, d1)).sset
+
+
+# a (1, 1) loop at a, with horizontally degenerate vertical faces: level 0 is a
+# point, and level 1 is not 1-ordered
+VERTICAL_LOOP = BiSSet([("a", (0, 0)), ("g", (1, 1))],
+                       {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
 
 FOUR_BASES = [horizontal(d(4)), lf(3, d(1)).W, lf(2, d(2)).W, lf(2, shapes.boundary(2)).W]
 FOUR_IDS = ["delta4", "lf3_delta1", "lf2_delta2", "lf2_bd2"]
@@ -47,13 +64,8 @@ def test_category_laws():
 
 
 def test_categorify_rejects_loops():
-    from necklace_calculus.ops import OrderWitness, pushout, SSetMap
-
-    b1, d1, d0 = shapes.boundary(1), d(1), d(0)
-    circ = pushout(SSetMap(b1, d0, {"0": nd("0"), "1": nd("0")}),
-                   shapes.sub_inclusion(b1, d1))
-    W = horizontal(circ.sset)
-    wit = OrderWitness("antisymmetry", ("q1_0",))
+    W = horizontal(_circle())
+    wit = ops.OrderWitness("antisymmetry", ("q1_0",))
     for _ in range(2):
         with pytest.raises(UnsupportedInput) as exc:
             categorify(W)
@@ -67,21 +79,86 @@ def test_categorify_rejects_loops():
         assert str(exc.value) == "K is not 1-ordered (antisymmetry)"
 
 
-def test_vertical_loop_above_the_bound():
-    # a (1, 1) loop at a, with horizontally degenerate vertical faces: level 0
-    # is a point and level 1 is not 1-ordered, so only a bound of 1 reaches the
-    # loop, and the gate refuses it before any bead walk; the bead table reads
-    # the loop's vertices from W, so under bound 0 no level above 0 is built
-    from necklace_calculus.bisset import BiNF, BiSSet
+def _count_levels(monkeypatch) -> list[int]:
+    """The level of each LevelSSet built from here on, in order."""
+    built = []
+    init = LevelSSet.__init__
 
-    W = BiSSet([("a", (0, 0)), ("g", (1, 1))],
-               {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
-    C = categorify(W)
+    def counted(self, W, k):
+        built.append(k)
+        init(self, W, k)
+
+    monkeypatch.setattr(LevelSSet, "__init__", counted)
+    return built
+
+
+def _reachable(root):
+    """The objects reachable from root, not through a class, a module or a
+    function's globals."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        if isinstance(obj, types.FunctionType):
+            refs = [*(obj.__closure__ or ()), *(obj.__defaults__ or ())]
+        else:
+            refs = gc.get_referents(obj)
+        for r in refs:
+            if id(r) not in seen and not isinstance(r, (type, types.ModuleType)):
+                seen.add(id(r))
+                stack.append(r)
+
+
+def test_vertical_loop_above_the_bound(monkeypatch):
+    # only a bound of 1 reaches the loop, and the gate refuses it before any
+    # bead walk; the bead table reads the loop's vertices from W, so under
+    # bound 0 only level 0 is built
+    built = _count_levels(monkeypatch)
+    C = categorify(VERTICAL_LOOP)
     assert C.hom_sset("a", "a").nd_counts() == (1,)
-    assert sorted(C._levels) == [0]
+    assert built == [0]
     with pytest.raises(UnsupportedInput) as exc:
-        categorify(W, bound=1)
+        categorify(VERTICAL_LOOP, bound=1)
     assert exc.value.witness == (1, ops.OrderWitness("antisymmetry", ("g",)))
+
+
+GATE_CATALOG = {
+    **{f"delta{n}": horizontal(d(n)) for n in range(5)},
+    **{f"lf{m}_delta{k}": lf(m, d(k)).W for m in range(4) for k in range(3)},
+    "lf2_bd2": lf(2, shapes.boundary(2)).W,
+    "circle": horizontal(_circle()),
+    "vertical_loop": VERTICAL_LOOP,
+    **{f"lf{m}_circle": lf(m, _circle()).W for m in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_CATALOG))
+def test_gate_matches_every_level_oracle(name):
+    # the gate checks the top level first and scans the levels below only when
+    # it fails; its verdict, first failing level and witness are those of
+    # checking every level in turn
+    W = GATE_CATALOG[name]
+    for bound in range(5):
+        want = first_unordered_level(W, bound)
+        if want is None:
+            assert categorify(W, bound=bound).bound == bound
+            continue
+        with pytest.raises(UnsupportedInput) as exc:
+            categorify(W, bound=bound)
+        assert exc.value.witness == want, (name, bound)
+        assert str(exc.value) == f"level {want[0]} is not 1-ordered ({want[1].condition})"
+
+
+@pytest.mark.parametrize("W, a, b", [(lf(5, shapes.point()).W, "0", "5"),
+                                     (lf(3, d(1)).W, "0", "3"), (lf(2, d(2)).W, "0", "2")],
+                         ids=["delta5", "lf3_delta1", "lf2_delta2"])
+def test_hom_builds_one_level_and_keeps_none(monkeypatch, W, a, b):
+    # the gate builds the top level slice; the hom space reads W alone
+    built = _count_levels(monkeypatch)
+    C = categorify(W)
+    C.hom(a, b)
+    assert built == [C.bound]
+    assert not any(isinstance(x, LevelSSet) for x in _reachable(C))
 
 
 def test_categorify_rejects_two_cycles():
@@ -135,12 +212,14 @@ def test_hom_bound_is_exact():
 
 
 def test_hom_walks_for_its_bound_once(monkeypatch):
-    # one hom build asks for hom_bound(a, b) once; the path listing and the
-    # report reuse it
+    # bound is walked once, when the categorification is built; one hom build
+    # asks for hom_bound(a, b) once, and the path listing and the report reuse it
     C = categorify(lf(2, d(2)).W)
     walks = []
     longest = C._longest
     monkeypatch.setattr(C, "_longest", lambda *args: walks.append(args) or longest(*args))
+    assert C.bound == 4
+    assert not walks
     a, b = C.objects[0], C.objects[-1]
     C.hom(a, b)
     assert C.hom_report(a, b)["degree_bound"] == 4
@@ -178,7 +257,7 @@ def _hom_from_full_levels(C, a, b):
     from necklace_calculus.sset import materialize
 
     def levels(j):
-        poset = TndPoset(C.level(j), a, b)
+        poset = TndPoset(level_of(C, j), a, b)
         return sorted((t.beads, ch) for t in poset.objects
                       for ch in chains(necklace_joint_ids(poset.K, t),
                                        necklace_vertex_ids(poset.K, t), j, saturated=True))
@@ -205,7 +284,7 @@ def test_levels_match_act_oracle(W):
             m = L.gen_dim(g)
             for i, f in enumerate(L.faces.get(g, ())):
                 want = W.act(L.origin[g], mu_h=delta.coface(i, m))
-                assert f == (want.hword, L._id(want.gen, want.vword)), (j, g, i)
+                assert f == (want.hword, level_id(W, want.gen, want.vword)), (j, g, i)
             assert L.vertices(nd(g)) == act_vertices(L, nd(g)), (j, g)
         assert ops.is_1_ordered(L) == act_is_1_ordered(L), j
 

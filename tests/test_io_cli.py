@@ -92,6 +92,20 @@ def test_cli_loop_exits_3(tmp_path):
     assert "witness" in res.stderr
 
 
+def test_cli_vertical_loop_names_the_first_failing_level(tmp_path):
+    # a (1, 1) loop at a: level 0 is a point, levels 1 and 2 are not
+    # 1-ordered; the gate checks level 2 first, and the witness names level 1
+    from necklace_calculus.bisset import BiNF, BiSSet
+
+    W = BiSSet([("a", (0, 0)), ("g", (1, 1))],
+               {"g": (BiNF((), (0,), "a"),) * 2}, {"g": (BiNF((0,), (), "a"),) * 2})
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps(bisset_dump(W)))
+    code, _, err = _cli(["hom", "--base", str(p), "--from", "a", "--to", "a", "--degree", "2"])
+    assert code == 3
+    assert err.endswith("witness: (1, OrderWitness(condition='antisymmetry', detail=('g',)))\n")
+
+
 def test_cli_schema_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"schema\": \"nope\"}")

@@ -85,7 +85,7 @@ def test_lan_identity_and_representable():
     lan = enriched_lan(F, G, ch, {})
     for a in ch.objects:
         assert ops.find_iso(lan.presheaf.value[a], F.value[a]) is not None
-    cmp = lan_into_representable(lan, F, G, ch, "1")
+    cmp = lan_into_representable(lan, G, ch, "1")
     assert all(c.is_iso() for c in cmp.values())
     lan.presheaf.verify(bound=1)
 
