@@ -325,7 +325,8 @@ class _LevelBeads:
         self.keys: list[tuple[str, delta.Word]] = []  # bead id -> (x, w)
         self._ids: dict[tuple[str, delta.Word], int] = {}
         self._verts: dict[str, tuple[str, ...]] = {}
-        self._moved: dict[delta.Monotone, dict[int, int]] = {}
+        # per mu: its coface index (or None), and each bead's image
+        self._moved: dict[delta.Monotone, tuple[Optional[int], dict[int, int]]] = {}
         self._cuts: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
         self._pieces: dict[tuple[str, tuple[int, ...], tuple[int, ...]],
                            tuple[tuple[delta.Word, str], ...]] = {}
@@ -356,17 +357,25 @@ class _LevelBeads:
         return vs
 
     def transport(self, beads: tuple[int, ...], mu: delta.Monotone) -> list[int]:
-        """Each bead moved along mu vertically by W's action, memoized per
-        (bead, mu): s_w x goes to s_w' y, y being x or a vertical face of x."""
+        """Each bead moved along mu vertically, memoized per (bead, mu): s_w x
+        goes to s_w' y, y being x or a vertical face of x.  A coface d^r into
+        the bead's level is read from W's vertical face table (GradedSet._face);
+        any other operator, such as an epi of expand, goes through W's action.
+        Whether mu is a coface is settled before its table is published."""
         moved = self._moved.get(mu)
         if moved is None:
-            moved = self._moved[mu] = {}
+            moved = self._moved.setdefault(mu, (delta.coface_index(mu), {}))
+        r, moved = moved
         out = []
         for b in beads:
             hit = moved.get(b)
             if hit is None:
                 x, w = self.keys[b]
-                binf = self.W.act(BiNF((), w, x), mu_v=mu)
+                e = BiNF((), w, x)
+                if r is not None and self.W._deg[x][1] + len(w) == len(mu):
+                    binf = self.W._face(e, 1, r)
+                else:
+                    binf = self.W.act(e, mu_v=mu)
                 if binf.hword:
                     raise SSetError("vertical transport degenerated a bead "
                                     "in a 1-ordered level")

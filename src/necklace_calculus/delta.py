@@ -27,6 +27,13 @@ def coface(i: int, m: int) -> Monotone:
     return tuple(j for j in range(m + 1) if j != i)
 
 
+def coface_index(mu: Monotone) -> Optional[int]:
+    """i when mu is the coface delta^i: [m-1] -> [m] for m = len(mu), else None."""
+    m = len(mu)
+    i = next((p for p, v in enumerate(mu) if v != p), m)
+    return i if mu == coface(i, m) else None
+
+
 @lru_cache(maxsize=1 << 14)
 def codegeneracy(i: int, m: int) -> Monotone:
     """sigma^i: [m+1] -> [m], hitting i twice."""
@@ -100,14 +107,25 @@ def face_of_word(word: Word, m: int, r: int) -> tuple[Word, Optional[int]]:
 
 @lru_cache(maxsize=1 << 14)
 def merge_words(outer: Word, inner: Word, inner_top_dim: int) -> Word:
-    """Word for s_outer(s_inner(x)) where s_inner(x) has dimension inner_top_dim."""
+    """Word for s_outer(s_inner(x)) where s_inner(x) has dimension inner_top_dim.
+
+    In closed form, with no monotone map built: the epi of the composite
+    repeats at j when the outer epi does (j in outer), or when it sends j
+    and j + 1 to i and i + 1 for i in inner.  The second j is the i-th
+    index not in outer, so each inner index is lifted past the outer
+    indices at or below it."""
     if not outer:
         return inner
     if not inner:
         return outer
-    e_in = word_to_epi(inner, inner_top_dim)
-    e_out = word_to_epi(outer, inner_top_dim + len(outer))
-    return epi_to_word(compose(e_in, e_out))
+    up = outer[::-1]  # ascending
+    lifted = []
+    shift = 0
+    for i in reversed(inner):  # ascending
+        while shift < len(up) and up[shift] <= i + shift:
+            shift += 1
+        lifted.append(i + shift)
+    return tuple(sorted(lifted + list(outer), reverse=True))
 
 
 @lru_cache(maxsize=1 << 14)

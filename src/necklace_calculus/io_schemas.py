@@ -1,12 +1,14 @@
 """JSON schemas (sset.v1, bisset.v1, scat.v1, presheaf.v1, necklace.v1, check.v1).
 
 A loader raises SchemaError on an object not of its schema, which the CLI
-reports with exit code 2.  presheaf_dump acts only on the pairs whose words
-share no index, and reads each other pair off a lower one by delta.strip_word.
+reports with exit code 2.  scat_dump composes and presheaf_dump acts only on
+the pairs whose words share no index, and read each other pair off a lower one
+by delta.strip_word.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Optional
 
@@ -147,22 +149,41 @@ def bisset_load(d: dict) -> BiSSet:
         raise SchemaError(f"malformed bisset.v1: {exc}") from exc
 
 
+def _ez_entries(dims, firsts, seconds, op, target, names: tuple[str, str]) -> list[dict]:
+    """The entries {"dim", names[0]: u, names[1]: v, "to": op(u, v)} for u in
+    firsts[dim] and v in seconds[dim], dim by dim, for op simplicial into the
+    simplicial set target.  A pair whose degeneracy words share the indices C
+    is s_C of a lower pair (Eilenberg-Zilber), and its image is s_C of the
+    lower pair's image: op is called only on the pairs sharing no index."""
+    first, second = names
+    entries = []
+    done = {}  # (u, v) -> op(u, v), for the pairs sharing no index
+    for dim in dims:
+        for u in firsts[dim]:
+            for v in seconds[dim]:
+                common = tuple(i for i in u.word if i in v.word)
+                if common:
+                    lower = tuple(NF(strip_word(y.word, common), y.gen) for y in (u, v))
+                    to = target._degenerate((common,), done[lower])
+                else:
+                    to = done[u, v] = op(u, v)
+                entries.append({"dim": dim, first: _nf_json(u), second: _nf_json(v),
+                                "to": _nf_json(to)})
+    return entries
+
+
 def scat_dump(C: SCat) -> dict:
+    """scat.v1 of C.  Composition is simplicial, so only the pairs (g, f)
+    whose words share no index call C.comp (_ez_entries)."""
     dims = range(C.hom_bound + 1)
-    listed = {((a, b), dim): C.hom[(a, b)].simplices(dim)
-              for a in C.objects for b in C.objects for dim in dims}
+    listed = {ab: [C.hom[ab].simplices(dim) for dim in dims]
+              for ab in itertools.product(C.objects, repeat=2)}
     comp = {}
-    for a in C.objects:
-        for b in C.objects:
-            for c in C.objects:
-                entries = []
-                for dim in dims:
-                    for g in listed[((b, c), dim)]:
-                        for f in listed[((a, b), dim)]:
-                            entries.append({"dim": dim, "g": _nf_json(g), "f": _nf_json(f),
-                                            "to": _nf_json(C.comp(a, b, c, g, f))})
-                if entries:
-                    comp[f"{a}|{b}|{c}"] = entries
+    for a, b, c in itertools.product(C.objects, repeat=3):
+        entries = _ez_entries(dims, listed[b, c], listed[a, b],
+                              lambda g, f: C.comp(a, b, c, g, f), C.hom[(a, c)], ("g", "f"))
+        if entries:
+            comp[f"{a}|{b}|{c}"] = entries
     return {
         "schema": "scat.v1",
         "objects": list(C.objects),
@@ -200,32 +221,18 @@ def scat_load(d: dict) -> SCat:
 
 
 def presheaf_dump(F: Presheaf) -> dict:
-    """presheaf.v1 of F.  The action is simplicial, so a pair (h, x) whose
-    degeneracy words share the indices C is s_C of a lower pair (Eilenberg-
-    Zilber), and its image is s_C of the lower pair's image: only the pairs
-    whose words share no index call F.action."""
+    """presheaf.v1 of F.  The action is simplicial, so only the pairs (h, x)
+    whose words share no index call F.action (_ez_entries)."""
     base = F.base
     dims = range(base.hom_bound + 1)
-    listed = {(b, dim): F.value[b].simplices(dim) for b in base.objects for dim in dims}
+    listed = {b: [F.value[b].simplices(dim) for dim in dims] for b in base.objects}
     actions = {}
-    for a in base.objects:
-        Fa = F.value[a]
-        for b in base.objects:
-            entries = []
-            acted = {}  # (h, x) -> F.action(a, b, h, x), for the pairs sharing no index
-            for dim in dims:
-                for h in base.hom[(a, b)].simplices(dim):
-                    for x in listed[(b, dim)]:
-                        common = tuple(i for i in h.word if i in x.word)
-                        if common:
-                            lower = tuple(NF(strip_word(y.word, common), y.gen) for y in (h, x))
-                            to = Fa._degenerate((common,), acted[lower])
-                        else:
-                            to = acted[h, x] = F.action(a, b, h, x)
-                        entries.append({"dim": dim, "h": _nf_json(h), "x": _nf_json(x),
-                                        "to": _nf_json(to)})
-            if entries:
-                actions[f"{a}|{b}"] = entries
+    for a, b in itertools.product(base.objects, repeat=2):
+        homs = [base.hom[(a, b)].simplices(dim) for dim in dims]
+        entries = _ez_entries(dims, homs, listed[b], lambda h, x: F.action(a, b, h, x),
+                              F.value[a], ("h", "x"))
+        if entries:
+            actions[f"{a}|{b}"] = entries
     return {
         "schema": "presheaf.v1",
         "base": scat_dump(base),

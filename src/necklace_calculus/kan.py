@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .ops import BarePiece, Colimit, Diagram, Product, colimit, induced_map, product, shuffles
+from .ops import (BarePiece, Colimit, Diagram, Product, Renamed, colimit, induced_map,
+                  is_point, over_points, product, renamed, shuffles)
 from .scat import EnrichedFunctor, Presheaf, SCat
-from .sset import NF, SSet, SSetMap
+from .sset import NF, SSet, SSetMap, _new
 
 
 class LanResult(NamedTuple):
@@ -15,8 +16,20 @@ class LanResult(NamedTuple):
     products: dict
 
 
-def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
-                  pieces: dict) -> tuple[Diagram, dict[str, Product]]:
+class _RelationOverPoint(NamedTuple):
+    """The relation piece r.a.b of a coend whose D(d, Ga) is a point, as far as
+    it depends on F alone: its generators, each with its degree, k, the word
+    of the point's simplex and x; its leg ea.a.b into the point piece p.a;
+    and its leg eb.a.b into p.b for D(d, Gb) a point too."""
+
+    piece: BarePiece
+    gens: list[tuple[str, int, NF, tuple[int, ...], NF]]  # (id, degree, k, point word, x)
+    to_a: SSetMap
+    to_b: SSetMap
+
+
+def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict,
+                  templates: dict) -> tuple[Diagram, dict[str, Product]]:
     """The coend coequalizer diagram at the object d of D, and its product pieces.
 
     The piece p.a is the product D(d, Ga) x F(a), one per object a of the
@@ -37,62 +50,127 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
     checks them against the full product).  The colimit never reads its
     faces: every class holds a product piece, whose names sort first
     ("p." < "r."), so each class's least member has a face table.
+
+    When D(d, Ga) is a point, both pieces at a are templates, read from
+    templates, a table of F's, filled on first use and published whole (the
+    first build wins), which its owner keeps with F: p.a is F(a) renamed as
+    ops.product names pt x F(a) (ops.renamed, whose ids and faces do not
+    depend on the point), and r.a.b keeps the shuffles (k, h, x) of
+    C(a, b) x pt x F(b) with h by its word, under their ids, which are the
+    same for every point: at each degree the point has one simplex, so
+    ops.shuffles orders them by (k, x).  The leg ea.a.b, (h, k.x) in p.a, is
+    the template's too, and so is eb.a.b, (Gk.h, x) in p.b, when D(d, Gb) is
+    a point as well: Gk.h is then its one simplex of h's degree.  What
+    depends on the points and on G is made here: p.a's projection to the
+    point and its to_nf (ops.over_points), and eb.a.b when D(d, Gb) is no
+    point.
     """
     C = F.base
-    prods = {a: _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces) for a in C.objects}
+    over = {a: is_point(D.hom[(d, G.on_obj[a])]) for a in C.objects}
+    prods = {a: _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces, templates, a)
+             for a in C.objects}
     diag = Diagram({f"p.{a}": pr.sset for a, pr in prods.items()})
     for a in C.objects:
         Ga = G.on_obj[a]
+        H = D.hom[(d, Ga)]
         for b in C.objects:
             K = C.hom[(a, b)]
             n_k = K.n_gens()
             if n_k == 0 or (a == b and n_k == 1):
                 continue
             Gb = G.on_obj[b]
-            by_deg: dict[tuple[int], list[str]] = {}
-            to_b: dict[str, NF] = {}
-            to_a: dict[str, NF] = {}
-            for deg, level in shuffles((K, D.hom[(d, Ga)], F.value[b])):
-                (dd,) = deg
-                ids = [f"p{dd}_{i}" for i in range(len(level))]
-                if ids:
-                    by_deg[deg] = ids
-                for g, (k, h, x) in zip(ids, level):
-                    to_b[g] = prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
-                    to_a[g] = prods[a].to_nf(dd, (h, F.action(a, b, k, x)))
+            eb = None
+            if not over[a]:
+                piece, gens, ea = _relation(F, H, a, b, prods[a])
+            else:
+                rel = _template(templates, (a, b), lambda: _over_point(
+                    F, H, a, b, prods[a], _template(templates, b, lambda: renamed(F.value[b]))))
+                piece, ea = rel.piece, rel.to_a
+                if over[b]:  # Gk.h lies in the point D(d, Gb): the leg is the template's
+                    eb = rel.to_b
+                else:
+                    pt = H.by_dim[0][0]
+                    gens = [(g, dd, k, _new(NF, (w, pt)), x) for g, dd, k, w, x in rel.gens]
+            if eb is None:
+                eb = SSetMap(piece, prods[b].sset,
+                             {g: prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
+                              for g, dd, k, h, x in gens}, validate=False)
             name = f"r.{a}.{b}"
-            piece = diag.objects[name] = BarePiece(by_deg)
-            diag.add(f"eb.{a}.{b}", name, f"p.{b}",
-                     SSetMap(piece, prods[b].sset, to_b, validate=False))
-            diag.add(f"ea.{a}.{b}", name, f"p.{a}",
-                     SSetMap(piece, prods[a].sset, to_a, validate=False))
+            diag.objects[name] = piece
+            diag.add(f"eb.{a}.{b}", name, f"p.{b}", eb)
+            diag.add(f"ea.{a}.{b}", name, f"p.{a}", ea)
     return diag, prods
 
 
-def _piece(X: SSet, Y: SSet, pieces: dict) -> Product:
-    """X x Y, from pieces, built and entered there on first use."""
+def _template(templates: dict, key, build: Callable[[], object]):
+    """templates[key], built by build() and published on a miss: the first build wins."""
+    hit = templates.get(key)
+    if hit is None:
+        hit = templates.setdefault(key, build())
+    return hit
+
+
+def _piece(X: SSet, Y: SSet, pieces: dict, templates: dict, a: str) -> Product:
+    """X x Y, from pieces, built and entered there on first use; for X a
+    point, from the template of Y = F(a) in templates."""
     key = (id(X), id(Y))
     pr = pieces.get(key)
     if pr is None:
-        pr = pieces.setdefault(key, product(X, Y))
+        if is_point(X):
+            pr = over_points((X, Y), 1, _template(templates, a, lambda: renamed(Y)))
+        else:
+            pr = product(X, Y)
+        pr = pieces.setdefault(key, pr)
     return pr
 
 
-def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict) -> LanResult:
+def _relation(F: Presheaf, H: SSet, a: str, b: str, pa: Product) -> tuple:
+    """The relation piece r.a.b of C(a, b) x H x F(b), its generators as
+    (id, degree, k, h, x) and its leg ea.a.b into pa = H x F(a)."""
+    by_deg: dict[tuple[int], list[str]] = {}
+    gens: list[tuple[str, int, NF, NF, NF]] = []
+    for deg, level in shuffles((F.base.hom[(a, b)], H, F.value[b])):
+        (dd,) = deg
+        ids = [f"p{dd}_{i}" for i in range(len(level))]
+        if ids:
+            by_deg[deg] = ids
+        gens.extend((g, dd, *e) for g, e in zip(ids, level))
+    piece = BarePiece(by_deg)
+    to_a = {g: pa.to_nf(dd, (h, F.action(a, b, k, x))) for g, dd, k, h, x in gens}
+    return piece, gens, SSetMap(piece, pa.sset, to_a, validate=False)
+
+
+def _over_point(F: Presheaf, H: SSet, a: str, b: str, pa: Product,
+                ren_b: Renamed) -> _RelationOverPoint:
+    """The template of r.a.b for the point H, with pa the product piece
+    H x F(a) built on the template of F(a), and ren_b the template of F(b)."""
+    piece, gens, to_a = _relation(F, H, a, b, pa)
+    pb = over_points((H, F.value[b]), 1, ren_b)
+    to_b = {g: pb.to_nf(dd, (h, x)) for g, dd, k, h, x in gens}
+    return _RelationOverPoint(piece, [(g, dd, k, h.word, x) for g, dd, k, h, x in gens], to_a,
+                              SSetMap(piece, pb.sset, to_b, validate=False))
+
+
+def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
+                 templates: dict) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
-    The colimit at d is that of coend_diagram(F, G, D, d, pieces), whose
-    relation pieces are bare generator lists (see there); with the trivial
+    The colimit at d is that of coend_diagram(F, G, D, d, pieces, templates),
+    whose relation pieces are bare generator lists (see there); with the trivial
     relation pieces left out, no degree rises above the product pieces', so the
     colimit's degree bounds stay, and the generators and their
     representatives are those of the full coequalizer.  The result keeps the
     product pieces, which the action and lan_into_representable read, and no
-    relation piece.  pieces is coend_diagram's table of product pieces.
+    relation piece.  pieces is coend_diagram's table of product pieces, and
+    templates its table of F's pieces over a point: a template's ids are those
+    ops.product gives the piece it stands for, so the colimit is the same
+    whichever table it was read from.  A caller that keeps F across
+    calls keeps templates with it; any other passes a fresh dict.
     """
     colimits: dict[str, Colimit] = {}
     products: dict = {}
     for d_obj in D.objects:
-        diag, products[d_obj] = coend_diagram(F, G, D, d_obj, pieces)
+        diag, products[d_obj] = coend_diagram(F, G, D, d_obj, pieces, templates)
         colimits[d_obj] = colimit(diag)
 
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}

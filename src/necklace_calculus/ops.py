@@ -5,12 +5,12 @@ for the n-fold sets of `sset` and serve simplicial and bisimplicial sets
 alike.  Products and colimits list non-degenerate simplices only and give
 every normal form in closed form (Eilenberg-Zilber): a product's to_nf strips,
 axis by axis, the indices its factors' words share (delta.strip_word), and a
-product of points and one factor X is X renamed.  A colimit union-finds each
-degree's generators as integers in (name, generator) order, so every class's
-root is its least member, and gives the class of x from n as cocone[n](x);
-induced_map reads a map out of it from its least members.  backtrack is the
-one depth-first search behind find_isos, enumerate_maps, nerves' coherent
-functors and scat's natural transformations.
+product of points and one factor X is X renamed (renamed, over_points).  A
+colimit union-finds each degree's generators as integers in (name, generator)
+order, so every class's root is its least member, and gives the class of x
+from n as cocone[n](x); induced_map reads a map out of it from its least
+members.  backtrack is the one depth-first search behind find_isos,
+enumerate_maps, nerves' coherent functors and scat's natural transformations.
 """
 
 from __future__ import annotations
@@ -61,11 +61,105 @@ def _empty(n_axes: int) -> GradedSet:
     return BI_EMPTY
 
 
+def is_point(X: GradedSet) -> bool:
+    """Whether X is the point: one generator, of degree 0 on every axis."""
+    return X.n_gens() == 1 and not any(*X._by_deg)
+
+
 def _lone(factors: tuple[GradedSet, ...]) -> Optional[int]:
-    """k when every factor but the k-th is the point (one generator, of degree
-    0 on every axis), 0 when all are; None otherwise."""
-    rest = [k for k, X in enumerate(factors) if X.n_gens() != 1 or any(*X._by_deg)]
+    """k when every factor but the k-th is the point, 0 when all are; None otherwise."""
+    rest = [k for k, X in enumerate(factors) if not is_point(X)]
     return None if len(rest) > 1 else (rest or [0])[0]
+
+
+class Renamed(NamedTuple):
+    """A set X renamed as its product with points: what of that product does
+    not depend on the points (see renamed)."""
+
+    sset: GradedSet
+    projection: SSetMap  # to X
+    nfs: dict[str, tuple]  # generator of X -> its new generator, as a normal form
+
+
+def renamed(X: GradedSet) -> Renamed:
+    """X with the ids product gives X beside points: p{deg}_{i} for the i-th
+    generator of degree deg in id order, each face target renamed with it.
+    The faces are X's own, so no face is computed."""
+    nf_type, n = X.nf_type, X.n_axes
+    nd_words = ((),) * n
+    nfs: dict[str, tuple] = {}
+    gens: list[tuple[str, object]] = []
+    for deg in sorted(X._by_deg):
+        stem = "p" + "_".join(map(str, deg)) + "_"
+        key = deg[0] if n == 1 else deg
+        for i, x in enumerate(sorted(X._by_deg[deg])):
+            gid = stem + str(i)
+            nfs[x] = _new(nf_type, nd_words + (gid,))
+            gens.append((gid, key))
+    faces: tuple[dict, ...] = tuple({} for _ in range(n))
+    for x, g in nfs.items():
+        for a, top in enumerate(X._deg[x]):
+            if top:
+                faces[a][g[-1]] = [_new(nf_type, (*f[:-1], nfs[f[-1]][-1]))
+                                   for f in X._faces[a][x]]
+    empty = _empty(n)
+    out = type(empty)(gens, *faces, validate=False) if gens else empty
+    proj = X.map_type(out, X, {g[-1]: X._nd(x) for x, g in nfs.items()}, validate=False)
+    return Renamed(out, proj, nfs)
+
+
+def over_points(factors: tuple[GradedSet, ...], k: int, ren: Renamed) -> Product:
+    """The product of factors, every one but the k-th a point, from ren =
+    renamed(factors[k]): its set and projection to factors[k] are ren's, and
+    only the projections to the points and to_nf are made here.  to_nf(d, e)
+    is e[k] under its generator's new id, memoized per e; it raises SSetError
+    unless e[k] is a simplex of factors[k] (a generator of it under words
+    into e[k]'s degree) and every other entry is its point degenerated to
+    that degree."""
+    X = factors[k]
+    nf_type, out, nfs = X.nf_type, ren.sset, ren.nfs
+    pts = [(j, next(iter(P._deg))) for j, P in enumerate(factors) if j != k]
+    memo: dict[tuple, tuple] = {}
+
+    def to_nf(d, e: tuple) -> tuple:
+        hit = memo.get(e)
+        if hit is None:
+            x = e[k]
+            nf = nfs.get(x[-1])
+            if nf is None:
+                raise _no_simplex(d)
+            full = _full(X.degree(x))
+            if any(e[j] != _new(nf_type, full + (pt,)) for j, pt in pts):
+                raise _no_simplex(d)
+            if any(x[:-1]):
+                if not all(map(_is_word, x[:-1], map(len, full))):
+                    raise _no_simplex(d)
+                nf = _new(nf_type, (*x[:-1], nf[-1]))
+            hit = memo[e] = nf
+        return hit
+
+    def to_point(pt: str, P: GradedSet) -> SSetMap:
+        return out.map_type(out, P, {g: _new(nf_type, _full(deg) + (pt,))
+                                     for g, deg in out._deg.items()}, validate=False)
+
+    return Product(out, tuple(ren.projection if j == k else to_point(next(iter(P._deg)), P)
+                              for j, P in enumerate(factors)), to_nf)
+
+
+def _no_simplex(d) -> SSetError:
+    return SSetError(f"no generator of the product below a simplex of degree {d}")
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _is_word(w: tuple[int, ...], top: int) -> bool:
+    """Whether w is a degeneracy word into dimension top: strictly decreasing, in [0, top)."""
+    return w == tuple(sorted(set(w), reverse=True)) and (not w or 0 <= w[-1] and w[0] < top)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _full(deg: tuple[int, ...]) -> tuple:
+    """The words, one per axis, that degenerate a point to degree deg."""
+    return tuple(tuple(range(p - 1, -1, -1)) for p in deg)
 
 
 def shuffles(factors: tuple[GradedSet, ...]) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
@@ -90,8 +184,7 @@ def shuffles(factors: tuple[GradedSet, ...]) -> Iterator[tuple[tuple[int, ...], 
     if k is not None:  # the k-th factor's generators by id, beside the points at their degree
         X = factors[k]
         for deg in sorted(X._by_deg):
-            full = tuple(tuple(range(top - 1, -1, -1)) for top in deg)
-            pts = [_new(nf_type, full + (next(iter(P._deg)),)) for P in factors]
+            pts = [_new(nf_type, _full(deg) + (next(iter(P._deg)),)) for P in factors]
             yield deg, [(*pts[:k], X._nd(g), *pts[k + 1:]) for g in sorted(X._by_deg[deg])]
         return
     # per axis, the sum over the factors of their top degrees on it
@@ -118,14 +211,15 @@ def product(*factors: GradedSet) -> Product:
 
     The generators are the tuples that shuffles lists, numbered p{deg}_{i} in
     its order (p{d}_{i} for simplicial sets).  Their faces are read, axis by
-    axis, from the factors' face tables, or when every factor but X is the
-    point (one adds no common index) from X's, renamed.  to_nf(d, e) gives
-    any tuple's normal form in closed form, above the top degree too, for d
-    the degree of e (an int for simplicial sets): on each axis, the common
-    indices C of the words, applied to the tuple with C stripped from each
-    word (delta.strip_word).  It raises SSetError on a tuple that reduces to
-    no listed shuffle, which is then no simplex of the product.  A product of
-    one factor is that factor, with the identity as its projection.
+    axis, from the factors' face tables.  to_nf(d, e) gives any tuple's
+    normal form in closed form, above the top degree too, for d the degree of
+    e (an int for simplicial sets): on each axis, the common indices C of the
+    words, applied to the tuple with C stripped from each word
+    (delta.strip_word).  It raises SSetError on a tuple that reduces to no
+    listed shuffle, which is then no simplex of the product.  When every
+    factor but X is the point (one adds no common index), the product is
+    over_points of renamed(X): X renamed, the same ids and normal forms.  A
+    product of one factor is that factor, with the identity as its projection.
     """
     if not factors:
         raise SSetError("a product needs at least one factor")
@@ -134,6 +228,9 @@ def product(*factors: GradedSet) -> Product:
         raise SSetError("the factors of a product need the same number of axes")
     if len(factors) == 1:
         return Product(factors[0], (identity_map(factors[0]),), lambda d, e: e[0])
+    k = _lone(factors)
+    if k is not None:
+        return over_points(factors, k, renamed(factors[k]))
     nf_type = factors[0].nf_type
     memo: dict[tuple, tuple] = {}  # tuple -> normal form; each shuffle entered as it is listed
 
@@ -144,7 +241,7 @@ def product(*factors: GradedSet) -> Product:
             base = any(commons) and memo.get(tuple(
                 _new(nf_type, (*map(delta.strip_word, x[:-1], commons), x[-1])) for x in e))
             if not base or any(base[:-1]):
-                raise SSetError(f"no generator of the product below a simplex of degree {d}")
+                raise _no_simplex(d)
             hit = memo[e] = _new(nf_type, (*(tuple(sorted(c, reverse=True)) for c in commons),
                                            base[-1]))
         return hit
@@ -153,7 +250,6 @@ def product(*factors: GradedSet) -> Product:
     faces: tuple[dict, ...] = tuple({} for _ in range(n))
     elem_of: dict[str, tuple] = {}
     nd_words = ((),) * n
-    k = _lone(factors)
     for deg, level in shuffles(factors):
         stem = "p" + "_".join(map(str, deg)) + "_"
         key = deg[0] if n == 1 else deg
@@ -162,7 +258,7 @@ def product(*factors: GradedSet) -> Product:
             gens.append((gid, key))
             elem_of[gid] = e
             memo[e] = _new(nf_type, nd_words + (gid,))
-        for a, top in enumerate(deg) if k is None else ():
+        for a, top in enumerate(deg):
             if top:
                 low = top - 1 if n == 1 else deg[:a] + (top - 1,) + deg[a + 1:]
                 fa = faces[a]
@@ -170,12 +266,6 @@ def product(*factors: GradedSet) -> Product:
                     fa[memo[e][-1]] = tuple(
                         to_nf(low, tuple(X._face(x, a, i) for X, x in zip(factors, e)))
                         for i in range(top + 1))
-    if k is not None:  # the lone factor's face table, its targets renamed
-        X, new = factors[k], {e[k][-1]: g for g, e in elem_of.items()}
-        for x, g in new.items():
-            for a, top in enumerate(X._deg[x]):
-                if top:
-                    faces[a][g] = [_new(nf_type, (*f[:-1], new[f[-1]])) for f in X._faces[a][x]]
     empty = _empty(n)
     out = type(empty)(gens, *faces, validate=False) if gens else empty
     projs = tuple(X.map_type(out, X, {g: e[k] for g, e in elem_of.items()}, validate=False)

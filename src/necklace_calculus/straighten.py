@@ -121,7 +121,13 @@ def w_sigma(W: BiSSet, cell: Cell) -> WSigma:
 
 
 class FullRep(NamedTuple):
-    """St of the identity of LF[m, Y]: values Hom_{c LF[m+1, Y]}(-, m+1)."""
+    """St of the identity of LF[m, Y]: values Hom_{c LF[m+1, Y]}(-, m+1).
+
+    templates is kan.enriched_lan's table of the coend pieces of presheaf over
+    a point, which depend on presheaf alone: filled by every lan of presheaf
+    on first use, published whole, and kept by this FullRep, so for as long
+    as whoever keeps the FullRep (the table of universal straightenings, or
+    the Straightener that built it)."""
 
     m: int
     lfm: LF
@@ -132,6 +138,7 @@ class FullRep(NamedTuple):
     iota: EnrichedFunctor  # c of the last coface
     base: SCat
     presheaf: Presheaf
+    templates: dict  # kan.enriched_lan's pieces of presheaf over a point
 
 
 class CatLF(NamedTuple):
@@ -159,7 +166,8 @@ def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
     def action(a, b, h, x):
         return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
 
-    return FullRep(m, lo.L, hi.L, face, C, C1, iota, base, Presheaf(base, values, action))
+    return FullRep(m, lo.L, hi.L, face, C, C1, iota, base, Presheaf(base, values, action),
+                   {})
 
 
 def checked_full_rep(m: int, Y: SSet) -> FullRep:
@@ -197,9 +205,11 @@ class _Universal:
     - the transports c L[mu+1, nu] between universal extensions, keyed
       ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes
       (src.m + 1, src.k) and (dst.m + 1, dst.k).
-    Nothing is let go, so full(m, k).C1 is full(m + 1, k).C.  Entries are
-    built outside the lock and published with setdefault: the first build
-    wins, so threads agree.
+    Nothing is let go, so full(m, k).C1 is full(m + 1, k).C, and each kept
+    full keeps its coend templates (FullRep.templates), which the lans of
+    every Straightener fill and read.  Entries are built outside the lock
+    and published with setdefault: the first build wins, so threads agree;
+    a full's templates are published the same way, entry by entry.
     """
 
     def __init__(self):
@@ -258,9 +268,10 @@ class Straightener:
     St(id) over LF[m, Delta[k]], the LF[j, Delta[k]] with their
     categorifications and the transports come from the process-wide table of
     universal straightenings when it keeps their shapes, and are built here
-    otherwise.  A Straightener keeps every entry it used, by shape: _fulls,
-    the "tr" keys of _ops, and in _cat_lfs the LF[j, Delta[k]] under each
-    full it built, so full(m, k).C1 is full(m + 1, k).C on every shape.  Its
+    otherwise.  A Straightener keeps every entry it used, by shape: _fulls
+    (each with its coend templates, which go with it when the full is one it
+    built), the "tr" keys of _ops, and in _cat_lfs the LF[j, Delta[k]] under
+    each full it built, so full(m, k).C1 is full(m + 1, k).C on every shape.  Its
     classifying functors read the categorifications through handles of its
     own (Categorification.handle), so the hom spaces a W reads are counted
     per Straightener (perfbench's tracer counts a build per categorification
@@ -312,7 +323,7 @@ class Straightener:
         if cell not in self._lans:
             fr = self.full(cell.m, cell.k)
             self._lans[cell] = enriched_lan(fr.presheaf, self.sigma_functor(cell),
-                                            self.base_cat, self._pieces)
+                                            self.base_cat, self._pieces, fr.templates)
         return self._lans[cell]
 
     # -- representable straightening --------------------------------------------
@@ -392,11 +403,10 @@ class StObject:
             self._add_piece(f"c.{g}", bnd(g))
         for g in P.gens():
             m, k = P.bidegree(g)
-            for direction, n in (("h", m), ("v", k)):
-                for i in range(n + 1) if n else ():
+            for direction, n, faces in (("h", m, P.hfaces), ("v", k, P.vfaces)):
+                for i, e in enumerate(faces[g]) if n else ():
                     mu_h = delta.coface(i, m) if direction == "h" else delta.identity(m)
                     mu_v = delta.coface(i, k) if direction == "v" else delta.identity(k)
-                    e = P.act(bnd(g), mu_h=mu_h, mu_v=mu_v)
                     if not (e.hword or e.vword):
                         self._relations.append((f"c.{e.gen}", f"c.{g}", mu_h, mu_v))
                         continue

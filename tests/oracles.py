@@ -51,15 +51,18 @@ an enriched functor's image, a composite and a face element by element, with
 no table: the references for cfunctor's generator table, the comp_el memo and
 delta.face_of_word behind GradedSet._face; strip_word_by_section undoes common
 degeneracies through a section, the reference for delta.strip_word behind
-ops.product's normal forms and io_schemas.presheaf_dump.
+ops.product's normal forms and the Eilenberg-Zilber shortcut of io_schemas'
+dumps; merge_words_by_composing composes two words' epis, the reference for
+the closed form of delta.merge_words.
 cube_hom_by_listing lists every chain of an interval and tests each through the
 operator action, the reference for cubes.cube_hom's strict chains;
 weight_G0_by_products builds the G0 weight from its own products and arrows
 (ops.product and ops.pairing), the reference for cubes.weight_G0, which is
 built from F0.
 presheaf_actions_all_pairs calls a presheaf's action on every pair of
-simplices, the reference for io_schemas.presheaf_dump, which calls it only on
-the pairs whose degeneracy words share no index.
+simplices, and scat_comp_all_pairs a simplicial category's composition, the
+references for io_schemas.presheaf_dump and io_schemas.scat_dump, which call
+them only on the pairs whose degeneracy words share no index.
 """
 
 import itertools
@@ -198,6 +201,22 @@ def presheaf_actions_all_pairs(F):
             if entries:
                 actions[f"{a}|{b}"] = entries
     return actions
+
+
+def scat_comp_all_pairs(C):
+    """The "comp" of scat.v1 for C, with C.comp called on every pair."""
+    def js(nf):
+        return {"word": list(nf.word), "target": nf.gen}
+
+    comp = {}
+    for a, b, c in itertools.product(C.objects, repeat=3):
+        entries = [{"dim": dim, "g": js(g), "f": js(f), "to": js(C.comp(a, b, c, g, f))}
+                   for dim in range(C.hom_bound + 1)
+                   for g in C.hom[(b, c)].simplices(dim)
+                   for f in C.hom[(a, b)].simplices(dim)]
+        if entries:
+            comp[f"{a}|{b}|{c}"] = entries
+    return comp
 
 
 def with_relation_products(F, G, D, d, diag):
@@ -671,6 +690,15 @@ def face_of_word_by_composing(word, m, r):
     word2, mono = delta.factor(delta.compose(delta.word_to_epi(word, m), delta.coface(r, m)))
     missing = set(range(m - len(word) + 1)).difference(mono)
     return word2, (missing.pop() if missing else None)
+
+
+def merge_words_by_composing(outer, inner, m):
+    """The word of s_outer s_inner on a simplex with s_inner of it of
+    dimension m: the epis of both words composed as monotone maps, and the
+    composite's repeats read off.  The reference for delta.merge_words."""
+    e_in = delta.word_to_epi(inner, m)
+    e_out = delta.word_to_epi(outer, m + len(outer))
+    return delta.epi_to_word(delta.compose(e_in, e_out))
 
 
 def strip_word_by_section(word, common, m):

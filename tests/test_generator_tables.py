@@ -4,7 +4,8 @@ that compute them element by element.
 cfunctor's on_hom reads the image of each generator from a table its closure
 owns and degenerates it in the target; Categorification.comp_el memoizes each
 composite; GradedSet._face reads delta's bounded face lookup, and
-delta.strip_word undoes common degeneracies in closed form.  Each is held
+delta.strip_word undoes common degeneracies and delta.merge_words composes
+two words in closed form.  Each is held
 against its per-element route in oracles.py.
 """
 
@@ -20,7 +21,8 @@ from necklace_calculus.sset import nd
 from necklace_calculus.straighten import cell_product_map, lf_induced, lf_map
 
 from oracles import (cfunctor_on_hom_by_element, comp_el_by_element, face_by_composing,
-                     face_of_word_by_composing, strip_word_by_section)
+                     face_of_word_by_composing, merge_words_by_composing,
+                     strip_word_by_section)
 from test_straighten_shared import TOTALS, _straightened
 
 d = shapes.simplex
@@ -140,6 +142,17 @@ def test_strip_word_matches_the_section(m):
             for q in range(p + 1):
                 for common in itertools.combinations(word, q):
                     assert delta.strip_word(word, common) == strip_word_by_section(word, common, m)
+
+
+@pytest.mark.parametrize("top", range(8))
+def test_merge_words_matches_composing(top):
+    # every outer word into dimension top, on every inner word below it
+    for p in range(top + 1):
+        for outer in delta.all_words(p, top):
+            for q in range(top - p + 1):
+                for inner in delta.all_words(q, top - p):
+                    assert (delta.merge_words(outer, inner, top - p)
+                            == merge_words_by_composing(outer, inner, top - p)), (outer, inner)
 
 
 def test_face_lookup_is_bounded():

@@ -82,7 +82,7 @@ def test_lan_identity_and_representable():
     ch = ch_simplex(1)
     F = representable(ch, "1")
     G = EnrichedFunctor(ch, ch, {o: o for o in ch.objects}, lambda a, b, x: x)
-    lan = enriched_lan(F, G, ch, {})
+    lan = enriched_lan(F, G, ch, {}, {})
     for a in ch.objects:
         assert ops.find_iso(lan.presheaf.value[a], F.value[a]) is not None
     cmp = lan_into_representable(lan, G, ch, "1")
@@ -104,7 +104,7 @@ def test_lan_along_endpoint():
         return arrow.id_el("1", arrow.hom[("1", "1")].dim(x))
 
     G = EnrichedFunctor(pt, arrow, {"0": "1"}, on_hom)
-    lan = enriched_lan(F, G, arrow, {})
+    lan = enriched_lan(F, G, arrow, {}, {})
     assert ops.find_iso(lan.presheaf.value["1"], X) is not None
     assert ops.find_iso(lan.presheaf.value["0"], X) is not None
 
