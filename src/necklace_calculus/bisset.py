@@ -339,6 +339,8 @@ def lf_map(src: LF, dst: LF, mu, f: "SSetMap") -> BiMap:
 
 
 def lf_induced(src: LF, target: BiSSet, pm: BiMap) -> BiMap:
-    """The map L F[m, X] -> target induced by a map on the underlying product."""
-    return BiMap(src.W, target, {g: pm(src.rep[g]) for g in src.W.gens()})
+    """The map L F[m, X] -> target induced by a map on the underlying product,
+    unvalidated: pm is a cell's classifying map (straighten.cell_product_map),
+    simplicial by construction, and the tests validate it."""
+    return BiMap(src.W, target, {g: pm(src.rep[g]) for g in src.W.gens()}, validate=False)
 

@@ -126,6 +126,7 @@ class Categorification:
         self.objects = tuple(sorted(W.row0()))
         self._homs: dict[tuple[str, str], tuple[_Necklaces, Materialized]] = {}
         self._comp_cache: dict[tuple[str, str, str, NF, NF], NF] = {}
+        self._one_bead: dict[tuple[str, str], tuple[str, ...]] = {}
         self._level_beads = _LevelBeads(W)
         self._times_cache: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
         self._order_cache: dict[tuple, list[tuple[int, ...]]] = {}
@@ -280,6 +281,23 @@ class Categorification:
         else:
             beads = rf.beads + rg.beads
         hit = self._comp_cache[key] = sc.to_nf(j, (hc.row(j, beads), tf + tg))
+        return hit
+
+    def one_bead(self, a: str, b: str) -> tuple[str, ...]:
+        """The generators of Hom(a, b) whose necklace is a single bead, listed
+        once per (a, b) in a table the Categorification owns.  Every
+        simplex of a hom is the wedge of its beads, each with the entry times
+        of its own free vertices, and a bead's simplex is a degeneracy of a
+        one-bead generator (a degeneracy keeps the beads), so with their
+        degeneracies these generate the homs under composition, level by
+        level (Dugger and Spivak, Rigidification of quasi-categories,
+        AGT 11, 2011)."""
+        hit = self._one_bead.get((a, b))
+        if hit is None:
+            table, space = self._hom_build(a, b)
+            rows, elem_of = table.rows, space.elem_of
+            hit = self._one_bead.setdefault((a, b), tuple(
+                g for g in space.sset.gens() if len(rows[elem_of[g][0]].beads) == 1))
         return hit
 
     def scat(self) -> SCat:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import itertools
+import threading
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .ops import (BarePiece, Colimit, Diagram, Product, Renamed, colimit, induced_map,
-                  is_point, over_points, product, renamed, shuffles)
+from .ops import (BarePiece, Colimit, Diagram, Product, Renamed, _word_masks, colimit,
+                  induced_map, is_point, over_points, product, renamed, shuffles)
 from .scat import EnrichedFunctor, Presheaf, SCat
 from .sset import NF, SSet, SSetMap, _new
 
@@ -14,6 +16,160 @@ class LanResult(NamedTuple):
     presheaf: Presheaf
     colimits: dict[str, Colimit]
     products: dict
+    entries: dict[str, Optional[int]]  # the serial of each colimit's CoendTable entry, or None past its cap
+
+
+# The entries a CoendTable keeps of each kind; a build beyond them is not kept.
+# A benchmark round fills at most 11 coends and 30 maps of one table, the
+# identity over Delta[5] 58 and 188; a coend there holds about 50 KB.
+COEND_CAP = 64
+OPERATOR_CAP = 256
+
+_SERIALS = itertools.count()  # one per published coend, never reused
+
+
+class CoendTable:
+    """The coends of one presheaf F, by the exact key of their restricted
+    representable, and maps between them.
+
+    The coend of F along G at d is a function of F and of the presheaf
+    D(d, G-) on C = F.base alone (Kelly, Basic Concepts of Enriched Category
+    Theory, 3.10 and 4.1), and its generator ids, faces, cocone and reps are
+    a function of F and of coend_key(F, G, D, d): ops.product numbers
+    shuffles in id order, which the key's local numbering keeps.  So a
+    caller that keeps F across calls (a FullRep) keeps a table with it:
+    - colimits: key -> (serial, Colimit), the colimit of coend_diagram; the
+      serial is unique in the process and names the entry for as long as it
+      lives;
+    - operators: maps between two published coends, by their serials and
+      whatever else fixes the map (straighten.Straightener.st_operator).
+    Both are published under the table's lock (the first build wins, so
+    threads agree) and stop growing at COEND_CAP and OPERATOR_CAP entries,
+    past which a build is returned and not kept.  spanning(a, b) lists
+    generators of C(a, b) whose simplices, with their degeneracies, generate
+    C under composition level by level; the key lists the action on those
+    alone.  None lists every generator.
+    """
+
+    def __init__(self, spanning: Optional[Callable[[str, str], Sequence[str]]]):
+        self.spanning = spanning
+        self.colimits: dict[tuple, tuple[int, Colimit]] = {}
+        self.operators: dict[tuple, SSetMap] = {}
+        self._lock = threading.Lock()  # makes each cap check and publish one step
+
+    def coend(self, key: tuple, build: Callable[[], Colimit]) -> tuple[Optional[int], Colimit]:
+        """(serial, colimit) of the entry under key, built and published on a
+        miss; (None, the build) when the table is full."""
+        hit = self.colimits.get(key)
+        if hit is None:
+            col = build()
+            with self._lock:
+                hit = self.colimits.get(key)
+                if hit is None:
+                    if len(self.colimits) >= COEND_CAP:
+                        return None, col
+                    hit = self.colimits[key] = (next(_SERIALS), col)
+        return hit
+
+    def operator(self, key: tuple, build: Callable[[], SSetMap]) -> SSetMap:
+        """The map under key, built and published on a miss unless the table is full."""
+        hit = self.operators.get(key)
+        if hit is None:
+            out = build()
+            with self._lock:
+                hit = self.operators.get(key)
+                if hit is None:
+                    if len(self.operators) >= OPERATOR_CAP:
+                        return out
+                    hit = self.operators[key] = out
+        return hit
+
+
+def local_form(X: SSet) -> tuple[list[str], dict[str, int], tuple]:
+    """X's generators in id order, their numbers in that order, and X in
+    that numbering: each generator's dimension and faces (word, number).
+    Memoized on X, which is immutable."""
+    if X._local is None:
+        ids = sorted(X._deg)
+        number = {g: i for i, g in enumerate(ids)}
+        faces = X.faces
+        X._local = (ids, number, tuple(
+            (X._deg[g][0], tuple([(f.word, number[f.gen]) for f in faces.get(g, ())]))
+            for g in ids))
+    return X._local
+
+
+def coend_key(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
+              spanning: Optional[Callable[[str, str], Sequence[str]]] = None,
+              rows: Optional[dict] = None, images: Optional[dict] = None) -> tuple:
+    """An exact key of the presheaf D(d, G-) on C = F.base, in local numbering
+    (local_form): per object a of C, D(d, Ga) in local_form; then, for
+    each a with D(d, Ga) not empty, each b such that coend_diagram does not
+    skip (a, b), and each generator k of C(a, b) that spanning(a, b) lists
+    (every generator for None), the row of G(k): the composites
+    D.comp(d, Ga, Gb, s_u G(k), s_v h), in D(d, Gb)'s numbering, over the
+    generators h of D(d, Ga) in id order and the words u, v with no index in
+    common.  Every simplex of C(a, b) is a composite of degeneracies of such
+    k at its level, and the composite of a degenerate pair is a degeneracy
+    of a listed one, so the key fixes the whole action: two presheaves with
+    one key are isomorphic by their local numberings, and F's coend along
+    either is the same.
+
+    A row depends on (d, Ga, Gb, G(k)) alone: rows, when given, keeps each
+    by that, across the calls that share D.  images, when given, keeps per a
+    the pairs (b, G(k)) listed at a, across the calls that share G."""
+    C, on_obj = F.base, G.on_obj
+    rows = {} if rows is None else rows
+    images = {} if images is None else images
+    forms = {a: local_form(D.hom[(d, on_obj[a])]) for a in C.objects}
+    out: list[tuple] = []
+    for a in C.objects:
+        if not forms[a][0]:
+            continue
+        at_a = images.get(a)
+        if at_a is None:
+            at_a = images[a] = _images(F, G, spanning, a)
+        for b, g in at_a:
+            key = (d, on_obj[a], on_obj[b], g)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = _row(D, key, forms[a], forms[b][1])
+            out.append(row)
+    return tuple(forms[a][2] for a in C.objects), tuple(out)
+
+
+def _images(F: Presheaf, G: EnrichedFunctor,
+            spanning: Optional[Callable[[str, str], Sequence[str]]], a: str) -> list:
+    """(b, G(k)) for each b and k whose row coend_key lists at a, in its order."""
+    C = F.base
+    out = []
+    for b in C.objects:
+        K = C.hom[(a, b)]
+        n_k = K.n_gens()
+        if n_k == 0 or (a == b and n_k == 1):
+            continue
+        out.extend((b, G.on_hom(a, b, _new(NF, ((), k))))
+                   for k in (spanning(a, b) if spanning is not None else K.gens()))
+    return out
+
+
+def _row(D: SCat, key: tuple, form_a: tuple, number_b: dict[str, int]) -> tuple:
+    """coend_key's row of g in D(Ga, Gb), for key = (d, Ga, Gb, g), with
+    D(d, Ga) in local_form and D(d, Gb)'s numbering."""
+    d, Ga, Gb, g = key
+    ids, _, form = form_a
+    Hg = D.hom[(Ga, Gb)]
+    p = (Hg.dim(g),)
+    out = []
+    for h, (q, _) in zip(ids, form):
+        for n in range(max(p[0], q), p[0] + q + 1):
+            for mk, (wk,) in _word_masks(p, (n,)):
+                sg = Hg._degenerate((wk,), g)
+                for mh, (wh,) in _word_masks((q,), (n,)):
+                    if not mk & mh:
+                        c = D.comp(d, Ga, Gb, sg, _new(NF, (wh, h)))
+                        out.append((c.word, number_b[c.gen]))
+    return tuple(out)
 
 
 class _RelationOverPoint(NamedTuple):
@@ -67,9 +223,8 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict
     """
     C = F.base
     over = {a: is_point(D.hom[(d, G.on_obj[a])]) for a in C.objects}
-    prods = {a: _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces, templates, a)
-             for a in C.objects}
-    diag = Diagram({f"p.{a}": pr.sset for a, pr in prods.items()})
+    prods = _LazyProducts(F, G, D, d, pieces, templates)
+    diag = Diagram({f"p.{a}": prods[a].sset for a in C.objects})
     for a in C.objects:
         Ga = G.on_obj[a]
         H = D.hom[(d, Ga)]
@@ -108,6 +263,25 @@ def _template(templates: dict, key, build: Callable[[], object]):
     if hit is None:
         hit = templates.setdefault(key, build())
     return hit
+
+
+class _LazyProducts(dict):
+    """The product pieces D(d, Ga) x F(a) of the coend at d, by a, each read
+    from pieces (_piece) on first use: a lan whose colimits are read from a
+    CoendTable reads its pieces only where its action,
+    lan_into_representable or a map built out of it does.  It holds only the
+    pieces read so far, so a reader of every piece iterates over the
+    objects of C, not over it."""
+
+    def __init__(self, F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict,
+                 templates: dict):
+        super().__init__()
+        self._args = (F, G, D, d, pieces, templates)
+
+    def __missing__(self, a: str) -> Product:
+        F, G, D, d, pieces, templates = self._args
+        pr = self[a] = _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces, templates, a)
+        return pr
 
 
 def _piece(X: SSet, Y: SSet, pieces: dict, templates: dict, a: str) -> Product:
@@ -152,7 +326,7 @@ def _over_point(F: Presheaf, H: SSet, a: str, b: str, pa: Product,
 
 
 def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
-                 templates: dict) -> LanResult:
+                 templates: dict, coends: CoendTable) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
     The colimit at d is that of coend_diagram(F, G, D, d, pieces, templates),
@@ -164,14 +338,24 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
     relation piece.  pieces is coend_diagram's table of product pieces, and
     templates its table of F's pieces over a point: a template's ids are those
     ops.product gives the piece it stands for, so the colimit is the same
-    whichever table it was read from.  A caller that keeps F across
-    calls keeps templates with it; any other passes a fresh dict.
+    whichever table it was read from.  coends is F's CoendTable: each
+    colimit is read from it by coend_key (whose rows pieces keeps too), and
+    coend_diagram and the colimit are built only on a miss; entries[d] is
+    the serial of the entry, None past the table's cap.  A hit's cocone
+    starts at the product pieces of the lan that built it, whose ids and
+    faces are this lan's.  A caller that keeps F across calls keeps
+    templates and coends with it; any other passes a fresh dict and a fresh
+    CoendTable(None).
     """
     colimits: dict[str, Colimit] = {}
     products: dict = {}
+    entries: dict[str, Optional[int]] = {}
+    images: dict[str, list] = {}  # coend_key's, shared by the objects d of this G
     for d_obj in D.objects:
-        diag, products[d_obj] = coend_diagram(F, G, D, d_obj, pieces, templates)
-        colimits[d_obj] = colimit(diag)
+        products[d_obj] = _LazyProducts(F, G, D, d_obj, pieces, templates)
+        entries[d_obj], colimits[d_obj] = coends.coend(
+            coend_key(F, G, D, d_obj, coends.spanning, pieces, images),
+            lambda: colimit(coend_diagram(F, G, D, d_obj, pieces, templates)[0]))
 
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}
 
@@ -186,7 +370,7 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
             products[d1][a].to_nf(values[d2].dim(z), (moved, x_el)))
 
     pre = Presheaf(D, values, action)
-    return LanResult(pre, colimits, products)
+    return LanResult(pre, colimits, products, entries)
 
 
 def lan_into_representable(lan: LanResult, G: EnrichedFunctor, D: SCat,
@@ -200,7 +384,7 @@ def lan_into_representable(lan: LanResult, G: EnrichedFunctor, D: SCat,
                                 G.on_hom(a, c, pr.projections[1](e)), pr.projections[0](e))
 
     return {d_obj: induced_map(lan.colimits[d_obj],
-                               {f"p.{a}": leg(d_obj, a, pr)
-                                for a, pr in lan.products[d_obj].items()},
+                               {f"p.{a}": leg(d_obj, a, lan.products[d_obj][a])
+                                for a in G.src.objects},
                                D.hom[(d_obj, G.on_obj[c])])
             for d_obj in D.objects}

@@ -279,6 +279,7 @@ class SSet(GradedSet):
             tuple(self._by_deg.get((d,), ())) for d in range(self.dim_bound + 1))
         self._vert_cache: dict = {}
         self._order_check: Optional[tuple] = None  # memo of ops.is_1_ordered
+        self._local: Optional[tuple] = None  # memo of kan.local_form
 
     # -- structure ---------------------------------------------------------
 

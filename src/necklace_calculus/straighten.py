@@ -40,9 +40,9 @@ from .bisset import (BiColimit, BiMap, BiNF, BiSSet, LF, bi_pushout, bnd, extern
                      external_map, lf, lf_induced, lf_map, materialize_bi, rename_gens)
 from .categorify import Categorification, categorify, cfunctor
 from .cubes import weight_F, weighted_colim
-from .kan import LanResult, enriched_lan
+from .kan import CoendTable, LanResult, enriched_lan
 from .necklace import UnsupportedInput
-from .ops import Colimit, Diagram, Product, colimit, induced_map, is_connected
+from .ops import Colimit, Diagram, colimit, induced_map, is_connected
 from .scat import (EnrichedFunctor, NatTrans, Presheaf, SCat, enumerate_nat_trans,
                    glue_end, suspension)
 from .shapes import point, simplex, simplex_operator, subset_id
@@ -104,14 +104,19 @@ class WSigma(NamedTuple):
 
 
 def cell_product_map(W: BiSSet, cell: Cell, lfm: LF) -> BiMap:
-    """F[m, k] -> W classifying the cell."""
-    assign = {}
-    for gx in lfm.product.gens():
-        s, t = gx.split("|")
-        mu_h = tuple(int(v) for v in s.split("."))
-        mu_v = tuple(int(v) for v in t.split("."))
-        assign[gx] = W.act(cell.el, mu_h=mu_h, mu_v=mu_v)
-    return BiMap(lfm.product, W, assign, validate=False)
+    """F[m, k] -> W classifying the cell, read from face tables: the top
+    generator goes to the cell, and each face of a generator, in F[m, k]'s
+    table, to that face of its image, in W's (GradedSet._face)."""
+    F = lfm.product
+    gens = sorted(F.gens(), key=lambda g: -sum(F._deg[g]))
+    assign = {gens[0]: cell.el}
+    for g in gens:
+        img = assign[g]
+        for a, faces in enumerate(F._faces):
+            for i, f in enumerate(faces.get(g, ())):
+                if f[-1] not in assign:
+                    assign[f[-1]] = W._face(img, a, i)
+    return BiMap(F, W, assign, validate=False)
 
 
 def w_sigma(W: BiSSet, cell: Cell) -> WSigma:
@@ -123,11 +128,17 @@ def w_sigma(W: BiSSet, cell: Cell) -> WSigma:
 class FullRep(NamedTuple):
     """St of the identity of LF[m, Y]: values Hom_{c LF[m+1, Y]}(-, m+1).
 
-    templates is kan.enriched_lan's table of the coend pieces of presheaf over
-    a point, which depend on presheaf alone: filled by every lan of presheaf
-    on first use, published whole, and kept by this FullRep, so for as long
-    as whoever keeps the FullRep (the table of universal straightenings, or
-    the Straightener that built it)."""
+    Two tables depend on presheaf alone and live with this FullRep, so for as
+    long as whoever keeps it (the table of universal straightenings, or the
+    Straightener that built it); every lan of presheaf fills them on first
+    use and publishes entry by entry (the first build wins):
+    - templates, kan.enriched_lan's coend pieces of presheaf over a point;
+    - coends, its kan.CoendTable: each coend colimit by the exact key of its
+      restricted representable (kan.coend_key, listing the action on the
+      one-bead generators of C), and the components of
+      Straightener.st_operator between two of them when both ends' shapes
+      are kept, each kind up to its cap (kan.COEND_CAP, kan.OPERATOR_CAP).
+    templates holds at most one entry per object and pair of objects of C."""
 
     m: int
     lfm: LF
@@ -139,6 +150,7 @@ class FullRep(NamedTuple):
     base: SCat
     presheaf: Presheaf
     templates: dict  # kan.enriched_lan's pieces of presheaf over a point
+    coends: CoendTable  # kan.enriched_lan's colimits, and st_operator's maps
 
 
 class CatLF(NamedTuple):
@@ -167,7 +179,7 @@ def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
         return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
 
     return FullRep(m, lo.L, hi.L, face, C, C1, iota, base, Presheaf(base, values, action),
-                   {})
+                   {}, CoendTable(C.one_bead))
 
 
 def checked_full_rep(m: int, Y: SSet) -> FullRep:
@@ -206,10 +218,11 @@ class _Universal:
       ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes
       (src.m + 1, src.k) and (dst.m + 1, dst.k).
     Nothing is let go, so full(m, k).C1 is full(m + 1, k).C, and each kept
-    full keeps its coend templates (FullRep.templates), which the lans of
-    every Straightener fill and read.  Entries are built outside the lock
-    and published with setdefault: the first build wins, so threads agree;
-    a full's templates are published the same way, entry by entry.
+    full keeps its coend templates and coends (FullRep.templates and
+    FullRep.coends), which the lans of every Straightener fill and read.
+    Entries are built outside the lock and published with setdefault: the
+    first build wins, so threads agree; a full's templates are published the
+    same way, entry by entry, and its coends under their table's lock.
     """
 
     def __init__(self):
@@ -269,13 +282,15 @@ class Straightener:
     categorifications and the transports come from the process-wide table of
     universal straightenings when it keeps their shapes, and are built here
     otherwise.  A Straightener keeps every entry it used, by shape: _fulls
-    (each with its coend templates, which go with it when the full is one it
-    built), the "tr" keys of _ops, and in _cat_lfs the LF[j, Delta[k]] under
-    each full it built, so full(m, k).C1 is full(m + 1, k).C on every shape.  Its
-    classifying functors read the categorifications through handles of its
-    own (Categorification.handle), so the hom spaces a W reads are counted
-    per Straightener (perfbench's tracer counts a build per categorification
-    object and arguments).
+    (each with its coend templates and coends, which go with it when the
+    full is one it built), the "tr" keys of _ops, and in _cat_lfs the
+    LF[j, Delta[k]] under each full it built, so full(m, k).C1 is
+    full(m + 1, k).C on every shape.  _ops also keeps each st_operator
+    component it used, and those between coends not both on kept shapes by
+    the ends' serials ("op" keys).  Its classifying functors read the
+    categorifications through handles of its own (Categorification.handle),
+    so the hom spaces a W reads are counted per Straightener (perfbench's
+    tracer counts a build per categorification object and arguments).
     """
 
     def __init__(self, W: BiSSet):
@@ -287,8 +302,9 @@ class Straightener:
         self._fulls: dict[tuple[int, int], FullRep] = {}
         self._lans: dict[Cell, "LanResult"] = {}
         # the product pieces of every lan, by their factors: a hom of base_cat
-        # and a value of a universal presheaf in _fulls, both kept here
-        self._pieces: dict[tuple[int, int], Product] = {}
+        # and a value of a universal presheaf in _fulls, both kept here; and
+        # kan.coend_key's rows, by (d, Ga, Gb, G(k)) in base_cat
+        self._pieces: dict[tuple, object] = {}
         self._ops: dict[tuple, object] = {}
 
     def _universal(self, own: dict, key, shapes, table: dict, build):
@@ -323,7 +339,8 @@ class Straightener:
         if cell not in self._lans:
             fr = self.full(cell.m, cell.k)
             self._lans[cell] = enriched_lan(fr.presheaf, self.sigma_functor(cell),
-                                            self.base_cat, self._pieces, fr.templates)
+                                            self.base_cat, self._pieces, fr.templates,
+                                            fr.coends)
         return self._lans[cell]
 
     # -- representable straightening --------------------------------------------
@@ -351,25 +368,45 @@ class Straightener:
 
     def st_operator(self, src: Cell, dst: Cell, mu_h: delta.Monotone,
                     mu_v: delta.Monotone, a: str) -> SSetMap:
-        """Component at a of St_W(dst . delta) -> St_W(dst), with src = dst . delta."""
+        """Component at a of St_W(dst . delta) -> St_W(dst), with src = dst . delta.
+
+        sigma_src = sigma_dst . delta, so the product pieces p.j of src and
+        p.mu_h(j) of dst share their hom factor D(a, Gj), and the component is
+        id x the transport on them.  It is a function of the two coends and of
+        (mu_h, mu_v), so when both are published CoendTable entries it is
+        read by their serials: from the table of dst's FullRep when both
+        shapes are kept (then that FullRep outlives both ends), else from this
+        Straightener's own."""
         key = (src, dst, mu_h, mu_v, a)
         if key in self._ops:
             return self._ops[key]
         lan_s, lan_d = self.lan(src), self.lan(dst)
         tr = self._transport(src, dst, mu_h, mu_v)
-        col = lan_s.colimits[a]
-        assign = {}
-        for g in col.sset.gens():
-            name, rep = col.reps[g]
-            j_src = name.split(".", 1)[1]
-            j_dst = str(mu_h[int(j_src)])
-            pr = lan_s.products[a][j_src]
-            h_el = pr.projections[0](rep)
-            x_el = pr.projections[1](rep)
-            x_img = tr.on_hom(j_src, str(src.m + 1), x_el)
-            target = lan_d.products[a][j_dst].to_nf(col.sset.gen_dim(g), (h_el, x_img))
-            assign[g] = lan_d.colimits[a].cocone[f"p.{j_dst}"](target)
-        out = SSetMap(col.sset, self.value(dst, a), assign, validate=False)
+
+        def build() -> SSetMap:
+            col = lan_s.colimits[a]
+            assign = {}
+            for g in col.sset.gens():
+                name, rep = col.reps[g]
+                j_src = name.split(".", 1)[1]
+                j_dst = str(mu_h[int(j_src)])
+                pr = lan_s.products[a][j_src]
+                h_el = pr.projections[0](rep)
+                x_el = pr.projections[1](rep)
+                x_img = tr.on_hom(j_src, str(src.m + 1), x_el)
+                target = lan_d.products[a][j_dst].to_nf(col.sset.gen_dim(g), (h_el, x_img))
+                assign[g] = lan_d.colimits[a].cocone[f"p.{j_dst}"](target)
+            return SSetMap(col.sset, lan_d.colimits[a].sset, assign, validate=False)
+
+        ends = (lan_s.entries[a], lan_d.entries[a])
+        if None in ends:
+            out = build()
+        elif all(m + 1 + k <= _KEPT for m, k in ((src.m, src.k), (dst.m, dst.k))):
+            out = self.full(dst.m, dst.k).coends.operator((*ends, mu_h, mu_v), build)
+        else:
+            out = self._ops.get(("op", *ends, mu_h, mu_v))
+            if out is None:
+                out = self._ops[("op", *ends, mu_h, mu_v)] = build()
         self._ops[key] = out
         return out
 

@@ -45,7 +45,9 @@ bead_containment_by_scan finds each containing bead by a scan over the outer
 necklace's beads, the reference for necklace.containing_beads behind
 TndPoset.bead_map and the weights of cubes;
 lf_rep_by_listing finds the product representatives of bisset.lf by listing
-every simplex, the reference for its one pass over generators.
+every simplex, the reference for its one pass over generators;
+cell_product_map_by_act reads each simplex of a cell through BiSSet.act, the
+reference for straighten.cell_product_map, which reads W's face tables.
 cfunctor_on_hom_by_element, comp_el_by_element and face_by_composing compute
 an enriched functor's image, a composite and a face element by element, with
 no table: the references for cfunctor's generator table, the comp_el memo and
@@ -623,6 +625,17 @@ def lf_rep_by_listing(L):
 
 
 # -- enriched functors, composition and faces element by element -----------------
+
+
+def cell_product_map_by_act(W, cell, lfm):
+    """F[m, k] -> W classifying the cell, each generator mu_h|mu_v sent to
+    W.act(cell.el, mu_h, mu_v)."""
+    assign = {}
+    for gx in lfm.product.gens():
+        s, t = gx.split("|")
+        assign[gx] = W.act(cell.el, mu_h=tuple(int(v) for v in s.split(".")),
+                           mu_v=tuple(int(v) for v in t.split(".")))
+    return assign
 
 
 def cfunctor_on_hom_by_element(f, Csrc, Cdst, a, b, x):

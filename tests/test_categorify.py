@@ -469,3 +469,35 @@ def test_hom_is_shared_with_handles():
     C = categorify(horizontal(d(2)))
     H = C.handle()
     assert H is not C and H.hom("0", "2") is C.hom("0", "2")
+
+
+# every shape whose FullRep the process-wide table of straighten keeps
+KEPT_SHAPES = [(m, k) for m in range(4) for k in range(4) if m + 1 + k <= 4]
+
+
+@pytest.mark.parametrize("m,k", KEPT_SHAPES)
+def test_one_bead_generators_generate_the_homs(m, k):
+    # each generator is the composite, at its level, of its beads, each bead
+    # with the entry times of its own free vertices and a degeneracy of a
+    # generator that one_bead lists: what kan.coend_key relies on
+    C = categorify(lf(m, d(k)).W)
+    composed = 0
+    for a in C.objects:
+        for c in C.objects:
+            if a == c:
+                continue
+            table, space = C._hom_build(a, c)
+            for x in space.sset.gens():
+                n, ts = space.elem_of[x]
+                row = table.rows[n]
+                acc = None
+                for i, b in enumerate(row.beads):
+                    u, v = row.joints[i], row.joints[i + 1]
+                    lo, hi = row.bounds[i], row.bounds[i + 1]
+                    el = C.element(u, v, row.j, [table.beads.keys[b]],
+                                   dict(zip(row.free[lo:hi], ts[lo:hi])))
+                    assert el.gen in C.one_bead(u, v)
+                    acc = el if acc is None else C.comp_el(a, u, v, el, acc)
+                assert acc == nd(x)
+                composed += len(row.beads) > 1
+    assert composed or m <= 1  # two objects: every necklace is one bead

@@ -22,7 +22,7 @@ from necklace_calculus.bisset import BI_EMPTY, lf, materialize_bi
 from necklace_calculus.groth import vtensor
 from necklace_calculus.io_schemas import bisset_dump, sset_dump
 from necklace_calculus.sset import NF, SSet, SSetError, SSetMap, constant_map, nd
-from necklace_calculus.straighten import Straightener, delta_precat
+from necklace_calculus.straighten import Straightener, delta_precat, universal_cache_clear
 
 from oracles import (colimit_all_simplices, product_all_tuples, product_nd_counts,
                      shuffle_count, vtensor_by_act, with_relation_products)
@@ -156,7 +156,10 @@ def test_long_union_chain_is_one_class():
 
 
 def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
-    # each bare relation piece is rebuilt as its full product for the oracle
+    # each bare relation piece is rebuilt as its full product for the oracle;
+    # the coend tables of the kept FullReps are emptied first, so that every
+    # coend is built here, not read from a table an earlier test filled
+    universal_cache_clear()
     seen = _recording(monkeypatch, kan, "colimit")
     args_of = {}
     build = kan.coend_diagram
@@ -183,6 +186,7 @@ def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
     for diag, got in seen:
         bare = [n for n, X in diag.objects.items() if isinstance(X, ops.BarePiece)]
         _assert_same_colimit(got, with_relation_products(*args_of[id(diag)], diag), bare=bare)
+    universal_cache_clear()
 
 
 def test_bare_piece_holding_a_least_member_raises():

@@ -3,7 +3,7 @@ import pytest
 from necklace_calculus import shapes, ops
 from necklace_calculus.bisset import bi_identity, horizontal
 from necklace_calculus.groth import eta_compare, groth, groth_right_adjoint, rightfib_check
-from necklace_calculus.kan import enriched_lan, lan_into_representable
+from necklace_calculus.kan import CoendTable, enriched_lan, lan_into_representable
 from necklace_calculus.nerves import hc_functors, hc_nerve, nerve_comparison, strict_nerve
 from necklace_calculus.scat import (EnrichedFunctor, ch_simplex, enumerate_nat_trans,
                                     representable, suspension, terminal_presheaf)
@@ -82,7 +82,7 @@ def test_lan_identity_and_representable():
     ch = ch_simplex(1)
     F = representable(ch, "1")
     G = EnrichedFunctor(ch, ch, {o: o for o in ch.objects}, lambda a, b, x: x)
-    lan = enriched_lan(F, G, ch, {}, {})
+    lan = enriched_lan(F, G, ch, {}, {}, CoendTable(None))
     for a in ch.objects:
         assert ops.find_iso(lan.presheaf.value[a], F.value[a]) is not None
     cmp = lan_into_representable(lan, G, ch, "1")
@@ -104,7 +104,7 @@ def test_lan_along_endpoint():
         return arrow.id_el("1", arrow.hom[("1", "1")].dim(x))
 
     G = EnrichedFunctor(pt, arrow, {"0": "1"}, on_hom)
-    lan = enriched_lan(F, G, arrow, {}, {})
+    lan = enriched_lan(F, G, arrow, {}, {}, CoendTable(None))
     assert ops.find_iso(lan.presheaf.value["1"], X) is not None
     assert ops.find_iso(lan.presheaf.value["0"], X) is not None
 

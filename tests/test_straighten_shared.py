@@ -3,21 +3,23 @@
 Straightening a total object builds one categorification per LF[j, Delta[k]],
 left Kan extends along coends with their trivial relation pieces left out and
 the rest as bare generator lists, and glues generators along their
-non-degenerate faces without copies.  These tests hold each against the
-construction it replaces.
+non-degenerate faces without copies; it reads each cell's classifying map
+from W's face tables and builds it unvalidated.  These tests hold each
+against the construction it replaces, and validate the classifying maps.
 """
 
 import pytest
 
 from necklace_calculus import kan, ops, shapes
-from necklace_calculus.bisset import BiMap, bi_identity, lf
+from necklace_calculus.bisset import BiMap, bi_identity, lf, lf_induced
 from necklace_calculus.groth import vtensor
 from necklace_calculus.io_schemas import (bisset_dump, canonical_json, presheaf_dump, scat_dump,
                                           sset_dump)
-from necklace_calculus.straighten import Straightener, delta_precat, universal_cache_clear
+from necklace_calculus.straighten import (Straightener, cell_product_map, delta_precat,
+                                         universal_cache_clear)
 
-from oracles import (coend_all_relations, presheaf_actions_all_pairs, scat_comp_all_pairs,
-                     with_relation_products)
+from oracles import (cell_product_map_by_act, coend_all_relations, presheaf_actions_all_pairs,
+                     scat_comp_all_pairs, with_relation_products)
 
 d = shapes.simplex
 
@@ -174,3 +176,24 @@ def test_levels_are_shared():
             assert lo.C1 is hi.C
             assert lo.lfm1 is hi.lfm
             assert st.full(m, k) is lo
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_cell_product_map_reads_the_face_tables_as_act_does(name):
+    st, _ = _straightened(*TOTALS[name])
+    for cell in st._lans:
+        lfm = st.full(cell.m, cell.k).lfm
+        got = cell_product_map(st.W, cell, lfm)
+        assert got.assign == cell_product_map_by_act(st.W, cell, lfm), cell
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_classifying_maps_are_simplicial(name):
+    # lf_induced builds its BiMap unvalidated: validate the same maps here
+    st, _ = _straightened(*TOTALS[name])
+    assert st._lans
+    for cell in st._lans:
+        lfm = st.full(cell.m, cell.k).lfm
+        pm = cell_product_map(st.W, cell, lfm)
+        BiMap(lfm.product, st.W, pm.assign)  # validate=True raises unless simplicial
+        BiMap(lfm.W, st.W, lf_induced(lfm, st.W, pm).assign)
