@@ -6,8 +6,8 @@ import itertools
 import threading
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .ops import (BarePiece, Colimit, Diagram, Product, Renamed, _word_masks, colimit,
-                  induced_map, is_point, over_points, product, renamed, shuffles)
+from .ops import (BarePiece, Colimit, Diagram, Product, _word_masks, colimit, induced_map,
+                  product, shuffles)
 from .scat import EnrichedFunctor, Presheaf, SCat
 from .sset import NF, SSet, SSetMap, _new
 
@@ -60,29 +60,30 @@ class CoendTable:
     def coend(self, key: tuple, build: Callable[[], Colimit]) -> tuple[Optional[int], Colimit]:
         """(serial, colimit) of the entry under key, built and published on a
         miss; (None, the build) when the table is full."""
-        hit = self.colimits.get(key)
-        if hit is None:
-            col = build()
-            with self._lock:
-                hit = self.colimits.get(key)
-                if hit is None:
-                    if len(self.colimits) >= COEND_CAP:
-                        return None, col
-                    hit = self.colimits[key] = (next(_SERIALS), col)
-        return hit
+        hit, col = self._publish(self.colimits, COEND_CAP, key, build,
+                                 lambda col: (next(_SERIALS), col))
+        return (None, col) if hit is None else hit
 
     def operator(self, key: tuple, build: Callable[[], SSetMap]) -> SSetMap:
         """The map under key, built and published on a miss unless the table is full."""
-        hit = self.operators.get(key)
+        hit, out = self._publish(self.operators, OPERATOR_CAP, key, build, lambda f: f)
+        return out if hit is None else hit
+
+    def _publish(self, table: dict, cap: int, key: tuple, build: Callable[[], object],
+                 entry: Callable[[object], object]) -> tuple[object, object]:
+        """(table[key], None), where a miss publishes entry(build()) unless
+        another thread published first (the first build wins); (None, the
+        build) when the miss finds cap entries in table."""
+        hit = table.get(key)
         if hit is None:
             out = build()
             with self._lock:
-                hit = self.operators.get(key)
+                hit = table.get(key)
                 if hit is None:
-                    if len(self.operators) >= OPERATOR_CAP:
-                        return out
-                    hit = self.operators[key] = out
-        return hit
+                    if len(table) >= cap:
+                        return None, out
+                    hit = table[key] = entry(out)
+        return hit, None
 
 
 def local_form(X: SSet) -> tuple[list[str], dict[str, int], tuple]:
@@ -172,20 +173,8 @@ def _row(D: SCat, key: tuple, form_a: tuple, number_b: dict[str, int]) -> tuple:
     return tuple(out)
 
 
-class _RelationOverPoint(NamedTuple):
-    """The relation piece r.a.b of a coend whose D(d, Ga) is a point, as far as
-    it depends on F alone: its generators, each with its degree, k, the word
-    of the point's simplex and x; its leg ea.a.b into the point piece p.a;
-    and its leg eb.a.b into p.b for D(d, Gb) a point too."""
-
-    piece: BarePiece
-    gens: list[tuple[str, int, NF, tuple[int, ...], NF]]  # (id, degree, k, point word, x)
-    to_a: SSetMap
-    to_b: SSetMap
-
-
-def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict,
-                  templates: dict) -> tuple[Diagram, dict[str, Product]]:
+def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str,
+                  pieces: dict) -> tuple[Diagram, dict[str, Product]]:
     """The coend coequalizer diagram at the object d of D, and its product pieces.
 
     The piece p.a is the product D(d, Ga) x F(a), one per object a of the
@@ -205,25 +194,12 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict
     legs are not checked for simpliciality (tests/test_straighten_shared.py
     checks them against the full product).  The colimit never reads its
     faces: every class holds a product piece, whose names sort first
-    ("p." < "r."), so each class's least member has a face table.
-
-    When D(d, Ga) is a point, both pieces at a are templates, read from
-    templates, a table of F's, filled on first use and published whole (the
-    first build wins), which its owner keeps with F: p.a is F(a) renamed as
-    ops.product names pt x F(a) (ops.renamed, whose ids and faces do not
-    depend on the point), and r.a.b keeps the shuffles (k, h, x) of
-    C(a, b) x pt x F(b) with h by its word, under their ids, which are the
-    same for every point: at each degree the point has one simplex, so
-    ops.shuffles orders them by (k, x).  The leg ea.a.b, (h, k.x) in p.a, is
-    the template's too, and so is eb.a.b, (Gk.h, x) in p.b, when D(d, Gb) is
-    a point as well: Gk.h is then its one simplex of h's degree.  What
-    depends on the points and on G is made here: p.a's projection to the
-    point and its to_nf (ops.over_points), and eb.a.b when D(d, Gb) is no
-    point.
+    ("p." < "r."), so each class's least member has a face table.  When
+    D(d, Ga) is a point, ops.product gives p.a as the renamed copy kept on
+    F(a), the same for every point.
     """
     C = F.base
-    over = {a: is_point(D.hom[(d, G.on_obj[a])]) for a in C.objects}
-    prods = _LazyProducts(F, G, D, d, pieces, templates)
+    prods = _LazyProducts(F, G, D, d, pieces)
     diag = Diagram({f"p.{a}": prods[a].sset for a in C.objects})
     for a in C.objects:
         Ga = G.on_obj[a]
@@ -234,22 +210,10 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict
             if n_k == 0 or (a == b and n_k == 1):
                 continue
             Gb = G.on_obj[b]
-            eb = None
-            if not over[a]:
-                piece, gens, ea = _relation(F, H, a, b, prods[a])
-            else:
-                rel = _template(templates, (a, b), lambda: _over_point(
-                    F, H, a, b, prods[a], _template(templates, b, lambda: renamed(F.value[b]))))
-                piece, ea = rel.piece, rel.to_a
-                if over[b]:  # Gk.h lies in the point D(d, Gb): the leg is the template's
-                    eb = rel.to_b
-                else:
-                    pt = H.by_dim[0][0]
-                    gens = [(g, dd, k, _new(NF, (w, pt)), x) for g, dd, k, w, x in rel.gens]
-            if eb is None:
-                eb = SSetMap(piece, prods[b].sset,
-                             {g: prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
-                              for g, dd, k, h, x in gens}, validate=False)
+            piece, gens, ea = _relation(F, H, a, b, prods[a])
+            eb = SSetMap(piece, prods[b].sset,
+                         {g: prods[b].to_nf(dd, (D.comp(d, Ga, Gb, G.on_hom(a, b, k), h), x))
+                          for g, dd, k, h, x in gens}, validate=False)
             name = f"r.{a}.{b}"
             diag.objects[name] = piece
             diag.add(f"eb.{a}.{b}", name, f"p.{b}", eb)
@@ -257,45 +221,27 @@ def coend_diagram(F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict
     return diag, prods
 
 
-def _template(templates: dict, key, build: Callable[[], object]):
-    """templates[key], built by build() and published on a miss: the first build wins."""
-    hit = templates.get(key)
-    if hit is None:
-        hit = templates.setdefault(key, build())
-    return hit
-
-
 class _LazyProducts(dict):
     """The product pieces D(d, Ga) x F(a) of the coend at d, by a, each read
-    from pieces (_piece) on first use: a lan whose colimits are read from a
-    CoendTable reads its pieces only where its action,
-    lan_into_representable or a map built out of it does.  It holds only the
-    pieces read so far, so a reader of every piece iterates over the
-    objects of C, not over it."""
+    on first use from pieces, where ops.product builds it on the first read
+    of its two factors: a lan whose colimits are read from a CoendTable
+    reads its pieces only where its action, lan_into_representable or a map
+    built out of it does.  It holds only the pieces read so far, so a
+    reader of every piece iterates over the objects of C, not over it."""
 
-    def __init__(self, F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict,
-                 templates: dict):
+    def __init__(self, F: Presheaf, G: EnrichedFunctor, D: SCat, d: str, pieces: dict):
         super().__init__()
-        self._args = (F, G, D, d, pieces, templates)
+        self._args = (F, G, D, d, pieces)
 
     def __missing__(self, a: str) -> Product:
-        F, G, D, d, pieces, templates = self._args
-        pr = self[a] = _piece(D.hom[(d, G.on_obj[a])], F.value[a], pieces, templates, a)
+        F, G, D, d, pieces = self._args
+        X, Y = D.hom[(d, G.on_obj[a])], F.value[a]
+        key = (id(X), id(Y))
+        pr = pieces.get(key)
+        if pr is None:
+            pr = pieces.setdefault(key, product(X, Y))
+        self[a] = pr
         return pr
-
-
-def _piece(X: SSet, Y: SSet, pieces: dict, templates: dict, a: str) -> Product:
-    """X x Y, from pieces, built and entered there on first use; for X a
-    point, from the template of Y = F(a) in templates."""
-    key = (id(X), id(Y))
-    pr = pieces.get(key)
-    if pr is None:
-        if is_point(X):
-            pr = over_points((X, Y), 1, _template(templates, a, lambda: renamed(Y)))
-        else:
-            pr = product(X, Y)
-        pr = pieces.setdefault(key, pr)
-    return pr
 
 
 def _relation(F: Presheaf, H: SSet, a: str, b: str, pa: Product) -> tuple:
@@ -314,37 +260,23 @@ def _relation(F: Presheaf, H: SSet, a: str, b: str, pa: Product) -> tuple:
     return piece, gens, SSetMap(piece, pa.sset, to_a, validate=False)
 
 
-def _over_point(F: Presheaf, H: SSet, a: str, b: str, pa: Product,
-                ren_b: Renamed) -> _RelationOverPoint:
-    """The template of r.a.b for the point H, with pa the product piece
-    H x F(a) built on the template of F(a), and ren_b the template of F(b)."""
-    piece, gens, to_a = _relation(F, H, a, b, pa)
-    pb = over_points((H, F.value[b]), 1, ren_b)
-    to_b = {g: pb.to_nf(dd, (h, x)) for g, dd, k, h, x in gens}
-    return _RelationOverPoint(piece, [(g, dd, k, h.word, x) for g, dd, k, h, x in gens], to_a,
-                              SSetMap(piece, pb.sset, to_b, validate=False))
-
-
 def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
-                 templates: dict, coends: CoendTable) -> LanResult:
+                 coends: CoendTable) -> LanResult:
     """G_! F computed by the coend coequalizer, one colimit per object of D.
 
-    The colimit at d is that of coend_diagram(F, G, D, d, pieces, templates),
-    whose relation pieces are bare generator lists (see there); with the trivial
-    relation pieces left out, no degree rises above the product pieces', so the
-    colimit's degree bounds stay, and the generators and their
+    The colimit at d is that of coend_diagram(F, G, D, d, pieces), whose
+    relation pieces are bare generator lists (see there); with the trivial
+    relation pieces left out, no degree rises above the product pieces', so
+    the colimit's degree bounds stay, and the generators and their
     representatives are those of the full coequalizer.  The result keeps the
     product pieces, which the action and lan_into_representable read, and no
-    relation piece.  pieces is coend_diagram's table of product pieces, and
-    templates its table of F's pieces over a point: a template's ids are those
-    ops.product gives the piece it stands for, so the colimit is the same
-    whichever table it was read from.  coends is F's CoendTable: each
-    colimit is read from it by coend_key (whose rows pieces keeps too), and
-    coend_diagram and the colimit are built only on a miss; entries[d] is
-    the serial of the entry, None past the table's cap.  A hit's cocone
-    starts at the product pieces of the lan that built it, whose ids and
-    faces are this lan's.  A caller that keeps F across calls keeps
-    templates and coends with it; any other passes a fresh dict and a fresh
+    relation piece.  pieces is coend_diagram's table of product pieces.
+    coends is F's CoendTable: each colimit is read from it by coend_key
+    (whose rows pieces keeps too), and coend_diagram and the colimit are
+    built only on a miss; entries[d] is the serial of the entry, None past
+    the table's cap.  A hit's cocone starts at the product pieces of the lan
+    that built it, whose ids and faces are this lan's.  A caller that keeps
+    F across calls keeps coends with it; any other passes a fresh
     CoendTable(None).
     """
     colimits: dict[str, Colimit] = {}
@@ -352,10 +284,10 @@ def enriched_lan(F: Presheaf, G: EnrichedFunctor, D: SCat, pieces: dict,
     entries: dict[str, Optional[int]] = {}
     images: dict[str, list] = {}  # coend_key's, shared by the objects d of this G
     for d_obj in D.objects:
-        products[d_obj] = _LazyProducts(F, G, D, d_obj, pieces, templates)
+        products[d_obj] = _LazyProducts(F, G, D, d_obj, pieces)
         entries[d_obj], colimits[d_obj] = coends.coend(
             coend_key(F, G, D, d_obj, coends.spanning, pieces, images),
-            lambda: colimit(coend_diagram(F, G, D, d_obj, pieces, templates)[0]))
+            lambda: colimit(coend_diagram(F, G, D, d_obj, pieces)[0]))
 
     values = {d_obj: colimits[d_obj].sset for d_obj in D.objects}
 

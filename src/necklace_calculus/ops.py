@@ -5,7 +5,7 @@ for the n-fold sets of `sset` and serve simplicial and bisimplicial sets
 alike.  Products and colimits list non-degenerate simplices only and give
 every normal form in closed form (Eilenberg-Zilber): a product's to_nf strips,
 axis by axis, the indices its factors' words share (delta.strip_word), and a
-product of points and one factor X is X renamed (renamed, over_points).  A
+product of points and one factor X is X renamed, one copy kept on X.  A
 colimit union-finds each degree's generators as integers in (name, generator)
 order, so every class's root is its least member, and gives the class of x
 from n as cocone[n](x); induced_map reads a map out of it from its least
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from operator import gt, sub
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -67,24 +68,36 @@ def is_point(X: GradedSet) -> bool:
 
 
 def _lone(factors: tuple[GradedSet, ...]) -> Optional[int]:
-    """k when every factor but the k-th is the point, 0 when all are; None otherwise."""
+    """k when every factor but the k-th is the point, the last when all are
+    (so kan's coend piece pt x F(a) renames F(a), which outlives the hom
+    pt); None otherwise."""
     rest = [k for k, X in enumerate(factors) if not is_point(X)]
-    return None if len(rest) > 1 else (rest or [0])[0]
+    return None if len(rest) > 1 else (rest or [len(factors) - 1])[0]
 
 
-class Renamed(NamedTuple):
+class _Renamed(NamedTuple):
     """A set X renamed as its product with points: what of that product does
-    not depend on the points (see renamed)."""
+    not depend on the points and holds no reference to X (see _renamed)."""
 
     sset: GradedSet
-    projection: SSetMap  # to X
+    assign: dict[str, tuple]  # the projection to X, on the new generators
     nfs: dict[str, tuple]  # generator of X -> its new generator, as a normal form
 
 
-def renamed(X: GradedSet) -> Renamed:
+_RENAMING = threading.Lock()  # makes the first build of each renamed copy win
+
+
+def _renamed(X: GradedSet) -> _Renamed:
     """X with the ids product gives X beside points: p{deg}_{i} for the i-th
     generator of degree deg in id order, each face target renamed with it.
-    The faces are X's own, so no face is computed."""
+    The faces are X's own, so no face is computed.  Kept on X, which is
+    immutable, so one copy serves every product of X with points and lives
+    exactly as long as X; the first build wins, so threads agree.  It holds
+    the projection's assignment and not the projection, whose dst is X: a
+    copy that pointed back at X would keep X in a reference cycle."""
+    kept = X._renamed
+    if kept is not None:
+        return kept
     nf_type, n = X.nf_type, X.n_axes
     nd_words = ((),) * n
     nfs: dict[str, tuple] = {}
@@ -104,19 +117,22 @@ def renamed(X: GradedSet) -> Renamed:
                                    for f in X._faces[a][x]]
     empty = _empty(n)
     out = type(empty)(gens, *faces, validate=False) if gens else empty
-    proj = X.map_type(out, X, {g[-1]: X._nd(x) for x, g in nfs.items()}, validate=False)
-    return Renamed(out, proj, nfs)
+    built = _Renamed(out, {g[-1]: X._nd(x) for x, g in nfs.items()}, nfs)
+    with _RENAMING:
+        if X._renamed is None:
+            X._renamed = built
+        return X._renamed
 
 
-def over_points(factors: tuple[GradedSet, ...], k: int, ren: Renamed) -> Product:
-    """The product of factors, every one but the k-th a point, from ren =
-    renamed(factors[k]): its set and projection to factors[k] are ren's, and
-    only the projections to the points and to_nf are made here.  to_nf(d, e)
-    is e[k] under its generator's new id, memoized per e; it raises SSetError
-    unless e[k] is a simplex of factors[k] (a generator of it under words
-    into e[k]'s degree) and every other entry is its point degenerated to
-    that degree."""
+def _over_points(factors: tuple[GradedSet, ...], k: int) -> Product:
+    """The product of factors, every one but the k-th a point: its set is
+    _renamed(factors[k]), and only the projections and to_nf are made here.
+    to_nf(d, e) is e[k] under its generator's new id, memoized per e; it
+    raises SSetError unless e[k] is a simplex of factors[k] (a generator of
+    it under words into e[k]'s degree) and every other entry is its point
+    degenerated to that degree."""
     X = factors[k]
+    ren = _renamed(X)
     nf_type, out, nfs = X.nf_type, ren.sset, ren.nfs
     pts = [(j, next(iter(P._deg))) for j, P in enumerate(factors) if j != k]
     memo: dict[tuple, tuple] = {}
@@ -142,7 +158,8 @@ def over_points(factors: tuple[GradedSet, ...], k: int, ren: Renamed) -> Product
         return out.map_type(out, P, {g: _new(nf_type, _full(deg) + (pt,))
                                      for g, deg in out._deg.items()}, validate=False)
 
-    return Product(out, tuple(ren.projection if j == k else to_point(next(iter(P._deg)), P)
+    return Product(out, tuple(X.map_type(out, X, ren.assign, validate=False) if j == k
+                              else to_point(next(iter(P._deg)), P)
                               for j, P in enumerate(factors)), to_nf)
 
 
@@ -218,7 +235,7 @@ def product(*factors: GradedSet) -> Product:
     (delta.strip_word).  It raises SSetError on a tuple that reduces to no
     listed shuffle, which is then no simplex of the product.  When every
     factor but X is the point (one adds no common index), the product is
-    over_points of renamed(X): X renamed, the same ids and normal forms.  A
+    _over_points: X renamed, the same ids and normal forms.  A
     product of one factor is that factor, with the identity as its projection.
     """
     if not factors:
@@ -230,7 +247,7 @@ def product(*factors: GradedSet) -> Product:
         return Product(factors[0], (identity_map(factors[0]),), lambda d, e: e[0])
     k = _lone(factors)
     if k is not None:
-        return over_points(factors, k, renamed(factors[k]))
+        return _over_points(factors, k)
     nf_type = factors[0].nf_type
     memo: dict[tuple, tuple] = {}  # tuple -> normal form; each shuffle entered as it is listed
 

@@ -82,6 +82,7 @@ class GradedSet:
         self._faces = tuple({g: tuple(fs) for g, fs in f.items()} for f in faces)
         self.labels = dict(labels or {})
         self._face_cache: dict = {}
+        self._renamed: Optional[tuple] = None  # memo of ops._renamed
         self._index()
         if validate:
             self._validate()

@@ -128,17 +128,16 @@ def w_sigma(W: BiSSet, cell: Cell) -> WSigma:
 class FullRep(NamedTuple):
     """St of the identity of LF[m, Y]: values Hom_{c LF[m+1, Y]}(-, m+1).
 
-    Two tables depend on presheaf alone and live with this FullRep, so for as
-    long as whoever keeps it (the table of universal straightenings, or the
-    Straightener that built it); every lan of presheaf fills them on first
-    use and publishes entry by entry (the first build wins):
-    - templates, kan.enriched_lan's coend pieces of presheaf over a point;
-    - coends, its kan.CoendTable: each coend colimit by the exact key of its
-      restricted representable (kan.coend_key, listing the action on the
-      one-bead generators of C), and the components of
-      Straightener.st_operator between two of them when both ends' shapes
-      are kept, each kind up to its cap (kan.COEND_CAP, kan.OPERATOR_CAP).
-    templates holds at most one entry per object and pair of objects of C."""
+    coends, its kan.CoendTable, depends on presheaf alone and lives with this
+    FullRep, so for as long as whoever keeps it (the table of universal
+    straightenings, or the Straightener that built it): each coend colimit by
+    the exact key of its restricted representable (kan.coend_key, listing
+    the action on the one-bead generators of C), and the components of
+    Straightener.st_operator between two of them when both ends' shapes are
+    kept, each kind up to its cap (kan.COEND_CAP, kan.OPERATOR_CAP).  Every
+    lan of presheaf fills it on first use and publishes entry by entry (the
+    first build wins).  Each value of presheaf keeps its own renamed copy,
+    the product piece over a point (ops.product), for as long as it lives."""
 
     m: int
     lfm: LF
@@ -149,7 +148,6 @@ class FullRep(NamedTuple):
     iota: EnrichedFunctor  # c of the last coface
     base: SCat
     presheaf: Presheaf
-    templates: dict  # kan.enriched_lan's pieces of presheaf over a point
     coends: CoendTable  # kan.enriched_lan's colimits, and st_operator's maps
 
 
@@ -179,7 +177,7 @@ def full_rep(lo: CatLF, hi: CatLF) -> FullRep:
         return C1.comp_el(a, b, top, x, iota.on_hom(a, b, h))
 
     return FullRep(m, lo.L, hi.L, face, C, C1, iota, base, Presheaf(base, values, action),
-                   {}, CoendTable(C.one_bead))
+                   CoendTable(C.one_bead))
 
 
 def checked_full_rep(m: int, Y: SSet) -> FullRep:
@@ -218,11 +216,10 @@ class _Universal:
       ("tr", src.m, src.k, dst.m, dst.k, mu_h, mu_v), on the shapes
       (src.m + 1, src.k) and (dst.m + 1, dst.k).
     Nothing is let go, so full(m, k).C1 is full(m + 1, k).C, and each kept
-    full keeps its coend templates and coends (FullRep.templates and
-    FullRep.coends), which the lans of every Straightener fill and read.
-    Entries are built outside the lock and published with setdefault: the
-    first build wins, so threads agree; a full's templates are published the
-    same way, entry by entry, and its coends under their table's lock.
+    full keeps its coends (FullRep.coends), which the lans of every
+    Straightener fill and read.  Entries are built outside the lock and
+    published with setdefault: the first build wins, so threads agree; a
+    full's coends are published entry by entry under their table's lock.
     """
 
     def __init__(self):
@@ -282,15 +279,16 @@ class Straightener:
     categorifications and the transports come from the process-wide table of
     universal straightenings when it keeps their shapes, and are built here
     otherwise.  A Straightener keeps every entry it used, by shape: _fulls
-    (each with its coend templates and coends, which go with it when the
-    full is one it built), the "tr" keys of _ops, and in _cat_lfs the
-    LF[j, Delta[k]] under each full it built, so full(m, k).C1 is
-    full(m + 1, k).C on every shape.  _ops also keeps each st_operator
-    component it used, and those between coends not both on kept shapes by
-    the ends' serials ("op" keys).  Its classifying functors read the
-    categorifications through handles of its own (Categorification.handle),
-    so the hom spaces a W reads are counted per Straightener (perfbench's
-    tracer counts a build per categorification object and arguments).
+    (each with its coends, and its presheaf's values with their renamed
+    copies, which go with it when the full is one it built), the "tr" keys
+    of _ops, and in _cat_lfs the LF[j, Delta[k]] under each full it built,
+    so full(m, k).C1 is full(m + 1, k).C on every shape.  _ops also keeps
+    each st_operator component it used, and those between coends not both on
+    kept shapes by the ends' serials ("op" keys).  Its classifying functors
+    read the categorifications through handles of its own
+    (Categorification.handle), so the hom spaces a W reads are counted per
+    Straightener (perfbench's tracer counts a build per categorification
+    object and arguments).
     """
 
     def __init__(self, W: BiSSet):
@@ -339,8 +337,7 @@ class Straightener:
         if cell not in self._lans:
             fr = self.full(cell.m, cell.k)
             self._lans[cell] = enriched_lan(fr.presheaf, self.sigma_functor(cell),
-                                            self.base_cat, self._pieces, fr.templates,
-                                            fr.coends)
+                                            self.base_cat, self._pieces, fr.coends)
         return self._lans[cell]
 
     # -- representable straightening --------------------------------------------

@@ -500,7 +500,7 @@ def check_lan_identity(rng) -> str:
     from .scat import EnrichedFunctor
 
     G = EnrichedFunctor(ch, ch, {o: o for o in ch.objects}, lambda a, b, x: x)
-    lan = enriched_lan(F, G, ch, {}, {}, CoendTable(None))
+    lan = enriched_lan(F, G, ch, {}, CoendTable(None))
     for a in ch.objects:
         _expect(find_iso(lan.presheaf.value[a], F.value[a]) is not None)
     cmp = lan_into_representable(lan, G, ch, "1")
@@ -520,8 +520,8 @@ def check_lan_tensors(rng) -> str:
     G = EnrichedFunctor(pt, arrow, {"0": "1"}, on_hom)
     F = Presheaf(pt, {"0": simplex(1)}, lambda a, b, h, x: x)
     for X in [simplex(1), boundary(1)]:
-        lhs = enriched_lan(F.tensor(X), G, arrow, {}, {}, CoendTable(None))
-        rhs = enriched_lan(F, G, arrow, {}, {}, CoendTable(None))
+        lhs = enriched_lan(F.tensor(X), G, arrow, {}, CoendTable(None))
+        rhs = enriched_lan(F, G, arrow, {}, CoendTable(None))
         for dd in arrow.objects:
             want = product(rhs.presheaf.value[dd], X).sset
             _expect(find_iso(lhs.presheaf.value[dd], want) is not None, (dd,))
@@ -550,7 +550,7 @@ def check_lan_sigma_m(rng) -> str:
         G = EnrichedFunctor(S, cat, {o: o for o in S.objects}, on_hom)
         G.verify(bound=1)
         F = representable(S, str(m))
-        lan = enriched_lan(F, G, cat, {}, {}, CoendTable(None))
+        lan = enriched_lan(F, G, cat, {}, CoendTable(None))
         cmp = lan_into_representable(lan, G, cat, str(m))
         _expect(all(c.is_mono() for c in cmp.values()))
     return "lan of representables along Sigma_m -> cLF[m,X] embeds into the homs"

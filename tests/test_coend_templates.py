@@ -1,25 +1,24 @@
 """The coend pieces over a point and the coend colimits that a FullRep keeps.
 
-When D(d, Ga) is a point, the product piece p.a of a coend is F(a) renamed and
-the relation piece r.a.b keeps the shuffles of C(a, b) x pt x F(b) with their
-leg into p.a, and into p.b when D(d, Gb) is a point too: all depend on the
-universal case F alone, so kan.coend_diagram reads them from a table the
-FullRep of F owns.  The whole colimit depends on F and on the restricted
+When D(d, Ga) is a point, the product piece p.a of a coend is F(a) renamed
+(ops.product), and one renamed copy is kept on F(a) itself, for as long as
+F(a) lives.  The whole colimit depends on F and on the restricted
 representable D(d, G-) alone, so kan.enriched_lan reads it from the FullRep's
 CoendTable by kan.coend_key, and Straightener.st_operator reads its maps
-between two entries from there too.  These tests hold both tables to their
-promises (tests/test_straighten_shared.py checks the diagrams read from a
-table that a Straightener over another W filled): Straighteners over different
-W read the same objects from a kept FullRep; every colimit read from a table
-equals one built afresh, on the bases of test_straighten_shared.TOTALS and on
-copies of them relabelled in reverse id order; a copy relabelled in the same
-order reads only what the original published; equal keys give equal coends,
-also over homs whose id order is reversed; the key sees the composites, not
-the homs alone, and listing the action on one-bead generators tells apart what
+between two entries from there too.  These tests hold both to their promises
+(tests/test_straighten_shared.py checks the diagrams read from pieces that a
+Straightener over another W built): Straighteners over different W read one
+renamed copy of each value of a kept FullRep; a set keeps its renamed copy in
+no reference cycle; every colimit read from a table equals one built afresh,
+on the bases of test_straighten_shared.TOTALS and on copies of them
+relabelled in reverse id order; a copy relabelled in the same order reads
+only what the original published; equal keys give equal coends, also over
+homs whose id order is reversed; the key sees the composites, not the homs
+alone, and listing the action on one-bead generators tells apart what
 listing it on all does; a FullRep the process-wide table does not keep takes
-its tables with it; threads that share a table agree on it; a full table stops
-growing and still answers; and a point piece's to_nf refuses what is no
-simplex, as ops.product's does.
+its table and its renamed copies with it; threads that share a FullRep agree
+on its entries and copies; a full table stops growing and still answers; and
+a point piece's to_nf refuses what is no simplex, as ops.product's does.
 """
 
 import gc
@@ -34,6 +33,7 @@ from necklace_calculus import kan, ops, straighten
 from necklace_calculus.bisset import rename_gens
 from necklace_calculus.io_schemas import canonical_json, presheaf_dump, sset_dump
 from necklace_calculus.scat import EnrichedFunctor, SCat
+from necklace_calculus.shapes import simplex
 from necklace_calculus.sset import NF, SSet, SSetError
 from necklace_calculus.straighten import universal_cache_clear
 
@@ -51,58 +51,73 @@ def _point_pieces(st):
                     yield fr, lan, d, a
 
 
-def test_straighteners_over_different_bases_read_the_same_templates():
+def test_straighteners_over_different_bases_share_one_renamed_copy():
     universal_cache_clear()
-    read, both = [], 0
+    read, legs = [], 0
     for name in ("id_d3", "id_x_d1_over_d2"):
         st, _ = _straightened(*TOTALS[name])
-        seen = set()
+        seen = {}
         for fr, lan, d, a in _point_pieces(st):
-            assert lan.products[d][a].sset is fr.templates[a].sset
-            assert lan.products[d][a].projections[1] is fr.templates[a].projection
-            seen.add((id(fr), a))
+            X = fr.presheaf.value[a]
+            assert lan.products[d][a].sset is X._renamed.sset
+            assert lan.products[d][a].projections[1].dst is X
+            seen[(id(fr), a)] = X._renamed.sset
         for cell in st._lans:
             fr = st.full(cell.m, cell.k)
             G = st.sigma_functor(cell)
             for d in st.base_cat.objects:
-                diag, _ = kan.coend_diagram(fr.presheaf, G, st.base_cat, d, st._pieces,
-                                            fr.templates)
-                over = {a: ops.is_point(st.base_cat.hom[(d, G.on_obj[a])])
-                        for a in fr.presheaf.base.objects}
-                for edge, src, _, f in diag.edges:
-                    a, b = src.split(".")[1:]
-                    if over[a]:
-                        rel = fr.templates[(a, b)]
-                        assert diag.objects[src] is rel.piece
-                        if edge.startswith("ea."):
-                            assert f is rel.to_a and f.dst is fr.templates[a].sset
-                        elif over[b]:
-                            assert f is rel.to_b and f.dst is fr.templates[b].sset
-                            both += 1
+                diag, _ = kan.coend_diagram(fr.presheaf, G, st.base_cat, d, {})
+                for _, _, dst, f in diag.edges:  # every leg into a point piece
+                    b = dst.split(".")[1]
+                    X = fr.presheaf.value[b]
+                    if ops.is_point(st.base_cat.hom[(d, G.on_obj[b])]):
+                        assert f.dst is X._renamed.sset
+                        legs += 1
         read.append(seen)
     kept = {id(fr) for fr in straighten._UNIVERSAL._fulls.values()}
-    shared = read[0] & read[1]
-    assert shared and {fr for fr, _ in shared} <= kept and both
+    shared = read[0].keys() & read[1].keys()
+    assert shared and {fr for fr, _ in shared} <= kept and legs
+    assert all(read[0][key] is read[1][key] for key in shared)
     universal_cache_clear()
 
 
-def test_templates_of_an_unkept_shape_go_with_their_straightener():
+def test_a_set_keeps_its_renamed_copy_in_no_cycle():
+    X = SSet([("v", 0), ("w", 0), ("e", 1)], {"e": (NF((), "w"), NF((), "v"))})
+    ren = ops._renamed(X)
+    assert ops._renamed(X) is ren and X._renamed is ren
+    assert ops.product(simplex(0), X).sset is ren.sset
+    ref, copy = weakref.ref(X), weakref.ref(ren.sset)
+    gc.collect()
+    gc.disable()
+    try:
+        del X, ren
+        assert ref() is None and copy() is None  # freed by reference counting alone
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_renamed_copies_of_an_unkept_shape_go_with_their_straightener():
     universal_cache_clear()
-    st, ob = _straightened(lambda: straighten.delta_precat(4).W, None)
-    owned = st.full(4, 0)  # built on LF[5, Delta[0]], which the table does not keep
-    kept = st.full(3, 0)
-    assert (4, 0) not in straighten._UNIVERSAL._fulls
-    assert kept is straighten._UNIVERSAL._fulls[3, 0]
-    assert owned.templates and kept.templates
-    gone = [weakref.ref(t.sset if hasattr(t, "sset") else t.piece)
-            for t in owned.templates.values()]
-    stay = [weakref.ref(t.sset if hasattr(t, "sset") else t.piece)
-            for t in kept.templates.values()]
-    del st, ob, owned, kept
-    assert all(ref() is None for ref in gone)  # freed by reference counting, no gc.collect()
-    assert all(ref() is not None for ref in stay)
-    universal_cache_clear()
-    assert all(ref() is None for ref in stay)
+    gc.disable()  # freed by reference counting alone
+    try:
+        st, ob = _straightened(lambda: straighten.delta_precat(4).W, None)
+        owned = st.full(4, 0)  # built on LF[5, Delta[0]], which the table does not keep
+        kept = st.full(3, 0)
+        assert (4, 0) not in straighten._UNIVERSAL._fulls
+        assert kept is straighten._UNIVERSAL._fulls[3, 0]
+        gone = [weakref.ref(X._renamed.sset) for X in owned.presheaf.value.values()
+                if X._renamed is not None]
+        stay = [weakref.ref(X._renamed.sset) for X in kept.presheaf.value.values()
+                if X._renamed is not None]
+        assert gone and stay
+        del st, ob, owned, kept
+        assert all(ref() is None for ref in gone)
+        assert all(ref() is not None for ref in stay)
+        universal_cache_clear()
+        assert all(ref() is None for ref in stay)
+    finally:
+        gc.enable()
 
 
 def _in_threads(names):
@@ -138,23 +153,22 @@ def _in_threads(names):
     return got
 
 
-def test_threads_agree_on_the_templates():
+def test_threads_agree_on_the_renamed_copies():
     got = _in_threads(["id_x_bd2_over_d2", "id_d3", "id_lf2_d1"] * 2)
-    # every thread read the published entry, and each relation leg targets the
-    # published point piece
-    for st, _ in got:
-        for fr, lan, d, a in _point_pieces(st):
-            assert lan.products[d][a].sset is fr.templates[a].sset
-        for fr in st._fulls.values():
-            for key, t in fr.templates.items():
-                if isinstance(key, tuple):
-                    assert t.to_a.dst is fr.templates[key[0]].sset
-                    assert t.to_b.dst is fr.templates[key[1]].sset
+    # every point piece a thread built is on the one copy kept on its factor
+    readers = {}
+    for i, (st, _) in enumerate(got):
+        for pr in st._pieces.values():
+            if isinstance(pr, ops.Product) and ops.is_point(pr.projections[0].dst):
+                X = pr.projections[1].dst
+                assert pr.sset is X._renamed.sset
+                readers.setdefault(id(X), set()).add(i)
+    assert any(len(threads) > 1 for threads in readers.values())
     universal_cache_clear()
 
 
 def test_point_pieces_reject_what_is_no_simplex():
-    # a point piece is ops.product's pt x F(a), built on F(a)'s template; its
+    # a point piece is ops.product's pt x F(a), built on F(a)'s renamed copy; its
     # to_nf agrees with the product's on every pair of one degree, and refuses
     # tuples of mixed degrees, an unknown generator and a point word that is not full
     universal_cache_clear()
@@ -232,7 +246,7 @@ def test_table_colimits_equal_fresh_ones(name):
         got = lan.colimits[d]
         assert fr.coends.colimits[key][0] == lan.entries[d]
         assert fr.coends.colimits[key][1] is got
-        want = ops.colimit(kan.coend_diagram(fr.presheaf, G, st.base_cat, d, {}, {})[0])
+        want = ops.colimit(kan.coend_diagram(fr.presheaf, G, st.base_cat, d, {})[0])
         assert sset_dump(got.sset) == sset_dump(want.sset)  # ids and faces
         assert got.reps == want.reps
         assert sorted(got.cocone) == sorted(want.cocone)
@@ -319,7 +333,7 @@ def test_equal_keys_give_equal_coends():
             keys = []
             for D_, G_ in ((D, G), (D2, G2)):
                 keys.append(kan.coend_key(fr.presheaf, G_, D_, d, fr.coends.spanning))
-                col = ops.colimit(kan.coend_diagram(fr.presheaf, G_, D_, d, {}, {})[0])
+                col = ops.colimit(kan.coend_diagram(fr.presheaf, G_, D_, d, {})[0])
                 form = (sset_dump(col.sset), col.reps,
                         {n: leg.assign for n, leg in col.cocone.items()})
                 assert seen.setdefault((id(fr), keys[-1]), form) == form, (name, d)

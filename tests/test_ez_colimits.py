@@ -164,8 +164,8 @@ def test_lan_colimits_of_the_identity_over_delta2(monkeypatch):
     args_of = {}
     build = kan.coend_diagram
 
-    def rec(F, G, D, d, pieces, templates):  # the Straightener's tables of pieces
-        out = build(F, G, D, d, pieces, templates)
+    def rec(F, G, D, d, pieces):  # the Straightener's table of pieces
+        out = build(F, G, D, d, pieces)
         args_of[id(out[0])] = (F, G, D, d)
         return out
 

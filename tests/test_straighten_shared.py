@@ -58,8 +58,9 @@ def _base(name) -> str:
 def _prepared(name, warmth):
     """_straightened(*TOTALS[name]) after the table of universal straightenings
     is emptied ("cold"), or emptied and then filled by straightening every
-    total over another base ("warm"), so that the coend templates of each
-    FullRep it keeps were built by a Straightener over another W."""
+    total over another base ("warm"), so that the coends and renamed copies
+    that each FullRep it keeps holds were built by a Straightener over
+    another W."""
     universal_cache_clear()
     if warmth == "warm":
         for other in sorted(TOTALS):
@@ -107,20 +108,20 @@ def test_pruned_coend_matches_all_relations(name, warmth):
 @WARMTH
 def test_relation_legs_are_simplicial_maps_out_of_the_full_product(name, warmth):
     # with_relation_products asserts the ids and validates both legs of each piece;
-    # the diagram read from the FullRep's templates is the one built from none
+    # the diagram read from the Straightener's pieces is the one built from none
     st, _ = _prepared(name, warmth)
-    pieces = templates = 0
+    pieces = copies = 0
     for cell in st._lans:
         fr = st.full(cell.m, cell.k)
         F, G = fr.presheaf, st.sigma_functor(cell)
-        templates += len(fr.templates)
+        copies += sum(X._renamed is not None for X in F.value.values())
         for a in st.base_cat.objects:
-            diag, _ = kan.coend_diagram(F, G, st.base_cat, a, {}, fr.templates)
-            _assert_same_diagram(diag, kan.coend_diagram(F, G, st.base_cat, a, {}, {})[0])
+            diag, _ = kan.coend_diagram(F, G, st.base_cat, a, st._pieces)
+            _assert_same_diagram(diag, kan.coend_diagram(F, G, st.base_cat, a, {})[0])
             with_relation_products(F, G, st.base_cat, a, diag)
             pieces += sum(isinstance(X, ops.BarePiece) and X.n_gens() > 0
                           for X in diag.objects.values())
-    assert pieces and templates
+    assert pieces and copies
     universal_cache_clear()
 
 
