@@ -1,16 +1,18 @@
 """Command-line entry points: hom, straighten, verify, dot.
 
 Exit codes: 0 pass, 2 schema or usage error (a malformed or invalid input
-file, or arguments such as an endpoint that is not a vertex), 3 unsupported
-input (with witness), 4 check failure, 5 resource limit (an input whose cells
-exceed --max-cells, a DOT export whose squared object count does, or a
-`dot --sset --emit json` listing whose necklaces have more beads in all).
+file, arguments such as an endpoint that is not a vertex, or an --out that
+cannot be written), 3 unsupported input (with witness), 4 check failure,
+5 resource limit (an input whose cells exceed --max-cells, a DOT export whose
+squared object count does, or a `dot --sset --emit json` listing whose
+necklaces have more beads in all).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 import time
@@ -18,8 +20,8 @@ from math import comb
 
 from .bisset import BiMap
 from .categorify import categorify
-from .io_schemas import (SchemaError, bimap_load, bisset_dump, bisset_load, canonical_json,
-                         necklace_dump, presheaf_dump, run_report, sset_dump, sset_load)
+from .io_schemas import (SchemaError, bimap_load, bisset_load, necklace_dump, run_report,
+                         sset_load, write_canonical)
 from .necklace import PairPoset, TndPoset, UnsupportedInput, necklace_count, necklaces_dot
 from .ops import find_iso
 from .sset import SSetError, constant_map
@@ -43,13 +45,17 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    text = canonical_json(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _emit(payload: dict, out) -> None:
+    """Write the payload's canonical JSON and a newline (io_schemas.write_canonical)
+    to the file out, or to stdout when there is none."""
+    if not out:
+        write_canonical(sys.stdout, payload)
+        return
+    try:
+        with open(out, "w") as fh:
+            write_canonical(fh, payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _cell_guard(W, max_cells: int) -> None:
@@ -95,8 +101,8 @@ def cmd_hom(args) -> int:
     H = C.hom_sset(a, b)
     report = C.hom_report(a, b)
     payload = {
-        "hom": sset_dump(H),
-        "report": run_report("hom", [bisset_dump(W)], [
+        "hom": H,
+        "report": run_report("hom", [W], [
             {"name": "stabilization", "status": "pass",
              "detail": {"nd_counts": list(report["nd_counts"]),
                         "degree_bound": report["degree_bound"],
@@ -106,7 +112,7 @@ def cmd_hom(args) -> int:
         poset = TndPoset(C.level(0), a, b)
         _dot_guard(len(poset.objects), args.max_cells)
         payload["dot"] = necklaces_dot(poset, name="tnd_level0")
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -137,11 +143,10 @@ def cmd_straighten(args) -> int:
     if args.certify:
         checks.extend(_closed_form_certificates(st, P, pre, objects))
     payload = {
-        "presheaf": presheaf_dump(pre) if args.full else
-        {a: sset_dump(pre.value[a]) for a in objects},
-        "report": run_report("straighten", [bisset_dump(W), bisset_dump(P)], checks),
+        "presheaf": pre if args.full else {a: pre.value[a] for a in objects},
+        "report": run_report("straighten", [W, P], checks),
     }
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -185,7 +190,7 @@ def cmd_verify(args) -> int:
                if args.timings else None)
     payload = run_report(f"verify --suite {args.suite}", [{"seed": args.seed}],
                          checks, timings=timings)
-    _emit(args, payload)
+    _emit(payload, args.out)
     for c in checks:
         mark = "pass" if c["status"] == "pass" else "FAIL"
         print(f"[{mark}] {c['name']}", file=sys.stderr)
@@ -214,7 +219,7 @@ def cmd_dot(args) -> int:
                                 f"--max-cells={args.max_cells}")
         t = TndPoset(X, a, b)
         entries = [necklace_dump(t.bead_dims(o), o.beads, (a, b)) for o in t.objects]
-        print(canonical_json({"schema": "necklace.v1", "necklaces": entries}))
+        _emit({"schema": "necklace.v1", "necklaces": entries}, None)
         return 0
     _dot_guard(n, args.max_cells)
     print(necklaces_dot(TndPoset(X, a, b), name="tnd"))
@@ -267,7 +272,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The cyclic garbage collector is paused while it runs
+    (tests/test_ownership.py shows that no command leaves reference cycles),
+    and left as the caller had it."""
     args = _parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args) -> int:
     try:
         if args.max_cells < 0:
             raise UsageError(f"--max-cells must be at least 0; got {args.max_cells}")

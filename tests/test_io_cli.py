@@ -438,6 +438,72 @@ def test_cli_straighten(tmp_path):
     assert [g["dim"] for g in out["presheaf"]["0"]["generators"]] == [0, 0, 1]
 
 
+def _hom_of_d1(tmp_path) -> list[str]:
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(bisset_dump(horizontal(d(1)))))
+    return ["hom", "--base", str(p), "--from", "0", "--to", "1"]
+
+
+def test_cli_out_in_a_missing_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    res = _run_cli(_hom_of_d1(tmp_path) + ["--out", str(out)], [])
+    assert res.returncode == 2
+    assert res.stderr == f"usage error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_cli_out_naming_a_directory_exits_2(tmp_path):
+    res = _run_cli(_hom_of_d1(tmp_path) + ["--out", str(tmp_path)], [])
+    assert res.returncode == 2
+    assert res.stderr == f"usage error: cannot write {tmp_path}: Is a directory\n"
+
+
+def test_cli_out_and_stdout_are_the_same_bytes(tmp_path):
+    argv = _hom_of_d1(tmp_path)
+    code, stdout, _ = _cli(argv)
+    assert code == 0 and _cli(argv + ["--out", str(tmp_path / "x.json")])[0] == 0
+    assert (tmp_path / "x.json").read_text() == stdout
+    assert stdout == canonical_json(json.loads(stdout)) + "\n"
+
+
+def _loop_base(tmp_path) -> str:
+    b1 = shapes.boundary(1)
+    circ = ops.pushout(SSetMap(b1, d(0), {"0": nd("0"), "1": nd("0")}),
+                       shapes.sub_inclusion(b1, d(1)))
+    p = tmp_path / "loop.json"
+    p.write_text(json.dumps(bisset_dump(horizontal(circ.sset))))
+    return str(p)
+
+
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
+    import gc
+
+    from necklace_calculus import verify
+
+    hom = _hom_of_d1(tmp_path)
+    runs = {0: hom, 2: hom[:-1] + ["nowhere"],
+            3: ["hom", "--base", _loop_base(tmp_path), "--from", "q0_0", "--to", "q0_0"],
+            5: ["--max-cells", "0"] + hom}
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            for code, argv in runs.items():
+                assert _cli(argv)[0] == code
+                assert gc.isenabled() is enabled, (code, enabled)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "find_iso", lambda A, B: None)
+                assert _cli(["verify", "--suite", "enriched"])[0] == 4
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:  # an exception no exit code covers
+                m.setattr(cli, "categorify", lambda *a, **k: 1 / 0)
+                with pytest.raises(ZeroDivisionError):
+                    _cli(hom)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if collecting else gc.disable()
+
+
 def test_cli_main_called_again_in_one_process(tmp_path, capsys):
     # the parser is built once per process: no call may see another's arguments
     base, pt, total = (tmp_path / f"{n}.json" for n in ("h_d2", "h_d0", "v_d1"))
